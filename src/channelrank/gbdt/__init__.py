@@ -1,6 +1,6 @@
 """Gradient-boosted tree ranker trained with a pairwise NDCG objective."""
 
-from .lambdas import LambdaPair, PairIndex, delta_ndcg, lambda_gradients
+from .lambdas import PairIndex, delta_ndcg, lambda_gradients
 from .model import Model, TrainingError, TrainParams, train, write_training_log
 from .serialize import (
     MODEL_FORMAT_VERSION,
@@ -24,7 +24,6 @@ from .tree import (
 __all__ = [
     "AxisSplit",
     "Leaf",
-    "LambdaPair",
     "MODEL_FORMAT_VERSION",
     "Model",
     "ModelFormatError",

@@ -21,21 +21,12 @@ exactly zero and keeps multi-threaded accumulation bit-reproducible.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..metrics import gain, ideal_dcg_at_k
 
 _QUANTUM = 2.0**40
-
-
-@dataclass(frozen=True, slots=True)
-class LambdaPair:
-    """Per-instance first and second derivative of the pairwise loss."""
-
-    g: float
-    h: float
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ for a fixed seed and independent of the gradient worker thread count.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,16 @@ import numpy as np
 from ..features import FeatureSchema
 from ..metrics import GroupedNdcg
 from .lambdas import PairIndex
-from .tree import Leaf, ObliqueSplit, Tree, _GrowParams, bin_features, grow_tree
+from .tree import (
+    AxisSplit,
+    Leaf,
+    Node,
+    ObliqueSplit,
+    Tree,
+    _GrowParams,
+    bin_features,
+    grow_tree,
+)
 
 
 class TrainingError(ValueError):
@@ -68,101 +78,135 @@ class TrainParams:
             raise ValueError("max_bins must be in [1, 60000]")
 
 
+#: Rows per scoring chunk are capped so that one chunk's per-tree node
+#: indices and derived columns, and each oblique-feature gather, stay
+#: near this many elements.
+_CHUNK_ELEMENTS = 1 << 16
+
+
 @dataclass(slots=True)
-class _PackedForest:
-    """Flat node arrays over all trees for vectorized axis-only scoring."""
+class _Forest:
+    """Every tree of a model flattened into one node table.
+
+    Node ``i`` routes a row to ``child[2*i + go_right]``. A leaf's two
+    children are the leaf itself, so every row takes exactly ``depth``
+    branch-free steps and ends on its leaf. Oblique node ``k`` becomes an
+    axis split on derived column ``F + k``, its projection; projections
+    are computed per chunk, one batched product per group of nodes that
+    share a feature count.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     missing_left: np.ndarray
     value: np.ndarray
+    child: np.ndarray
     roots: np.ndarray
-    max_depth: int
+    depth: int
+    n_features: int
+    projections: list[tuple[np.ndarray, np.ndarray]]
+    chunk: int
 
-    _CHUNK = 8192
+    @classmethod
+    def compile(cls, trees: Sequence[Tree], n_features: int) -> _Forest:
+        nodes: list[Node] = []
+        child: list[int] = []
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
+        def add(node: Node) -> int:
+            idx = len(nodes)
+            nodes.append(node)
+            child.extend((idx, idx))
+            if not isinstance(node, Leaf):
+                child[2 * idx] = add(node.left)  # type: ignore[arg-type]
+                child[2 * idx + 1] = add(node.right)  # type: ignore[arg-type]
+            return idx
+
+        roots = [add(tree.root) for tree in trees]
+        feature = [node.feature if isinstance(node, AxisSplit) else 0 for node in nodes]
+        by_width: dict[int, list[int]] = {}
+        for idx, node in enumerate(nodes):
+            if isinstance(node, ObliqueSplit):
+                by_width.setdefault(len(node.features), []).append(idx)
+        projections = []
+        column = n_features
+        for width in sorted(by_width):
+            group = by_width[width]
+            for idx in group:
+                feature[idx] = column
+                column += 1
+            projections.append((
+                np.array([nodes[idx].features for idx in group], dtype=np.intp),
+                np.array([nodes[idx].weights for idx in group], dtype=np.float64),
+            ))
+        per_row = max(len(roots), column, 1)
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array([getattr(n, "threshold", 0.0) for n in nodes], dtype=np.float64),
+            missing_left=np.array([getattr(n, "missing_left", False) for n in nodes], dtype=bool),
+            value=np.array([getattr(n, "value", 0.0) for n in nodes], dtype=np.float64),
+            child=np.array(child, dtype=np.intp),
+            roots=np.array(roots, dtype=np.intp),
+            depth=max((tree.depth() for tree in trees), default=0),
+            n_features=n_features,
+            projections=projections,
+            chunk=max(1, _CHUNK_ELEMENTS // per_row),
+        )
+
+    def raw(self, X: np.ndarray) -> np.ndarray:
+        """Sum of the trees' leaf values for each row of ``X``."""
         n = len(X)
         out = np.empty(n, dtype=np.float64)
-        for lo in range(0, n, self._CHUNK):
-            hi = min(lo + self._CHUNK, n)
-            out[lo:hi] = self._block(X[lo:hi])
+        for lo in range(0, n, self.chunk):
+            out[lo:lo + self.chunk] = self._block(X[lo:lo + self.chunk])
         return out
 
+    def _columns(self, X: np.ndarray) -> np.ndarray:
+        """``X`` plus one derived column per oblique node."""
+        if not self.projections:
+            return np.ascontiguousarray(X)
+        width = self.n_features + sum(len(w) for _, w in self.projections)
+        Z = np.empty((len(X), width), dtype=np.float64)
+        Z[:, : self.n_features] = X
+        column = self.n_features
+        for feats, weights in self.projections:
+            # Nodes go in blocks so each gather stays within the budget.
+            block = max(1, _CHUNK_ELEMENTS // (len(X) * feats.shape[1]))
+            for k in range(0, len(weights), block):
+                # One matrix-vector product per node, exactly as a per-node
+                # ``X[:, feats] @ w`` computes it; a dense ``X @ W.T`` or an
+                # einsum rounds some projections differently. A NaN
+                # projection (missing cell, or inf - inf) routes as missing.
+                with np.errstate(invalid="ignore"):
+                    z = np.matmul(
+                        X[:, feats[k : k + block]].transpose(1, 0, 2),
+                        weights[k : k + block, :, None],
+                    )
+                Z[:, column + k : column + k + len(z)] = z[:, :, 0].T
+            column += len(weights)
+        return Z
+
     def _block(self, X: np.ndarray) -> np.ndarray:
-        n = len(X)
+        Z = self._columns(X)
+        n = len(Z)
+        flat = Z.ravel()
+        row_base = np.arange(n, dtype=np.intp)[:, None] * Z.shape[1]
         cur = np.broadcast_to(self.roots, (n, len(self.roots))).copy()
-        rows = np.arange(n)[:, None]
-        for _ in range(self.max_depth):
-            f = self.feature[cur]
-            at_leaf = f < 0
-            if at_leaf.all():
-                break
-            x = X[rows, np.where(at_leaf, 0, f)]
-            go_left = np.where(np.isnan(x), self.missing_left[cur], x < self.threshold[cur])
-            nxt = np.where(go_left, self.left[cur], self.right[cur])
-            cur = np.where(at_leaf, cur, nxt)
-        return self.value[cur].sum(axis=1)
-
-
-def _pack_trees(trees: tuple[Tree, ...]) -> _PackedForest | None:
-    """Flatten axis-only trees; returns None when any oblique node exists."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    missing_left: list[bool] = []
-    value: list[float] = []
-    roots: list[int] = []
-    max_depth = 1
-
-    def add(node, depth: int) -> int | None:
-        nonlocal max_depth
-        max_depth = max(max_depth, depth + 1)
-        idx = len(feature)
-        if isinstance(node, Leaf):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(idx)
-            right.append(idx)
-            missing_left.append(True)
-            value.append(node.value)
-            return idx
-        if isinstance(node, ObliqueSplit):
-            return None
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        missing_left.append(node.missing_left)
-        value.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        li = add(node.left, depth + 1)
-        if li is None:
-            return None
-        ri = add(node.right, depth + 1)
-        if ri is None:
-            return None
-        left[idx] = li
-        right[idx] = ri
-        return idx
-
-    for tree in trees:
-        root = add(tree.root, 0)
-        if root is None:
-            return None
-        roots.append(root)
-    return _PackedForest(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        missing_left=np.array(missing_left, dtype=bool),
-        value=np.array(value, dtype=np.float64),
-        roots=np.array(roots, dtype=np.int64),
-        max_depth=max_depth,
-    )
+        for _ in range(self.depth):
+            x = flat.take(row_base + self.feature.take(cur))
+            go_left = (x < self.threshold.take(cur)) | (
+                np.isnan(x) & self.missing_left.take(cur)
+            )
+            cur = self.child.take(2 * cur + ~go_left)
+        values = self.value.take(cur)
+        if not self.projections:
+            return values.sum(axis=1)
+        # Oblique models have always summed tree by tree and axis-only
+        # ones pairwise along the row; each keeps its order, so a saved
+        # model scores bit-identically to earlier releases.
+        out = np.zeros(n, dtype=np.float64)
+        for column in values.T:
+            out += column
+        return out
 
 
 @dataclass(slots=True)
@@ -175,15 +219,7 @@ class Model:
     schema: FeatureSchema
     params: TrainParams
     format_version: int = 1
-    _packed: _PackedForest | None = field(default=None, repr=False, compare=False)
-    _packable: bool = field(default=True, repr=False, compare=False)
-
-    def _ensure_packed(self) -> _PackedForest | None:
-        if self._packed is None and self._packable:
-            self._packed = _pack_trees(self.trees)
-            if self._packed is None:
-                self._packable = False
-        return self._packed
+    _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Scores for a feature matrix aligned to the model schema."""
@@ -192,14 +228,9 @@ class Model:
             raise ValueError(
                 f"feature matrix must be (n, {len(self.schema)}), got {X.shape}"
             )
-        packed = self._ensure_packed()
-        if packed is not None:
-            raw = packed.scores(X)
-        else:
-            raw = np.zeros(len(X), dtype=np.float64)
-            for tree in self.trees:
-                raw += tree.predict_matrix(X)
-        return self.base_score + self.shrinkage * raw
+        if self._forest is None:
+            self._forest = _Forest.compile(self.trees, len(self.schema))
+        return self.base_score + self.shrinkage * self._forest.raw(X)
 
     def predict(self, features: np.ndarray) -> float:
         """Score one feature vector (missing cells as NaN)."""

@@ -19,7 +19,6 @@ recursion would produce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +59,6 @@ class ObliqueSplit:
     left: "Leaf | AxisSplit | ObliqueSplit | None" = None
     right: "Leaf | AxisSplit | ObliqueSplit | None" = None
 
-    def project(self, x: np.ndarray) -> float:
-        z = 0.0
-        for f, w in zip(self.features, self.weights):
-            z += w * float(x[f])
-        return z
-
 
 Node = Leaf | AxisSplit | ObliqueSplit
 
@@ -74,37 +67,12 @@ Node = Leaf | AxisSplit | ObliqueSplit
 class Tree:
     root: Node
 
-    def predict_row(self, x: np.ndarray) -> float:
-        node = self.root
-        while not isinstance(node, Leaf):
-            if isinstance(node, AxisSplit):
-                v = float(x[node.feature])
-                go_left = node.missing_left if math.isnan(v) else v < node.threshold
-            else:
-                z = node.project(x)
-                go_left = node.missing_left if math.isnan(z) else z < node.threshold
-            node = node.left if go_left else node.right  # type: ignore[assignment]
-        return node.value
-
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized prediction via recursive index partitioning."""
-        out = np.empty(len(X), dtype=np.float64)
+        """This tree's leaf value for each row, scored as a one-tree forest."""
+        from .model import _Forest
 
-        def descend(node: Node, idx: np.ndarray) -> None:
-            if isinstance(node, Leaf):
-                out[idx] = node.value
-                return
-            if isinstance(node, AxisSplit):
-                v = X[idx, node.feature]
-            else:
-                v = X[idx][:, list(node.features)] @ np.asarray(node.weights)
-            nan = np.isnan(v)
-            left = np.where(nan, node.missing_left, v < node.threshold)
-            descend(node.left, idx[left])  # type: ignore[arg-type]
-            descend(node.right, idx[~left])  # type: ignore[arg-type]
-
-        descend(self.root, np.arange(len(X)))
-        return out
+        X = np.asarray(X, dtype=np.float64)
+        return _Forest.compile((self,), X.shape[1]).raw(X)
 
     def depth(self) -> int:
         def d(node: Node) -> int:

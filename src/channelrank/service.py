@@ -20,14 +20,18 @@ Response::
      "latency_us": 812}
 
 ``GET /v1/health`` reports status, model fingerprint, and format version.
-Malformed requests and pools beyond the configured cap return HTTP 400
-with an ``{"error": ...}`` body.
+Malformed requests (engagement values included: each must be a finite
+number) and pools beyond the configured cap return HTTP 400 with an
+``{"error": ...}`` body; any other failure while scoring returns 500 with
+the same shape and logs its traceback.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
+import numbers
 import platform
 import time
 from collections.abc import Mapping, Sequence
@@ -42,9 +46,29 @@ from .gbdt.serialize import model_fingerprint
 
 DEFAULT_POOL_CAP = 500
 
+_log = logging.getLogger(__name__)
+
 
 class ServiceError(ValueError):
     """Client-side request problem; maps to HTTP 400."""
+
+
+def _engagement_value(value: object, column: str, item: str) -> float:
+    """``value`` as a float if it is a finite real number, else ServiceError."""
+    if type(value) is float:
+        number = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    else:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ServiceError(
+            f"engagement {column!r} for {item!r} must be a finite number, got {value!r}"
+        )
+    return number
 
 
 @dataclass(slots=True)
@@ -204,7 +228,7 @@ class ScoreService:
                     raise ServiceError(f"engagement for {item!r} must be an object")
                 for ci, name in self._engagement_cols:
                     if name in values:
-                        X[r, ci] = float(values[name])
+                        X[r, ci] = _engagement_value(values[name], name, item)
 
         item_row = {item: r for r, item in enumerate(items)}
         hit_counts = np.zeros(n)
@@ -273,14 +297,22 @@ def make_server(service: ScoreService, host: str = "127.0.0.1", port: int = 8351
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError(f"negative Content-Length {length}")
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 self._send(400, {"error": f"malformed request body: {exc}"})
                 return
             try:
-                self._send(200, service.score(payload))
+                response = service.score(payload)
             except ServiceError as exc:
                 self._send(400, {"error": str(exc)})
+                return
+            except Exception as exc:
+                _log.exception("scoring failed")
+                self._send(500, {"error": f"internal error: {type(exc).__name__}"})
+                return
+            self._send(200, response)
 
     return ThreadingHTTPServer((host, port), Handler)
 

@@ -3,8 +3,9 @@ import pytest
 
 from channelrank.features import FeatureColumn, FeatureSchema
 from channelrank.gbdt.model import Model, TrainingError, TrainParams, train, write_training_log
-from channelrank.gbdt.serialize import serialize_model
-from channelrank.gbdt.tree import AxisSplit, Leaf, Tree
+from channelrank.gbdt.serialize import loads_model, serialize_model
+from channelrank.gbdt.tree import AxisSplit, Leaf, ObliqueSplit, Tree
+from tests.forest_oracle import has_oblique, walk_model, walk_tree
 
 
 def generic_schema(n):
@@ -179,17 +180,18 @@ class TestPredict:
         single = np.array([model.predict(row) for row in Xq])
         np.testing.assert_array_equal(batch, single)
 
-    def test_packed_agrees_with_tree_walk(self):
+    def test_forest_equals_tree_walk(self):
         X, labels, group_ids = ranking_problem(139, n_groups=10)
-        params = TrainParams(num_trees=6, max_depth=4, min_examples_per_leaf=2)
-        model = train(X, labels, group_ids, generic_schema(X.shape[1]), params).model
+        schema = generic_schema(X.shape[1])
         rng = np.random.default_rng(8)
         Xq = rng.normal(size=(25, X.shape[1]))
-        packed = model.predict_matrix(Xq)
-        walked = model.base_score + model.shrinkage * sum(
-            tree.predict_matrix(Xq) for tree in model.trees
-        )
-        np.testing.assert_allclose(packed, walked, rtol=0, atol=1e-12)
+        for oblique in (False, True):
+            params = TrainParams(
+                num_trees=10, max_depth=4, min_examples_per_leaf=2,
+                oblique=oblique, oblique_projections=6, oblique_sparsity=0.6, seed=3,
+            )
+            model = train(X, labels, group_ids, schema, params).model
+            np.testing.assert_array_equal(model.predict_matrix(Xq), walk_model(model, Xq))
 
     def test_base_score_shift_preserves_order(self):
         X, labels, group_ids = ranking_problem(149, n_groups=6)
@@ -205,3 +207,141 @@ class TestPredict:
         )
         s2 = shifted.predict_matrix(Xq)
         np.testing.assert_array_equal(np.argsort(-s1), np.argsort(-s2))
+
+
+def queries(n, n_features, seed, nan_frac=0.15, inf_frac=0.05):
+    """Normal cells plus NaN, +inf and -inf ones."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n_features))
+    u = rng.random(size=X.shape)
+    X[u < nan_frac] = np.nan
+    X[(u >= nan_frac) & (u < nan_frac + inf_frac)] = np.inf
+    X[(u >= nan_frac + inf_frac) & (u < nan_frac + 2 * inf_frac)] = -np.inf
+    return X
+
+
+def forest_model(trees, n_features=5, shrinkage=0.1, base=0.25):
+    return Model(
+        trees=tuple(Tree(root=t) if not isinstance(t, Tree) else t for t in trees),
+        shrinkage=shrinkage, base_score=base, schema=generic_schema(n_features),
+        params=TrainParams(num_trees=len(trees)),
+    )
+
+
+def split(feature, threshold, missing_left, left, right):
+    node = AxisSplit(feature=feature, threshold=threshold, missing_left=missing_left, gain=1.0)
+    node.left, node.right = left, right
+    return node
+
+
+def oblique_split(features, weights, threshold, missing_left, left, right):
+    node = ObliqueSplit(
+        features=features, weights=weights, threshold=threshold,
+        missing_left=missing_left, gain=1.0,
+    )
+    node.left, node.right = left, right
+    return node
+
+
+def trained(oblique, seed=151):
+    X, labels, group_ids = ranking_problem(seed, n_groups=12)
+    params = TrainParams(
+        num_trees=12, max_depth=4, min_examples_per_leaf=2,
+        oblique=oblique, oblique_projections=6, oblique_sparsity=0.6, seed=4,
+    )
+    return train(X, labels, group_ids, generic_schema(X.shape[1]), params).model
+
+
+@pytest.fixture(scope="module")
+def axis_model():
+    return trained(oblique=False)
+
+
+@pytest.fixture(scope="module")
+def oblique_model():
+    model = trained(oblique=True)
+    assert any(has_oblique(tree) for tree in model.trees)
+    return model
+
+
+class TestForestParity:
+    """``Model.predict_matrix`` equals the per-tree walk bit for bit."""
+
+    def assert_parity(self, model, X):
+        np.testing.assert_array_equal(model.predict_matrix(X), walk_model(model, X))
+
+    def test_oblique_model_after_round_trip(self, oblique_model):
+        restored = loads_model(serialize_model(oblique_model))
+        X = queries(500, 5, seed=3)
+        self.assert_parity(restored, X)
+        np.testing.assert_array_equal(
+            restored.predict_matrix(X), oblique_model.predict_matrix(X)
+        )
+
+    def test_oblique_projections_round_like_per_node_products(self):
+        rng = np.random.default_rng(12)
+        n_features = 24
+        X = rng.normal(size=(200, n_features)) * 10.0 ** rng.uniform(-3, 3, size=(200, n_features))
+        trees = []
+        for k in range(60):
+            width = (8, 16)[k % 2]
+            feats = tuple(int(f) for f in np.sort(rng.choice(n_features, width, replace=False)))
+            weights = tuple(float(w) for w in rng.normal(size=width))
+            # Row k sits exactly on the threshold, so a projection rounded
+            # one step lower than the per-node product sends it left.
+            threshold = float(X[k, list(feats)] @ np.asarray(weights))
+            trees.append(oblique_split(feats, weights, threshold, False, Leaf(-1.0 - k), Leaf(1.0 + k)))
+        self.assert_parity(forest_model(trees, n_features=n_features), X)
+
+    def test_stump_and_single_leaf(self):
+        stump = split(2, 0.1, True, Leaf(-0.5), Leaf(1.5))
+        X = queries(200, 5, seed=4)
+        self.assert_parity(forest_model([stump]), X)
+        self.assert_parity(forest_model([Leaf(0.75)]), X)
+        np.testing.assert_array_equal(
+            forest_model([Leaf(0.75)], shrinkage=1.0, base=0.0).predict_matrix(X),
+            np.full(len(X), 0.75),
+        )
+
+    def test_trees_of_unequal_depth(self, axis_model, oblique_model):
+        deep = split(
+            0, 0.0, False,
+            split(1, -0.3, True, Leaf(-1.0), split(4, 0.2, False, Leaf(0.1), Leaf(0.3))),
+            Leaf(2.0),
+        )
+        leaning = oblique_split(
+            (0, 3), (1.0, -1.0), 0.05, True,
+            Leaf(-0.25), oblique_split((1, 2, 4), (-1.0, 1.0, 1.0), 0.4, False, Leaf(0.5), Leaf(0.9)),
+        )
+        X = queries(300, 5, seed=5)
+        mixed = [Leaf(0.2), split(3, 0.0, False, Leaf(1.0), Leaf(-1.0)), deep,
+                 *axis_model.trees[:9]]
+        axis_only = forest_model(mixed)
+        assert {t.depth() for t in axis_only.trees} >= {0, 1, 3, 4}
+        self.assert_parity(axis_only, X)
+        self.assert_parity(forest_model([*mixed, leaning, *oblique_model.trees[:4]]), X)
+
+    def test_nan_and_infinite_cells(self, axis_model, oblique_model):
+        X = queries(400, 5, seed=6, nan_frac=0.3, inf_frac=0.15)
+        X[0] = np.nan
+        X[1] = np.inf
+        X[2] = -np.inf
+        for model in (axis_model, oblique_model):
+            self.assert_parity(model, X)
+
+    def test_one_row(self, axis_model, oblique_model):
+        X = queries(1, 5, seed=7)
+        for model in (axis_model, oblique_model):
+            self.assert_parity(model, X)
+            assert model.predict(X[0]) == walk_model(model, X)[0]
+
+    def test_batch_longer_than_one_chunk(self, axis_model, oblique_model):
+        for model in (axis_model, oblique_model):
+            model.predict_matrix(queries(1, 5, seed=8))
+            n = 2 * model._forest.chunk + 7
+            self.assert_parity(model, queries(n, 5, seed=9))
+
+    def test_single_tree_predict_matrix_matches_walk(self, oblique_model):
+        X = queries(300, 5, seed=10)
+        for tree in oblique_model.trees:
+            np.testing.assert_array_equal(tree.predict_matrix(X), walk_tree(tree, X))

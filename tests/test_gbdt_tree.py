@@ -11,6 +11,7 @@ from channelrank.gbdt.tree import (
     grow_tree,
     leaf_value,
 )
+from tests.forest_oracle import walk_row
 
 
 class TestLeafValue:
@@ -164,7 +165,7 @@ class TestGrowTree:
         tree, row_values = _fit_tree(X, g, h, max_depth=5, min_leaf=4)
         np.testing.assert_array_equal(tree.predict_matrix(X), row_values)
         for i in range(0, 300, 37):
-            assert tree.predict_row(X[i]) == row_values[i]
+            assert walk_row(tree, X[i]) == row_values[i]
 
     def test_depth_and_leaf_size_invariants(self):
         rng = np.random.default_rng(19)

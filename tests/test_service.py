@@ -1,4 +1,6 @@
+import http.client
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -159,6 +161,30 @@ class TestScoreService:
                  "channels": [{"name": "lexical", "entries": [["A", "x"]]}]}
             )
 
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", "1.5", [1], {"v": 1}, None, True,
+         float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["word", "numeric-string", "list", "object", "null", "bool",
+             "nan", "inf", "-inf", "huge-int"],
+    )
+    def test_engagement_value_must_be_finite_number(self, trained_world, service, value):
+        _, data, _ = trained_world
+        col = next(c.name for c in data.schema.columns if c.group == "engagement")
+        request = simple_request()
+        request["engagement"] = {"A": {col: value}}
+        with pytest.raises(ServiceError, match="finite number"):
+            service.score(request)
+
+    def test_integer_engagement_value_scores_like_float(self, trained_world, service):
+        _, data, _ = trained_world
+        col = next(c.name for c in data.schema.columns if c.group == "engagement")
+        as_int, as_float = simple_request(), simple_request()
+        as_int["engagement"] = {"A": {col: 3}}
+        as_float["engagement"] = {"A": {col: 3.0}}
+        r1, r2 = service.score(as_int), service.score(as_float)
+        assert r1["results"] == r2["results"]
+
     def test_concurrent_identical_requests_agree(self, service):
         results = [None] * 8
 
@@ -226,6 +252,68 @@ class TestHttpServer:
     def test_unknown_path_is_404(self, server_url):
         status, body = self._post(server_url + "/nope", simple_request())
         assert status == 404
+
+    @pytest.mark.parametrize(
+        "value", ["abc", [1], float("nan"), float("inf"), float("-inf")],
+        ids=["word", "list", "nan", "inf", "-inf"],
+    )
+    def test_bad_engagement_value_is_400(self, server_url, trained_world, value):
+        _, data, _ = trained_world
+        col = next(c.name for c in data.schema.columns if c.group == "engagement")
+        request = simple_request()
+        request["engagement"] = {"B": {col: value}}
+        status, body = self._post(server_url, request)
+        assert status == 400
+        assert "finite number" in body["error"]
+
+    def test_negative_content_length_is_400_without_reading(self, server_url):
+        host, port = server_url.rsplit("/", 1)[-1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/score")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_deeply_nested_body_is_400(self, server_url):
+        req = urllib.request.Request(
+            server_url + "/v1/score", data=b"[" * 100_000 + b"]" * 100_000,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 400
+        assert "malformed request body" in json.loads(err.value.read())["error"]
+
+
+class _FailingService(ScoreService):
+    def score(self, payload):
+        raise RuntimeError("scorer exploded")
+
+
+def test_unexpected_scoring_error_is_json_500_and_logged(trained_world, caplog):
+    _, _, model = trained_world
+    server = make_server(_FailingService(model), host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        with caplog.at_level(logging.ERROR, logger="channelrank.service"):
+            status, body = TestHttpServer()._post(url, simple_request())
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert status == 500
+    assert body == {"error": "internal error: RuntimeError"}
+    record = next(r for r in caplog.records if r.name == "channelrank.service")
+    assert record.exc_info is not None
+    assert "scorer exploded" in caplog.text
 
 
 class TestBench:
