@@ -3,25 +3,34 @@
 Walks the label pipeline on a handful of hand-written sessions: deepest
 action per session, funnel counts, corpus-calibrated weights, the scalar
 engagement label, and per-query max normalization onto [0, 4]. Then
-shows the temporal feature machinery: lookback aggregates, velocity, and
-decayed engagement features.
+shows the temporal features of one query-week row, built by the same
+code as training rows: the item block's lookback aggregates and
+velocity, and the dataset builder's decayed engagement.
 
 Run: python demos/02_labels_and_features.py
 """
 
+import numpy as np
+
 from channelrank import (
     Action,
+    ChannelId,
+    ChannelList,
     CorpusStats,
+    EventFrame,
     InteractionEvent,
+    ItemCatalog,
     LookbackConfig,
+    TruncationConfig,
+    build_dataset,
+    build_schema,
     calibrate_weights,
     deepest_action,
-    engagement_features,
     funnel_counts,
-    lookback_aggregates,
+    item_count_table,
+    item_feature_block,
     normalize_labels,
     raw_label,
-    velocity,
 )
 from channelrank.labeling import WEEK_SECONDS
 
@@ -71,22 +80,57 @@ normalized = normalize_labels(raw)
 for item in pool_counts:
     print(f"{item:>10}: raw={raw[item]:.3f}  normalized={normalized[item]:.3f}")
 
-print("\n=== lookback aggregates and velocity for one item ===")
+print("\n=== item features at week 4: lookback aggregates and velocity ===")
 history = [
     ev("h1", Action.PURCHASE, week=0), ev("h2", Action.CLICK, week=1),
     ev("h3", Action.PURCHASE, week=2), ev("h4", Action.PURCHASE, week=3),
-    ev("h5", Action.CLICK, week=3),
+    ev("h5", Action.CLICK, week=3), ev("h6", Action.CLICK, week=3, item="desk-pro"),
 ]
+items = ("desk-oak", "desk-pro")
+frame = EventFrame(
+    week=np.array([e.week for e in history]),
+    session=np.arange(len(history)),
+    query=np.zeros(len(history), dtype=np.int64),
+    item=np.array([items.index(e.item) for e in history]),
+    action=np.array([int(e.action) for e in history]),
+    timestamp=np.array([e.timestamp for e in history]),
+    query_vocab=("standing desk",),
+    item_vocab=items,
+    session_vocab=tuple(e.session for e in history),
+)
+catalog = ItemCatalog(
+    item_vocab=items, price=np.array([349.0, 499.0]),
+    category=np.array([2, 2]), intro_week=np.array([0, 1]),
+)
 cfg = LookbackConfig(windows=(1, 4), decay_half_life=2.0)
-agg = lookback_aggregates(history, as_of=4, cfg=cfg)
-for window, counts in agg.items():
-    print(f"window {window}w: impressions={counts.impressions} clicks={counts.clicks} "
-          f"purchases={counts.purchases}")
-v = velocity(agg[1].purchases, agg[4].purchases, 1, 4)
-print(f"purchase velocity (1w rate vs 4w rate): {v:.2f}  (>1 means accelerating)")
+lexical = ChannelId(0, "lexical")
+schema = build_schema([lexical], cfg)
+as_of = 4
+block = item_feature_block(
+    schema, cfg, item_count_table(frame, catalog, as_of), catalog, np.arange(len(items)), as_of
+)
+item_names = [c.name for c in schema.columns if c.group == "item"]
+for item, row in zip(items, block):
+    values = dict(zip(item_names, row))
+    for window in cfg.windows:
+        print(f"{item} window {window}w: impressions={values[f'item_impressions_w{window}']:.0f} "
+              f"clicks={values[f'item_clicks_w{window}']:.0f} "
+              f"purchases={values[f'item_purchases_w{window}']:.0f}")
+    print(f"{item} purchase velocity (1w rate vs 4w rate): "
+          f"{values['item_purchase_velocity']:.2f}  (>1 means accelerating)")
+print("training rows and the serving sidecar both come from item_feature_block")
 
 print("\n=== decayed engagement features (same weights, no normalization) ===")
-eng = engagement_features(history, as_of=4, weights=weights, cfg=cfg)
-for window, value in eng.items():
-    print(f"window {window}w: decayed engagement = {value:.4f}")
+lists = {as_of: {"standing desk": [
+    ChannelList.from_pairs(lexical, "standing desk", [("desk-oak", 0.9), ("desk-pro", 0.7)])
+]}}
+data = build_dataset(
+    frame, lists, catalog, [lexical], keys=[(0, as_of)],
+    truncation=TruncationConfig.uniform([lexical], 5), lookback=cfg,
+    conversion_weights=weights,
+)
+for r, code in enumerate(data.item_codes):
+    for window in cfg.windows:
+        value = data.X[r, data.schema.index_of(f"qi_engagement_w{window}")]
+        print(f"{data.item_vocab[code]} window {window}w: decayed engagement = {value:.4f}")
 print("a purchase half_life weeks ago contributes weight * 0.5")

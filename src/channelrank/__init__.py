@@ -43,11 +43,9 @@ from .features import (
     FeatureColumn,
     FeatureSchema,
     LookbackConfig,
-    assemble_instance,
     build_schema,
-    engagement_features,
-    lookback_aggregates,
-    velocity,
+    fill_channel_block,
+    item_feature_block,
 )
 from .metrics import MetricConfig, ndcg_at_k, ndcg_from_scores
 from .gbdt import (
@@ -60,7 +58,14 @@ from .gbdt import (
     save_model,
     train,
 )
-from .dataset import Dataset, ItemCatalog, build_dataset, read_dataset, write_dataset
+from .dataset import (
+    Dataset,
+    ItemCatalog,
+    build_dataset,
+    item_count_table,
+    read_dataset,
+    write_dataset,
+)
 from .evaluation import (
     AblationConfig,
     EvalReport,

@@ -19,7 +19,7 @@ from . import dataset as ds
 from . import synthgen
 from .core import ChannelId, TruncationConfig, read_channel_lists
 from .evaluation import AblationConfig, ablation_run
-from .features import LookbackConfig
+from .features import LookbackConfig, item_feature_block
 from .fusion import InterleaveWeights, rrf_fuse, weighted_interleave
 from .gbdt.model import TrainParams, train, write_training_log
 from .gbdt.serialize import load_model, save_model
@@ -32,6 +32,7 @@ from .service import (
     bench,
     make_server,
     synth_requests,
+    write_item_features,
 )
 
 
@@ -130,66 +131,17 @@ def _cmd_build_dataset(args: argparse.Namespace) -> int:
     print(f"schema: {args.out}.schema.json ({len(data.schema)} columns)")
     print(f"label weights ({args.labels}): {data.conversion_weights}")
     if args.item_features_out:
-        _write_serving_item_features(args.item_features_out, data, events, catalog, lookback)
-        print(f"item features: {args.item_features_out}")
+        as_of = int(events.week.max()) + 1
+        rows = item_feature_block(
+            data.schema, lookback, ds.item_count_table(events, catalog, as_of),
+            catalog, np.arange(len(catalog.item_vocab)), as_of,
+        )
+        item_cols = [c.name for c in data.schema.columns if c.group == "item"]
+        write_item_features(
+            args.item_features_out, item_cols, dict(zip(catalog.item_vocab, rows))
+        )
+        print(f"item features: {args.item_features_out} (as of week {as_of})")
     return 0
-
-
-def _write_serving_item_features(path, data, events, catalog, lookback) -> None:
-    """Item-group feature rows for every catalog item, as of the last week."""
-    from .service import write_item_features
-
-    as_of = int(events.week.max()) + 1
-    item_cols = [c.name for c in data.schema.columns if c.group == "item"]
-    frame = ds._recode_items(events, catalog)
-    n_items = len(catalog.item_vocab)
-    num_weeks = as_of
-    counts = np.zeros((n_items, num_weeks, 4))
-    np.add.at(counts, (frame.item, frame.week, frame.action), 1.0)
-    cum = np.cumsum(counts, axis=1)
-
-    def window_counts(window: int) -> np.ndarray:
-        hi = as_of - 1
-        lo = as_of - window - 1
-        upper = cum[:, hi, :]
-        if lo >= 0:
-            return upper - cum[:, lo, :]
-        return upper
-
-    per_window = {w: window_counts(w) for w in lookback.windows}
-    values: dict[str, list[float]] = {}
-    from .labeling import Action
-    from .features import VELOCITY_EPS
-
-    for idx, item in enumerate(catalog.item_vocab):
-        row: list[float] = []
-        for name in item_cols:
-            if name == "item_price":
-                row.append(float(catalog.price[idx]))
-            elif name == "item_category":
-                row.append(float(catalog.category[idx]))
-            elif name == "item_age_weeks":
-                row.append(float(as_of - catalog.intro_week[idx]))
-            elif name.startswith("item_") and "_w" in name:
-                stat, window = name[len("item_"):].rsplit("_w", 1)
-                action = {
-                    "impressions": Action.IMPRESSION,
-                    "clicks": Action.CLICK,
-                    "atcs": Action.ADD_TO_CART,
-                    "purchases": Action.PURCHASE,
-                }[stat]
-                row.append(float(per_window[int(window)][idx, int(action)]))
-            elif name.endswith("_velocity"):
-                stat = "purchases" if "purchase" in name else "clicks"
-                action = Action.PURCHASE if "purchase" in name else Action.CLICK
-                short, long_ = lookback.windows[0], lookback.windows[-1]
-                s = float(per_window[short][idx, int(action)])
-                l = float(per_window[long_][idx, int(action)])
-                row.append(0.0 if s == 0 else (s / short) / ((l / long_) + VELOCITY_EPS))
-            else:
-                row.append(0.0)
-        values[item] = row
-    write_item_features(path, item_cols, values)
 
 
 def _train_params(args: argparse.Namespace) -> TrainParams:
@@ -383,7 +335,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     service = _make_service(args)
-    item_ids = list(service._item_index) if service._item_index else None
+    item_ids = list(service._item_index) or None
     requests = synth_requests(
         service, args.requests, pool_items=args.pool, seed=args.seed,
         item_ids=item_ids,

@@ -27,11 +27,11 @@ from .core import (
 from .features import (
     FeatureSchema,
     LookbackConfig,
-    VELOCITY_EPS,
     build_schema,
+    fill_channel_block,
+    item_feature_block,
 )
 from .labeling import (
-    Action,
     EventFrame,
     HEURISTIC_WEIGHTS,
     LabelWeights,
@@ -166,6 +166,34 @@ def _recode_items(frame: EventFrame, catalog: ItemCatalog) -> EventFrame:
     )
 
 
+def item_count_table(
+    events: EventFrame, catalog: ItemCatalog, num_weeks: int
+) -> np.ndarray:
+    """Per-item event counts by action, cumulative over weeks.
+
+    Shape (catalog items, num_weeks, 4): entry [i, w, a] counts events of
+    action a on catalog item i in weeks 0..w; num_weeks must exceed every
+    event week.
+    """
+    frame = _recode_items(events, catalog)
+    counts = np.zeros((len(catalog.item_vocab), num_weeks, 4))
+    np.add.at(counts, (frame.item, frame.week, frame.action), 1.0)
+    return np.cumsum(counts, axis=1)
+
+
+def _weighted(rows: np.ndarray, w: LabelWeights) -> np.ndarray:
+    """Per row of (views, clicks, atcs, purchases) counts: a*P + b*A + c*C + d*V."""
+    return w.a * rows[:, 3] + w.b * rows[:, 2] + w.c * rows[:, 1] + w.d * rows[:, 0]
+
+
+def _max_normalize(raw: np.ndarray) -> np.ndarray:
+    """Scale onto [0, 4] by the group's peak; all zeros when nothing engaged."""
+    peak = raw.max() if len(raw) else 0.0
+    if peak <= 0.0:
+        return np.zeros_like(raw)
+    return 4.0 * raw / peak
+
+
 def build_dataset(
     events: EventFrame,
     channel_lists: Mapping[int, Mapping[QueryId, list[ChannelList]]],
@@ -193,14 +221,12 @@ def build_dataset(
     funnel = funnel_table(frame)
     if conversion_weights is None:
         conversion_weights = calibrate_weights(corpus_stats(funnel, train_weeks))
-    heuristic_weights = HEURISTIC_WEIGHTS
 
     # Sorted lookup from (q, i, w) to funnel rows.
     fkey = (funnel.query * n_items + funnel.item) * num_weeks + funnel.week
-    fV = funnel.views.astype(np.float64)
-    fC = funnel.clicks.astype(np.float64)
-    fA = funnel.atcs.astype(np.float64)
-    fP = funnel.purchases.astype(np.float64)
+    fvcap = np.column_stack(
+        [funnel.views, funnel.clicks, funnel.atcs, funnel.purchases]
+    ).astype(np.float64)
 
     def funnel_lookup(q: int, items: np.ndarray, week: int) -> np.ndarray:
         """Rows (len(items), 4) of V,C,A,P session counts; zeros if absent."""
@@ -211,36 +237,14 @@ def build_dataset(
         idx = np.searchsorted(fkey, want)
         ok = idx < len(fkey)
         ok[ok] = fkey[idx[ok]] == want[ok]
-        found = idx[ok]
-        out[ok, 0] = fV[found]
-        out[ok, 1] = fC[found]
-        out[ok, 2] = fA[found]
-        out[ok, 3] = fP[found]
+        out[ok] = fvcap[idx[ok]]
         return out
 
-    # Dense per-item weekly event counts for item-group aggregates.
-    item_week_action = np.zeros((n_items, num_weeks, 4))
-    np.add.at(
-        item_week_action,
-        (frame.item, frame.week, frame.action),
-        1.0,
-    )
-    item_cum = np.cumsum(item_week_action, axis=1)  # inclusive prefix over weeks
-
-    def item_window_counts(items: np.ndarray, week: int, window: int) -> np.ndarray:
-        """(len(items), 4) event counts over weeks [week-window, week-1]."""
-        hi = week - 1
-        lo = week - window - 1
-        if hi < 0:
-            return np.zeros((len(items), 4))
-        upper = item_cum[items, hi, :]
-        if lo >= 0:
-            return upper - item_cum[items, lo, :]
-        return upper
+    item_counts = item_count_table(frame, catalog, num_weeks)
 
     schema = build_schema(channels, lookback)
     col = {name: i for i, name in enumerate(schema.names)}
-    n_cols = len(schema)
+    item_cols = np.flatnonzero(schema.group_mask("item"))
     windows = lookback.windows
     max_window = max(windows)
     decay = np.exp2(-np.arange(1, max_window + 1) / lookback.decay_half_life)
@@ -250,9 +254,7 @@ def build_dataset(
     lab_conv_parts: list[np.ndarray] = []
     lab_heur_parts: list[np.ndarray] = []
     purchases_parts: list[np.ndarray] = []
-    qcode_parts: list[np.ndarray] = []
     icode_parts: list[np.ndarray] = []
-    week_parts: list[np.ndarray] = []
     group_sizes: list[int] = []
     catalog_index = catalog.index()
 
@@ -268,27 +270,11 @@ def build_dataset(
         item_strs = sorted(pool.candidates)
         items = np.array([catalog_index[i] for i in item_strs], dtype=np.int64)
         m = len(items)
-        block = np.full((m, n_cols), np.nan)
+        block = np.full((m, len(schema)), np.nan)
 
-        block[:, col["item_price"]] = catalog.price[items]
-        block[:, col["item_category"]] = catalog.category[items]
-        block[:, col["item_age_weeks"]] = week - catalog.intro_week[items]
-
-        per_window: dict[int, np.ndarray] = {}
-        for window in windows:
-            counts = item_window_counts(items, week, window)
-            per_window[window] = counts
-            block[:, col[f"item_impressions_w{window}"]] = counts[:, Action.IMPRESSION]
-            block[:, col[f"item_clicks_w{window}"]] = counts[:, Action.CLICK]
-            block[:, col[f"item_atcs_w{window}"]] = counts[:, Action.ADD_TO_CART]
-            block[:, col[f"item_purchases_w{window}"]] = counts[:, Action.PURCHASE]
-        if len(windows) >= 2:
-            short, long_ = windows[0], windows[-1]
-            for stat, action in (("click", Action.CLICK), ("purchase", Action.PURCHASE)):
-                s = per_window[short][:, action]
-                l = per_window[long_][:, action]
-                rate = (s / short) / ((l / long_) + VELOCITY_EPS)
-                block[:, col[f"item_{stat}_velocity"]] = np.where(s == 0, 0.0, rate)
+        block[:, item_cols] = item_feature_block(
+            schema, lookback, item_counts, catalog, items, week
+        )
 
         # Per-lag funnel rows drive engagement features and, at lag 0, labels.
         lag_rows = [funnel_lookup(q, items, week - d) for d in range(1, max_window + 1)]
@@ -299,13 +285,7 @@ def build_dataset(
             purch = np.zeros(m)
             for d in range(1, min(window, week) + 1):
                 rows = lag_rows[d - 1]
-                wsum = (
-                    w_conv.a * rows[:, 3]
-                    + w_conv.b * rows[:, 2]
-                    + w_conv.c * rows[:, 1]
-                    + w_conv.d * rows[:, 0]
-                )
-                eng += decay[d - 1] * wsum
+                eng += decay[d - 1] * _weighted(rows, w_conv)
                 clicks += rows[:, 1] + rows[:, 2] + rows[:, 3]
                 atcs += rows[:, 2] + rows[:, 3]
                 purch += rows[:, 3]
@@ -314,52 +294,28 @@ def build_dataset(
             block[:, col[f"qi_atcs_w{window}"]] = atcs
             block[:, col[f"qi_purchases_w{window}"]] = purch
 
-        hit_counts = np.zeros(m)
-        item_pos = {item: i for i, item in enumerate(item_strs)}
-        for item_str, hits in pool.provenance.items():
-            r = item_pos[item_str]
-            hit_counts[r] = len(hits)
-            for hit in hits:
-                block[r, col[f"ch_{hit.channel.name}_score"]] = hit.score
-                block[r, col[f"ch_{hit.channel.name}_rank"]] = float(hit.rank)
-        block[:, col["ch_hit_count"]] = hit_counts
+        fill_channel_block(block, schema, pool, item_strs)
 
         now = funnel_lookup(q, items, week)
-        raw_conv = (
-            w_conv.a * now[:, 3] + w_conv.b * now[:, 2]
-            + w_conv.c * now[:, 1] + w_conv.d * now[:, 0]
-        )
-        raw_heur = (
-            heuristic_weights.a * now[:, 3] + heuristic_weights.b * now[:, 2]
-            + heuristic_weights.c * now[:, 1] + heuristic_weights.d * now[:, 0]
-        )
-
-        def normalize(raw: np.ndarray) -> np.ndarray:
-            peak = raw.max() if len(raw) else 0.0
-            if peak <= 0.0:
-                return np.zeros_like(raw)
-            return 4.0 * raw / peak
-
         X_parts.append(block)
-        lab_conv_parts.append(normalize(raw_conv))
-        lab_heur_parts.append(normalize(raw_heur))
+        lab_conv_parts.append(_max_normalize(_weighted(now, w_conv)))
+        lab_heur_parts.append(_max_normalize(_weighted(now, HEURISTIC_WEIGHTS)))
         purchases_parts.append(now[:, 3])
-        qcode_parts.append(np.full(m, q, dtype=np.int64))
         icode_parts.append(items)
-        week_parts.append(np.full(m, week, dtype=np.int64))
         group_sizes.append(m)
 
     group_sizes_arr = np.array(group_sizes, dtype=np.int64)
     group_starts = np.concatenate(([0], np.cumsum(group_sizes_arr)[:-1]))
+    query_weeks = np.repeat(np.array(keys, dtype=np.int64), group_sizes_arr, axis=0)
     return Dataset(
         schema=schema,
         X=np.vstack(X_parts),
         labels_conversion=np.concatenate(lab_conv_parts),
         labels_heuristic=np.concatenate(lab_heur_parts),
         purchases=np.concatenate(purchases_parts),
-        query_codes=np.concatenate(qcode_parts),
+        query_codes=query_weeks[:, 0].copy(),
         item_codes=np.concatenate(icode_parts),
-        weeks=np.concatenate(week_parts),
+        weeks=query_weeks[:, 1].copy(),
         group_ids=np.repeat(np.arange(len(keys)), group_sizes_arr),
         group_keys=list(keys),
         group_starts=group_starts,

@@ -1,4 +1,5 @@
-"""Feature construction for query-item-week ranking instances.
+"""Feature columns for query-item-week ranking instances and the blocks
+that fill them.
 
 Three feature groups:
 
@@ -12,6 +13,12 @@ Three feature groups:
   session engagement over the lookback windows. Unlike labels these are
   NOT max-normalized per query, so they stay comparable across queries.
 
+Column names are spelled only here. Training and serving fill rows with
+the same blocks: :func:`item_feature_block` (the dataset builder per
+query-week group; ``build-dataset --item-features-out`` for the whole
+catalog) and :func:`fill_channel_block` (the dataset builder and
+``ScoreService.score``). Serving takes engagement from the request.
+
 Every temporal feature for an instance at week w is computed strictly
 from events of weeks < w.
 """
@@ -19,20 +26,33 @@ from events of weeks < w.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import CandidatePool, ChannelId, ItemId, WeekId
-from .labeling import Action, InteractionEvent, LabelWeights
+from .core import CandidatePool, ChannelId, ItemId
+from .labeling import Action
 
-NA = np.nan
+if TYPE_CHECKING:
+    from .dataset import ItemCatalog
 
 VELOCITY_EPS = 1e-6
 
-#: Categorical code reserved for categories unseen at dataset build time.
-UNSEEN_CATEGORY = 0
+_WINDOW_STATS = (
+    ("impressions", Action.IMPRESSION),
+    ("clicks", Action.CLICK),
+    ("atcs", Action.ADD_TO_CART),
+    ("purchases", Action.PURCHASE),
+)
+_VELOCITY_STATS = (("click", Action.CLICK), ("purchase", Action.PURCHASE))
+_HIT_COUNT_COLUMN = "ch_hit_count"
+
+
+def channel_columns(channel_name: str) -> tuple[str, str]:
+    """The (score, rank) column names of one retrieval channel."""
+    return f"ch_{channel_name}_score", f"ch_{channel_name}_rank"
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +87,15 @@ class FeatureSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
+    @property
+    def channel_names(self) -> tuple[str, ...]:
+        """Channels with a score column, in column order."""
+        return tuple(
+            c.name[len("ch_"):-len("_score")]
+            for c in self.columns
+            if c.group == "channel" and c.name.startswith("ch_") and c.name.endswith("_score")
+        )
+
     def index_of(self, name: str) -> int:
         for i, c in enumerate(self.columns):
             if c.name == name:
@@ -80,12 +109,6 @@ class FeatureSchema:
         return FeatureSchema(
             columns=tuple(c for c in self.columns if c.group != group)
         )
-
-    def channel_score_column(self, channel: ChannelId) -> str:
-        return f"ch_{channel.name}_score"
-
-    def channel_rank_column(self, channel: ChannelId) -> str:
-        return f"ch_{channel.name}_rank"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -137,15 +160,15 @@ def build_schema(
         FeatureColumn("item_age_weeks", "numeric", "item"),
     ]
     for window in lookback.windows:
-        for stat in ("impressions", "clicks", "atcs", "purchases"):
+        for stat, _ in _WINDOW_STATS:
             cols.append(FeatureColumn(f"item_{stat}_w{window}", "numeric", "item"))
     if len(lookback.windows) >= 2:
-        cols.append(FeatureColumn("item_click_velocity", "numeric", "item"))
-        cols.append(FeatureColumn("item_purchase_velocity", "numeric", "item"))
+        for stat, _ in _VELOCITY_STATS:
+            cols.append(FeatureColumn(f"item_{stat}_velocity", "numeric", "item"))
     for channel in sorted(channels, key=lambda c: c.index):
-        cols.append(FeatureColumn(f"ch_{channel.name}_score", "numeric", "channel"))
-        cols.append(FeatureColumn(f"ch_{channel.name}_rank", "numeric", "channel"))
-    cols.append(FeatureColumn("ch_hit_count", "numeric", "channel"))
+        for name in channel_columns(channel.name):
+            cols.append(FeatureColumn(name, "numeric", "channel"))
+    cols.append(FeatureColumn(_HIT_COUNT_COLUMN, "numeric", "channel"))
     for window in lookback.windows:
         cols.append(FeatureColumn(f"qi_engagement_w{window}", "numeric", "engagement"))
         for stat in ("clicks", "atcs", "purchases"):
@@ -153,133 +176,78 @@ def build_schema(
     return FeatureSchema(columns=tuple(cols))
 
 
-@dataclass(frozen=True, slots=True)
-class ActionCounts:
-    impressions: int = 0
-    clicks: int = 0
-    atcs: int = 0
-    purchases: int = 0
-
-
-def lookback_aggregates(
-    events: Iterable[InteractionEvent],
-    as_of: WeekId,
-    cfg: LookbackConfig,
-) -> dict[int, ActionCounts]:
-    """Raw event counts per action over each trailing window ending at as_of - 1.
-
-    Window L covers weeks [as_of - L, as_of - 1]; events at or after
-    ``as_of`` never contribute.
-    """
-    if as_of < 1:
-        raise ValueError(f"as_of must be >= 1, got {as_of}")
-    tallies = {w: [0, 0, 0, 0] for w in cfg.windows}
-    for ev in events:
-        if ev.week >= as_of:
-            continue
-        age = as_of - ev.week  # >= 1
-        for window in cfg.windows:
-            if age <= window:
-                tallies[window][int(ev.action)] += 1
-    return {
-        w: ActionCounts(
-            impressions=t[int(Action.IMPRESSION)],
-            clicks=t[int(Action.CLICK)],
-            atcs=t[int(Action.ADD_TO_CART)],
-            purchases=t[int(Action.PURCHASE)],
-        )
-        for w, t in tallies.items()
-    }
-
-
-def velocity(
-    short_count: float, long_count: float, short_len: float, long_len: float
-) -> float:
-    """Short-window rate over long-window rate; ~1 steady, >1 accelerating.
-
-    A small epsilon keeps the ratio finite when the long window is empty;
-    an empty short window yields exactly 0.
-    """
-    if short_len <= 0 or long_len <= 0:
-        raise ValueError("window lengths must be positive")
-    if short_count == 0:
-        return 0.0
-    return (short_count / short_len) / ((long_count / long_len) + VELOCITY_EPS)
-
-
-def decay_factor(age_weeks: np.ndarray | float, half_life: float) -> np.ndarray | float:
-    """Exponential decay 2**(-age/half_life); halves every half_life weeks."""
-    return np.exp2(-np.asarray(age_weeks, dtype=np.float64) / half_life)
-
-
-def engagement_features(
-    events: Sequence[InteractionEvent],
-    as_of: WeekId,
-    weights: LabelWeights,
-    cfg: LookbackConfig,
-) -> dict[int, float]:
-    """Decayed, weighted session engagement for one (query, item).
-
-    Each session contributes weight(deepest action) * 2**(-age/half_life),
-    where age = as_of - session_week. Sessions at or after ``as_of`` are
-    excluded; window L keeps sessions with age <= L. No per-query
-    normalization is applied.
-    """
-    by_session: dict[tuple[str, int], Action] = {}
-    for ev in events:
-        if ev.week >= as_of:
-            continue
-        key = (ev.session, ev.week)
-        prev = by_session.get(key)
-        if prev is None or ev.action > prev:
-            by_session[key] = ev.action
-    w_arr = weights.as_array()
-    out = {window: 0.0 for window in cfg.windows}
-    for (_, week), action in by_session.items():
-        age = as_of - week
-        contribution = float(w_arr[int(action)]) * float(
-            decay_factor(age, cfg.decay_half_life)
-        )
-        for window in cfg.windows:
-            if age <= window:
-                out[window] += contribution
-    return out
-
-
-def assemble_instance(
+def item_feature_block(
     schema: FeatureSchema,
-    pool: CandidatePool,
-    item: ItemId,
-    item_values: Mapping[str, float],
-    engagement_values: Mapping[str, float] | None = None,
+    lookback: LookbackConfig,
+    counts: np.ndarray,
+    catalog: ItemCatalog,
+    items: np.ndarray,
+    as_of: int,
 ) -> np.ndarray:
-    """Build one feature vector aligned to ``schema``.
+    """The schema's item-group columns, in schema order, for catalog rows
+    ``items`` at week ``as_of``; an item column it does not know raises.
 
-    Channel score/rank cells come from the pool's provenance; channels
-    that did not retrieve the item stay NA. ``item_values`` must cover
-    every item-group column (item features are never missing).
-    ``engagement_values`` may be None, leaving engagement cells NA (the
-    serve-time contract when no engagement map is supplied).
+    ``counts`` is :func:`channelrank.dataset.item_count_table` covering at
+    least weeks 0..as_of - 1. Window L counts events of weeks
+    [as_of - L, as_of - 1]. Velocity is the shortest window's rate over the
+    longest's, 0 when the short window is empty.
     """
-    if item not in pool.candidates:
-        raise ValueError(f"item {item!r} not in candidate pool")
-    vec = np.full(len(schema), NA, dtype=np.float64)
-    for i, col in enumerate(schema.columns):
-        if col.group == "item":
-            if col.name not in item_values:
-                raise ValueError(f"missing item feature {col.name!r}")
-            vec[i] = float(item_values[col.name])
-        elif col.group == "engagement":
-            if engagement_values is not None and col.name in engagement_values:
-                vec[i] = float(engagement_values[col.name])
-    hits = pool.provenance[item]
-    for hit in hits:
-        score_col = f"ch_{hit.channel.name}_score"
-        rank_col = f"ch_{hit.channel.name}_rank"
-        vec[schema.index_of(score_col)] = hit.score
-        vec[schema.index_of(rank_col)] = float(hit.rank)
-    try:
-        vec[schema.index_of("ch_hit_count")] = float(len(hits))
-    except KeyError:
-        pass
-    return vec
+
+    def window_counts(window: int) -> np.ndarray:
+        hi = as_of - 1
+        lo = as_of - window - 1
+        if hi < 0:
+            return np.zeros((len(items), 4))
+        upper = counts[items, hi, :]
+        if lo >= 0:
+            return upper - counts[items, lo, :]
+        return upper
+
+    windows = lookback.windows
+    per_window = {window: window_counts(window) for window in windows}
+    values = {
+        "item_price": catalog.price[items],
+        "item_category": catalog.category[items],
+        "item_age_weeks": as_of - catalog.intro_week[items],
+    }
+    for window, tallies in per_window.items():
+        for stat, action in _WINDOW_STATS:
+            values[f"item_{stat}_w{window}"] = tallies[:, action]
+    if len(windows) >= 2:
+        short, long_ = windows[0], windows[-1]
+        for stat, action in _VELOCITY_STATS:
+            s = per_window[short][:, action]
+            l = per_window[long_][:, action]
+            rate = (s / short) / ((l / long_) + VELOCITY_EPS)
+            values[f"item_{stat}_velocity"] = np.where(s == 0, 0.0, rate)
+
+    names = [c.name for c in schema.columns if c.group == "item"]
+    block = np.empty((len(items), len(names)))
+    for j, name in enumerate(names):
+        if name not in values:
+            raise ValueError(f"no item feature named {name!r}")
+        block[:, j] = values[name]
+    return block
+
+
+def fill_channel_block(
+    X: np.ndarray, schema: FeatureSchema, pool: CandidatePool, items: Sequence[ItemId]
+) -> None:
+    """Write channel score/rank and hit-count cells of rows ``items`` into ``X``.
+
+    Row r of ``X`` is ``items[r]``, a member of ``pool``. Cells of channels
+    that did not retrieve an item are left as they are (NA in a fresh row).
+    """
+    col = {name: i for i, name in enumerate(schema.names)}
+    cells = {
+        name: tuple(col[c] for c in channel_columns(name)) for name in schema.channel_names
+    }
+    hit_col = col.get(_HIT_COUNT_COLUMN)
+    for r, item in enumerate(items):
+        hits = pool.provenance[item]
+        for hit in hits:
+            score_col, rank_col = cells[hit.channel.name]
+            X[r, score_col] = hit.score
+            X[r, rank_col] = hit.rank
+        if hit_col is not None:
+            X[r, hit_col] = len(hits)

@@ -20,10 +20,12 @@ Response::
      "latency_us": 812}
 
 ``GET /v1/health`` reports status, model fingerprint, and format version.
-Malformed requests (engagement values included: each must be a finite
-number) and pools beyond the configured cap return HTTP 400 with an
-``{"error": ...}`` body; any other failure while scoring returns 500 with
-the same shape and logs its traceback.
+Malformed requests and pools beyond the configured cap return HTTP 400
+with an ``{"error": ...}`` body. Item ids must be non-empty strings;
+channel scores and engagement values must be finite numbers (bools and
+numeric strings are rejected). A ``Content-Length`` above
+``MAX_BODY_BYTES`` gets 413 before the body is read. Any other failure
+while scoring returns 500 with the same shape and logs its traceback.
 """
 
 from __future__ import annotations
@@ -41,10 +43,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from .core import ChannelId, ChannelList, TruncationConfig, merge_pool
+from .features import fill_channel_block
 from .gbdt.model import Model
 from .gbdt.serialize import model_fingerprint
 
 DEFAULT_POOL_CAP = 500
+#: Largest request body read; a longer Content-Length gets 413 before any read.
+MAX_BODY_BYTES = 4 << 20
 
 _log = logging.getLogger(__name__)
 
@@ -53,8 +58,8 @@ class ServiceError(ValueError):
     """Client-side request problem; maps to HTTP 400."""
 
 
-def _engagement_value(value: object, column: str, item: str) -> float:
-    """``value`` as a float if it is a finite real number, else ServiceError."""
+def _finite_number(value: object) -> float:
+    """``value`` as a float if it is a finite real number (not a bool), else ValueError."""
     if type(value) is float:
         number = value
     elif isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -65,10 +70,14 @@ def _engagement_value(value: object, column: str, item: str) -> float:
     else:
         number = math.nan
     if not math.isfinite(number):
-        raise ServiceError(
-            f"engagement {column!r} for {item!r} must be a finite number, got {value!r}"
-        )
+        raise ValueError(f"{value!r} is not a finite number")
     return number
+
+
+def _item_id(value: object) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"item id {value!r} is not a non-empty string")
+    return value
 
 
 @dataclass(slots=True)
@@ -98,7 +107,8 @@ class ItemFeatureTable:
                     raise ValueError(f"{path}:{lineno}: wrong field count")
                 index[parts[0]] = len(rows)
                 rows.append([float(v) for v in parts[1:]])
-        return cls(columns=columns, matrix=np.array(rows, dtype=np.float64), index=index)
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+        return cls(columns=columns, matrix=matrix, index=index)
 
 
 def write_item_features(path: str, columns: Sequence[str], items: Mapping[str, Sequence[float]]) -> None:
@@ -122,34 +132,27 @@ class ScoreService:
         self.pool_cap = pool_cap
         self.fingerprint = model_fingerprint(model)
         schema = model.schema
-        self.channel_names: list[str] = []
-        for col in schema.columns:
-            if col.group == "channel" and col.name.endswith("_score") and col.name.startswith("ch_"):
-                self.channel_names.append(col.name[len("ch_"):-len("_score")])
+        self.channel_names = list(schema.channel_names)
         self.channels = {
             name: ChannelId(i, name) for i, name in enumerate(self.channel_names)
         }
-        self._col = {name: i for i, name in enumerate(schema.names)}
-        self._item_cols = [
-            (i, c.name) for i, c in enumerate(schema.columns) if c.group == "item"
-        ]
         self._engagement_cols = [
             (i, c.name) for i, c in enumerate(schema.columns) if c.group == "engagement"
         ]
-        self._hit_count_col = self._col.get("ch_hit_count")
 
-        # Align the sidecar to the schema's item columns once, at startup.
-        self._item_matrix: np.ndarray | None = None
+        # Align the sidecar to the schema's item columns once, at startup. The
+        # last row holds the all-zero defaults for items the sidecar lacks.
+        self._item_cols = np.flatnonzero(schema.group_mask("item"))
+        names = [schema.columns[i].name for i in self._item_cols]
+        matrix = np.zeros((0, len(names)))
         self._item_index: dict[str, int] = {}
         if item_features is not None:
-            positions = []
-            for _, name in self._item_cols:
+            for name in names:
                 if name not in item_features.columns:
                     raise ValueError(f"item feature sidecar lacks column {name!r}")
-                positions.append(item_features.columns.index(name))
-            self._item_matrix = item_features.matrix[:, positions]
+            matrix = item_features.matrix[:, [item_features.columns.index(n) for n in names]]
             self._item_index = item_features.index
-        self._default_item_row = np.zeros(len(self._item_cols))
+        self._item_matrix = np.vstack([matrix, np.zeros(len(names))])
 
     def parse_request(self, payload: dict) -> tuple[str, list[ChannelList], dict]:
         if not isinstance(payload, dict):
@@ -177,7 +180,7 @@ class ScoreService:
             if not isinstance(pairs, list):
                 raise ServiceError(f"channel {name!r} needs an 'entries' list")
             try:
-                parsed = [(str(item), float(score)) for item, score in pairs]
+                parsed = [(_item_id(item), _finite_number(score)) for item, score in pairs]
                 lists.append(ChannelList.from_pairs(self.channels[name], query, parsed))
             except (TypeError, ValueError) as exc:
                 raise ServiceError(f"bad entries for channel {name!r}: {exc}") from exc
@@ -203,21 +206,10 @@ class ScoreService:
                 f"candidate pool of {len(pool)} exceeds cap {self.pool_cap}"
             )
         items = sorted(pool.candidates)
-        n = len(items)
-        X = np.full((n, len(self.model.schema)), np.nan)
-
-        item_cols = np.array([i for i, _ in self._item_cols])
-        if self._item_matrix is not None:
-            rows = np.array(
-                [self._item_index.get(item, -1) for item in items], dtype=np.int64
-            )
-            known = rows >= 0
-            block = np.tile(self._default_item_row, (n, 1))
-            if known.any():
-                block[known] = self._item_matrix[rows[known]]
-            X[:, item_cols] = block
-        else:
-            X[:, item_cols] = self._default_item_row
+        X = np.full((len(items), len(self.model.schema)), np.nan)
+        default = len(self._item_matrix) - 1
+        rows = [self._item_index.get(item, default) for item in items]
+        X[:, self._item_cols] = self._item_matrix[rows]
 
         if engagement:
             for r, item in enumerate(items):
@@ -228,20 +220,12 @@ class ScoreService:
                     raise ServiceError(f"engagement for {item!r} must be an object")
                 for ci, name in self._engagement_cols:
                     if name in values:
-                        X[r, ci] = _engagement_value(values[name], name, item)
+                        try:
+                            X[r, ci] = _finite_number(values[name])
+                        except ValueError as exc:
+                            raise ServiceError(f"engagement {name!r} for {item!r}: {exc}") from exc
 
-        item_row = {item: r for r, item in enumerate(items)}
-        hit_counts = np.zeros(n)
-        provenance_names: list[list[str]] = [[] for _ in range(n)]
-        for item, hits in pool.provenance.items():
-            r = item_row[item]
-            hit_counts[r] = len(hits)
-            for hit in hits:
-                X[r, self._col[f"ch_{hit.channel.name}_score"]] = hit.score
-                X[r, self._col[f"ch_{hit.channel.name}_rank"]] = float(hit.rank)
-                provenance_names[r].append(hit.channel.name)
-        if self._hit_count_col is not None:
-            X[:, self._hit_count_col] = hit_counts
+        fill_channel_block(X, self.model.schema, pool, items)
 
         scores = self.model.predict_matrix(X)
         order = np.lexsort((np.array(items, dtype=object), -scores))
@@ -252,7 +236,7 @@ class ScoreService:
                 {
                     "item": items[i],
                     "score": float(scores[i]),
-                    "channels": provenance_names[i],
+                    "channels": [hit.channel.name for hit in pool.provenance[items[i]]],
                 }
                 for i in order
             ],
@@ -299,6 +283,11 @@ def make_server(service: ScoreService, host: str = "127.0.0.1", port: int = 8351
                 length = int(self.headers.get("Content-Length", "0"))
                 if length < 0:
                     raise ValueError(f"negative Content-Length {length}")
+                if length > MAX_BODY_BYTES:
+                    self.close_connection = True
+                    self._send(413, {"error": f"request body of {length} bytes exceeds "
+                                              f"{MAX_BODY_BYTES}"})
+                    return
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
             except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 self._send(400, {"error": f"malformed request body: {exc}"})

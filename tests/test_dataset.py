@@ -5,13 +5,15 @@ from channelrank.core import TruncationConfig, merge_pool
 from channelrank.dataset import (
     ItemCatalog,
     build_dataset,
+    item_count_table,
     read_dataset,
     read_item_catalog,
     write_dataset,
     write_item_catalog,
 )
-from channelrank.features import engagement_features, lookback_aggregates
+from channelrank.features import channel_columns, item_feature_block
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
+from tests.feature_oracle import engagement_features, lookback_aggregates, velocity
 
 CFG = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -77,8 +79,9 @@ class TestBuildDataset:
             pool = merge_pool(lists, trunc)
             hits = {h.channel.name: h for h in pool.provenance[item]}
             for channel in world.channels:
-                score = dataset.X[ridx, col[f"ch_{channel.name}_score"]]
-                rank = dataset.X[ridx, col[f"ch_{channel.name}_rank"]]
+                score_col, rank_col = channel_columns(channel.name)
+                score = dataset.X[ridx, col[score_col]]
+                rank = dataset.X[ridx, col[rank_col]]
                 if channel.name in hits:
                     assert score == hits[channel.name].score
                     assert rank == float(hits[channel.name].rank)
@@ -109,6 +112,33 @@ class TestBuildDataset:
             for window in lookback.windows:
                 got = dataset.X[ridx, col[f"qi_engagement_w{window}"]]
                 assert got == pytest.approx(eng[window], abs=1e-9)
+
+    @pytest.mark.parametrize("as_of", [1, 2, 5])
+    def test_item_block_agrees_with_scalar_oracle(self, world, catalog, dataset, as_of):
+        events = world.events.to_events()
+        lookback = dataset.lookback
+        counts = item_count_table(world.events, catalog, CFG.num_weeks)
+        rng = np.random.default_rng(as_of)
+        items = rng.choice(len(catalog.item_vocab), size=25, replace=False)
+        block = item_feature_block(dataset.schema, lookback, counts, catalog, items, as_of)
+        item_names = [c.name for c in dataset.schema.columns if c.group == "item"]
+        short, long_ = lookback.windows[0], lookback.windows[-1]
+        for r, i in enumerate(items):
+            item = catalog.item_vocab[i]
+            agg = lookback_aggregates([e for e in events if e.item == item], as_of, lookback)
+            expected = {
+                "item_price": catalog.price[i],
+                "item_category": catalog.category[i],
+                "item_age_weeks": as_of - catalog.intro_week[i],
+                "item_click_velocity": velocity(agg[short].clicks, agg[long_].clicks, short, long_),
+                "item_purchase_velocity": velocity(
+                    agg[short].purchases, agg[long_].purchases, short, long_
+                ),
+            }
+            for window, tally in agg.items():
+                for stat in ("impressions", "clicks", "atcs", "purchases"):
+                    expected[f"item_{stat}_w{window}"] = getattr(tally, stat)
+            assert dict(zip(item_names, block[r].tolist())) == expected
 
     def test_purchases_column_counts_sessions(self, world, dataset):
         from channelrank.labeling import funnel_table

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from channelrank.core import ChannelId, ChannelList, TruncationConfig, merge_pool
+from channelrank.dataset import ItemCatalog
 from channelrank.features import (
     FeatureColumn,
     FeatureSchema,
     LookbackConfig,
-    assemble_instance,
     build_schema,
+    channel_columns,
+    fill_channel_block,
+    item_feature_block,
+)
+from tests.feature_oracle import (
+    assemble_instance,
     engagement_features,
     lookback_aggregates,
     velocity,
@@ -208,8 +214,55 @@ class TestAssembleInstance:
     def test_channel_scores_match_provenance_exactly(self):
         vec = assemble_instance(self.schema, self.pool, "B", self.item_values)
         for hit in self.pool.provenance["B"]:
-            assert vec[self.schema.index_of(f"ch_{hit.channel.name}_score")] == hit.score
-            assert vec[self.schema.index_of(f"ch_{hit.channel.name}_rank")] == hit.rank
+            score_col, rank_col = channel_columns(hit.channel.name)
+            assert vec[self.schema.index_of(score_col)] == hit.score
+            assert vec[self.schema.index_of(rank_col)] == hit.rank
+
+
+class TestChannelBlock:
+    setup_method = TestAssembleInstance.setup_method
+
+    def test_rows_equal_scalar_assembly(self):
+        items = sorted(self.pool.candidates)
+        X = np.full((len(items), len(self.schema)), np.nan)
+        fill_channel_block(X, self.schema, self.pool, items)
+        channel_mask = self.schema.group_mask("channel")
+        for r, item in enumerate(items):
+            expected = assemble_instance(self.schema, self.pool, item, self.item_values)
+            np.testing.assert_array_equal(X[r, channel_mask], expected[channel_mask])
+        assert np.isnan(X[:, ~channel_mask]).all()
+
+    def test_schema_names_its_channels_in_column_order(self):
+        assert self.schema.channel_names == ("lexical", "semantic", "trending")
+        no_engagement = self.schema.drop_group("engagement")
+        assert no_engagement.channel_names == self.schema.channel_names
+
+
+class TestItemFeatureBlock:
+    def test_unknown_item_column_is_an_error(self):
+        catalog = ItemCatalog(("a", "b"), np.array([1.0, 2.0]),
+                              np.array([0, 1]), np.array([0, 0]))
+        lookback = LookbackConfig(windows=(1,))
+        schema = FeatureSchema(columns=(
+            FeatureColumn("item_price", "numeric", "item"),
+            FeatureColumn("item_colour", "categorical", "item"),
+        ))
+        with pytest.raises(ValueError, match="item_colour"):
+            item_feature_block(schema, lookback, np.zeros((2, 3, 4)), catalog,
+                               np.arange(2), 2)
+
+    def test_columns_follow_the_schema(self):
+        catalog = ItemCatalog(("a", "b"), np.array([1.5, 2.5]),
+                              np.array([3, 4]), np.array([0, 1]))
+        lookback = LookbackConfig(windows=(1,))
+        schema = FeatureSchema(columns=(
+            FeatureColumn("item_age_weeks", "numeric", "item"),
+            FeatureColumn("ch_x_score", "numeric", "channel"),
+            FeatureColumn("item_price", "numeric", "item"),
+        ))
+        block = item_feature_block(schema, lookback, np.zeros((2, 3, 4)), catalog,
+                                   np.array([1, 0]), 2)
+        np.testing.assert_array_equal(block, [[1.0, 2.5], [2.0, 1.5]])
 
 
 class TestLookbackConfig:

@@ -2,17 +2,21 @@ import http.client
 import json
 import logging
 import threading
+import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
-from channelrank.core import TruncationConfig
-from channelrank.dataset import ItemCatalog, build_dataset
+from channelrank.core import TruncationConfig, truncate
+from channelrank.dataset import ItemCatalog, build_dataset, item_count_table
+from channelrank.features import item_feature_block
 from channelrank.gbdt.model import Model, TrainParams, train
 from channelrank.gbdt.serialize import load_model, save_model
 from channelrank.gbdt.tree import Leaf, Tree
 from channelrank.service import (
+    MAX_BODY_BYTES,
     ItemFeatureTable,
     ScoreService,
     ServiceError,
@@ -64,6 +68,24 @@ def simple_request(items0=(("A", 0.9), ("B", 0.5)), items1=(("B", 0.8), ("C", 0.
             {"name": "semantic", "entries": [list(p) for p in items1]},
         ],
     }
+
+
+# Each entry is sent as the lexical channel's second entry; each must be a 400.
+BAD_ENTRIES = pytest.mark.parametrize(
+    "entry",
+    [[None, 0.5], [5, 0.5], ["", 0.5], [["B"], 0.5], ["B", True], ["B", "0.5"],
+     ["B", None], ["B", [0.5]], ["B", float("nan")], ["B", float("inf")], ["B", 10**400],
+     ["B"], ["B", 0.5, 1], "B", None],
+    ids=["null-item", "int-item", "empty-item", "list-item", "bool-score",
+         "string-score", "null-score", "list-score", "nan-score", "inf-score",
+         "huge-int-score", "one-field", "three-fields", "bare-string", "null-entry"],
+)
+
+
+def bad_entry_request(entry):
+    request = simple_request()
+    request["channels"][0]["entries"] = [["A", 0.9], entry]
+    return request
 
 
 class TestScoreService:
@@ -140,6 +162,15 @@ class TestScoreService:
         response = svc.score(simple_request())
         assert len(response["results"]) == 3  # unknown item C gets defaults
 
+    def test_sidecar_without_rows_gives_every_item_defaults(self, trained_world, tmp_path, service):
+        _, data, model = trained_world
+        item_cols = [c.name for c in data.schema.columns if c.group == "item"]
+        path = tmp_path / "items.tsv"
+        write_item_features(str(path), item_cols, {})
+        svc = ScoreService(model, item_features=ItemFeatureTable.from_file(str(path)))
+        r1, r2 = svc.score(simple_request()), service.score(simple_request())
+        assert r1["results"] == r2["results"]
+
     def test_pool_cap_enforced(self, trained_world):
         _, _, model = trained_world
         svc = ScoreService(model, pool_cap=2)
@@ -176,6 +207,16 @@ class TestScoreService:
         with pytest.raises(ServiceError, match="finite number"):
             service.score(request)
 
+    @BAD_ENTRIES
+    def test_channel_entry_must_be_item_id_and_finite_score(self, service, entry):
+        with pytest.raises(ServiceError, match="bad entries for channel 'lexical'"):
+            service.score(bad_entry_request(entry))
+
+    def test_integer_score_scores_like_float(self, service):
+        r1 = service.score(simple_request(items0=(("A", 1), ("B", 0.5))))
+        r2 = service.score(simple_request(items0=(("A", 1.0), ("B", 0.5))))
+        assert r1["results"] == r2["results"]
+
     def test_integer_engagement_value_scores_like_float(self, trained_world, service):
         _, data, _ = trained_world
         col = next(c.name for c in data.schema.columns if c.group == "engagement")
@@ -199,6 +240,60 @@ class TestScoreService:
         for t in threads:
             t.join()
         assert len(set(results)) == 1
+
+
+class TestTrainServeParity:
+    """Serving rebuilds the training row: same features, same score, bit for bit."""
+
+    def test_test_split_scores_equal_training_rows(self, trained_world, tmp_path):
+        world, data, model = trained_world
+        split = filter_and_split(world.events, CFG.num_weeks)
+        week = split.test_week
+        cat = world.ground_truth.catalog
+        catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+        sidecar_rows = item_feature_block(
+            data.schema, data.lookback,
+            item_count_table(world.events, catalog, CFG.num_weeks),
+            catalog, np.arange(len(catalog.item_vocab)), week,
+        )
+        item_mask = data.schema.group_mask("item")
+        item_cols = [c.name for c in data.schema.columns if c.group == "item"]
+        path = tmp_path / "items.tsv"
+        write_item_features(str(path), item_cols, dict(zip(catalog.item_vocab, sidecar_rows)))
+        svc = ScoreService(model, item_features=ItemFeatureTable.from_file(str(path)))
+
+        engagement_cols = np.flatnonzero(data.schema.group_mask("engagement"))
+        expected = model.predict_matrix(data.X)
+        trunc = TruncationConfig.uniform(world.channels, CFG.per_channel_n)
+        groups = rows_checked = 0
+        for q, w in split.test:
+            assert w == week
+            rows = np.flatnonzero(data.mask_for([(q, w)]))
+            items = [data.item_vocab[i] for i in data.item_codes[rows]]
+            np.testing.assert_array_equal(
+                sidecar_rows[data.item_codes[rows]], data.X[rows][:, item_mask]
+            )
+            query = data.query_vocab[q]
+            request = {
+                "query": query,
+                "channels": [
+                    {"name": cl.channel.name,
+                     "entries": [list(e) for e in truncate(cl, trunc.n_for(cl.channel)).entries]}
+                    for cl in world.channel_lists[w][query]
+                ],
+                "engagement": {
+                    item: {data.schema.columns[c].name: float(data.X[r, c])
+                           for c in engagement_cols}
+                    for item, r in zip(items, rows)
+                },
+            }
+            response = svc.score(json.loads(json.dumps(request)))
+            served = {r["item"]: r["score"] for r in response["results"]}
+            assert list(served) != [] and sorted(served) == items
+            assert [served[item] for item in items] == expected[rows].tolist()
+            groups += 1
+            rows_checked += len(rows)
+        assert groups >= 20 and rows_checked >= 300
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +360,39 @@ class TestHttpServer:
         status, body = self._post(server_url, request)
         assert status == 400
         assert "finite number" in body["error"]
+
+    @BAD_ENTRIES
+    def test_bad_channel_entry_is_400(self, server_url, entry):
+        status, body = self._post(server_url, bad_entry_request(entry))
+        assert status == 400
+        assert "bad entries for channel 'lexical'" in body["error"]
+
+    def test_oversized_content_length_is_refused_before_reading(self, server_url):
+        host, port = server_url.rsplit("/", 1)[-1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        started = time.perf_counter()
+        try:
+            conn.putrequest("POST", "/v1/score")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()  # headers only: a server that reads the body would hang
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert time.perf_counter() - started < 5.0
+        assert resp.status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_body_at_the_ceiling_is_read(self, server_url):
+        request = json.dumps(simple_request()).encode()
+        padded = request + b" " * (MAX_BODY_BYTES - len(request))
+        req = urllib.request.Request(
+            server_url + "/v1/score", data=padded,
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            assert resp.status == 200
 
     def test_negative_content_length_is_400_without_reading(self, server_url):
         host, port = server_url.rsplit("/", 1)[-1].split(":")
