@@ -24,7 +24,7 @@ from .fusion import InterleaveWeights, rrf_fuse, weighted_interleave
 from .gbdt.model import TrainParams, train, write_training_log
 from .gbdt.serialize import load_model, save_model
 from .labeling import read_event_log
-from .metrics import GroupedNdcg
+from .metrics import GroupedNdcg, QueryGroups
 from .service import (
     DEFAULT_POOL_CAP,
     ItemFeatureTable,
@@ -211,7 +211,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if model.schema != data.schema:
         raise ValueError("model schema does not match dataset schema")
     scores = model.predict_matrix(data.X[mask])
-    grouped = GroupedNdcg(data.labels[mask], data.group_ids[mask], k=args.k)
+    groups = QueryGroups.from_ids(data.group_ids[mask])
+    grouped = GroupedNdcg(data.labels[mask], groups, k=args.k)
     mean = grouped.mean(scores)
     print(f"week {week}: mean ndcg@{args.k} = {mean:.4f} over "
           f"{grouped.group_count} groups")

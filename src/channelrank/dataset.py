@@ -39,6 +39,7 @@ from .labeling import (
     corpus_stats,
     funnel_table,
 )
+from .metrics import QueryGroups
 
 
 @dataclass(slots=True)
@@ -101,9 +102,8 @@ class Dataset:
     query_codes: np.ndarray
     item_codes: np.ndarray
     weeks: np.ndarray
-    group_ids: np.ndarray
     group_keys: list[tuple[int, int]]
-    group_starts: np.ndarray
+    groups: QueryGroups
     query_vocab: tuple[str, ...]
     item_vocab: tuple[str, ...]
     conversion_weights: LabelWeights
@@ -113,6 +113,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.X)
+
+    @property
+    def group_ids(self) -> np.ndarray:
+        """Each row's group, as an index into ``group_keys``."""
+        return self.groups.codes
 
     def mask_for(self, keys: Iterable[tuple[int, int]]) -> np.ndarray:
         """Row mask covering the given (query_code, week) groups."""
@@ -270,6 +275,9 @@ def build_dataset(
         item_strs = sorted(pool.candidates)
         items = np.array([catalog_index[i] for i in item_strs], dtype=np.int64)
         m = len(items)
+        if m == 0:
+            # Group codes index group_keys only if no group is empty.
+            raise ValueError(f"empty candidate pool for query {qstr!r} week {week}")
         block = np.full((m, len(schema)), np.nan)
 
         block[:, item_cols] = item_feature_block(
@@ -304,9 +312,8 @@ def build_dataset(
         icode_parts.append(items)
         group_sizes.append(m)
 
-    group_sizes_arr = np.array(group_sizes, dtype=np.int64)
-    group_starts = np.concatenate(([0], np.cumsum(group_sizes_arr)[:-1]))
-    query_weeks = np.repeat(np.array(keys, dtype=np.int64), group_sizes_arr, axis=0)
+    groups = QueryGroups.from_ids(np.repeat(np.arange(len(keys)), group_sizes))
+    query_weeks = np.array(keys, dtype=np.int64)[groups.codes]
     return Dataset(
         schema=schema,
         X=np.vstack(X_parts),
@@ -316,9 +323,8 @@ def build_dataset(
         query_codes=query_weeks[:, 0].copy(),
         item_codes=np.concatenate(icode_parts),
         weeks=query_weeks[:, 1].copy(),
-        group_ids=np.repeat(np.arange(len(keys)), group_sizes_arr),
         group_keys=list(keys),
-        group_starts=group_starts,
+        groups=groups,
         query_vocab=frame.query_vocab,
         item_vocab=catalog.item_vocab,
         conversion_weights=conversion_weights,
@@ -418,13 +424,12 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
             )
     if not rows:
         raise ValueError(f"{path}: no instances")
-    keys = list(zip(query_ids, weeks))
-    group_ids = np.zeros(len(keys), dtype=np.int64)
-    gid = 0
-    for i in range(1, len(keys)):
-        if keys[i] != keys[i - 1]:
-            gid += 1
-        group_ids[i] = gid
+    # Each row's id is its (query_id, week) tuple, so an error names the key.
+    keys = np.fromiter(zip(query_ids, weeks), dtype=object, count=len(weeks))
+    try:
+        groups = QueryGroups.from_ids(keys)
+    except ValueError as exc:
+        raise ValueError(f"{path}: (query_id, week) {exc}") from None
     return LoadedDataset(
         schema=schema,
         X=np.vstack(rows),
@@ -432,5 +437,5 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
         query_ids=query_ids,
         item_ids=item_ids,
         weeks=np.array(weeks, dtype=np.int64),
-        group_ids=group_ids,
+        group_ids=groups.codes,
     )

@@ -59,13 +59,12 @@ def build_eval_groups(
     wanted = sorted(set(keys))
     key_to_gid = {key: gid for gid, key in enumerate(dataset.group_keys)}
     groups: list[EvalGroup] = []
-    sizes = np.diff(np.concatenate((dataset.group_starts, [len(dataset)])))
+    starts = dataset.groups.starts
     for key in wanted:
         if key not in key_to_gid:
             raise ValueError(f"group {key} not materialized in dataset")
         gid = key_to_gid[key]
-        lo = int(dataset.group_starts[gid])
-        hi = lo + int(sizes[gid])
+        lo, hi = int(starts[gid]), int(starts[gid + 1])
         q, week = key
         qstr = dataset.query_vocab[q]
         lists = [

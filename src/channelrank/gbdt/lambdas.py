@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..metrics import gain, ideal_dcg_at_k
+from ..metrics import QueryGroups, gain, ideal_dcg_at_k
 
 _QUANTUM = 2.0**40
 
@@ -36,20 +36,6 @@ def _quantize(values: np.ndarray) -> np.ndarray:
 def _stable_sigmoid_neg(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(z)); the clip keeps exp finite for any float input."""
     return 1.0 / (1.0 + np.exp(np.clip(z, -709.0, 709.0)))
-
-
-def _positions(scores: np.ndarray, tiebreak: np.ndarray | None) -> np.ndarray:
-    """0-based rank of each document under score-descending order."""
-    if tiebreak is None:
-        tiebreak = np.arange(len(scores))
-    order = np.lexsort((np.asarray(tiebreak), -np.asarray(scores, dtype=np.float64)))
-    pos = np.empty(len(scores), dtype=np.int64)
-    pos[order] = np.arange(len(scores))
-    return pos
-
-
-def _rank_discounts(pos: np.ndarray, k: int) -> np.ndarray:
-    return np.where(pos < k, 1.0 / np.log2(pos + 2.0), 0.0)
 
 
 def delta_ndcg(
@@ -90,33 +76,15 @@ def lambda_gradients(
     """Accumulated pairwise gradients and Hessians for one query group.
 
     Returns ``(g, h)`` arrays; g sums to exactly zero over the group and
-    h is non-negative. Documents with equal labels form no pair.
+    h is non-negative. Documents with equal labels form no pair. This is
+    :class:`PairIndex` over a single group.
     """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1 or len(labels) == 0:
         raise ValueError("labels and scores must be equal-length 1-d arrays")
-    n = len(labels)
-    g = np.zeros(n)
-    h = np.zeros(n)
-    win, lose = np.nonzero(labels[:, None] > labels[None, :])
-    if len(win) == 0:
-        return g, h
-    pos = _positions(scores, tiebreak)
-    disc = _rank_discounts(pos, k)
-    idcg = ideal_dcg_at_k(labels, k)
-    gains = gain(labels)
-    delta = np.abs((gains[win] - gains[lose]) * (disc[win] - disc[lose])) / idcg
-    rho = _stable_sigmoid_neg(sigma * (scores[win] - scores[lose]))
-    lam = _quantize(sigma * delta * rho)
-    hess = _quantize(sigma * sigma * delta * rho * (1.0 - rho))
-    g = np.bincount(lose, weights=lam, minlength=n) - np.bincount(
-        win, weights=lam, minlength=n
-    )
-    h = np.bincount(win, weights=hess, minlength=n) + np.bincount(
-        lose, weights=hess, minlength=n
-    )
-    return g, h
+    one_group = QueryGroups.from_ids(np.zeros(len(labels)))
+    return PairIndex(labels, one_group, k, sigma).gradients(scores, tiebreak)
 
 
 class PairIndex:
@@ -124,28 +92,26 @@ class PairIndex:
 
     Pair structure depends only on labels and grouping, so it is built
     once per training run; each boosting round re-evaluates the
-    score-dependent factors. Groups must occupy contiguous index ranges.
+    score-dependent factors. ``groups`` gives each query group's row range.
     """
 
     def __init__(
         self,
         labels: np.ndarray,
-        group_ids: np.ndarray,
+        groups: QueryGroups,
         k: int,
         sigma: float = 1.0,
     ):
         labels = np.asarray(labels, dtype=np.float64)
-        group_ids = np.asarray(group_ids)
-        if labels.shape != group_ids.shape:
-            raise ValueError("labels and group_ids must match in shape")
+        if labels.shape != groups.codes.shape:
+            raise ValueError("labels must have one entry per grouped row")
         self.n = len(labels)
         self.k = int(k)
         self.sigma = float(sigma)
-        change = np.flatnonzero(np.diff(group_ids) != 0)
-        starts = np.concatenate(([0], change + 1, [self.n]))
-        self.group_starts = starts
-        self.group_count = len(starts) - 1
-        self.group_codes = np.repeat(np.arange(self.group_count), np.diff(starts))
+        self.groups = groups
+        self.group_starts = groups.starts
+        self.group_count = groups.count
+        self.group_codes = groups.codes
 
         gains = gain(labels)
         win_parts: list[np.ndarray] = []
@@ -153,7 +119,7 @@ class PairIndex:
         pair_group_sizes = np.zeros(self.group_count, dtype=np.int64)
         idcg = np.zeros(self.group_count)
         for gidx in range(self.group_count):
-            lo, hi = starts[gidx], starts[gidx + 1]
+            lo, hi = groups.starts[gidx], groups.starts[gidx + 1]
             lab = labels[lo:hi]
             idcg[gidx] = ideal_dcg_at_k(lab, self.k)
             wi, lo_j = np.nonzero(lab[:, None] > lab[None, :])
@@ -213,11 +179,7 @@ class PairIndex:
         each thread writes a disjoint, contiguous row range.
         """
         scores = np.asarray(scores, dtype=np.float64)
-        if tiebreak is None:
-            tiebreak = np.arange(self.n)
-        order = np.lexsort((np.asarray(tiebreak), -scores, self.group_codes))
-        pos_in_group = np.arange(self.n) - self.group_starts[self.group_codes[order]]
-        disc_sorted = np.where(pos_in_group < self.k, 1.0 / np.log2(pos_in_group + 2.0), 0.0)
+        order, disc_sorted = self.groups.rank_discounts(scores, tiebreak, self.k)
         disc = np.empty(self.n)
         disc[order] = disc_sorted
         g = np.zeros(self.n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureSchema
-from ..metrics import GroupedNdcg
+from ..metrics import GroupedNdcg, QueryGroups
 from .lambdas import PairIndex
 from .tree import (
     AxisSplit,
@@ -255,17 +255,6 @@ class TrainResult:
     history: list[RoundStats]
 
 
-def _check_groups_contiguous(group_ids: np.ndarray) -> None:
-    seen: set = set()
-    prev = None
-    for gid in group_ids:
-        if gid != prev:
-            if gid in seen:
-                raise TrainingError("group ids must occupy contiguous index ranges")
-            seen.add(gid)
-            prev = gid
-
-
 def train(
     X: np.ndarray,
     labels: np.ndarray,
@@ -305,9 +294,13 @@ def train(
         raise TrainingError(
             f"feature matrix has {X.shape[1]} columns, schema expects {len(schema)}"
         )
-    _check_groups_contiguous(group_ids)
+    try:
+        groups = QueryGroups.from_ids(group_ids)
+        valid_groups = QueryGroups.from_ids(valid[2]) if valid is not None else None
+    except ValueError as exc:
+        raise TrainingError(str(exc)) from exc
 
-    pairs = PairIndex(labels, group_ids, k=params.ndcg_truncation, sigma=params.sigma)
+    pairs = PairIndex(labels, groups, k=params.ndcg_truncation, sigma=params.sigma)
     if not pairs.has_pairs:
         raise TrainingError("no query group has two distinct labels; nothing to rank")
 
@@ -321,11 +314,11 @@ def train(
         oblique_sparsity=params.oblique_sparsity,
         max_bins=params.max_bins,
     )
-    train_metric = GroupedNdcg(labels, group_ids, k=params.ndcg_truncation)
+    train_metric = GroupedNdcg(labels, groups, k=params.ndcg_truncation)
     valid_metric = None
     if valid is not None:
         Xv = np.asarray(valid[0], dtype=np.float64)
-        valid_metric = GroupedNdcg(valid[1], valid[2], k=params.ndcg_truncation)
+        valid_metric = GroupedNdcg(valid[1], valid_groups, k=params.ndcg_truncation)
         valid_scores = np.zeros(len(Xv), dtype=np.float64)
 
     scores = np.zeros(len(X), dtype=np.float64)

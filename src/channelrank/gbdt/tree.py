@@ -529,8 +529,9 @@ def find_best_split(
 ) -> AxisSplit | ObliqueSplit | None:
     """Best split for one node's instances, or None when no gain is positive.
 
-    Requires at least ``2 * min_examples_per_leaf`` instances. Children
-    references on the returned node are unset; the trainer grows them.
+    This is :func:`grow_tree` at ``max_depth=1``: the root split of that
+    stump, whose two children are the stump's leaves. Requires at least
+    ``2 * min_examples_per_leaf`` instances.
     """
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -539,38 +540,14 @@ def find_best_split(
         raise ValueError(
             f"need at least {2 * min_examples_per_leaf} instances, got {len(X)}"
         )
-    binned = bin_features(X, max_bins=max_bins)
-    n, n_features = X.shape
-    stride = binned.stride
-    feat_offsets = np.arange(n_features, dtype=np.int64) * stride
-    keys = (feat_offsets[None, :] + binned.codes.astype(np.int64)).ravel()
-    minlength = n_features * stride
-    hist_g = np.bincount(keys, weights=np.repeat(g, n_features), minlength=minlength)
-    hist_h = np.bincount(keys, weights=np.repeat(h, n_features), minlength=minlength)
-    hist_c = np.bincount(keys, minlength=minlength).astype(np.float64)
-    thr_counts = np.array([len(t) for t in binned.thresholds], dtype=np.int64)
-    best = _best_axis_splits(
-        hist_g.reshape(1, n_features, stride),
-        hist_h.reshape(1, n_features, stride),
-        hist_c.reshape(1, n_features, stride),
-        thr_counts,
-        l2,
-        min_examples_per_leaf,
+    params = _GrowParams(
+        max_depth=1,
+        min_leaf=min_examples_per_leaf,
+        l2=l2,
+        oblique=oblique,
+        oblique_projections=oblique_projections,
+        oblique_sparsity=oblique_sparsity,
+        max_bins=max_bins,
     )
-    split: AxisSplit | ObliqueSplit | None = None
-    if np.isfinite(best.gain[0]) and best.gain[0] > 0.0:
-        f = int(best.feature[0])
-        split = AxisSplit(
-            feature=f,
-            threshold=float(binned.thresholds[f][int(best.bin_idx[0])]),
-            missing_left=bool(best.missing_left[0]),
-            gain=float(best.gain[0]),
-        )
-    if oblique and rng is not None:
-        cand = _oblique_candidate(
-            X, np.arange(n), g, h, l2, min_examples_per_leaf,
-            oblique_projections, oblique_sparsity, rng, max_bins,
-        )
-        if cand is not None and cand.gain > (split.gain if split is not None else 0.0):
-            split = cand
-    return split
+    tree, _ = grow_tree(bin_features(X, max_bins=max_bins), X, g, h, params, rng)
+    return None if isinstance(tree.root, Leaf) else tree.root

@@ -98,6 +98,60 @@ def ndcg_from_scores(
     return ndcg_at_k(labels, order_from_scores(scores, tiebreak), k)
 
 
+@dataclass(frozen=True, slots=True)
+class QueryGroups:
+    """Query groups of a row-ordered table, each one contiguous run of rows.
+
+    Group ``g`` (numbered in run order) is rows ``starts[g]:starts[g+1]``;
+    ``codes`` holds each row's group and ``sizes`` each group's row count.
+    """
+
+    starts: np.ndarray
+    codes: np.ndarray
+    sizes: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.sizes)
+
+    @classmethod
+    def from_ids(cls, ids: np.ndarray) -> QueryGroups:
+        """Groups of rows that share an id; raises ValueError if an id's rows are split."""
+        ids = np.asarray(ids)
+        if ids.ndim != 1:
+            raise ValueError("group ids must be a 1-d array")
+        n = len(ids)
+        change = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        starts = np.concatenate(([0], change, [n])) if n else np.zeros(1, dtype=np.int64)
+        run_ids = ids[starts[:-1]]
+        _, first = np.unique(run_ids, return_index=True)
+        if len(first) != len(run_ids):
+            again = np.setdiff1d(np.arange(len(run_ids)), first)[0]
+            raise ValueError(
+                f"group {run_ids.tolist()[again]!r} is not one contiguous run of rows"
+            )
+        sizes = np.diff(starts)
+        return cls(starts=starts, codes=np.repeat(np.arange(len(sizes)), sizes), sizes=sizes)
+
+    def rank_discounts(
+        self, scores: np.ndarray, tiebreak: np.ndarray | None, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows in within-group rank order, and the NDCG@k discount at each rank.
+
+        Rows rank by score descending, ties by ``tiebreak`` ascending (the
+        row index when None). The discount at 0-based rank p of a group is
+        1/log2(p + 2), and 0 from p = k on.
+        """
+        n = len(self.codes)
+        if tiebreak is None:
+            tiebreak = np.arange(n)
+        order = np.lexsort(
+            (np.asarray(tiebreak), -np.asarray(scores, dtype=np.float64), self.codes)
+        )
+        pos_in_group = np.arange(n) - self.starts[self.codes[order]]
+        return order, np.where(pos_in_group < k, 1.0 / np.log2(pos_in_group + 2.0), 0.0)
+
+
 class GroupedNdcg:
     """Vectorized mean NDCG@k over many contiguous query groups.
 
@@ -106,34 +160,24 @@ class GroupedNdcg:
     per-group Python loop.
     """
 
-    def __init__(self, labels: np.ndarray, group_ids: np.ndarray, k: int):
+    def __init__(self, labels: np.ndarray, groups: QueryGroups, k: int):
         labels = np.asarray(labels, dtype=np.float64)
-        group_ids = np.asarray(group_ids)
-        if labels.shape != group_ids.shape:
-            raise ValueError("labels and group_ids must have the same shape")
-        # Groups must be contiguous runs; remap to dense 0..G-1 codes.
-        change = np.flatnonzero(np.diff(group_ids) != 0)
-        starts = np.concatenate(([0], change + 1))
-        self.n = len(labels)
+        if labels.shape != groups.codes.shape:
+            raise ValueError("labels must have one entry per grouped row")
+        self.groups = groups
+        self.group_count = groups.count
         self.k = int(k)
-        self.group_starts = starts
-        self.group_count = len(starts)
-        self.group_codes = np.repeat(
-            np.arange(self.group_count), np.diff(np.concatenate((starts, [self.n])))
-        )
         self.gains = gain(labels)
-        self._rank_offsets = starts  # position of each group's first row
-        # Ideal DCG per group, computed once.
-        order = np.lexsort((-labels, self.group_codes))
-        pos_in_group = np.arange(self.n) - starts[self.group_codes[order]]
-        disc = np.where(
-            pos_in_group < self.k, 1.0 / np.log2(pos_in_group + 2.0), 0.0
-        )
-        self.idcg = np.bincount(
-            self.group_codes[order], weights=self.gains[order] * disc,
+        # Ranking by label with index tie-breaks gives the ideal DCG.
+        self.idcg = self._dcg(*groups.rank_discounts(labels, None, self.k))
+        self._nonzero = self.idcg > 0.0
+
+    def _dcg(self, order: np.ndarray, disc: np.ndarray) -> np.ndarray:
+        """Per-group DCG of rows taken in ``order`` with rank discounts ``disc``."""
+        return np.bincount(
+            self.groups.codes[order], weights=self.gains[order] * disc,
             minlength=self.group_count,
         )
-        self._nonzero = self.idcg > 0.0
 
     def mean(self, scores: np.ndarray, tiebreak: np.ndarray | None = None) -> float:
         """Mean NDCG@k across groups for the given scores (zero-IDCG groups score 0)."""
@@ -142,18 +186,7 @@ class GroupedNdcg:
     def per_group(
         self, scores: np.ndarray, tiebreak: np.ndarray | None = None
     ) -> np.ndarray:
-        scores = np.asarray(scores, dtype=np.float64)
-        if tiebreak is None:
-            tiebreak = np.arange(self.n)
-        order = np.lexsort((np.asarray(tiebreak), -scores, self.group_codes))
-        pos_in_group = np.arange(self.n) - self.group_starts[self.group_codes[order]]
-        disc = np.where(
-            pos_in_group < self.k, 1.0 / np.log2(pos_in_group + 2.0), 0.0
-        )
-        dcg = np.bincount(
-            self.group_codes[order], weights=self.gains[order] * disc,
-            minlength=self.group_count,
-        )
+        dcg = self._dcg(*self.groups.rank_discounts(scores, tiebreak, self.k))
         out = np.zeros(self.group_count)
         np.divide(dcg, self.idcg, out=out, where=self._nonzero)
         return out

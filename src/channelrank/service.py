@@ -3,8 +3,10 @@
 The service is stateless given (model file, item-feature sidecar): a
 request carries the query's channel lists inline (same fields as the
 text interchange format) plus an optional precomputed engagement map;
-item-group features come from a sidecar table loaded at startup, with
-neutral defaults for unknown items so item columns are never missing.
+item-group features come from a sidecar table loaded at startup. An
+item the sidecar lacks is scored from an all-zero item row (price 0,
+category 0, age 0, no history), which no training row has; the response
+counts such items in ``unknown_items``.
 
 Request body (JSON, ``POST /v1/score``)::
 
@@ -16,6 +18,7 @@ Response::
 
     {"query": "...",
      "results": [{"item": "...", "score": 1.23, "channels": ["lexical", ...]}, ...],
+     "unknown_items": 0,
      "model_fingerprint": "...",
      "latency_us": 812}
 
@@ -179,6 +182,13 @@ class ScoreService:
             pairs = entry.get("entries")
             if not isinstance(pairs, list):
                 raise ServiceError(f"channel {name!r} needs an 'entries' list")
+            # A channel list holds distinct items, so more entries than the
+            # cap can only make a pool above it; refuse before parsing them.
+            if len(pairs) > self.pool_cap:
+                raise ServiceError(
+                    f"channel {name!r} has {len(pairs)} entries, so its pool "
+                    f"exceeds cap {self.pool_cap}"
+                )
             try:
                 parsed = [(_item_id(item), _finite_number(score)) for item, score in pairs]
                 lists.append(ChannelList.from_pairs(self.channels[name], query, parsed))
@@ -210,6 +220,7 @@ class ScoreService:
         default = len(self._item_matrix) - 1
         rows = [self._item_index.get(item, default) for item in items]
         X[:, self._item_cols] = self._item_matrix[rows]
+        unknown_items = rows.count(default)
 
         if engagement:
             for r, item in enumerate(items):
@@ -240,6 +251,7 @@ class ScoreService:
                 }
                 for i in order
             ],
+            "unknown_items": unknown_items,
             "model_fingerprint": self.fingerprint,
             "latency_us": latency_us,
         }

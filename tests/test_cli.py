@@ -104,6 +104,33 @@ class TestPipeline:
         assert payload["week"] == 4
         assert 0.0 <= payload["mean_ndcg"] <= 1.0
 
+    @pytest.mark.parametrize("cmd", ["train", "evaluate"])
+    def test_interleaved_groups_exit_one(self, dataset_path, model_path, tmp_path, capsys, cmd):
+        def key(line):
+            fields = line.split(",")
+            return fields[0], fields[2]  # query_id, week
+
+        lines = dataset_path.read_text().splitlines()
+        other = next(line for line in lines[2:] if key(line) != key(lines[1]))
+        # Rows run q1, q1, q2, q1: the first group is split in two.
+        data = tmp_path / "interleaved.csv"
+        data.write_text("\n".join([lines[0], lines[1], lines[1], other, lines[1]]) + "\n")
+        (tmp_path / "interleaved.csv.schema.json").write_text(
+            (dataset_path.parent / "train.csv.schema.json").read_text()
+        )
+        out = tmp_path / "m.frm"
+        args = {
+            "train": ["train", "--data", str(data), "--out", str(out), "--trees", "2"],
+            "evaluate": ["evaluate", "--data", str(data), "--model", str(model_path)],
+        }[cmd]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "interleaved.csv" in err[0] and "contiguous" in err[0]
+        assert repr(key(lines[1])[0]) in err[0]
+        assert not out.exists()
+
     def test_fuse_rrf(self, world_dir, tmp_path, capsys):
         out = tmp_path / "fused.tsv"
         rc = main([

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from channelrank.gbdt.lambdas import PairIndex, delta_ndcg, lambda_gradients
-from channelrank.metrics import ndcg_at_k
+from channelrank.metrics import QueryGroups, ndcg_at_k
 
 
 def brute_force_delta_ndcg(labels, order, i, j, k):
@@ -153,7 +153,7 @@ class TestPairIndex:
 
     def test_matches_single_group_function(self):
         labels, scores, group_ids, sizes = self._random_groups(61)
-        index = PairIndex(labels, group_ids, k=8)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
         g, h = index.gradients(scores)
         start = 0
         for size in sizes:
@@ -163,9 +163,14 @@ class TestPairIndex:
             np.testing.assert_array_equal(h[seg], h_ref)
             start += size
 
+    def test_non_contiguous_ids_rejected(self):
+        labels = np.array([0.0, 4.0, 0.0, 4.0])
+        with pytest.raises(ValueError, match="contiguous"):
+            PairIndex(labels, QueryGroups.from_ids(np.array([0, 1, 0, 1])), k=8)
+
     def test_thread_count_never_changes_result(self):
         labels, scores, group_ids, _ = self._random_groups(67, n_groups=80)
-        index = PairIndex(labels, group_ids, k=8)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
         g1, h1 = index.gradients(scores, n_threads=1)
         for n_threads in (2, 3, 8):
             gn, hn = index.gradients(scores, n_threads=n_threads)
@@ -174,7 +179,7 @@ class TestPairIndex:
 
     def test_per_group_sum_exactly_zero(self):
         labels, scores, group_ids, sizes = self._random_groups(71)
-        index = PairIndex(labels, group_ids, k=8)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
         g, _ = index.gradients(scores)
         start = 0
         for size in sizes:

@@ -9,6 +9,7 @@ from channelrank.metrics import (
     dcg_at_k,
     ideal_dcg_at_k,
     ndcg_at_k,
+    QueryGroups,
     ndcg_from_scores,
     order_from_scores,
 )
@@ -90,14 +91,56 @@ class TestOrderFromScores:
         assert list(order) == [2, 1, 0]
 
 
+class TestQueryGroups:
+    def test_one_group(self):
+        groups = QueryGroups.from_ids(np.array([7, 7, 7]))
+        assert groups.count == 1
+        np.testing.assert_array_equal(groups.starts, [0, 3])
+        np.testing.assert_array_equal(groups.codes, [0, 0, 0])
+        np.testing.assert_array_equal(groups.sizes, [3])
+
+    def test_singleton_groups(self):
+        groups = QueryGroups.from_ids(np.array([5, 3, 9]))
+        assert groups.count == 3
+        np.testing.assert_array_equal(groups.starts, [0, 1, 2, 3])
+        np.testing.assert_array_equal(groups.codes, [0, 1, 2])
+        np.testing.assert_array_equal(groups.sizes, [1, 1, 1])
+
+    def test_codes_follow_run_order(self):
+        groups = QueryGroups.from_ids(np.array(["b", "b", "a", "c", "c", "c"]))
+        assert groups.count == 3
+        np.testing.assert_array_equal(groups.starts, [0, 2, 3, 6])
+        np.testing.assert_array_equal(groups.codes, [0, 0, 1, 2, 2, 2])
+        np.testing.assert_array_equal(groups.sizes, [2, 1, 3])
+
+    @pytest.mark.parametrize("ids", [[0, 1, 0, 1], [0, 0, 1, 0], ["q", "r", "q"]])
+    def test_non_contiguous_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="contiguous"):
+            QueryGroups.from_ids(np.array(ids))
+
+    def test_rank_discounts_per_group(self):
+        groups = QueryGroups.from_ids(np.array([0, 0, 0, 1, 1]))
+        order, disc = groups.rank_discounts(np.array([1.0, 1.0, 0.0, 2.0, 3.0]), None, 2)
+        np.testing.assert_array_equal(order, [0, 1, 2, 4, 3])
+        second = 1.0 / math.log2(3.0)
+        np.testing.assert_array_equal(disc, [1.0, second, 0.0, 1.0, second])
+        order, _ = groups.rank_discounts(np.zeros(5), np.array([2, 1, 0, 1, 0]), 2)
+        np.testing.assert_array_equal(order, [2, 1, 0, 4, 3])
+
+
 class TestGroupedNdcg:
+    def test_non_contiguous_ids_rejected(self):
+        labels = np.array([0.0, 4.0, 0.0, 4.0])
+        with pytest.raises(ValueError, match="contiguous"):
+            GroupedNdcg(labels, QueryGroups.from_ids(np.array([0, 1, 0, 1])), k=8)
+
     def test_matches_scalar_path_per_group(self):
         rng = np.random.default_rng(17)
         sizes = [1, 4, 7, 3, 10]
         labels = np.concatenate([rng.uniform(0, 4, size=s) for s in sizes])
         group_ids = np.repeat(np.arange(len(sizes)), sizes)
         scores = rng.normal(size=len(labels))
-        grouped = GroupedNdcg(labels, group_ids, k=8)
+        grouped = GroupedNdcg(labels, QueryGroups.from_ids(group_ids), k=8)
         per_group = grouped.per_group(scores)
         start = 0
         for gi, size in enumerate(sizes):
@@ -110,7 +153,7 @@ class TestGroupedNdcg:
     def test_zero_idcg_group_scores_zero(self):
         labels = np.array([0.0, 0.0, 3.0, 1.0])
         group_ids = np.array([0, 0, 1, 1])
-        grouped = GroupedNdcg(labels, group_ids, k=8)
+        grouped = GroupedNdcg(labels, QueryGroups.from_ids(group_ids), k=8)
         per_group = grouped.per_group(np.array([1.0, 0.5, 1.0, 2.0]))
         assert per_group[0] == 0.0
         assert per_group[1] > 0.0

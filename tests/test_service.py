@@ -16,6 +16,7 @@ from channelrank.gbdt.model import Model, TrainParams, train
 from channelrank.gbdt.serialize import load_model, save_model
 from channelrank.gbdt.tree import Leaf, Tree
 from channelrank.service import (
+    DEFAULT_POOL_CAP,
     MAX_BODY_BYTES,
     ItemFeatureTable,
     ScoreService,
@@ -161,6 +162,9 @@ class TestScoreService:
         svc = ScoreService(model, item_features=ItemFeatureTable.from_file(str(path)))
         response = svc.score(simple_request())
         assert len(response["results"]) == 3  # unknown item C gets defaults
+        assert response["unknown_items"] == 1
+        known = svc.score(simple_request(items1=(("B", 0.8),)))
+        assert known["unknown_items"] == 0
 
     def test_sidecar_without_rows_gives_every_item_defaults(self, trained_world, tmp_path, service):
         _, data, model = trained_world
@@ -176,6 +180,13 @@ class TestScoreService:
         svc = ScoreService(model, pool_cap=2)
         with pytest.raises(ServiceError, match="exceeds cap"):
             svc.score(simple_request())
+
+    def test_channel_over_cap_rejected_before_parsing(self, trained_world):
+        _, _, model = trained_world
+        svc = ScoreService(model, pool_cap=2)
+        request = simple_request(items0=(("A", 0.9), ("B", 0.5), (None, 0.1)))
+        with pytest.raises(ServiceError, match="exceeds cap 2"):
+            svc.score(request)
 
     def test_malformed_requests_rejected(self, service):
         with pytest.raises(ServiceError, match="query"):
@@ -343,6 +354,13 @@ class TestHttpServer:
         status, body = self._post(server_url, {"query": "q", "channels": []})
         assert status == 400
         assert "error" in body
+
+    def test_channel_over_cap_is_400_before_parsing(self, server_url):
+        entries = [[f"item{j}", float(-j)] for j in range(DEFAULT_POOL_CAP)] + [[None, "x"]]
+        request = {"query": "q1", "channels": [{"name": "lexical", "entries": entries}]}
+        status, body = self._post(server_url, request)
+        assert status == 400
+        assert f"exceeds cap {DEFAULT_POOL_CAP}" in body["error"]
 
     def test_unknown_path_is_404(self, server_url):
         status, body = self._post(server_url + "/nope", simple_request())
