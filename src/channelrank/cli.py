@@ -230,10 +230,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     if args.config == "default":
         cfg = synthgen.WorldConfig(seed=args.seed)
-        train_params = TrainParams(
-            num_trees=150, shrinkage=0.15, max_depth=5,
-            min_examples_per_leaf=10, l2=1.0, seed=7,
-        )
+        train_params = AblationConfig().train_params
     elif args.config == "small":
         cfg = synthgen.WorldConfig(
             num_queries=120, num_items=1500, universe_size=24, per_channel_n=12,

@@ -33,7 +33,7 @@ from .dataset import Dataset
 from .fusion import InterleaveWeights, weighted_interleave, rrf_fuse
 from .gbdt.model import Model, TrainParams, train
 from .gbdt.serialize import model_fingerprint
-from .metrics import MetricConfig, ndcg_at_k, order_from_scores
+from .metrics import MetricConfig, discounts, ndcg_at_k, order_from_scores
 from .synthgen import SplitPlan
 
 
@@ -88,9 +88,7 @@ def build_eval_groups(
 def _linear_ndcg(values: np.ndarray, order: np.ndarray, k: int) -> float:
     """NDCG@k with linear gain; 0 when all values are zero."""
     values = np.asarray(values, dtype=np.float64)
-    ranks = np.arange(1, len(values) + 1, dtype=np.float64)
-    disc = 1.0 / np.log2(ranks + 1.0)
-    disc[k:] = 0.0
+    disc = discounts(len(values), k)
     dcg = float(values[order] @ disc)
     ideal = np.sort(values)[::-1]
     idcg = float(ideal @ disc)

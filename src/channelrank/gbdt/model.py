@@ -19,11 +19,9 @@ from ..metrics import GroupedNdcg, QueryGroups
 from .lambdas import PairIndex
 from .tree import (
     AxisSplit,
-    Leaf,
     Node,
     ObliqueSplit,
     Tree,
-    _GrowParams,
     bin_features,
     grow_tree,
 )
@@ -110,18 +108,13 @@ class _Forest:
     @classmethod
     def compile(cls, trees: Sequence[Tree], n_features: int) -> _Forest:
         nodes: list[Node] = []
-        child: list[int] = []
-
-        def add(node: Node) -> int:
-            idx = len(nodes)
-            nodes.append(node)
-            child.extend((idx, idx))
-            if not isinstance(node, Leaf):
-                child[2 * idx] = add(node.left)  # type: ignore[arg-type]
-                child[2 * idx + 1] = add(node.right)  # type: ignore[arg-type]
-            return idx
-
-        roots = [add(tree.root) for tree in trees]
+        child = [np.empty(0, dtype=np.intp)]  # a model may hold no trees
+        roots: list[int] = []
+        for tree in trees:
+            tree_nodes, children = tree.preorder()
+            roots.append(len(nodes))
+            child.append(np.array(children, dtype=np.intp).ravel() + len(nodes))
+            nodes.extend(tree_nodes)
         feature = [node.feature if isinstance(node, AxisSplit) else 0 for node in nodes]
         by_width: dict[int, list[int]] = {}
         for idx, node in enumerate(nodes):
@@ -144,7 +137,7 @@ class _Forest:
             threshold=np.array([getattr(n, "threshold", 0.0) for n in nodes], dtype=np.float64),
             missing_left=np.array([getattr(n, "missing_left", False) for n in nodes], dtype=bool),
             value=np.array([getattr(n, "value", 0.0) for n in nodes], dtype=np.float64),
-            child=np.array(child, dtype=np.intp),
+            child=np.concatenate(child),
             roots=np.array(roots, dtype=np.intp),
             depth=max((tree.depth() for tree in trees), default=0),
             n_features=n_features,
@@ -305,15 +298,6 @@ def train(
         raise TrainingError("no query group has two distinct labels; nothing to rank")
 
     binned = bin_features(X, max_bins=params.max_bins)
-    grow = _GrowParams(
-        max_depth=params.max_depth,
-        min_leaf=params.min_examples_per_leaf,
-        l2=params.l2,
-        oblique=params.oblique,
-        oblique_projections=params.oblique_projections,
-        oblique_sparsity=params.oblique_sparsity,
-        max_bins=params.max_bins,
-    )
     train_metric = GroupedNdcg(labels, groups, k=params.ndcg_truncation)
     valid_metric = None
     if valid is not None:
@@ -331,7 +315,7 @@ def train(
             if params.oblique
             else None
         )
-        tree, row_values = grow_tree(binned, X, g, h, grow, rng)
+        tree, row_values = grow_tree(binned, X, g, h, params, rng)
         trees.append(tree)
         scores += params.shrinkage * row_values
         valid_ndcg = None

@@ -39,32 +39,21 @@ class ModelFormatError(ValueError):
 
 
 def _flatten_tree(tree: Tree) -> list[list]:
-    nodes: list[list] = []
-
-    def add(node: Node) -> int:
-        idx = len(nodes)
+    nodes, children = tree.preorder()
+    records: list[list] = []
+    for node, (left, right) in zip(nodes, children):
         if isinstance(node, Leaf):
-            nodes.append(["L", node.value, node.n_samples])
-            return idx
-        if isinstance(node, AxisSplit):
-            nodes.append(["A", node.feature, node.threshold, node.missing_left, -1, -1, node.gain])
-        else:
-            nodes.append([
-                "O", list(node.features), list(node.weights), node.threshold,
-                node.missing_left, -1, -1, node.gain,
+            records.append(["L", node.value, node.n_samples])
+        elif isinstance(node, AxisSplit):
+            records.append([
+                "A", node.feature, node.threshold, node.missing_left, left, right, node.gain,
             ])
-        left = add(node.left)  # type: ignore[arg-type]
-        right = add(node.right)  # type: ignore[arg-type]
-        if isinstance(node, AxisSplit):
-            nodes[idx][4] = left
-            nodes[idx][5] = right
         else:
-            nodes[idx][5] = left
-            nodes[idx][6] = right
-        return idx
-
-    add(tree.root)
-    return nodes
+            records.append([
+                "O", list(node.features), list(node.weights), node.threshold,
+                node.missing_left, left, right, node.gain,
+            ])
+    return records
 
 
 def _rebuild_tree(records: list[list]) -> Tree:

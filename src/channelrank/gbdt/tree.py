@@ -9,8 +9,8 @@ thresholds are midpoints between consecutive unique values, capped at a
 quantile-based budget per feature. Missing values occupy a dedicated bin;
 each split learns which side missing rows take by trying both directions
 and keeping the higher gain. Optional sparse oblique splits project a
-random signed subset of features and search a threshold on the projected
-value.
+random signed subset of features; each node's projections become derived
+columns over its rows, which are binned and scanned exactly like features.
 
 Nodes are split level by level for vectorization; with a pure depth bound
 and no global leaf budget this yields exactly the tree a depth-first
@@ -20,8 +20,12 @@ recursion would produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .model import TrainParams
 
 #: Floor applied to leaf-value denominators so l2=0 stays finite.
 LEAF_DENOM_FLOOR = 1e-6
@@ -74,34 +78,41 @@ class Tree:
         X = np.asarray(X, dtype=np.float64)
         return _Forest.compile((self,), X.shape[1]).raw(X)
 
-    def depth(self) -> int:
-        def d(node: Node) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(d(node.left), d(node.right))  # type: ignore[arg-type]
+    def preorder(self) -> tuple[list[Node], list[tuple[int, int]]]:
+        """Nodes in preorder, with each node's (left, right) preorder positions.
 
-        return d(self.root)
+        A leaf's two positions are its own.
+        """
+        nodes: list[Node] = []
+        children: list[tuple[int, int]] = []
+        # Each entry holds a node and the split whose right child it is, if
+        # any; a split's left child always directly follows it.
+        stack: list[tuple[Node, int]] = [(self.root, -1)]
+        while stack:
+            node, parent = stack.pop()
+            idx = len(nodes)
+            nodes.append(node)
+            children.append((idx, idx))
+            if parent >= 0:
+                children[parent] = (parent + 1, idx)
+            if not isinstance(node, Leaf):
+                stack.append((node.right, idx))  # type: ignore[arg-type]
+                stack.append((node.left, -1))  # type: ignore[arg-type]
+        return nodes, children
+
+    def depth(self) -> int:
+        _, children = self.preorder()
+        depth = [0] * len(children)
+        for idx, (left, right) in enumerate(children):
+            if left != idx:
+                depth[left] = depth[right] = depth[idx] + 1
+        return max(depth)
 
     def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                walk(node.left)  # type: ignore[arg-type]
-                walk(node.right)  # type: ignore[arg-type]
-
-        walk(self.root)
-        return out
+        return [node for node in self.preorder()[0] if isinstance(node, Leaf)]
 
     def n_nodes(self) -> int:
-        def c(node: Node) -> int:
-            if isinstance(node, Leaf):
-                return 1
-            return 1 + c(node.left) + c(node.right)  # type: ignore[arg-type]
-
-        return c(self.root)
+        return len(self.preorder()[0])
 
 
 @dataclass(slots=True)
@@ -119,6 +130,10 @@ class Binned:
     @property
     def missing_code(self) -> int:
         return self.stride - 1
+
+    @property
+    def threshold_counts(self) -> np.ndarray:
+        return np.array([len(t) for t in self.thresholds], dtype=np.int64)
 
 
 def bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
@@ -237,85 +252,54 @@ def _best_axis_splits(
     )
 
 
-def _oblique_candidate(
+def _oblique_split(
     X: np.ndarray,
     rows: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    l2: float,
-    min_leaf: int,
-    n_projections: int,
-    sparsity: float,
+    params: TrainParams,
     rng: np.random.Generator,
-    max_bins: int,
-) -> ObliqueSplit | None:
-    """Best random sparse-projection split for one node, or None."""
+) -> tuple[ObliqueSplit, np.ndarray, int] | None:
+    """Best random sparse-projection split for one node, or None.
+
+    Each projection is a derived column over the node's rows, binned and
+    scanned like a feature. Returns the split with the node rows' codes
+    for its column and the bin it splits after.
+    """
     n_features = X.shape[1]
-    n_pick = max(1, int(round(sparsity * n_features)))
-    g_rows = g[rows]
-    h_rows = h[rows]
-    g_tot = g_rows.sum()
-    h_tot = h_rows.sum()
-    parent = g_tot * g_tot / max(h_tot + l2, _GAIN_DENOM_FLOOR)
-    best: ObliqueSplit | None = None
-    for _ in range(n_projections):
+    n_pick = max(1, int(round(params.oblique_sparsity * n_features)))
+    projections = []
+    for _ in range(params.oblique_projections):
         feats = np.sort(rng.choice(n_features, size=n_pick, replace=False))
-        w = rng.choice(np.array([-1.0, 1.0]), size=n_pick)
-        z = X[rows][:, feats] @ w
-        nan_mask = np.isnan(z)
-        finite_idx = np.flatnonzero(~nan_mask)
-        if len(finite_idx) == 0:
-            continue
-        zf = z[finite_idx]
-        uniq = np.unique(zf)
-        if len(uniq) < 2:
-            continue
-        if len(uniq) - 1 <= max_bins:
-            thr = (uniq[:-1] + uniq[1:]) / 2.0
-        else:
-            thr = np.unique(np.quantile(zf, np.arange(1, max_bins + 1) / (max_bins + 1)))
-        codes = np.searchsorted(thr, zf, side="right")
-        n_bins = len(thr) + 1
-        hg = np.bincount(codes, weights=g_rows[finite_idx], minlength=n_bins)
-        hh = np.bincount(codes, weights=h_rows[finite_idx], minlength=n_bins)
-        hc = np.bincount(codes, minlength=n_bins).astype(np.float64)
-        cum_g = np.cumsum(hg)[: len(thr)]
-        cum_h = np.cumsum(hh)[: len(thr)]
-        cum_c = np.cumsum(hc)[: len(thr)]
-        g_miss = g_rows[nan_mask].sum()
-        h_miss = h_rows[nan_mask].sum()
-        c_miss = float(nan_mask.sum())
-        for missing_left in (True, False):
-            gl = cum_g + (g_miss if missing_left else 0.0)
-            hl = cum_h + (h_miss if missing_left else 0.0)
-            cl = cum_c + (c_miss if missing_left else 0.0)
-            gr = g_tot - gl
-            hr = h_tot - hl
-            cr = (len(rows) - cl)
-            gains = _split_score(gl, hl, gr, hr, l2) - parent
-            ok = (cl >= min_leaf) & (cr >= min_leaf)
-            gains = np.where(ok, gains, -np.inf)
-            b = int(np.argmax(gains))
-            if gains[b] > (best.gain if best is not None else 0.0):
-                best = ObliqueSplit(
-                    features=tuple(int(f) for f in feats),
-                    weights=tuple(float(x) for x in w),
-                    threshold=float(thr[b]),
-                    missing_left=missing_left,
-                    gain=float(gains[b]),
-                )
-    return best
-
-
-@dataclass(slots=True)
-class _GrowParams:
-    max_depth: int
-    min_leaf: int
-    l2: float
-    oblique: bool = False
-    oblique_projections: int = 0
-    oblique_sparsity: float = 1.0
-    max_bins: int = 255
+        projections.append((feats, rng.choice(np.array([-1.0, 1.0]), size=n_pick)))
+    node_X = X[rows]
+    # One matrix-vector product per projection; a batched or dense
+    # product rounds some projections differently.
+    binned = bin_features(
+        np.column_stack([node_X[:, feats] @ w for feats, w in projections]),
+        max_bins=params.max_bins,
+    )
+    [(hist_g, hist_h, hist_c)] = _batch_histograms(
+        binned, g[rows], h[rows], [np.arange(len(rows))]
+    )
+    best = _best_axis_splits(
+        hist_g[None], hist_h[None], hist_c[None], binned.threshold_counts,
+        params.l2, params.min_examples_per_leaf,
+    )
+    gain = best.gain[0]
+    if not (np.isfinite(gain) and gain > 0.0):
+        return None
+    p = int(best.feature[0])
+    b = int(best.bin_idx[0])
+    feats, w = projections[p]
+    split = ObliqueSplit(
+        features=tuple(int(f) for f in feats),
+        weights=tuple(float(x) for x in w),
+        threshold=float(binned.thresholds[p][b]),
+        missing_left=bool(best.missing_left[0]),
+        gain=float(gain),
+    )
+    return split, binned.codes[:, p], b
 
 
 @dataclass(slots=True)
@@ -365,7 +349,7 @@ def grow_tree(
     X: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    params: _GrowParams,
+    params: TrainParams,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree; returns it plus each training row's leaf value.
@@ -373,10 +357,13 @@ def grow_tree(
     Nodes are processed level by level. Each level histograms only the
     smaller child of every split and derives the larger sibling by
     subtracting from the parent histogram; gradient quantization keeps
-    the derived histograms exact.
+    the derived histograms exact. Oblique splits draw their projections
+    from ``rng``, which they require.
     """
+    if params.oblique and rng is None:
+        raise ValueError("oblique splits need an rng")
     n = len(g)
-    thr_counts = np.array([len(t) for t in binned.thresholds], dtype=np.int64)
+    thr_counts = binned.threshold_counts
     row_values = np.zeros(n, dtype=np.float64)
     table: list[_NodeRec] = [_NodeRec(depth=0, rows=np.arange(n))]
     level = [0]
@@ -386,7 +373,10 @@ def grow_tree(
 
     def is_searching(nid: int) -> bool:
         rec = table[nid]
-        return rec.depth < params.max_depth and len(rec.rows) >= 2 * params.min_leaf
+        return (
+            rec.depth < params.max_depth
+            and len(rec.rows) >= 2 * params.min_examples_per_leaf
+        )
 
     while level:
         searching = [nid for nid in level if is_searching(nid)]
@@ -441,7 +431,8 @@ def grow_tree(
             hist_h = np.stack([hists[nid][1] for nid in searching])
             hist_c = np.stack([hists[nid][2] for nid in searching])
             axis_best = _best_axis_splits(
-                hist_g, hist_h, hist_c, thr_counts, params.l2, params.min_leaf
+                hist_g, hist_h, hist_c, thr_counts, params.l2,
+                params.min_examples_per_leaf,
             )
             for slot, nid in enumerate(searching):
                 rec = table[nid]
@@ -456,32 +447,23 @@ def grow_tree(
                         missing_left=bool(axis_best.missing_left[slot]),
                         gain=float(best_gain),
                     )
-                if params.oblique and rng is not None:
-                    oblique = _oblique_candidate(
-                        X, rec.rows, g, h, params.l2, params.min_leaf,
-                        params.oblique_projections, params.oblique_sparsity,
-                        rng, params.max_bins,
-                    )
-                    if oblique is not None and oblique.gain > (
+                    codes = binned.codes[rec.rows, f]
+                if params.oblique:
+                    oblique = _oblique_split(X, rec.rows, g, h, params, rng)
+                    if oblique is not None and oblique[0].gain > (
                         split.gain if split is not None else 0.0
                     ):
-                        split = oblique
+                        split, codes, b = oblique
                 if split is None:
                     rec.leaf = _make_leaf(rec.rows, g, h, params.l2)
                     row_values[rec.rows] = rec.leaf.value
                     hists.pop(nid, None)
                     continue
-                if isinstance(split, AxisSplit):
-                    codes = binned.codes[rec.rows, split.feature]
-                    is_missing = codes == binned.missing_code
-                    go_left = np.where(
-                        is_missing,
-                        split.missing_left,
-                        codes <= axis_best.bin_idx[slot],
-                    )
-                else:
-                    z = X[rec.rows][:, list(split.features)] @ np.asarray(split.weights)
-                    go_left = np.where(np.isnan(z), split.missing_left, z < split.threshold)
+                # Every bin's code range maps to one side of its threshold,
+                # the missing bin to the learned side.
+                go_left = np.where(
+                    codes == binned.missing_code, split.missing_left, codes <= b
+                )
                 rec.split = split
                 left_rows = rec.rows[go_left]
                 right_rows = rec.rows[~go_left]
@@ -523,7 +505,7 @@ def find_best_split(
     min_examples_per_leaf: int,
     max_bins: int = 255,
     oblique: bool = False,
-    oblique_projections: int = 0,
+    oblique_projections: int = 20,
     oblique_sparsity: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> AxisSplit | ObliqueSplit | None:
@@ -531,8 +513,12 @@ def find_best_split(
 
     This is :func:`grow_tree` at ``max_depth=1``: the root split of that
     stump, whose two children are the stump's leaves. Requires at least
-    ``2 * min_examples_per_leaf`` instances.
+    ``2 * min_examples_per_leaf`` instances. ``oblique=True`` also tries
+    ``oblique_projections`` (default 20) random projections drawn from
+    ``rng``, and raises ``ValueError`` without one.
     """
+    from .model import TrainParams
+
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -540,9 +526,9 @@ def find_best_split(
         raise ValueError(
             f"need at least {2 * min_examples_per_leaf} instances, got {len(X)}"
         )
-    params = _GrowParams(
+    params = TrainParams(
         max_depth=1,
-        min_leaf=min_examples_per_leaf,
+        min_examples_per_leaf=min_examples_per_leaf,
         l2=l2,
         oblique=oblique,
         oblique_projections=oblique_projections,

@@ -1,4 +1,4 @@
-"""The first two demos run to completion as scripts."""
+"""The first three demos run to completion as scripts."""
 
 import os
 import subprocess
@@ -10,7 +10,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize(
-    "script", ["01_candidate_pools_and_fusion.py", "02_labels_and_features.py"]
+    "script",
+    [
+        "01_candidate_pools_and_fusion.py",
+        "02_labels_and_features.py",
+        "03_train_and_ablate.py",
+    ],
 )
 def test_demo_exits_zero(script):
     env = dict(os.environ)

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from channelrank.gbdt.model import TrainParams
 from channelrank.gbdt.tree import (
     AxisSplit,
     Leaf,
     ObliqueSplit,
-    _GrowParams,
+    Tree,
+    _oblique_split,
     bin_features,
     find_best_split,
     grow_tree,
     leaf_value,
 )
-from tests.forest_oracle import walk_row
+from tests.forest_oracle import has_oblique, walk_row
+from tests.split_oracle import oblique_candidate
 
 
 class TestLeafValue:
@@ -148,9 +151,82 @@ class TestFindBestSplit:
         assert isinstance(split, ObliqueSplit)
         assert set(split.features) == {0, 1}
 
+    def test_oblique_without_rng_is_an_error(self):
+        X = np.random.default_rng(3).uniform(-1, 1, size=(40, 2))
+        g = np.where(X[:, 0] + X[:, 1] > 0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="rng"):
+            find_best_split(X, g, np.ones(40), l2=1.0, min_examples_per_leaf=2, oblique=True)
+        params = TrainParams(max_depth=2, oblique=True)
+        with pytest.raises(ValueError, match="rng"):
+            grow_tree(bin_features(X), X, g, np.ones(40), params)
+
+
+def _random_oblique_case(seed):
+    """A node of a random matrix with NaN cells and, often, rounded ties.
+
+    Gradients lie on a dyadic grid, as training's quantized ones do, so
+    every summation order gives the same sums; every other case uses a
+    coarse grid, which makes many gains tie exactly.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 200))
+    X = rng.normal(size=(n, int(rng.integers(1, 8))))
+    if seed % 3:
+        X = np.round(X, int(rng.integers(0, 2)))
+    X[rng.random(size=X.shape) < rng.uniform(0.0, 0.3)] = np.nan
+    if seed % 2:
+        g = rng.integers(-3, 4, size=n) / 4.0
+        h = rng.integers(0, 3, size=n) / 2.0
+    else:
+        g = np.round(rng.normal(size=n) * 2.0**40) / 2.0**40
+        h = np.round(rng.uniform(size=n) * 2.0**40) / 2.0**40
+    rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    params = TrainParams(
+        min_examples_per_leaf=int(rng.integers(1, 1 + len(rows) // 2)),
+        l2=float(rng.choice([0.0, 1.0])),
+        oblique=True,
+        oblique_projections=int(rng.integers(1, 25)),
+        oblique_sparsity=float(rng.uniform(0.1, 1.0)),
+        max_bins=int(rng.choice([3, 255])),
+    )
+    return X, rows, g, h, params
+
+
+class TestObliqueSplitSearch:
+    def test_candidate_equals_per_projection_loop(self):
+        for seed in range(300):
+            X, rows, g, h, params = _random_oblique_case(seed)
+            expected = oblique_candidate(
+                X, rows, g, h, params.l2, params.min_examples_per_leaf,
+                params.oblique_projections, params.oblique_sparsity,
+                np.random.default_rng(seed), params.max_bins,
+            )
+            found = _oblique_split(X, rows, g, h, params, np.random.default_rng(seed))
+            assert (found[0] if found is not None else None) == expected, f"seed {seed}"
+
+    def test_tied_directions_resolve_like_axis_splits(self):
+        # Missing-right after 0 and missing-left after 1 both gain 0.75.
+        # One scan decides for both split kinds: the lower threshold wins.
+        # The oracle scans every missing-left threshold first and keeps 1.5.
+        X = np.array([[0.0], [1.0], [2.0], [np.nan]])
+        g = np.array([1.0, -1.0, 1.0, -1.0])
+        axis = find_best_split(X, g, np.ones(4), l2=1.0, min_examples_per_leaf=1)
+        params = TrainParams(min_examples_per_leaf=1, oblique=True, oblique_projections=1)
+        oblique, _, _ = _oblique_split(
+            X, np.arange(4), g, np.ones(4), params, np.random.default_rng(0)
+        )
+        loop = oblique_candidate(
+            X, np.arange(4), g, np.ones(4), 1.0, 1, 1, 1.0, np.random.default_rng(0), 255
+        )
+        assert (axis.threshold, axis.missing_left, axis.gain) == (0.5, False, 0.75)
+        assert (oblique.threshold, oblique.missing_left, oblique.gain) == (0.5, False, 0.75)
+        assert (loop.threshold, loop.missing_left, loop.gain) == (1.5, True, 0.75)
+
 
 def _fit_tree(X, g, h, max_depth=4, min_leaf=1, l2=1.0, **kw):
-    params = _GrowParams(max_depth=max_depth, min_leaf=min_leaf, l2=l2, **kw)
+    params = TrainParams(
+        max_depth=max_depth, min_examples_per_leaf=min_leaf, l2=l2, **kw
+    )
     binned = bin_features(X)
     return grow_tree(binned, X, g, h, params)
 
@@ -197,12 +273,23 @@ class TestGrowTree:
         rng = np.random.default_rng(31)
         X = rng.uniform(-1, 1, size=(300, 3))
         g = np.where(X[:, 0] - X[:, 2] > 0, 1.0, -1.0) + rng.normal(size=300) * 0.01
-        params = _GrowParams(
-            max_depth=4, min_leaf=5, l2=1.0,
+        params = TrainParams(
+            max_depth=4, min_examples_per_leaf=5, l2=1.0,
             oblique=True, oblique_projections=10, oblique_sparsity=0.7,
         )
         binned = bin_features(X)
         tree, row_values = grow_tree(
             binned, X, g, np.ones(300), params, np.random.default_rng(7)
         )
+        assert has_oblique(tree)
         np.testing.assert_array_equal(tree.predict_matrix(X), row_values)
+
+    def test_preorder_positions_and_statistics(self):
+        leaves = [Leaf(1.0), Leaf(2.0), Leaf(3.0)]
+        inner = AxisSplit(1, 0.5, True, 1.0, leaves[1], leaves[2])
+        tree = Tree(root=AxisSplit(0, 0.5, False, 2.0, leaves[0], inner))
+        nodes, children = tree.preorder()
+        assert nodes == [tree.root, leaves[0], inner, leaves[1], leaves[2]]
+        assert children == [(1, 2), (1, 1), (3, 4), (3, 3), (4, 4)]
+        assert (tree.depth(), tree.n_nodes(), tree.leaves()) == (2, 5, leaves)
+        assert Tree(root=Leaf(0.0)).depth() == 0
