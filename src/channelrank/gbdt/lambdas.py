@@ -16,6 +16,11 @@ Pair contributions are snapped to a 2**-40 grid before accumulation:
 per-document sums then add exactly in any order (they are scaled
 integers well below 2**53), which makes the per-query gradient sum
 exactly zero and keeps multi-threaded accumulation bit-reproducible.
+
+Pairs whose two documents both rank at or below k are skipped. Both of
+their discounts are 0, so |dNDCG@k| is 0 and their quantized lambda and
+Hessian are exactly 0; adding 0.0 to a non-negative sum changes no bit,
+so the skip leaves g and h bit-identical to evaluating every pair.
 """
 
 from __future__ import annotations
@@ -139,6 +144,7 @@ class PairIndex:
         self,
         scores: np.ndarray,
         disc: np.ndarray,
+        top: np.ndarray,
         g: np.ndarray,
         h: np.ndarray,
         group_lo: int,
@@ -148,18 +154,17 @@ class PairIndex:
         phi = self.pair_starts[group_hi]
         rlo = self.group_starts[group_lo]
         rhi = self.group_starts[group_hi]
-        win = self.win[plo:phi] - rlo
-        lose = self.lose[plo:phi] - rlo
-        delta = np.abs(
-            self.dgain[plo:phi]
-            * (disc[self.win[plo:phi]] - disc[self.lose[plo:phi]])
-        ) * self.pair_inv_idcg[plo:phi]
-        rho = _stable_sigmoid_neg(
-            self.sigma * (scores[self.win[plo:phi]] - scores[self.lose[plo:phi]])
-        )
+        # Only pairs with a member in the top k carry nonzero weight.
+        live = plo + np.flatnonzero(top[self.win[plo:phi]] | top[self.lose[plo:phi]])
+        win = self.win[live]
+        lose = self.lose[live]
+        delta = np.abs(self.dgain[live] * (disc[win] - disc[lose])) * self.pair_inv_idcg[live]
+        rho = _stable_sigmoid_neg(self.sigma * (scores[win] - scores[lose]))
         lam = _quantize(self.sigma * delta * rho)
         hess = _quantize(self.sigma * self.sigma * delta * rho * (1.0 - rho))
         width = rhi - rlo
+        win -= rlo
+        lose -= rlo
         g[rlo:rhi] = np.bincount(lose, weights=lam, minlength=width) - np.bincount(
             win, weights=lam, minlength=width
         )
@@ -172,27 +177,33 @@ class PairIndex:
         scores: np.ndarray,
         tiebreak: np.ndarray | None = None,
         n_threads: int = 1,
+        ranked: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-document (g, h) for the current scores.
 
+        ``ranked`` is ``self.groups.rank_discounts(scores, tiebreak, k)``
+        when the caller already has it; otherwise it is computed here.
         Thread count never changes the result: groups are independent and
         each thread writes a disjoint, contiguous row range.
         """
         scores = np.asarray(scores, dtype=np.float64)
-        order, disc_sorted = self.groups.rank_discounts(scores, tiebreak, self.k)
+        if ranked is None:
+            ranked = self.groups.rank_discounts(scores, tiebreak, self.k)
+        order, disc_sorted = ranked
         disc = np.empty(self.n)
         disc[order] = disc_sorted
+        top = disc != 0.0  # rows ranked within the top k of their group
         g = np.zeros(self.n)
         h = np.zeros(self.n)
         if not self.has_pairs:
             return g, h
         if n_threads <= 1 or self.group_count == 1:
-            self._chunk(scores, disc, g, h, 0, self.group_count)
+            self._chunk(scores, disc, top, g, h, 0, self.group_count)
             return g, h
         bounds = np.linspace(0, self.group_count, n_threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = [
-                pool.submit(self._chunk, scores, disc, g, h, bounds[t], bounds[t + 1])
+                pool.submit(self._chunk, scores, disc, top, g, h, bounds[t], bounds[t + 1])
                 for t in range(n_threads)
                 if bounds[t] < bounds[t + 1]
             ]

@@ -18,6 +18,7 @@ from ..features import FeatureSchema
 from ..metrics import GroupedNdcg, QueryGroups
 from .lambdas import PairIndex
 from .tree import (
+    MAX_BINS,
     AxisSplit,
     Node,
     ObliqueSplit,
@@ -72,8 +73,8 @@ class TrainParams:
             raise ValueError("oblique_projections must be >= 1")
         if not 0.0 < self.oblique_sparsity <= 1.0:
             raise ValueError("oblique_sparsity must be in (0, 1]")
-        if not 1 <= self.max_bins <= 60000:
-            raise ValueError("max_bins must be in [1, 60000]")
+        if not 1 <= self.max_bins <= MAX_BINS:
+            raise ValueError(f"max_bins must be in [1, {MAX_BINS}]")
 
 
 #: Rows per scoring chunk are capped so that one chunk's per-tree node
@@ -308,8 +309,11 @@ def train(
     scores = np.zeros(len(X), dtype=np.float64)
     trees: list[Tree] = []
     history: list[RoundStats] = []
+    # One sort of the training scores per round serves both the next
+    # round's gradients and this round's logged NDCG.
+    ranked = groups.rank_discounts(scores, None, params.ndcg_truncation)
     for t in range(params.num_trees):
-        g, h = pairs.gradients(scores, n_threads=n_threads)
+        g, h = pairs.gradients(scores, n_threads=n_threads, ranked=ranked)
         rng = (
             np.random.default_rng(np.random.SeedSequence([params.seed, t]))
             if params.oblique
@@ -318,12 +322,17 @@ def train(
         tree, row_values = grow_tree(binned, X, g, h, params, rng)
         trees.append(tree)
         scores += params.shrinkage * row_values
+        ranked = groups.rank_discounts(scores, None, params.ndcg_truncation)
         valid_ndcg = None
         if valid_metric is not None:
             valid_scores += params.shrinkage * tree.predict_matrix(Xv)
             valid_ndcg = valid_metric.mean(valid_scores)
         history.append(
-            RoundStats(round=t, train_ndcg=train_metric.mean(scores), valid_ndcg=valid_ndcg)
+            RoundStats(
+                round=t,
+                train_ndcg=train_metric.mean(scores, ranked=ranked),
+                valid_ndcg=valid_ndcg,
+            )
         )
 
     model = Model(

@@ -12,6 +12,15 @@ and keeping the higher gain. Optional sparse oblique splits project a
 random signed subset of features; each node's projections become derived
 columns over its rows, which are binned and scanned exactly like features.
 
+A node's histogram is packed: each feature keeps only its own real bins
+(padded to a power of two) and one missing bin, laid out once per fit by
+``bin_features`` together with every row's histogram keys. The split scan
+scores only real thresholds, in (feature, bin, direction) order, and
+scores missing-right only for features that have missing rows; elsewhere
+that direction gains exactly what missing-left does and the argmax keeps
+missing-left. Prefix sums add each feature's bins in the same order a
+dense full-width scan would, so the chosen splits are byte-identical.
+
 Nodes are split level by level for vectorization; with a pure depth bound
 and no global leaf budget this yields exactly the tree a depth-first
 recursion would produce.
@@ -115,13 +124,55 @@ class Tree:
         return len(self.preorder()[0])
 
 
+#: Largest ``max_bins``: codes are ``uint16``, and the missing code is
+#: ``max_bins + 1``.
+MAX_BINS = 60000
+
+
+@dataclass(slots=True)
+class _ScanPlan:
+    """Where one node's packed histogram keeps each bin, and which splits to score.
+
+    Feature f has T_f thresholds and T_f + 1 real bins, padded to the next
+    power of two W_f. Features of equal width form a class: an (F_c, W_c)
+    block of real bins, features ascending, so a few ``cumsum`` calls
+    cover every feature with at most twice its bins. The blocks, by ascending
+    width, fill positions ``[0, n_bins)``; ``n_bins + f`` is feature f's
+    missing bin, and the last position, ``n_bins + F``, is never keyed and
+    stays 0. Split candidate k sends rows in bins ``<= bin[k]`` of
+    ``feature[k]`` left, and missing rows left when ``missing_left[k]``.
+    Candidates run in (feature, bin, direction) order over real thresholds
+    only; the missing-right direction exists only for features with
+    missing rows, since elsewhere it gains exactly what missing-left does.
+    """
+
+    n_bins: int
+    classes: list[tuple[int, int, int]]  # (first position, features, width)
+    last: np.ndarray  # (F,) position of each feature's last real bin
+    pos: np.ndarray  # (K,) position of each candidate's bin
+    feature: np.ndarray  # (K,)
+    bin: np.ndarray  # (K,)
+    missing_left: np.ndarray  # (K,) bool
+    miss_src: np.ndarray  # (K,) missing bin added to the left side; F for none
+
+    @property
+    def size(self) -> int:
+        return self.n_bins + len(self.last) + 1
+
+
 @dataclass(slots=True)
 class Binned:
-    """Pre-binned feature matrix plus the real-valued split candidates."""
+    """Pre-binned feature matrix, its split candidates and its histogram layout.
+
+    ``keys[i, f]`` is the position of row i's bin for feature f in one
+    node's packed histogram; ``plan`` lays that histogram out.
+    """
 
     codes: np.ndarray  # (n, F) uint16; missing bin = stride - 1
     thresholds: list[np.ndarray]
     stride: int
+    keys: np.ndarray  # (n, F) int64
+    plan: _ScanPlan
 
     @property
     def n_features(self) -> int:
@@ -131,9 +182,41 @@ class Binned:
     def missing_code(self) -> int:
         return self.stride - 1
 
-    @property
-    def threshold_counts(self) -> np.ndarray:
-        return np.array([len(t) for t in self.thresholds], dtype=np.int64)
+
+def _layout(
+    codes: np.ndarray, thr_counts: np.ndarray, missing_code: int
+) -> tuple[np.ndarray, _ScanPlan]:
+    """Histogram keys and scan plan for binned ``codes`` (see :class:`_ScanPlan`)."""
+    n_features = len(thr_counts)
+    width = np.array([1 << int(t).bit_length() for t in thr_counts], dtype=np.int64)
+    by_width = np.argsort(width, kind="stable")
+    start = np.empty(n_features, dtype=np.int64)
+    start[by_width] = np.cumsum(width[by_width]) - width[by_width]
+    classes = []
+    for w in np.unique(width):
+        members = np.flatnonzero(width == w)
+        classes.append((int(start[members[0]]), len(members), int(w)))
+    n_bins = int(width.sum())
+    features = np.arange(n_features, dtype=np.int64)
+    missing = codes == missing_code
+    keys = np.where(missing, n_bins + features, start + codes.astype(np.int64))
+    n_dirs = 1 + missing.any(axis=0)
+    per_feature = thr_counts * n_dirs
+    feature = np.repeat(features, per_feature)
+    within = np.arange(len(feature)) - np.repeat(np.cumsum(per_feature) - per_feature, per_feature)
+    bin_idx = within // n_dirs[feature]
+    missing_left = within % n_dirs[feature] == 0
+    plan = _ScanPlan(
+        n_bins=n_bins,
+        classes=classes,
+        last=start + thr_counts,
+        pos=start[feature] + bin_idx,
+        feature=feature,
+        bin=bin_idx,
+        missing_left=missing_left,
+        miss_src=np.where(missing_left, feature, n_features),
+    )
+    return keys, plan
 
 
 def bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
@@ -141,10 +224,11 @@ def bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
 
     Midpoints of consecutive unique values are used while they fit the
     budget; denser features fall back to interior quantiles. NaN cells
-    map to a reserved missing bin.
+    map to a reserved missing bin. Also lays out the packed histograms
+    that :func:`grow_tree` scans over these codes.
     """
-    if max_bins < 1:
-        raise ValueError("max_bins must be >= 1")
+    if not 1 <= max_bins <= MAX_BINS:
+        raise ValueError(f"max_bins must be in [1, {MAX_BINS}]")
     X = np.asarray(X, dtype=np.float64)
     n, n_features = X.shape
     stride = max_bins + 2
@@ -167,7 +251,9 @@ def bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
         c = np.searchsorted(thr, col, side="right")
         c[nan_mask] = missing_code
         codes[:, f] = c.astype(np.uint16)
-    return Binned(codes=codes, thresholds=thresholds, stride=stride)
+    thr_counts = np.array([len(t) for t in thresholds], dtype=np.int64)
+    keys, plan = _layout(codes, thr_counts, missing_code)
+    return Binned(codes=codes, thresholds=thresholds, stride=stride, keys=keys, plan=plan)
 
 
 def leaf_value(g_sum: float, h_sum: float, l2: float) -> float:
@@ -176,13 +262,6 @@ def leaf_value(g_sum: float, h_sum: float, l2: float) -> float:
     if denom < LEAF_DENOM_FLOOR:
         denom = LEAF_DENOM_FLOOR
     return -g_sum / denom
-
-
-def _split_score(gl, hl, gr, hr, l2):
-    """Sum of per-side score terms G^2/(H+l2) (parent term subtracted later)."""
-    return gl * gl / np.maximum(hl + l2, _GAIN_DENOM_FLOOR) + gr * gr / np.maximum(
-        hr + l2, _GAIN_DENOM_FLOOR
-    )
 
 
 @dataclass(slots=True)
@@ -197,58 +276,72 @@ def _best_axis_splits(
     hist_g: np.ndarray,
     hist_h: np.ndarray,
     hist_c: np.ndarray,
-    thr_counts: np.ndarray,
+    plan: _ScanPlan,
     l2: float,
     min_leaf: int,
 ) -> _AxisBest:
     """Best axis-aligned split per histogram slot.
 
-    Histograms are (S, F, stride); the last bin is the missing bin. Ties
-    resolve to the lowest feature index, then lowest threshold, then
-    missing-left, so results are reproducible.
+    Histograms are (S, ``plan.size``) packed rows. Each feature's prefix
+    sums run over its own real bins, padded with zeros to its class
+    width, so they add in the same order as over a dense
+    ``max_bins + 1``-bin row. Only the plan's candidates are scored, in
+    (feature, bin, direction) order; ties resolve to the lowest feature
+    index, then lowest threshold, then missing-left, so results are
+    reproducible. A slot with no valid split reports gain -inf at
+    feature 0, bin 0, missing-left.
     """
-    n_slots, n_features, stride = hist_g.shape
-    n_bins = stride - 1
-    g_miss = hist_g[:, :, n_bins]
-    h_miss = hist_h[:, :, n_bins]
-    c_miss = hist_c[:, :, n_bins]
-    cum_g = np.cumsum(hist_g[:, :, :n_bins], axis=2)
-    cum_h = np.cumsum(hist_h[:, :, :n_bins], axis=2)
-    cum_c = np.cumsum(hist_c[:, :, :n_bins], axis=2)
-    g_tot = cum_g[:, :, -1] + g_miss
-    h_tot = cum_h[:, :, -1] + h_miss
-    c_tot = cum_c[:, :, -1] + c_miss
+    n_slots = hist_g.shape[0]
+    n_features = len(plan.last)
+    if len(plan.pos) == 0:
+        return _AxisBest(
+            gain=np.full(n_slots, -np.inf),
+            feature=np.zeros(n_slots, dtype=np.int64),
+            bin_idx=np.zeros(n_slots, dtype=np.int64),
+            missing_left=np.ones(n_slots, dtype=bool),
+        )
+
+    cum = np.empty((n_slots, plan.n_bins))
+
+    def side_sums(hist):
+        """Each feature's total and each candidate's left and right sums."""
+        for lo, n_feat, width in plan.classes:
+            hi = lo + n_feat * width
+            block = hist[:, lo:hi].reshape(n_slots, n_feat, width)
+            cum[:, lo:hi] = np.cumsum(block, axis=2).reshape(n_slots, -1)
+        miss = hist[:, plan.n_bins:]  # F missing bins, then an empty one
+        total = cum[:, plan.last] + miss[:, :n_features]
+        left = np.take(cum, plan.pos, axis=1)
+        left += np.take(miss, plan.miss_src, axis=1)
+        right = np.take(total, plan.feature, axis=1)
+        right -= left
+        return total, left, right
+
+    # The gain G_L^2/(H_L+l2) + G_R^2/(H_R+l2) - G^2/(H+l2), each
+    # denominator floored, computed in place in the dense scan's order.
+    g_tot, gains, g_right = side_sums(hist_g)
+    h_tot, h_left, h_right = side_sums(hist_h)
+    _, c_left, c_right = side_sums(hist_c)
+    for g_side, h_side in ((gains, h_left), (g_right, h_right)):
+        h_side += l2
+        np.maximum(h_side, _GAIN_DENOM_FLOOR, out=h_side)
+        g_side *= g_side
+        g_side /= h_side
+    gains += g_right
     parent = g_tot * g_tot / np.maximum(h_tot + l2, _GAIN_DENOM_FLOOR)
+    gains -= np.take(parent, plan.feature, axis=1)
+    too_small = c_left < min_leaf
+    too_small |= c_right < min_leaf
+    gains[too_small] = -np.inf
 
-    valid_b = np.arange(n_bins)[None, :] < thr_counts[:, None]  # (F, B)
-
-    def side_gains(gl, hl, cl):
-        gr = g_tot[:, :, None] - gl
-        hr = h_tot[:, :, None] - hl
-        cr = c_tot[:, :, None] - cl
-        gains = _split_score(gl, hl, gr, hr, l2) - parent[:, :, None]
-        ok = (cl >= min_leaf) & (cr >= min_leaf) & valid_b[None, :, :]
-        return np.where(ok, gains, -np.inf)
-
-    # Missing rows left vs right of the threshold.
-    gains_left = side_gains(
-        cum_g + g_miss[:, :, None], cum_h + h_miss[:, :, None], cum_c + c_miss[:, :, None]
-    )
-    gains_right = side_gains(cum_g, cum_h, cum_c)
-
-    stacked = np.stack([gains_left, gains_right], axis=-1)  # (S, F, B, 2)
-    flat = stacked.reshape(n_slots, -1)
-    best_flat = np.argmax(flat, axis=1)
-    best_gain = flat[np.arange(n_slots), best_flat]
-    dirs = best_flat % 2
-    rem = best_flat // 2
-    bin_idx = rem % n_bins
-    feature = rem // n_bins
+    best = np.argmax(gains, axis=1)
+    best_gain = gains[np.arange(n_slots), best]
+    found = ~np.isneginf(best_gain)
     return _AxisBest(
         gain=best_gain,
-        feature=feature,
-        bin_idx=bin_idx,
-        missing_left=dirs == 0,
+        feature=np.where(found, plan.feature[best], 0),
+        bin_idx=np.where(found, plan.bin[best], 0),
+        missing_left=np.where(found, plan.missing_left[best], True),
     )
 
 
@@ -283,7 +376,7 @@ def _oblique_split(
         binned, g[rows], h[rows], [np.arange(len(rows))]
     )
     best = _best_axis_splits(
-        hist_g[None], hist_h[None], hist_c[None], binned.threshold_counts,
+        hist_g[None], hist_h[None], hist_c[None], binned.plan,
         params.l2, params.min_examples_per_leaf,
     )
     gain = best.gain[0]
@@ -318,28 +411,26 @@ def _batch_histograms(
     h: np.ndarray,
     node_rows: list[np.ndarray],
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-node (hist_g, hist_h, hist_c) of shape (F, stride), one bincount pass."""
+    """Per-node packed (hist_g, hist_h, hist_c), one bincount pass each."""
     n_features = binned.n_features
-    stride = binned.stride
-    feat_offsets = np.arange(n_features, dtype=np.int64) * stride
+    size = binned.plan.size
     slot_rows = np.concatenate(node_rows)
-    slot_of_row = np.repeat(
-        np.arange(len(node_rows)), [len(rows) for rows in node_rows]
-    )
-    keys = (
-        slot_of_row[:, None] * (n_features * stride)
-        + feat_offsets[None, :]
-        + binned.codes[slot_rows].astype(np.int64)
-    ).ravel()
-    minlength = len(node_rows) * n_features * stride
+    keys = binned.keys[slot_rows]
+    if len(node_rows) > 1:
+        slot_of_row = np.repeat(
+            np.arange(len(node_rows)), [len(rows) for rows in node_rows]
+        )
+        keys += (slot_of_row * size)[:, None]
+    keys = keys.ravel()
+    minlength = len(node_rows) * size
     hist_g = np.bincount(
         keys, weights=np.repeat(g[slot_rows], n_features), minlength=minlength
-    ).reshape(len(node_rows), n_features, stride)
+    ).reshape(len(node_rows), size)
     hist_h = np.bincount(
         keys, weights=np.repeat(h[slot_rows], n_features), minlength=minlength
-    ).reshape(len(node_rows), n_features, stride)
+    ).reshape(len(node_rows), size)
     hist_c = np.bincount(keys, minlength=minlength).reshape(
-        len(node_rows), n_features, stride
+        len(node_rows), size
     ).astype(np.float64)
     return [(hist_g[i], hist_h[i], hist_c[i]) for i in range(len(node_rows))]
 
@@ -363,7 +454,6 @@ def grow_tree(
     if params.oblique and rng is None:
         raise ValueError("oblique splits need an rng")
     n = len(g)
-    thr_counts = binned.threshold_counts
     row_values = np.zeros(n, dtype=np.float64)
     table: list[_NodeRec] = [_NodeRec(depth=0, rows=np.arange(n))]
     level = [0]
@@ -431,7 +521,7 @@ def grow_tree(
             hist_h = np.stack([hists[nid][1] for nid in searching])
             hist_c = np.stack([hists[nid][2] for nid in searching])
             axis_best = _best_axis_splits(
-                hist_g, hist_h, hist_c, thr_counts, params.l2,
+                hist_g, hist_h, hist_c, binned.plan, params.l2,
                 params.min_examples_per_leaf,
             )
             for slot, nid in enumerate(searching):

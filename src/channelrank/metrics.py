@@ -179,14 +179,25 @@ class GroupedNdcg:
             minlength=self.group_count,
         )
 
-    def mean(self, scores: np.ndarray, tiebreak: np.ndarray | None = None) -> float:
+    def mean(
+        self,
+        scores: np.ndarray,
+        tiebreak: np.ndarray | None = None,
+        ranked: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> float:
         """Mean NDCG@k across groups for the given scores (zero-IDCG groups score 0)."""
-        return float(np.mean(self.per_group(scores, tiebreak)))
+        return float(np.mean(self.per_group(scores, tiebreak, ranked)))
 
     def per_group(
-        self, scores: np.ndarray, tiebreak: np.ndarray | None = None
+        self,
+        scores: np.ndarray,
+        tiebreak: np.ndarray | None = None,
+        ranked: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        dcg = self._dcg(*self.groups.rank_discounts(scores, tiebreak, self.k))
+        """Per-group NDCG@k; ``ranked`` is ``groups.rank_discounts(scores, tiebreak, k)`` if known."""
+        if ranked is None:
+            ranked = self.groups.rank_discounts(scores, tiebreak, self.k)
+        dcg = self._dcg(*ranked)
         out = np.zeros(self.group_count)
         np.divide(dcg, self.idcg, out=out, where=self._nonzero)
         return out

@@ -1,4 +1,9 @@
-"""Reference oblique split search that the derived-column scan is tested against.
+"""Reference split searches that the packed histogram scan is tested against.
+
+``dense_histograms`` and ``dense_best_axis_splits`` lay every feature's
+histogram out at the full ``max_bins + 2`` stride, real bins and padding
+alike, and score both missing directions of every bin. The packed scan
+must return the same gains, features, bins and directions, byte for byte.
 
 ``oblique_candidate`` draws each random sparse signed projection, picks
 its threshold candidates and scans both missing directions in its own
@@ -15,7 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from channelrank.gbdt.tree import _GAIN_DENOM_FLOOR, ObliqueSplit, _split_score
+from channelrank.gbdt.tree import _GAIN_DENOM_FLOOR, Binned, ObliqueSplit, _AxisBest
+
+
+def _split_score(gl, hl, gr, hr, l2):
+    """Sum of per-side score terms G^2/(H+l2) (parent term subtracted later)."""
+    return gl * gl / np.maximum(hl + l2, _GAIN_DENOM_FLOOR) + gr * gr / np.maximum(
+        hr + l2, _GAIN_DENOM_FLOOR
+    )
 
 
 def oblique_candidate(
@@ -86,3 +98,94 @@ def oblique_candidate(
                     gain=float(gains[b]),
                 )
     return best
+
+
+def dense_histograms(
+    binned: Binned,
+    g: np.ndarray,
+    h: np.ndarray,
+    node_rows: list[np.ndarray],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-node (hist_g, hist_h, hist_c) of shape (F, stride), one bincount pass."""
+    n_features = binned.n_features
+    stride = binned.stride
+    feat_offsets = np.arange(n_features, dtype=np.int64) * stride
+    slot_rows = np.concatenate(node_rows)
+    slot_of_row = np.repeat(
+        np.arange(len(node_rows)), [len(rows) for rows in node_rows]
+    )
+    keys = (
+        slot_of_row[:, None] * (n_features * stride)
+        + feat_offsets[None, :]
+        + binned.codes[slot_rows].astype(np.int64)
+    ).ravel()
+    minlength = len(node_rows) * n_features * stride
+    hist_g = np.bincount(
+        keys, weights=np.repeat(g[slot_rows], n_features), minlength=minlength
+    ).reshape(len(node_rows), n_features, stride)
+    hist_h = np.bincount(
+        keys, weights=np.repeat(h[slot_rows], n_features), minlength=minlength
+    ).reshape(len(node_rows), n_features, stride)
+    hist_c = np.bincount(keys, minlength=minlength).reshape(
+        len(node_rows), n_features, stride
+    ).astype(np.float64)
+    return [(hist_g[i], hist_h[i], hist_c[i]) for i in range(len(node_rows))]
+
+
+def dense_best_axis_splits(
+    hist_g: np.ndarray,
+    hist_h: np.ndarray,
+    hist_c: np.ndarray,
+    thr_counts: np.ndarray,
+    l2: float,
+    min_leaf: int,
+) -> _AxisBest:
+    """Best axis-aligned split per histogram slot.
+
+    Histograms are (S, F, stride); the last bin is the missing bin. Ties
+    resolve to the lowest feature index, then lowest threshold, then
+    missing-left, so results are reproducible.
+    """
+    n_slots, n_features, stride = hist_g.shape
+    n_bins = stride - 1
+    g_miss = hist_g[:, :, n_bins]
+    h_miss = hist_h[:, :, n_bins]
+    c_miss = hist_c[:, :, n_bins]
+    cum_g = np.cumsum(hist_g[:, :, :n_bins], axis=2)
+    cum_h = np.cumsum(hist_h[:, :, :n_bins], axis=2)
+    cum_c = np.cumsum(hist_c[:, :, :n_bins], axis=2)
+    g_tot = cum_g[:, :, -1] + g_miss
+    h_tot = cum_h[:, :, -1] + h_miss
+    c_tot = cum_c[:, :, -1] + c_miss
+    parent = g_tot * g_tot / np.maximum(h_tot + l2, _GAIN_DENOM_FLOOR)
+
+    valid_b = np.arange(n_bins)[None, :] < thr_counts[:, None]  # (F, B)
+
+    def side_gains(gl, hl, cl):
+        gr = g_tot[:, :, None] - gl
+        hr = h_tot[:, :, None] - hl
+        cr = c_tot[:, :, None] - cl
+        gains = _split_score(gl, hl, gr, hr, l2) - parent[:, :, None]
+        ok = (cl >= min_leaf) & (cr >= min_leaf) & valid_b[None, :, :]
+        return np.where(ok, gains, -np.inf)
+
+    # Missing rows left vs right of the threshold.
+    gains_left = side_gains(
+        cum_g + g_miss[:, :, None], cum_h + h_miss[:, :, None], cum_c + c_miss[:, :, None]
+    )
+    gains_right = side_gains(cum_g, cum_h, cum_c)
+
+    stacked = np.stack([gains_left, gains_right], axis=-1)  # (S, F, B, 2)
+    flat = stacked.reshape(n_slots, -1)
+    best_flat = np.argmax(flat, axis=1)
+    best_gain = flat[np.arange(n_slots), best_flat]
+    dirs = best_flat % 2
+    rem = best_flat // 2
+    bin_idx = rem % n_bins
+    feature = rem // n_bins
+    return _AxisBest(
+        gain=best_gain,
+        feature=feature,
+        bin_idx=bin_idx,
+        missing_left=dirs == 0,
+    )

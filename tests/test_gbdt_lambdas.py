@@ -5,6 +5,7 @@ import pytest
 
 from channelrank.gbdt.lambdas import PairIndex, delta_ndcg, lambda_gradients
 from channelrank.metrics import QueryGroups, ndcg_at_k
+from tests.lambda_oracle import full_pair_gradients
 
 
 def brute_force_delta_ndcg(labels, order, i, j, k):
@@ -185,3 +186,53 @@ class TestPairIndex:
         for size in sizes:
             assert g[start:start + size].sum() == 0.0
             start += size
+
+
+class TestTruncatedPairs:
+    """Skipping pairs ranked wholly below k leaves g and h bit-identical."""
+
+    @staticmethod
+    def _groups(rng, n_groups, max_size):
+        sizes = rng.integers(1, max_size + 1, size=n_groups)
+        labels = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0], size=int(sizes.sum()))
+        scores = rng.normal(size=len(labels))
+        if rng.random() < 0.5:
+            scores = np.round(scores, 0)  # many tied scores
+        return labels, scores, np.repeat(np.arange(n_groups), sizes)
+
+    def test_matches_every_pair_evaluated(self):
+        rng = np.random.default_rng(83)
+        skipped = 0
+        for case in range(60):
+            k = int(rng.choice([1, 2, 5, 8]))
+            labels, scores, group_ids = self._groups(rng, int(rng.integers(1, 30)), 25)
+            sigma = float(rng.choice([0.5, 1.0, 2.0]))
+            index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=k, sigma=sigma)
+            tiebreak = rng.permutation(len(labels)) if case % 3 == 0 else None
+            g_ref, h_ref = full_pair_gradients(index, scores, tiebreak)
+            for n_threads in (1, 3):
+                g, h = index.gradients(scores, tiebreak, n_threads=n_threads)
+                assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
+            order, disc = index.groups.rank_discounts(scores, tiebreak, k)
+            below = np.empty(len(labels), dtype=bool)
+            below[order] = disc == 0.0
+            skipped += int(np.count_nonzero(below[index.win] & below[index.lose]))
+        assert skipped > 1000
+
+    def test_shared_ranking_gives_the_same_gradients(self):
+        labels, scores, group_ids = self._groups(np.random.default_rng(89), 20, 15)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=3)
+        ranked = index.groups.rank_discounts(scores, None, 3)
+        g, h = index.gradients(scores, ranked=ranked)
+        g_ref, h_ref = full_pair_gradients(index, scores)
+        assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 40])
+    def test_lambda_gradients_one_group(self, k):
+        rng = np.random.default_rng(97 + k)
+        labels = rng.choice([0.0, 1.0, 2.0, 4.0], size=30)
+        scores = np.round(rng.normal(size=30), 1)
+        g, h = lambda_gradients(labels, scores, k=k)
+        index = PairIndex(labels, QueryGroups.from_ids(np.zeros(30)), k=k)
+        g_ref, h_ref = full_pair_gradients(index, scores)
+        assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())

@@ -5,6 +5,7 @@ from channelrank.features import FeatureColumn, FeatureSchema
 from channelrank.gbdt.model import Model, TrainingError, TrainParams, train, write_training_log
 from channelrank.gbdt.serialize import loads_model, serialize_model
 from channelrank.gbdt.tree import AxisSplit, Leaf, ObliqueSplit, Tree
+from channelrank.metrics import QueryGroups
 from tests.forest_oracle import has_oblique, walk_model, walk_tree
 
 
@@ -81,6 +82,28 @@ class TestTrain:
         group_ids = np.array([0, 1, 0, 1])
         with pytest.raises(TrainingError, match="contiguous"):
             train(X, labels, group_ids, generic_schema(2), TrainParams(num_trees=1))
+
+    def test_one_training_sort_per_round(self, monkeypatch):
+        # Each round's gradients and logged NDCG share one ranking of the
+        # training scores: T + 1 sorts, not 2T. The ideal-DCG sort of the
+        # labels is not a score sort and is not counted.
+        X, labels, group_ids = ranking_problem(109, n_groups=10)
+        Xv, labels_v, ids_v = ranking_problem(113, n_groups=4)
+        sorted_scores = []
+        original = QueryGroups.rank_discounts
+
+        def spy(self, scores, tiebreak, k):
+            if len(self.codes) == len(X) and not np.array_equal(scores, labels):
+                sorted_scores.append(np.array(scores))
+            return original(self, scores, tiebreak, k)
+
+        monkeypatch.setattr(QueryGroups, "rank_discounts", spy)
+        params = TrainParams(num_trees=6, max_depth=3, min_examples_per_leaf=2)
+        result = train(X, labels, group_ids, generic_schema(X.shape[1]), params,
+                       valid=(Xv, labels_v, ids_v))
+        assert len(result.history) == 6
+        assert len(sorted_scores) == 6 + 1
+        assert not sorted_scores[0].any()
 
     def test_same_seed_byte_identical_models(self):
         X, labels, group_ids = ranking_problem(107, n_groups=12)

@@ -7,6 +7,8 @@ from channelrank.gbdt.tree import (
     Leaf,
     ObliqueSplit,
     Tree,
+    _batch_histograms,
+    _best_axis_splits,
     _oblique_split,
     bin_features,
     find_best_split,
@@ -14,7 +16,7 @@ from channelrank.gbdt.tree import (
     leaf_value,
 )
 from tests.forest_oracle import has_oblique, walk_row
-from tests.split_oracle import oblique_candidate
+from tests.split_oracle import dense_best_axis_splits, dense_histograms, oblique_candidate
 
 
 class TestLeafValue:
@@ -53,6 +55,16 @@ class TestBinFeatures:
         X = np.full((10, 1), 3.0)
         binned = bin_features(X)
         assert len(binned.thresholds[0]) == 0
+
+    def test_max_bins_above_uint16_cap_rejected(self):
+        # With max_bins=70000 the uint16 missing code would wrap to 4465,
+        # an ordinary bin.
+        X = np.array([[0.0], [np.nan], [2.0]])
+        with pytest.raises(ValueError, match="max_bins"):
+            bin_features(X, max_bins=70000)
+        with pytest.raises(ValueError, match="max_bins"):
+            bin_features(X, max_bins=0)
+        assert bin_features(X, max_bins=60000).codes[1, 0] == 60001
 
     def test_binning_agrees_with_threshold_predicate(self):
         # code <= b must be exactly equivalent to value < thresholds[b].
@@ -221,6 +233,88 @@ class TestObliqueSplitSearch:
         assert (axis.threshold, axis.missing_left, axis.gain) == (0.5, False, 0.75)
         assert (oblique.threshold, oblique.missing_left, oblique.gain) == (0.5, False, 0.75)
         assert (loop.threshold, loop.missing_left, loop.gain) == (1.5, True, 0.75)
+
+
+def _split_tuples(best):
+    return [
+        (best.gain[s].tobytes(), int(best.feature[s]), int(best.bin_idx[s]),
+         bool(best.missing_left[s]))
+        for s in range(len(best.gain))
+    ]
+
+
+def _packed_and_dense(binned, g, h, parent_rows, child_rows, l2, min_leaf):
+    """Both scans over a parent, its small child and the sibling derived by subtraction."""
+    thr_counts = np.array([len(t) for t in binned.thresholds])
+    out = []
+    for histograms, scan, layout in (
+        (_batch_histograms, _best_axis_splits, binned.plan),
+        (dense_histograms, dense_best_axis_splits, thr_counts),
+    ):
+        parent, child = histograms(binned, g, h, [parent_rows, child_rows])
+        sibling = tuple(p - c for p, c in zip(parent, child))
+        stacked = [np.stack(parts) for parts in zip(parent, child, sibling)]
+        out.append(_split_tuples(scan(*stacked, layout, l2, min_leaf)))
+    return out
+
+
+class TestPackedSplitScan:
+    """The packed histogram scan returns the dense scan's splits byte for byte."""
+
+    def test_matches_dense_scan_on_random_nodes(self):
+        rng = np.random.default_rng(2024)
+        found = 0
+        for case in range(240):
+            n = int(rng.integers(2, 150))
+            n_features = int(rng.integers(1, 7))
+            X = rng.normal(size=(n, n_features))
+            if case % 3 == 0:
+                X = np.round(X, 1)  # few distinct values, many tied gains
+            X[:, rng.random(n_features) < 0.25] = 2.0  # constant features
+            nan_cols = rng.random(n_features) < 0.5
+            X[(rng.random((n, n_features)) < 0.3) & nan_cols] = np.nan
+            binned = bin_features(X, max_bins=int(rng.choice([3, 16, 255])))
+            if case % 4 == 0:
+                g = rng.integers(-3, 4, size=n).astype(float)  # exact ties
+                h = np.ones(n)
+            else:
+                g = rng.normal(size=n) * 1e3
+                h = rng.random(n) * 1e3
+            parent_rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            # Rows without missing cells make a child whose missing bins
+            # are empty, though its parent's are not.
+            complete = ~np.isnan(X[parent_rows]).any(axis=1)
+            pool = parent_rows[complete] if case % 2 and complete.any() else parent_rows
+            child_rows = np.sort(rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)),
+                                            replace=False))
+            packed, dense = _packed_and_dense(
+                binned, g, h, parent_rows, child_rows,
+                l2=float(rng.choice([0.0, 1.0])), min_leaf=int(rng.integers(1, 4)),
+            )
+            assert packed == dense, case
+            found += sum(np.isfinite(np.frombuffer(t[0])[0]) for t in dense)
+        assert found > 400
+
+    def test_tied_gains_keep_lowest_feature_bin_and_missing_left(self):
+        # Features 0 and 1 are copies and feature 2 mirrors them, so many
+        # candidates gain exactly the same.
+        x = np.array([0.0, 1.0, 2.0, 3.0, np.nan, np.nan])
+        X = np.column_stack([x, x, -x])
+        g = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+        binned = bin_features(X)
+        rows = np.arange(len(x))
+        packed, dense = _packed_and_dense(binned, g, np.ones(6), rows, rows[:2], 0.0, 1)
+        assert packed == dense
+        assert packed[0][1:] == (0, 1, True)
+
+    def test_no_thresholds_anywhere(self):
+        X = np.full((6, 2), 1.0)
+        binned = bin_features(X)
+        packed, dense = _packed_and_dense(
+            binned, np.arange(6.0), np.ones(6), np.arange(6), np.arange(3), 1.0, 1
+        )
+        assert packed == dense
+        assert packed[0] == (np.float64(-np.inf).tobytes(), 0, 0, True)
 
 
 def _fit_tree(X, g, h, max_depth=4, min_leaf=1, l2=1.0, **kw):
