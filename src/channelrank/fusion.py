@@ -8,6 +8,8 @@ the seed.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -26,10 +28,17 @@ class InterleaveWeights:
         if not self.weights:
             raise ValueError("weights must not be empty")
         for channel, w in self.weights.items():
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w} for channel {channel.name!r}")
             if w < 0:
                 raise ValueError(f"negative weight {w} for channel {channel.name!r}")
         if not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one channel weight must be > 0")
+        # Interleaving normalizes by the live channels' total; it must not overflow.
+        with np.errstate(over="ignore"):
+            total = np.array(list(self.weights.values()), dtype=np.float64).sum()
+        if not math.isfinite(total):
+            raise ValueError(f"channel weights sum to {total}, not a finite value")
 
     @classmethod
     def uniform(cls, channels: Sequence[ChannelId]) -> InterleaveWeights:
@@ -74,8 +83,8 @@ def rrf_fuse(lists: Sequence[ChannelList], k_rrf: float = 60.0) -> FusedList:
     fused score descending, ties broken by item id ascending. Only ranks
     enter the formula, so channel score scales are irrelevant.
     """
-    if k_rrf <= 0:
-        raise ValueError(f"k_rrf must be positive, got {k_rrf}")
+    if not (math.isfinite(k_rrf) and k_rrf > 0):
+        raise ValueError(f"k_rrf must be positive and finite, got {k_rrf}")
     if not lists:
         return FusedList(query="", items=(), scores=())
     query = _check_one_query(lists)
@@ -105,6 +114,15 @@ def weighted_interleave(
     so the output is exactly a permutation of the deduplicated union.
     Channels whose weight is zero are flushed at the end in channel-index
     order. Deterministic for a given seed (PCG64 stream).
+
+    Every draw pops at least one queued entry, so the uniforms are drawn up
+    front, one per entry, with ``rng.random(n)``: its first m values are the
+    m values that m scalar ``rng.random()`` calls on the same PCG64 stream
+    return. The live channels, their total weight and cumulative weights
+    change only when a queue empties, and are rebuilt only then. The total
+    stays numpy's ``sum``, which adds 8 or more values pairwise, and the
+    cumulative weights a sequential ``np.cumsum``; another summation order
+    could move a draw across a channel boundary.
     """
     if not lists:
         return FusedList(query="", items=())
@@ -114,37 +132,34 @@ def weighted_interleave(
             raise ValueError(f"no weight for channel {cl.channel.name!r}")
 
     ordered_lists = sorted(lists, key=lambda c: c.channel.index)
-    queues: list[list[ItemId]] = [list(cl.items)[::-1] for cl in ordered_lists]
+    queues = [[item for item, _ in reversed(cl.entries)] for cl in ordered_lists]
     w = np.array([weights.weights[cl.channel] for cl in ordered_lists], dtype=np.float64)
+    uniforms = np.random.default_rng(seed).random(sum(map(len, queues))).tolist()
 
-    rng = np.random.default_rng(seed)
-    emitted: set[ItemId] = set()
-    out: list[ItemId] = []
-
-    def emit_from(idx: int) -> None:
-        queue = queues[idx]
-        while queue:
-            item = queue.pop()
-            if item not in emitted:
-                emitted.add(item)
-                out.append(item)
-                return
-
-    while True:
-        alive = [i for i, q in enumerate(queues) if q]
-        if not alive:
-            break
+    out: dict[ItemId, None] = {}  # insertion-ordered set of emitted items
+    alive = [i for i, q in enumerate(queues) if q]
+    n_drawn = 0
+    while alive:
         probs = w[alive]
-        total = probs.sum()
+        total = float(probs.sum())
         if total <= 0.0:
             # Only zero-weight channels remain: flush deterministically.
             for i in alive:
-                while queues[i]:
-                    emit_from(i)
+                out.update(dict.fromkeys(reversed(queues[i])))
             break
-        cumulative = np.cumsum(probs)
-        draw = rng.random() * total
-        chosen = alive[int(np.searchsorted(cumulative, draw, side="right"))]
-        emit_from(chosen)
+        cumulative = np.cumsum(probs).tolist()
+        while True:
+            chosen = alive[bisect_right(cumulative, uniforms[n_drawn] * total)]
+            n_drawn += 1
+            # Emit the channel's best item not yet emitted; skip the rest.
+            queue = queues[chosen]
+            while queue:
+                item = queue.pop()
+                if item not in out:
+                    out[item] = None
+                    break
+            if not queue:
+                alive.remove(chosen)
+                break
 
     return FusedList(query=query, items=tuple(out))

@@ -160,6 +160,27 @@ class TestPipeline:
         assert rc == 1
         assert "name=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--method", "wi", "--weight", "lexical=inf"], "non-finite weight"),
+            (["--method", "wi", "--weight", "lexical=nan", "--weight", "semantic=1"],
+             "non-finite weight"),
+            (["--method", "wi", "--weight", "lexical=1e308", "--weight", "semantic=1e308"],
+             "sum"),
+            (["--method", "rrf", "--k-rrf", "nan"], "k_rrf"),
+            (["--method", "rrf", "--k-rrf", "inf"], "k_rrf"),
+        ],
+    )
+    def test_fuse_non_finite_input_exits_one(self, world_dir, capsys, flags, reason):
+        capsys.readouterr()
+        rc = main(["fuse", "--lists", str(world_dir / "channel_lists_w0.tsv"), *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+        assert captured.out == ""
+
     def test_bench_with_item_sidecar(self, model_path, dataset_path, tmp_path, capsys):
         items = dataset_path.parent / "item_features.tsv"
         report = tmp_path / "bench.json"

@@ -1,8 +1,12 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
 from channelrank.core import ChannelId, ChannelList
 from channelrank.fusion import FusedList, InterleaveWeights, rrf_fuse, weighted_interleave
+from tests import fusion_oracle
 
 C0 = ChannelId(0, "lexical")
 C1 = ChannelId(1, "semantic")
@@ -75,6 +79,11 @@ class TestRrf:
         lst = cl(C0, ["B", "A", "C"])
         assert rrf_fuse([lst]).items == lst.items
 
+    @pytest.mark.parametrize("k_rrf", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_k_rejected(self, k_rrf):
+        with pytest.raises(ValueError, match="k_rrf"):
+            rrf_fuse([cl(C0, ["A", "B"])], k_rrf=k_rrf)
+
 
 class TestWeightedInterleave:
     def test_degenerate_weights_follow_channel_zero(self):
@@ -130,12 +139,121 @@ class TestWeightedInterleave:
         with pytest.raises(ValueError, match="> 0"):
             InterleaveWeights({C0: 0.0, C1: 0.0})
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {C0: float("inf")},
+            {C0: float("inf"), C1: 1.0},
+            {C0: float("nan"), C1: 1.0},
+            {C0: 1.0, C1: float("-inf")},
+        ],
+    )
+    def test_non_finite_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            InterleaveWeights(weights)
+
+    def test_overflowing_weight_sum_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            InterleaveWeights({C0: 1e308, C1: 1e308})
+
     def test_missing_channel_weight_rejected(self):
         l0 = cl(C0, ["A"])
         l1 = cl(C1, ["B"])
         w = InterleaveWeights({C0: 1.0})
         with pytest.raises(ValueError, match="no weight"):
             weighted_interleave([l0, l1], w, seed=0)
+
+
+def random_case(rng, n_channels):
+    """Channel lists over a small vocabulary, so items repeat across channels."""
+    vocab = [f"i{j}" for j in range(int(rng.integers(3, 40)))]
+    lists = []
+    for c in range(n_channels):
+        size = int(rng.integers(1, min(len(vocab), 15) + 1))
+        items = rng.choice(vocab, size=size, replace=False)
+        lists.append(cl(ChannelId(c, f"c{c}"), list(items)))
+    # A fifth zero, a tenth each 1/3 and 0.1 (not dyadic), the rest uniform.
+    weights = rng.uniform(1e-3, 5.0, n_channels)
+    kind = rng.random(n_channels)
+    weights[kind < 0.4] = 0.1
+    weights[kind < 0.3] = 1.0 / 3.0
+    weights[kind < 0.2] = 0.0
+    if not (weights > 0).any():
+        weights[int(rng.integers(n_channels))] = float(rng.uniform(0.01, 2.0))
+    order = rng.permutation(n_channels)
+    return (
+        [lists[i] for i in order],
+        InterleaveWeights({lst.channel: float(w) for lst, w in zip(lists, weights)}),
+    )
+
+
+class TestWeightedInterleaveOracle:
+    """The package function against the one-draw-per-pick loop in ``fusion_oracle``."""
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 4, 8, 9, 12])
+    def test_random_inputs_match_oracle(self, n_channels):
+        rng = np.random.default_rng(1000 + n_channels)
+        pairwise_differs = zero_weight = 0
+        for _ in range(300):
+            lists, weights = random_case(rng, n_channels)
+            seed = int(rng.integers(2**32))
+            assert weighted_interleave(lists, weights, seed) == (
+                fusion_oracle.weighted_interleave(lists, weights, seed)
+            )
+            w = np.array(list(weights.weights.values()))
+            pairwise_differs += w.sum() != functools.reduce(operator.add, w.tolist())
+            zero_weight += bool((w == 0.0).any())
+        if n_channels > 1:
+            assert zero_weight > 0
+        if n_channels >= 9:
+            # numpy sums 8 or more values pairwise, not left to right.
+            assert pairwise_differs > 0
+
+    def test_pairwise_total_decides_a_pick(self):
+        # Nine weights whose numpy (pairwise) total is one ulp below their
+        # left-to-right sum. Seed 0's first uniform times the numpy total
+        # falls below channel 0's cumulative weight, so channel 0 is picked;
+        # times the sequential sum it reaches that weight, which would pick
+        # channel 1.
+        weights = [10.995055988527364] + [0.1 * k + 1.0 / 3.0 for k in range(1, 9)]
+        channels = [ChannelId(c, f"c{c}") for c in range(9)]
+        lists = [cl(ch, [ch.name]) for ch in channels]
+        w = InterleaveWeights(dict(zip(channels, weights)))
+        fused = weighted_interleave(lists, w, seed=0)
+        assert fused == fusion_oracle.weighted_interleave(lists, w, seed=0)
+        assert fused.items[0] == "c0"
+        u = np.random.default_rng(0).random()
+        sequential = functools.reduce(operator.add, weights)
+        assert u * sequential >= np.cumsum(weights)[0] > u * float(np.sum(weights))
+
+    def test_channel_left_with_only_emitted_items(self):
+        # Once C0 emits "A", C1's queue holds only emitted items but is still
+        # drawn: that draw emits nothing and consumes one random number.
+        l0 = cl(C0, ["A", "B", "C", "D"])
+        l1 = cl(C1, ["A"])
+        l2 = cl(C2, ["X", "Y", "Z"])
+        w = InterleaveWeights({C0: 0.3, C1: 0.3, C2: 0.4})
+        orders = set()
+        for seed in range(300):
+            fused = weighted_interleave([l0, l1, l2], w, seed)
+            assert fused == fusion_oracle.weighted_interleave([l0, l1, l2], w, seed)
+            orders.add(fused.items)
+        assert len(orders) > 10
+
+    def test_zero_weight_flush_matches_oracle(self):
+        lists = [cl(C0, ["A", "B"]), cl(C1, ["C", "A", "D"]), cl(C2, ["E", "B", "F"])]
+        w = InterleaveWeights({C0: 0.0, C1: 1.0 / 3.0, C2: 0.0})
+        for seed in range(50):
+            fused = weighted_interleave(lists, w, seed)
+            assert fused == fusion_oracle.weighted_interleave(lists, w, seed)
+            assert fused.items[:3] == ("C", "A", "D")
+
+    def test_block_draws_equal_scalar_draws(self):
+        for seed in (0, 1, 7, 12345, 2**32 - 1, 2**63 + 11):
+            rng = np.random.default_rng(seed)
+            scalars = [rng.random() for _ in range(300)]
+            block = np.random.default_rng(seed).random(450)
+            assert block[:300].tolist() == scalars
 
 
 class TestFusedList:

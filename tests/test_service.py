@@ -495,6 +495,10 @@ class TestBench:
             shrinkage=model.shrinkage, base_score=model.base_score,
             schema=model.schema, params=model.params,
         )
-        r_small = bench(ScoreService(small), requests)
-        r_big = bench(ScoreService(doubled), requests)
-        assert r_big.p95_ms > r_small.p95_ms
+        # The best median of several rounds: one host stall can decide a
+        # single round's tail, but not the fastest of three medians.
+        def best_p50(model):
+            service = ScoreService(model)
+            return min(bench(service, requests).p50_ms for _ in range(3))
+
+        assert best_p50(doubled) > best_p50(small)

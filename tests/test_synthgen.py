@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,33 @@ class TestGenerate:
         assert "events" in paths and "ground_truth" in paths
         for week in range(SMALL.num_weeks):
             assert f"channel_lists_w{week}" in paths
+
+
+def event_table_sha256(events) -> str:
+    h = hashlib.sha256()
+    for name in ("week", "session", "query", "item", "action", "timestamp"):
+        col = getattr(events, name)
+        h.update(f"{name}:{col.dtype.str}:{col.shape}".encode())
+        h.update(col.tobytes())
+    for vocab in (events.query_vocab, events.item_vocab):
+        h.update("\n".join(vocab).encode())
+    return h.hexdigest()
+
+
+class TestPinnedWorld:
+    """The logging policy's presentation order decides every event.
+
+    ``generate`` shows each query's items in a weighted-interleaving order,
+    so a change to ``weighted_interleave``'s output, or to how it consumes
+    its seed's random stream, changes this digest.
+    """
+
+    def test_event_table_digest(self):
+        events = generate(WorldConfig(num_queries=60, seed=11)).events
+        assert len(events) == 177_251
+        assert event_table_sha256(events) == (
+            "5aa83af1552453770d2ce83db7767f49e1c26aca177a77fca9adb3af1f8ea67a"
+        )
 
 
 class TestFilterAndSplit:
