@@ -20,7 +20,6 @@ from channelrank import (
     filter_and_split,
     generate,
 )
-from channelrank.dataset import ItemCatalog
 
 cfg = WorldConfig(
     num_queries=250, num_items=2500, universe_size=26, per_channel_n=15,
@@ -39,8 +38,7 @@ print(f"  by traffic tertile: head {stats['tertile_retention']['head']:.0%}, "
       f"torso {stats['tertile_retention']['torso']:.0%}, "
       f"tail {stats['tertile_retention']['tail']:.0%}")
 
-cat = world.ground_truth.catalog
-catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+catalog = world.ground_truth.catalog
 dataset = build_dataset(
     world.events, world.channel_lists, catalog, world.channels,
     split.all_keys(), TruncationConfig.uniform(world.channels, cfg.per_channel_n),

@@ -10,6 +10,7 @@ Run: python demos/04_scoring_service.py
 """
 
 import json
+import os
 import tempfile
 
 from channelrank import (
@@ -23,7 +24,6 @@ from channelrank import (
     save_model,
     train,
 )
-from channelrank.dataset import ItemCatalog
 from channelrank.service import ScoreService, bench, synth_requests
 
 cfg = WorldConfig(
@@ -33,8 +33,7 @@ cfg = WorldConfig(
 print("building a training world ...")
 world = generate(cfg)
 split = filter_and_split(world.events, cfg.num_weeks)
-cat = world.ground_truth.catalog
-catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+catalog = world.ground_truth.catalog
 dataset = build_dataset(
     world.events, world.channel_lists, catalog, world.channels,
     split.all_keys(), TruncationConfig.uniform(world.channels, cfg.per_channel_n),
@@ -49,11 +48,11 @@ model = result.model
 print(f"trained {len(model.trees)} trees; "
       f"final train ndcg@8 = {result.history[-1].train_ndcg:.4f}")
 
-with tempfile.NamedTemporaryFile(suffix=".frm", delete=False) as fh:
-    path = fh.name
-save_model(model, path)
-model = load_model(path)
-print(f"model round-tripped through {path}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "ranker.frm")
+    save_model(model, path)
+    model = load_model(path)
+    print(f"model round-tripped through {path} ({os.path.getsize(path):,} bytes)")
 
 service = ScoreService(model)
 request = {

@@ -26,17 +26,13 @@ from .labeling import (
     Action,
     CorpusStats,
     EventFrame,
-    FunnelCounts,
     HEURISTIC_WEIGHTS,
-    InteractionEvent,
     LabelWeights,
     calibrate_weights,
-    deepest_action,
-    funnel_counts,
     funnel_table,
-    normalize_labels,
-    raw_label,
+    max_normalize,
     read_event_log,
+    weighted_counts,
     write_event_log,
 )
 from .features import (
@@ -47,17 +43,8 @@ from .features import (
     fill_channel_block,
     item_feature_block,
 )
-from .metrics import MetricConfig, ndcg_at_k, ndcg_from_scores
-from .gbdt import (
-    Model,
-    TrainParams,
-    TrainingError,
-    delta_ndcg,
-    lambda_gradients,
-    load_model,
-    save_model,
-    train,
-)
+from .metrics import MetricConfig, ndcg_at_k
+from .gbdt import Model, TrainParams, TrainingError, load_model, save_model, train
 from .dataset import (
     Dataset,
     ItemCatalog,

@@ -67,11 +67,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     world = synthgen.generate(cfg)
     paths = synthgen.write_world(world, args.out)
     catalog_path = os.path.join(args.out, "catalog.tsv")
-    cat = world.ground_truth.catalog
-    ds.write_item_catalog(
-        catalog_path,
-        ds.ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week),
-    )
+    ds.write_item_catalog(catalog_path, world.ground_truth.catalog)
     paths["catalog"] = catalog_path
     split = synthgen.filter_and_split(world.events, cfg.num_weeks)
     print(f"events: {len(world.events)} -> {paths['events']}")
@@ -244,11 +240,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown ablation config {args.config!r}")
     world = synthgen.generate(cfg)
     split = synthgen.filter_and_split(world.events, cfg.num_weeks)
-    cat = world.ground_truth.catalog
-    catalog = ds.ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
     trunc = TruncationConfig.uniform(world.channels, cfg.per_channel_n)
     data = ds.build_dataset(
-        world.events, world.channel_lists, catalog, world.channels,
+        world.events, world.channel_lists, world.ground_truth.catalog, world.channels,
         split.all_keys(), trunc,
     )
     report = ablation_run(

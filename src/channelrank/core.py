@@ -102,9 +102,6 @@ class CandidatePool:
     candidates: frozenset[ItemId]
     provenance: Mapping[ItemId, tuple[ChannelHit, ...]]
 
-    def channels_for(self, item: ItemId) -> tuple[ChannelId, ...]:
-        return tuple(hit.channel for hit in self.provenance[item])
-
     def __len__(self) -> int:
         return len(self.candidates)
 

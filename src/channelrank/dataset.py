@@ -38,6 +38,8 @@ from .labeling import (
     calibrate_weights,
     corpus_stats,
     funnel_table,
+    max_normalize,
+    weighted_counts,
 )
 from .metrics import QueryGroups
 
@@ -186,19 +188,6 @@ def item_count_table(
     return np.cumsum(counts, axis=1)
 
 
-def _weighted(rows: np.ndarray, w: LabelWeights) -> np.ndarray:
-    """Per row of (views, clicks, atcs, purchases) counts: a*P + b*A + c*C + d*V."""
-    return w.a * rows[:, 3] + w.b * rows[:, 2] + w.c * rows[:, 1] + w.d * rows[:, 0]
-
-
-def _max_normalize(raw: np.ndarray) -> np.ndarray:
-    """Scale onto [0, 4] by the group's peak; all zeros when nothing engaged."""
-    peak = raw.max() if len(raw) else 0.0
-    if peak <= 0.0:
-        return np.zeros_like(raw)
-    return 4.0 * raw / peak
-
-
 def build_dataset(
     events: EventFrame,
     channel_lists: Mapping[int, Mapping[QueryId, list[ChannelList]]],
@@ -293,7 +282,7 @@ def build_dataset(
             purch = np.zeros(m)
             for d in range(1, min(window, week) + 1):
                 rows = lag_rows[d - 1]
-                eng += decay[d - 1] * _weighted(rows, w_conv)
+                eng += decay[d - 1] * weighted_counts(rows, w_conv)
                 clicks += rows[:, 1] + rows[:, 2] + rows[:, 3]
                 atcs += rows[:, 2] + rows[:, 3]
                 purch += rows[:, 3]
@@ -306,8 +295,8 @@ def build_dataset(
 
         now = funnel_lookup(q, items, week)
         X_parts.append(block)
-        lab_conv_parts.append(_max_normalize(_weighted(now, w_conv)))
-        lab_heur_parts.append(_max_normalize(_weighted(now, HEURISTIC_WEIGHTS)))
+        lab_conv_parts.append(max_normalize(weighted_counts(now, w_conv)))
+        lab_heur_parts.append(max_normalize(weighted_counts(now, HEURISTIC_WEIGHTS)))
         purchases_parts.append(now[:, 3])
         icode_parts.append(items)
         group_sizes.append(m)

@@ -1,6 +1,6 @@
 """Gradient-boosted tree ranker trained with a pairwise NDCG objective."""
 
-from .lambdas import PairIndex, delta_ndcg, lambda_gradients
+from .lambdas import PairIndex
 from .model import Model, TrainingError, TrainParams, train, write_training_log
 from .serialize import (
     MODEL_FORMAT_VERSION,
@@ -17,7 +17,6 @@ from .tree import (
     ObliqueSplit,
     Tree,
     bin_features,
-    find_best_split,
     leaf_value,
 )
 
@@ -33,9 +32,6 @@ __all__ = [
     "TrainingError",
     "Tree",
     "bin_features",
-    "delta_ndcg",
-    "find_best_split",
-    "lambda_gradients",
     "leaf_value",
     "load_model",
     "loads_model",

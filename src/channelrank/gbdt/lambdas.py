@@ -43,55 +43,6 @@ def _stable_sigmoid_neg(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip(z, -709.0, 709.0)))
 
 
-def delta_ndcg(
-    labels: np.ndarray,
-    score_order: np.ndarray,
-    i: int,
-    j: int,
-    k: int,
-) -> float:
-    """|NDCG@k after swapping ranked positions i and j - NDCG@k before|.
-
-    ``score_order`` is the permutation of document indices induced by the
-    current scores (best first); ``i`` and ``j`` are 0-based positions in
-    that ranking. Zero when both positions fall beyond the truncation
-    depth or the two documents share a label.
-    """
-    labels = np.asarray(labels, dtype=np.float64)
-    order = np.asarray(score_order, dtype=np.intp)
-    n = len(labels)
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValueError(f"invalid positions ({i}, {j}) for list of length {n}")
-    idcg = ideal_dcg_at_k(labels, k)
-    if idcg == 0.0:
-        return 0.0
-    gains = gain(labels)
-    di = 1.0 / np.log2(i + 2.0) if i < k else 0.0
-    dj = 1.0 / np.log2(j + 2.0) if j < k else 0.0
-    return abs(float(gains[order[i]] - gains[order[j]]) * (di - dj)) / idcg
-
-
-def lambda_gradients(
-    labels: np.ndarray,
-    scores: np.ndarray,
-    k: int,
-    sigma: float = 1.0,
-    tiebreak: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated pairwise gradients and Hessians for one query group.
-
-    Returns ``(g, h)`` arrays; g sums to exactly zero over the group and
-    h is non-negative. Documents with equal labels form no pair. This is
-    :class:`PairIndex` over a single group.
-    """
-    labels = np.asarray(labels, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if labels.shape != scores.shape or labels.ndim != 1 or len(labels) == 0:
-        raise ValueError("labels and scores must be equal-length 1-d arrays")
-    one_group = QueryGroups.from_ids(np.zeros(len(labels)))
-    return PairIndex(labels, one_group, k, sigma).gradients(scores, tiebreak)
-
-
 class PairIndex:
     """Precomputed label-discordant pairs for contiguous query groups.
 
@@ -175,20 +126,20 @@ class PairIndex:
     def gradients(
         self,
         scores: np.ndarray,
-        tiebreak: np.ndarray | None = None,
+        *,
         n_threads: int = 1,
         ranked: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-document (g, h) for the current scores.
 
-        ``ranked`` is ``self.groups.rank_discounts(scores, tiebreak, k)``
-        when the caller already has it; otherwise it is computed here.
+        ``ranked`` is ``self.groups.rank_discounts(scores, k)`` when the
+        caller already has it; otherwise it is computed here.
         Thread count never changes the result: groups are independent and
         each thread writes a disjoint, contiguous row range.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if ranked is None:
-            ranked = self.groups.rank_discounts(scores, tiebreak, self.k)
+            ranked = self.groups.rank_discounts(scores, self.k)
         order, disc_sorted = ranked
         disc = np.empty(self.n)
         disc[order] = disc_sorted

@@ -311,7 +311,7 @@ def train(
     history: list[RoundStats] = []
     # One sort of the training scores per round serves both the next
     # round's gradients and this round's logged NDCG.
-    ranked = groups.rank_discounts(scores, None, params.ndcg_truncation)
+    ranked = groups.rank_discounts(scores, params.ndcg_truncation)
     for t in range(params.num_trees):
         g, h = pairs.gradients(scores, n_threads=n_threads, ranked=ranked)
         rng = (
@@ -322,7 +322,7 @@ def train(
         tree, row_values = grow_tree(binned, X, g, h, params, rng)
         trees.append(tree)
         scores += params.shrinkage * row_values
-        ranked = groups.rank_discounts(scores, None, params.ndcg_truncation)
+        ranked = groups.rank_discounts(scores, params.ndcg_truncation)
         valid_ndcg = None
         if valid_metric is not None:
             valid_scores += params.shrinkage * tree.predict_matrix(Xv)

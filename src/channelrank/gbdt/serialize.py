@@ -2,7 +2,7 @@
 
 Layout (documented contract):
 
-* UTF-8 JSON object with exactly three keys: ``magic`` ("frm"),
+* UTF-8 JSON object with exactly four keys: ``magic`` ("frm"),
   ``version`` (integer), ``sha256`` (hex digest), ``model`` (payload).
 * The digest covers the canonical serialization of ``model``:
   ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``.
@@ -14,7 +14,9 @@ Layout (documented contract):
   ``["A", feature, threshold, missing_left, left_idx, right_idx, gain]``
   (axis split) or ``["O", features, weights, threshold, missing_left,
   left_idx, right_idx, gain]`` (oblique split), with child fields
-  indexing into the same node list.
+  indexing into the same node list. A split's left child is the next
+  record and its right child follows the left subtree; every record is
+  reached exactly once.
 
 Any checksum, magic, version, or structural mismatch raises
 :class:`ModelFormatError`; no partially constructed model escapes.
@@ -56,39 +58,65 @@ def _flatten_tree(tree: Tree) -> list[list]:
     return records
 
 
-def _rebuild_tree(records: list[list]) -> Tree:
-    def build(idx: int) -> Node:
-        try:
-            rec = records[idx]
-        except (IndexError, TypeError) as exc:
-            raise ModelFormatError(f"bad node reference {idx}") from exc
-        tag = rec[0]
-        if tag == "L":
-            return Leaf(value=float(rec[1]), n_samples=int(rec[2]))
-        if tag == "A":
-            node = AxisSplit(
-                feature=int(rec[1]),
-                threshold=float(rec[2]),
-                missing_left=bool(rec[3]),
-                gain=float(rec[6]),
-            )
-            node.left = build(int(rec[4]))
-            node.right = build(int(rec[5]))
-            return node
-        if tag == "O":
-            node = ObliqueSplit(
-                features=tuple(int(f) for f in rec[1]),
-                weights=tuple(float(w) for w in rec[2]),
-                threshold=float(rec[3]),
-                missing_left=bool(rec[4]),
-                gain=float(rec[7]),
-            )
-            node.left = build(int(rec[5]))
-            node.right = build(int(rec[6]))
-            return node
-        raise ModelFormatError(f"unknown node tag {tag!r}")
+def _node(rec: object, idx: int) -> tuple[Node, tuple[object, object] | None]:
+    """One record as a node, with its declared (left, right) children if a split."""
+    tag = rec[0] if isinstance(rec, list) and rec else None
+    if tag == "L" and len(rec) == 3:
+        return Leaf(value=float(rec[1]), n_samples=int(rec[2])), None
+    if tag == "A" and len(rec) == 7:
+        split = AxisSplit(
+            feature=int(rec[1]), threshold=float(rec[2]), missing_left=bool(rec[3]),
+            gain=float(rec[6]),
+        )
+        return split, (rec[4], rec[5])
+    if tag == "O" and len(rec) == 8:
+        split = ObliqueSplit(
+            features=tuple(int(f) for f in rec[1]),
+            weights=tuple(float(w) for w in rec[2]),
+            threshold=float(rec[3]),
+            missing_left=bool(rec[4]),
+            gain=float(rec[7]),
+        )
+        return split, (rec[5], rec[6])
+    raise ModelFormatError(f"node record {idx} is not a leaf, axis or oblique record")
 
-    return Tree(root=build(0))
+
+def _rebuild_tree(records: list) -> Tree:
+    """The tree of one record list, in the preorder layout ``_flatten_tree`` writes.
+
+    Records are read in order, without recursion; any other layout (a
+    child that is not the next node of the walk, a record no split
+    reaches, a split cut off by the end of the list) is rejected.
+    """
+    if not isinstance(records, list) or not records:
+        raise ModelFormatError("a tree needs at least one node record")
+    root: Node | None = None
+    # Splits whose right subtree is still to come: split, position, declared start.
+    pending: list[tuple[AxisSplit | ObliqueSplit, int, object]] = []
+    slot: tuple[AxisSplit | ObliqueSplit, str] | None = None  # where record idx hangs
+    for idx, rec in enumerate(records):
+        if idx and slot is None:
+            raise ModelFormatError(f"node record {idx} is not reached from the root")
+        node, children = _node(rec, idx)
+        if slot is None:
+            root = node
+        else:
+            setattr(slot[0], slot[1], node)
+        if children is not None:
+            if children[0] != idx + 1:
+                raise ModelFormatError(f"left child of node {idx} is not node {idx + 1}")
+            pending.append((node, idx, children[1]))
+            slot = (node, "left")
+        elif pending:
+            split, at, right = pending.pop()
+            if right != idx + 1:
+                raise ModelFormatError(f"right child of node {at} is not node {idx + 1}")
+            slot = (split, "right")
+        else:
+            slot = None
+    if slot is not None:
+        raise ModelFormatError("tree records end before every split has two children")
+    return Tree(root=root)
 
 
 def _payload(model: Model) -> dict:

@@ -585,45 +585,3 @@ def _make_leaf(rows: np.ndarray, g: np.ndarray, h: np.ndarray, l2: float) -> Lea
         value=leaf_value(float(g[rows].sum()), float(h[rows].sum()), l2),
         n_samples=len(rows),
     )
-
-
-def find_best_split(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    l2: float,
-    min_examples_per_leaf: int,
-    max_bins: int = 255,
-    oblique: bool = False,
-    oblique_projections: int = 20,
-    oblique_sparsity: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> AxisSplit | ObliqueSplit | None:
-    """Best split for one node's instances, or None when no gain is positive.
-
-    This is :func:`grow_tree` at ``max_depth=1``: the root split of that
-    stump, whose two children are the stump's leaves. Requires at least
-    ``2 * min_examples_per_leaf`` instances. ``oblique=True`` also tries
-    ``oblique_projections`` (default 20) random projections drawn from
-    ``rng``, and raises ``ValueError`` without one.
-    """
-    from .model import TrainParams
-
-    X = np.asarray(X, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if len(X) < 2 * min_examples_per_leaf:
-        raise ValueError(
-            f"need at least {2 * min_examples_per_leaf} instances, got {len(X)}"
-        )
-    params = TrainParams(
-        max_depth=1,
-        min_examples_per_leaf=min_examples_per_leaf,
-        l2=l2,
-        oblique=oblique,
-        oblique_projections=oblique_projections,
-        oblique_sparsity=oblique_sparsity,
-        max_bins=max_bins,
-    )
-    tree, _ = grow_tree(bin_features(X, max_bins=max_bins), X, g, h, params, rng)
-    return None if isinstance(tree.root, Leaf) else tree.root

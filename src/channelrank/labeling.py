@@ -8,21 +8,18 @@ A scalar engagement label is a weighted sum of those counts with weights
 calibrated from corpus-level conversion statistics, then max-normalized
 per query onto [0, 4].
 
-Two parallel APIs are provided: small, object-level operations over
-``InteractionEvent`` lists (the reference semantics), and a vectorized
-path over :class:`EventFrame` column arrays used by the dataset pipeline.
-The two are cross-checked in the test suite.
+:func:`funnel_table` reduces an :class:`EventFrame` to those counts;
+:func:`weighted_counts` and :func:`max_normalize` are the one label
+formula that the dataset builder applies to them.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import ItemId, QueryId, WeekId
 
 WEEK_SECONDS = 7 * 24 * 3600
 
@@ -50,48 +47,6 @@ class CalibrationError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class InteractionEvent:
-    """One logged user action on a (query, item) within a session."""
-
-    query: QueryId
-    item: ItemId
-    session: str
-    week: WeekId
-    action: Action
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        if self.week < 0:
-            raise ValueError(f"week must be >= 0, got {self.week}")
-        lo = self.week * WEEK_SECONDS
-        if not lo <= self.timestamp < lo + WEEK_SECONDS:
-            raise ValueError(
-                f"timestamp {self.timestamp} outside week {self.week} bounds"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class FunnelCounts:
-    """Per (query, item, week) session counts by deepest action."""
-
-    query: QueryId
-    item: ItemId
-    week: WeekId
-    views: int = 0
-    clicks: int = 0
-    atcs: int = 0
-    purchases: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.views, self.clicks, self.atcs, self.purchases) < 0:
-            raise ValueError("funnel counts must be non-negative")
-
-    @property
-    def n_sessions(self) -> int:
-        return self.views + self.clicks + self.atcs + self.purchases
-
-
-@dataclass(frozen=True, slots=True)
 class CorpusStats:
     """Corpus-level funnel totals over the training weeks.
 
@@ -107,15 +62,6 @@ class CorpusStats:
     def __post_init__(self) -> None:
         if min(self.total_purchases, self.total_atcs, self.total_clicks) < 0:
             raise ValueError("corpus totals must be non-negative")
-
-    @classmethod
-    def from_funnel_counts(cls, counts: Iterable[FunnelCounts]) -> CorpusStats:
-        p = a = c = 0
-        for fc in counts:
-            p += fc.purchases
-            a += fc.atcs + fc.purchases
-            c += fc.clicks + fc.atcs + fc.purchases
-        return cls(total_purchases=p, total_atcs=a, total_clicks=c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,56 +89,6 @@ class LabelWeights:
 HEURISTIC_WEIGHTS = LabelWeights(a=4.0, b=3.0, c=2.0, d=0.0)
 
 
-def deepest_action(events: Sequence[InteractionEvent]) -> Action:
-    """Deepest funnel stage reached by one session on one (query, item)."""
-    if not events:
-        raise ValueError("deepest_action requires at least one event")
-    first = events[0]
-    for ev in events:
-        if (ev.session, ev.query, ev.item) != (first.session, first.query, first.item):
-            raise ValueError("events must share session, query, and item")
-    return Action(max(ev.action for ev in events))
-
-
-def funnel_counts(
-    events: Sequence[InteractionEvent],
-    query: QueryId | None = None,
-    item: ItemId | None = None,
-    week: WeekId | None = None,
-) -> FunnelCounts:
-    """Reduce all events for one (query, item, week) to funnel session counts.
-
-    Each distinct session increments exactly one counter, chosen by its
-    deepest action (an impression-only session counts as a view).
-    """
-    if events:
-        first = events[0]
-        query, item, week = first.query, first.item, first.week
-        for ev in events:
-            if (ev.query, ev.item, ev.week) != (query, item, week):
-                raise ValueError("events must share query, item, and week")
-    elif query is None or item is None or week is None:
-        raise ValueError("empty event list requires explicit query/item/week")
-
-    by_session: dict[str, Action] = {}
-    for ev in events:
-        prev = by_session.get(ev.session)
-        if prev is None or ev.action > prev:
-            by_session[ev.session] = ev.action
-    tally = {action: 0 for action in Action}
-    for action in by_session.values():
-        tally[action] += 1
-    return FunnelCounts(
-        query=query,
-        item=item,
-        week=week,
-        views=tally[Action.IMPRESSION],
-        clicks=tally[Action.CLICK],
-        atcs=tally[Action.ADD_TO_CART],
-        purchases=tally[Action.PURCHASE],
-    )
-
-
 def calibrate_weights(stats: CorpusStats) -> LabelWeights:
     """Corpus-calibrated weights: (1, purchases/atcs, purchases/clicks, 0).
 
@@ -211,36 +107,21 @@ def calibrate_weights(stats: CorpusStats) -> LabelWeights:
     return LabelWeights(a=1.0, b=b, c=c, d=0.0)
 
 
-def raw_label(counts: FunnelCounts, weights: LabelWeights) -> float:
-    """Weighted engagement aggregate a*P + b*A + c*C + d*V."""
-    return (
-        weights.a * counts.purchases
-        + weights.b * counts.atcs
-        + weights.c * counts.clicks
-        + weights.d * counts.views
-    )
+def weighted_counts(rows: np.ndarray, w: LabelWeights) -> np.ndarray:
+    """Per row of (views, clicks, atcs, purchases) counts: a*P + b*A + c*C + d*V."""
+    return w.a * rows[:, 3] + w.b * rows[:, 2] + w.c * rows[:, 1] + w.d * rows[:, 0]
 
 
-def normalize_labels(raw: Mapping[ItemId, float]) -> dict[ItemId, float]:
-    """Per-query max normalization onto [0, 4].
-
-    The argmax maps to exactly 4.0; an all-zero group normalizes to all
-    zeros rather than erroring (such groups carry no ranking signal but
-    must not crash dataset construction).
-    """
-    if not raw:
-        raise ValueError("normalize_labels requires a non-empty mapping")
-    for item, value in raw.items():
-        if value < 0:
-            raise ValueError(f"negative raw label {value} for item {item!r}")
-    peak = max(raw.values())
-    if peak == 0.0:
-        return {item: 0.0 for item in raw}
-    return {item: 4.0 * value / peak for item, value in raw.items()}
+def max_normalize(raw: np.ndarray) -> np.ndarray:
+    """Scale onto [0, 4] by the group's peak; all zeros when nothing engaged."""
+    peak = raw.max() if len(raw) else 0.0
+    if peak <= 0.0:
+        return np.zeros_like(raw)
+    return 4.0 * raw / peak
 
 
 # ---------------------------------------------------------------------------
-# Bulk columnar path
+# Columnar events and funnel counts
 # ---------------------------------------------------------------------------
 
 
@@ -286,23 +167,6 @@ class EventFrame:
             return self.session_vocab[code]
         return f"s{code}"
 
-    def to_events(self) -> list[InteractionEvent]:
-        """Materialize as event objects (intended for small frames)."""
-        return [
-            InteractionEvent(
-                query=self.query_vocab[q],
-                item=self.item_vocab[i],
-                session=self.session_name(s),
-                week=int(w),
-                action=Action(int(a)),
-                timestamp=float(t),
-            )
-            for q, i, s, w, a, t in zip(
-                self.query, self.item, self.session, self.week, self.action,
-                self.timestamp,
-            )
-        ]
-
 
 @dataclass(slots=True)
 class FunnelTable:
@@ -318,13 +182,6 @@ class FunnelTable:
 
     def __len__(self) -> int:
         return len(self.week)
-
-    def mask(self, keep: np.ndarray) -> FunnelTable:
-        return FunnelTable(
-            self.query[keep], self.item[keep], self.week[keep],
-            self.views[keep], self.clicks[keep], self.atcs[keep],
-            self.purchases[keep],
-        )
 
 
 def funnel_table(frame: EventFrame) -> FunnelTable:
@@ -417,7 +274,12 @@ def read_event_log(path: str) -> EventFrame:
             t, w, s, q, i, a = parts
             if a not in _ACTION_FROM_NAME:
                 raise ValueError(f"{path}:{lineno}: unknown action {a!r}")
-            timestamps.append(float(t))
+            try:
+                timestamps.append(float(t))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: timestamp {t!r} is not a number") from None
+            if not (w.isascii() and w.isdigit()):
+                raise ValueError(f"{path}:{lineno}: week {w!r} is not a non-negative integer")
             weeks.append(int(w))
             sessions.append(s)
             queries.append(q)

@@ -77,25 +77,14 @@ def ndcg_at_k(labels: np.ndarray, predicted_order: np.ndarray, k: int) -> float:
     return dcg_at_k(labels[order], k) / idcg
 
 
-def order_from_scores(scores: np.ndarray, tiebreak: np.ndarray | None = None) -> np.ndarray:
-    """Ranking induced by scores (descending); ties break by ``tiebreak`` ascending.
+def order_from_scores(scores: np.ndarray) -> np.ndarray:
+    """Ranking induced by scores (descending); ties break by item index ascending.
 
-    ``tiebreak`` defaults to the item index, which keeps evaluation
-    deterministic when the ranker emits equal scores.
+    The index tie-break keeps evaluation deterministic when the ranker
+    emits equal scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if tiebreak is None:
-        tiebreak = np.arange(len(scores))
-    return np.lexsort((np.asarray(tiebreak), -scores))
-
-
-def ndcg_from_scores(
-    labels: np.ndarray,
-    scores: np.ndarray,
-    k: int,
-    tiebreak: np.ndarray | None = None,
-) -> float:
-    return ndcg_at_k(labels, order_from_scores(scores, tiebreak), k)
+    return np.lexsort((np.arange(len(scores)), -scores))
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,21 +122,15 @@ class QueryGroups:
         sizes = np.diff(starts)
         return cls(starts=starts, codes=np.repeat(np.arange(len(sizes)), sizes), sizes=sizes)
 
-    def rank_discounts(
-        self, scores: np.ndarray, tiebreak: np.ndarray | None, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def rank_discounts(self, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows in within-group rank order, and the NDCG@k discount at each rank.
 
-        Rows rank by score descending, ties by ``tiebreak`` ascending (the
-        row index when None). The discount at 0-based rank p of a group is
-        1/log2(p + 2), and 0 from p = k on.
+        Rows rank by score descending, ties by row index ascending. The
+        discount at 0-based rank p of a group is 1/log2(p + 2), and 0 from
+        p = k on.
         """
         n = len(self.codes)
-        if tiebreak is None:
-            tiebreak = np.arange(n)
-        order = np.lexsort(
-            (np.asarray(tiebreak), -np.asarray(scores, dtype=np.float64), self.codes)
-        )
+        order = np.lexsort((np.arange(n), -np.asarray(scores, dtype=np.float64), self.codes))
         pos_in_group = np.arange(n) - self.starts[self.codes[order]]
         return order, np.where(pos_in_group < k, 1.0 / np.log2(pos_in_group + 2.0), 0.0)
 
@@ -169,7 +152,7 @@ class GroupedNdcg:
         self.k = int(k)
         self.gains = gain(labels)
         # Ranking by label with index tie-breaks gives the ideal DCG.
-        self.idcg = self._dcg(*groups.rank_discounts(labels, None, self.k))
+        self.idcg = self._dcg(*groups.rank_discounts(labels, self.k))
         self._nonzero = self.idcg > 0.0
 
     def _dcg(self, order: np.ndarray, disc: np.ndarray) -> np.ndarray:
@@ -180,23 +163,17 @@ class GroupedNdcg:
         )
 
     def mean(
-        self,
-        scores: np.ndarray,
-        tiebreak: np.ndarray | None = None,
-        ranked: tuple[np.ndarray, np.ndarray] | None = None,
+        self, scores: np.ndarray, *, ranked: tuple[np.ndarray, np.ndarray] | None = None
     ) -> float:
         """Mean NDCG@k across groups for the given scores (zero-IDCG groups score 0)."""
-        return float(np.mean(self.per_group(scores, tiebreak, ranked)))
+        return float(np.mean(self.per_group(scores, ranked=ranked)))
 
     def per_group(
-        self,
-        scores: np.ndarray,
-        tiebreak: np.ndarray | None = None,
-        ranked: tuple[np.ndarray, np.ndarray] | None = None,
+        self, scores: np.ndarray, *, ranked: tuple[np.ndarray, np.ndarray] | None = None
     ) -> np.ndarray:
-        """Per-group NDCG@k; ``ranked`` is ``groups.rank_discounts(scores, tiebreak, k)`` if known."""
+        """Per-group NDCG@k; ``ranked`` is ``groups.rank_discounts(scores, k)`` if known."""
         if ranked is None:
-            ranked = self.groups.rank_discounts(scores, tiebreak, self.k)
+            ranked = self.groups.rank_discounts(scores, self.k)
         dcg = self._dcg(*ranked)
         out = np.zeros(self.group_count)
         np.divide(dcg, self.idcg, out=out, where=self._nonzero)

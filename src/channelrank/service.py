@@ -108,8 +108,18 @@ class ItemFeatureTable:
                 parts = line.split("\t")
                 if len(parts) != len(columns) + 1:
                     raise ValueError(f"{path}:{lineno}: wrong field count")
+                if parts[0] in index:
+                    raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+                row = []
+                for name, value in zip(columns, parts[1:]):
+                    try:
+                        row.append(_finite_number(float(value)))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}: {name} {value!r} is not a finite number"
+                        ) from None
                 index[parts[0]] = len(rows)
-                rows.append([float(v) for v in parts[1:]])
+                rows.append(row)
         matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
         return cls(columns=columns, matrix=matrix, index=index)
 

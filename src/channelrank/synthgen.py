@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import ChannelId, ChannelList, QueryId
+from .dataset import ItemCatalog
 from .fusion import InterleaveWeights, weighted_interleave
 from .labeling import WEEK_SECONDS, Action, EventFrame
 
@@ -81,23 +82,13 @@ class WorldConfig:
 
 
 @dataclass(slots=True)
-class Catalog:
-    """Static item attributes plus the latent priors driving behavior."""
-
-    item_vocab: tuple[str, ...]
-    price: np.ndarray
-    category: np.ndarray
-    intro_week: np.ndarray
-    popularity: np.ndarray      # standardized log-popularity
-    conv_quality: np.ndarray    # standardized purchase propensity
-
-
-@dataclass(slots=True)
 class GroundTruth:
     """Latents persisted for oracle-style tests; never fed to features."""
 
     config: WorldConfig
-    catalog: Catalog
+    catalog: ItemCatalog
+    popularity: np.ndarray       # standardized log-popularity, per catalog item
+    conv_quality: np.ndarray     # standardized purchase propensity, per catalog item
     query_vocab: tuple[str, ...]
     channel_names: tuple[str, ...]
     universe: np.ndarray         # (Q, U) item codes
@@ -112,8 +103,8 @@ class GroundTruth:
             price=self.catalog.price,
             category=self.catalog.category,
             intro_week=self.catalog.intro_week,
-            popularity=self.catalog.popularity,
-            conv_quality=self.catalog.conv_quality,
+            popularity=self.popularity,
+            conv_quality=self.conv_quality,
             query_vocab=np.array(self.query_vocab, dtype=object),
             channel_names=np.array(self.channel_names, dtype=object),
             universe=self.universe,
@@ -125,17 +116,17 @@ class GroundTruth:
     def load(cls, path: str) -> GroundTruth:
         data = np.load(path, allow_pickle=True)
         config = WorldConfig(**json.loads(str(data["config"])))
-        catalog = Catalog(
+        catalog = ItemCatalog(
             item_vocab=tuple(data["item_vocab"]),
             price=data["price"],
             category=data["category"],
             intro_week=data["intro_week"],
-            popularity=data["popularity"],
-            conv_quality=data["conv_quality"],
         )
         return cls(
             config=config,
             catalog=catalog,
+            popularity=data["popularity"],
+            conv_quality=data["conv_quality"],
             query_vocab=tuple(data["query_vocab"]),
             channel_names=tuple(data["channel_names"]),
             universe=data["universe"],
@@ -169,7 +160,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _make_catalog(cfg: WorldConfig, rng: np.random.Generator) -> Catalog:
+def _make_catalog(
+    cfg: WorldConfig, rng: np.random.Generator
+) -> tuple[ItemCatalog, np.ndarray, np.ndarray]:
+    """The catalog, with each item's popularity and conversion-quality latents."""
     n = cfg.num_items
     price = np.round(np.exp(rng.normal(3.0, 0.6, size=n)) + 0.99, 2)
     category = rng.integers(1, cfg.n_categories + 1, size=n)
@@ -177,14 +171,7 @@ def _make_catalog(cfg: WorldConfig, rng: np.random.Generator) -> Catalog:
     popularity = _standardize(rng.normal(0.0, 1.0, size=n))
     conv_quality = _standardize(rng.normal(0.0, 1.0, size=n))
     item_vocab = tuple(f"i{idx:05d}" for idx in range(n))
-    return Catalog(
-        item_vocab=item_vocab,
-        price=price,
-        category=category,
-        intro_week=intro_week,
-        popularity=popularity,
-        conv_quality=conv_quality,
-    )
+    return ItemCatalog(item_vocab, price, category, intro_week), popularity, conv_quality
 
 
 def channel_ids(cfg: WorldConfig) -> tuple[ChannelId, ...]:
@@ -197,7 +184,7 @@ def channel_ids(cfg: WorldConfig) -> tuple[ChannelId, ...]:
 def generate(cfg: WorldConfig) -> SynthWorld:
     """Build the full synthetic world for one config + seed."""
     global_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    catalog = _make_catalog(cfg, global_rng)
+    catalog, popularity, conv_quality = _make_catalog(cfg, global_rng)
     channels = channel_ids(cfg)
     query_vocab = tuple(f"q{idx:05d}" for idx in range(cfg.num_queries))
 
@@ -231,7 +218,7 @@ def generate(cfg: WorldConfig) -> SynthWorld:
     ev_action: list[np.ndarray] = []
     ev_ts: list[np.ndarray] = []
 
-    pop_weights = np.exp(catalog.popularity)
+    pop_weights = np.exp(popularity)
     pop_weights /= pop_weights.sum()
     p_click0 = _logit(cfg.click_rate)
     p_atc0 = _logit(cfg.atc_rate)
@@ -244,7 +231,7 @@ def generate(cfg: WorldConfig) -> SynthWorld:
         )
         universe[q] = items
         affinity = rng.normal(0.0, 1.0, size=cfg.universe_size)
-        rel0 = 0.8 * affinity + 0.5 * catalog.popularity[items]
+        rel0 = 0.8 * affinity + 0.5 * popularity[items]
         weekly_noise = 0.12 * rng.normal(
             0.0, 1.0, size=(cfg.universe_size, cfg.num_weeks)
         )
@@ -262,7 +249,7 @@ def generate(cfg: WorldConfig) -> SynthWorld:
         seen = rng.random((cfg.num_channels, cfg.universe_size)) < cfg.channel_coverage
         seen[:, 0] = True  # each channel retrieves at least one item
 
-        v = catalog.conv_quality[items]
+        v = conv_quality[items]
         n_sessions_per_week = rng.poisson(session_lambda[q], size=cfg.num_weeks)
 
         for w in range(cfg.num_weeks):
@@ -351,6 +338,8 @@ def generate(cfg: WorldConfig) -> SynthWorld:
     ground_truth = GroundTruth(
         config=cfg,
         catalog=catalog,
+        popularity=popularity,
+        conv_quality=conv_quality,
         query_vocab=query_vocab,
         channel_names=tuple(c.name for c in channels),
         universe=universe,

@@ -16,7 +16,8 @@ import numpy as np
 
 from channelrank.core import CandidatePool, ItemId, WeekId
 from channelrank.features import VELOCITY_EPS, FeatureSchema, LookbackConfig
-from channelrank.labeling import Action, InteractionEvent, LabelWeights
+from channelrank.labeling import Action, LabelWeights
+from tests.label_oracle import InteractionEvent
 
 NA = np.nan
 

@@ -4,6 +4,9 @@
 bincounts over all of a ``PairIndex``'s pairs, including those whose two
 documents both rank below k and so carry exactly zero lambda.
 ``PairIndex.gradients`` skips those pairs and must match this bit for bit.
+
+``delta_ndcg`` is the swap-one-pair NDCG change of one ranked list, and
+``lambda_gradients`` is ``PairIndex`` over a single query group.
 """
 
 from __future__ import annotations
@@ -11,14 +14,57 @@ from __future__ import annotations
 import numpy as np
 
 from channelrank.gbdt.lambdas import PairIndex, _quantize, _stable_sigmoid_neg
+from channelrank.metrics import QueryGroups, gain, ideal_dcg_at_k
 
 
-def full_pair_gradients(
-    index: PairIndex, scores: np.ndarray, tiebreak: np.ndarray | None = None
+def delta_ndcg(
+    labels: np.ndarray,
+    score_order: np.ndarray,
+    i: int,
+    j: int,
+    k: int,
+) -> float:
+    """|NDCG@k after swapping ranked positions i and j - NDCG@k before|.
+
+    ``score_order`` is the permutation of document indices induced by the
+    current scores (best first); ``i`` and ``j`` are 0-based positions in
+    that ranking. Zero when both positions fall beyond the truncation
+    depth or the two documents share a label.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    order = np.asarray(score_order, dtype=np.intp)
+    n = len(labels)
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValueError(f"invalid positions ({i}, {j}) for list of length {n}")
+    idcg = ideal_dcg_at_k(labels, k)
+    if idcg == 0.0:
+        return 0.0
+    gains = gain(labels)
+    di = 1.0 / np.log2(i + 2.0) if i < k else 0.0
+    dj = 1.0 / np.log2(j + 2.0) if j < k else 0.0
+    return abs(float(gains[order[i]] - gains[order[j]]) * (di - dj)) / idcg
+
+
+def lambda_gradients(
+    labels: np.ndarray, scores: np.ndarray, k: int, sigma: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulated pairwise gradients and Hessians for one query group.
+
+    Returns ``(g, h)`` arrays; g sums to exactly zero over the group and
+    h is non-negative. Documents with equal labels form no pair.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if labels.shape != scores.shape or labels.ndim != 1 or len(labels) == 0:
+        raise ValueError("labels and scores must be equal-length 1-d arrays")
+    one_group = QueryGroups.from_ids(np.zeros(len(labels)))
+    return PairIndex(labels, one_group, k, sigma).gradients(scores)
+
+
+def full_pair_gradients(index: PairIndex, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-document (g, h) with every pair's contribution accumulated."""
     scores = np.asarray(scores, dtype=np.float64)
-    order, disc_sorted = index.groups.rank_discounts(scores, tiebreak, index.k)
+    order, disc_sorted = index.groups.rank_discounts(scores, index.k)
     disc = np.empty(index.n)
     disc[order] = disc_sorted
     delta = np.abs(index.dgain * (disc[index.win] - disc[index.lose])) * index.pair_inv_idcg

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from channelrank.core import ChannelId, ChannelList, TruncationConfig
-from channelrank.dataset import ItemCatalog, build_dataset, write_dataset
+from channelrank.dataset import build_dataset, write_dataset
 from channelrank.evaluation import (
     AblationConfig,
     ModelRanker,
@@ -23,13 +23,13 @@ from channelrank.evaluation import (
     evaluate_variant,
 )
 from channelrank.fusion import InterleaveWeights, rrf_fuse, weighted_interleave
-from channelrank.gbdt.lambdas import lambda_gradients
 from channelrank.gbdt.model import TrainParams, train
 from channelrank.gbdt.serialize import ModelFormatError, loads_model, serialize_model
-from channelrank.labeling import CorpusStats, FunnelCounts, calibrate_weights, normalize_labels, raw_label
+from channelrank.labeling import CorpusStats, calibrate_weights, max_normalize, weighted_counts
 from channelrank.metrics import MetricConfig, ndcg_at_k
 from channelrank.service import ScoreService, bench, synth_requests
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
+from tests.lambda_oracle import lambda_gradients
 
 
 @contextmanager
@@ -53,8 +53,7 @@ BENCHMARK_SEED = 2024
 
 
 def _world_to_dataset(cfg, world, split):
-    cat = world.ground_truth.catalog
-    catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+    catalog = world.ground_truth.catalog
     trunc = TruncationConfig.uniform(world.channels, cfg.per_channel_n)
     return build_dataset(
         world.events, world.channel_lists, catalog, world.channels,
@@ -191,27 +190,29 @@ def test_criterion_2_lambda_oracle():
 
 
 def test_criterion_3_label_formulas():
+    # weighted_counts and max_normalize are the label formula build_dataset
+    # applies; a count row is (views, clicks, atcs, purchases).
     with criterion(3, "label construction formulas") as info:
         w = calibrate_weights(CorpusStats(100, 400, 2000))
         assert (w.a, w.b, w.c, w.d) == (1.0, 0.25, 0.05, 0.0)
-        counts = FunnelCounts("q", "i", 0, views=5, clicks=2, atcs=0, purchases=1)
-        assert raw_label(counts, w) == pytest.approx(1.10, abs=1e-12)
-        assert normalize_labels({"A": 10.0, "B": 5.0, "C": 0.0}) == {
-            "A": 4.0, "B": 2.0, "C": 0.0,
-        }
+        counts = np.array([[5.0, 2.0, 0.0, 1.0]])
+        assert weighted_counts(counts, w)[0] == pytest.approx(1.10, abs=1e-12)
+        assert max_normalize(np.array([10.0, 5.0, 0.0])).tolist() == [4.0, 2.0, 0.0]
 
         rng = np.random.default_rng(3003)
         for _ in range(10_000):
-            fc = [
-                FunnelCounts(
-                    "q", f"i{j}", 0,
-                    views=int(rng.integers(0, 30)),
-                    clicks=int(rng.integers(0, 10)),
-                    atcs=int(rng.integers(0, 5)),
-                    purchases=int(rng.integers(0, 3)),
-                )
-                for j in range(int(rng.integers(1, 8)))
-            ]
+            rows = np.array(
+                [
+                    [
+                        int(rng.integers(0, 30)),
+                        int(rng.integers(0, 10)),
+                        int(rng.integers(0, 5)),
+                        int(rng.integers(0, 3)),
+                    ]
+                    for _ in range(int(rng.integers(1, 8)))
+                ],
+                dtype=np.float64,
+            )
             stats = CorpusStats(
                 int(rng.integers(0, 1000)),
                 int(rng.integers(1, 2000)),
@@ -219,15 +220,13 @@ def test_criterion_3_label_formulas():
             )
             weights = calibrate_weights(stats)
             assert weights.a >= weights.b >= weights.c >= weights.d >= 0.0
-            raw = {c.item: raw_label(c, weights) for c in fc}
-            normalized = normalize_labels(raw)
-            values = np.array(list(normalized.values()))
-            assert (values >= 0.0).all() and (values <= 4.0).all()
-            peak = max(raw.values())
+            raw = weighted_counts(rows, weights)
+            normalized = max_normalize(raw)
+            assert (normalized >= 0.0).all() and (normalized <= 4.0).all()
+            peak = raw.max()
             if peak > 0:
-                assert max(normalized.values()) == 4.0
-                argmax = {k for k, v in raw.items() if v == peak}
-                assert {k for k, v in normalized.items() if v == 4.0} == argmax
+                assert normalized.max() == 4.0
+                np.testing.assert_array_equal(normalized == 4.0, raw == peak)
         info["detail"] = "exact substitutions + 10000 random funnels in range"
 
 
@@ -359,8 +358,7 @@ def test_criterion_6_ablation_ladder(full_benchmark):
 def test_criterion_7_no_leakage(small_world, tmp_path):
     with criterion(7, "temporal no-leakage audit") as info:
         cfg, world, split = small_world
-        cat = world.ground_truth.catalog
-        catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+        catalog = world.ground_truth.catalog
         trunc = TruncationConfig.uniform(world.channels, cfg.per_channel_n)
         for audit_week in (3, 4):
             keys = [k for k in split.all_keys() if k[1] == audit_week]

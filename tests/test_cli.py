@@ -5,6 +5,8 @@ import pytest
 
 from channelrank.cli import main
 from channelrank.dataset import read_dataset
+from channelrank.gbdt.serialize import load_model
+from tests.test_serialize import with_trees
 
 WORLD_FLAGS = [
     "--queries", "30", "--items", "300", "--n-per-channel", "8",
@@ -103,6 +105,16 @@ class TestPipeline:
         payload = json.loads(report.read_text())
         assert payload["week"] == 4
         assert 0.0 <= payload["mean_ndcg"] <= 1.0
+
+    def test_evaluate_self_referencing_model_exits_one(
+        self, dataset_path, model_path, tmp_path, capsys
+    ):
+        bad = tmp_path / "loop.frm"
+        loop = [["A", 0, 0.25, True, 0, 2, 1.0], ["L", 0.5, 3], ["L", -0.5, 3]]
+        bad.write_bytes(with_trees(load_model(str(model_path)), [loop]))
+        rc = main(["evaluate", "--data", str(dataset_path), "--model", str(bad)])
+        assert rc == 1
+        assert "left child of node 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["train", "evaluate"])
     def test_interleaved_groups_exit_one(self, dataset_path, model_path, tmp_path, capsys, cmd):

@@ -3,7 +3,6 @@ import pytest
 
 from channelrank.core import TruncationConfig, merge_pool
 from channelrank.dataset import (
-    ItemCatalog,
     build_dataset,
     item_count_table,
     read_dataset,
@@ -12,8 +11,10 @@ from channelrank.dataset import (
     write_item_catalog,
 )
 from channelrank.features import channel_columns, item_feature_block
+from channelrank.labeling import HEURISTIC_WEIGHTS
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 from tests.feature_oracle import engagement_features, lookback_aggregates, velocity
+from tests.label_oracle import funnel_counts, normalize_labels, raw_label, to_events
 
 CFG = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -33,8 +34,7 @@ def split(world):
 
 @pytest.fixture(scope="module")
 def catalog(world):
-    cat = world.ground_truth.catalog
-    return ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+    return world.ground_truth.catalog
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,28 @@ class TestBuildDataset:
                 if seg.max() > 0:
                     assert seg.max() == 4.0
 
+    def test_labels_equal_label_oracle(self, world, dataset):
+        # Each group's labels are its items' oracle funnel counts, weighted
+        # and max-normalized over the group, for both label schemes.
+        by_key = {}
+        for e in to_events(world.events):
+            by_key.setdefault((e.query, e.item, e.week), []).append(e)
+        groups = dataset.groups
+        for g in np.random.default_rng(4).choice(groups.count, size=40, replace=False):
+            rows = slice(groups.starts[g], groups.starts[g + 1])
+            q, week = dataset.group_keys[g]
+            query = dataset.query_vocab[q]
+            counts = [
+                funnel_counts(by_key.get((query, item, week), []), query, item, week)
+                for item in (dataset.item_vocab[i] for i in dataset.item_codes[rows])
+            ]
+            for weights, labels in (
+                (dataset.conversion_weights, dataset.labels_conversion),
+                (HEURISTIC_WEIGHTS, dataset.labels_heuristic),
+            ):
+                expected = normalize_labels({c.item: raw_label(c, weights) for c in counts})
+                assert labels[rows].tolist() == list(expected.values())
+
     def test_item_columns_never_missing(self, dataset):
         item_mask = dataset.schema.group_mask("item")
         assert not np.isnan(dataset.X[:, item_mask]).any()
@@ -90,7 +112,7 @@ class TestBuildDataset:
             assert dataset.X[ridx, col["ch_hit_count"]] == len(hits)
 
     def test_agrees_with_reference_feature_ops(self, world, dataset):
-        events = world.events.to_events()
+        events = to_events(world.events)
         col = {name: i for i, name in enumerate(dataset.schema.names)}
         lookback = dataset.lookback
         rng = np.random.default_rng(1)
@@ -115,7 +137,7 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("as_of", [1, 2, 5])
     def test_item_block_agrees_with_scalar_oracle(self, world, catalog, dataset, as_of):
-        events = world.events.to_events()
+        events = to_events(world.events)
         lookback = dataset.lookback
         counts = item_count_table(world.events, catalog, CFG.num_weeks)
         rng = np.random.default_rng(as_of)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from channelrank.core import TruncationConfig
-from channelrank.dataset import ItemCatalog, build_dataset
+from channelrank.dataset import build_dataset
 from channelrank.evaluation import (
     AblationConfig,
     OracleRanker,
@@ -35,8 +35,7 @@ def split(world):
 
 @pytest.fixture(scope="module")
 def dataset(world, split):
-    cat = world.ground_truth.catalog
-    catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+    catalog = world.ground_truth.catalog
     trunc = TruncationConfig.uniform(world.channels, CFG.per_channel_n)
     return build_dataset(
         world.events, world.channel_lists, catalog, world.channels,

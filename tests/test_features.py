@@ -20,7 +20,8 @@ from tests.feature_oracle import (
     lookback_aggregates,
     velocity,
 )
-from channelrank.labeling import WEEK_SECONDS, Action, InteractionEvent, LabelWeights
+from channelrank.labeling import WEEK_SECONDS, Action, LabelWeights
+from tests.label_oracle import InteractionEvent
 
 C0 = ChannelId(0, "lexical")
 C1 = ChannelId(1, "semantic")

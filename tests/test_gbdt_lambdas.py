@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from channelrank.gbdt.lambdas import PairIndex, delta_ndcg, lambda_gradients
+from channelrank.gbdt.lambdas import PairIndex
 from channelrank.metrics import QueryGroups, ndcg_at_k
-from tests.lambda_oracle import full_pair_gradients
+from tests.lambda_oracle import delta_ndcg, full_pair_gradients, lambda_gradients
 
 
 def brute_force_delta_ndcg(labels, order, i, j, k):
@@ -203,17 +203,16 @@ class TestTruncatedPairs:
     def test_matches_every_pair_evaluated(self):
         rng = np.random.default_rng(83)
         skipped = 0
-        for case in range(60):
+        for _ in range(60):
             k = int(rng.choice([1, 2, 5, 8]))
             labels, scores, group_ids = self._groups(rng, int(rng.integers(1, 30)), 25)
             sigma = float(rng.choice([0.5, 1.0, 2.0]))
             index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=k, sigma=sigma)
-            tiebreak = rng.permutation(len(labels)) if case % 3 == 0 else None
-            g_ref, h_ref = full_pair_gradients(index, scores, tiebreak)
+            g_ref, h_ref = full_pair_gradients(index, scores)
             for n_threads in (1, 3):
-                g, h = index.gradients(scores, tiebreak, n_threads=n_threads)
+                g, h = index.gradients(scores, n_threads=n_threads)
                 assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
-            order, disc = index.groups.rank_discounts(scores, tiebreak, k)
+            order, disc = index.groups.rank_discounts(scores, k)
             below = np.empty(len(labels), dtype=bool)
             below[order] = disc == 0.0
             skipped += int(np.count_nonzero(below[index.win] & below[index.lose]))
@@ -222,7 +221,7 @@ class TestTruncatedPairs:
     def test_shared_ranking_gives_the_same_gradients(self):
         labels, scores, group_ids = self._groups(np.random.default_rng(89), 20, 15)
         index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=3)
-        ranked = index.groups.rank_discounts(scores, None, 3)
+        ranked = index.groups.rank_discounts(scores, 3)
         g, h = index.gradients(scores, ranked=ranked)
         g_ref, h_ref = full_pair_gradients(index, scores)
         assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())

@@ -92,10 +92,10 @@ class TestTrain:
         sorted_scores = []
         original = QueryGroups.rank_discounts
 
-        def spy(self, scores, tiebreak, k):
+        def spy(self, scores, k):
             if len(self.codes) == len(X) and not np.array_equal(scores, labels):
                 sorted_scores.append(np.array(scores))
-            return original(self, scores, tiebreak, k)
+            return original(self, scores, k)
 
         monkeypatch.setattr(QueryGroups, "rank_discounts", spy)
         params = TrainParams(num_trees=6, max_depth=3, min_examples_per_leaf=2)

@@ -11,12 +11,16 @@ from channelrank.gbdt.tree import (
     _best_axis_splits,
     _oblique_split,
     bin_features,
-    find_best_split,
     grow_tree,
     leaf_value,
 )
 from tests.forest_oracle import has_oblique, walk_row
-from tests.split_oracle import dense_best_axis_splits, dense_histograms, oblique_candidate
+from tests.split_oracle import (
+    dense_best_axis_splits,
+    dense_histograms,
+    find_best_split,
+    oblique_candidate,
+)
 
 
 class TestLeafValue:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,18 +12,23 @@ from channelrank.labeling import (
     CalibrationError,
     CorpusStats,
     EventFrame,
-    FunnelCounts,
-    InteractionEvent,
     LabelWeights,
     calibrate_weights,
     corpus_stats,
+    funnel_table,
+    max_normalize,
+    read_event_log,
+    weighted_counts,
+    write_event_log,
+)
+from tests.label_oracle import (
+    FunnelCounts,
+    InteractionEvent,
     deepest_action,
     funnel_counts,
-    funnel_table,
     normalize_labels,
     raw_label,
-    read_event_log,
-    write_event_log,
+    to_events,
 )
 
 
@@ -205,7 +212,8 @@ def _frame_from_events(events):
 
 
 class TestBulkFunnelTable:
-    def _random_events(self, seed, n=400):
+    @staticmethod
+    def _random_events(seed, n=400):
         rng = np.random.default_rng(seed)
         events = []
         for _ in range(n):
@@ -268,6 +276,39 @@ class TestBulkFunnelTable:
         assert stats.total_clicks == 3
 
 
+class TestLabelFormula:
+    """``funnel_table`` + ``weighted_counts`` + ``max_normalize`` equal the oracle."""
+
+    @pytest.mark.parametrize("seed", [31, 37, 41])
+    def test_columnar_labels_equal_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        events = TestBulkFunnelTable._random_events(seed, n=int(rng.integers(50, 400)))
+        frame = _frame_from_events(events)
+        table = funnel_table(frame)
+        by_group = {}
+        for e in events:
+            by_group.setdefault((e.query, e.item, e.week), []).append(e)
+        n_weeks = int(frame.week.max()) + 1
+        rows = np.zeros((len(frame.query_vocab), n_weeks, len(frame.item_vocab), 4))
+        rows[table.query, table.week, table.item] = np.column_stack(
+            [table.views, table.clicks, table.atcs, table.purchases]
+        )
+        calibrated = calibrate_weights(corpus_stats(table, train_weeks=[0, 1]))
+        for weights in (calibrated, HEURISTIC_WEIGHTS, LabelWeights(1.0, 0.3, 0.3, 0.01)):
+            for q, query in enumerate(frame.query_vocab):
+                for week in range(n_weeks):
+                    got = max_normalize(weighted_counts(rows[q, week], weights))
+                    raw = {
+                        item: raw_label(
+                            funnel_counts(by_group.get((query, item, week), []),
+                                          query=query, item=item, week=week),
+                            weights,
+                        )
+                        for item in frame.item_vocab
+                    }
+                    assert got.tolist() == list(normalize_labels(raw).values())
+
+
 class TestEventLogFile:
     def test_round_trip(self, tmp_path):
         events = [
@@ -279,7 +320,7 @@ class TestEventLogFile:
         path = tmp_path / "events.tsv"
         write_event_log(str(path), frame)
         loaded = read_event_log(str(path))
-        assert sorted(loaded.to_events(), key=lambda e: (e.session, e.timestamp)) == sorted(
+        assert sorted(to_events(loaded), key=lambda e: (e.session, e.timestamp)) == sorted(
             events, key=lambda e: (e.session, e.timestamp)
         )
 
@@ -287,6 +328,31 @@ class TestEventLogFile:
         path = tmp_path / "events.tsv"
         path.write_text("0.0\t0\ts1\tq\ti\tview\n")
         with pytest.raises(ValueError, match="unknown action"):
+            read_event_log(str(path))
+
+    def test_negative_week_rejected_with_line(self, tmp_path):
+        # Read as-is, the week -1 click on i1 would enter funnel_table as a
+        # click on i0 in week 1: the group key's week wraps into the item.
+        path = tmp_path / "events.tsv"
+        path.write_text(
+            f"10.0\t0\ts1\tq\ti0\timpression\n"
+            f"{WEEK_SECONDS + 10.0}\t1\ts2\tq\ti0\timpression\n"
+            f"{-WEEK_SECONDS + 10.0}\t-1\ts3\tq\ti1\tclick\n"
+        )
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: week '-1'")):
+            read_event_log(str(path))
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [("0.0\t1.5\ts1\tq\ti\tclick", "week '1.5'"),
+         ("0.0\t\ts1\tq\ti\tclick", "week ''"),
+         ("later\t0\ts1\tq\ti\tclick", "timestamp 'later'")],
+        ids=["fractional-week", "empty-week", "word-timestamp"],
+    )
+    def test_bad_number_field_names_line(self, tmp_path, line, field):
+        path = tmp_path / "events.tsv"
+        path.write_text("10.0\t0\ts1\tq\ti\timpression\n" + line + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {field}")):
             read_event_log(str(path))
 
 

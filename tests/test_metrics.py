@@ -10,9 +10,13 @@ from channelrank.metrics import (
     ideal_dcg_at_k,
     ndcg_at_k,
     QueryGroups,
-    ndcg_from_scores,
     order_from_scores,
 )
+
+
+def ndcg_from_scores(labels, scores, k):
+    """NDCG@k of the ranking the scores induce, ties broken by item index."""
+    return ndcg_at_k(labels, order_from_scores(scores), k)
 
 
 def brute_force_ndcg(labels, order, k):
@@ -85,10 +89,9 @@ class TestNdcg:
 
 
 class TestOrderFromScores:
-    def test_ties_break_by_tiebreak_ascending(self):
-        scores = np.array([1.0, 1.0, 2.0])
-        order = order_from_scores(scores, tiebreak=np.array([5, 2, 9]))
-        assert list(order) == [2, 1, 0]
+    def test_ties_break_by_index_ascending(self):
+        scores = np.array([1.0, 2.0, 1.0, 2.0])
+        assert list(order_from_scores(scores)) == [1, 3, 0, 2]
 
 
 class TestQueryGroups:
@@ -120,12 +123,12 @@ class TestQueryGroups:
 
     def test_rank_discounts_per_group(self):
         groups = QueryGroups.from_ids(np.array([0, 0, 0, 1, 1]))
-        order, disc = groups.rank_discounts(np.array([1.0, 1.0, 0.0, 2.0, 3.0]), None, 2)
+        order, disc = groups.rank_discounts(np.array([1.0, 1.0, 0.0, 2.0, 3.0]), 2)
         np.testing.assert_array_equal(order, [0, 1, 2, 4, 3])
         second = 1.0 / math.log2(3.0)
         np.testing.assert_array_equal(disc, [1.0, second, 0.0, 1.0, second])
-        order, _ = groups.rank_discounts(np.zeros(5), np.array([2, 1, 0, 1, 0]), 2)
-        np.testing.assert_array_equal(order, [2, 1, 0, 4, 3])
+        order, _ = groups.rank_discounts(np.zeros(5), 2)
+        np.testing.assert_array_equal(order, [0, 1, 2, 3, 4])
 
 
 class TestGroupedNdcg:

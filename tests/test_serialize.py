@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -104,3 +105,55 @@ class TestCorruption:
     def test_non_json_rejected(self):
         with pytest.raises(ModelFormatError):
             loads_model(b"\x00\x01\x02binary-garbage")
+
+
+def with_trees(model, trees):
+    """A checksum-valid .frm of ``model`` with its tree records replaced."""
+    doc = json.loads(serialize_model(model))
+    doc["model"]["trees"] = trees
+    canonical = json.dumps(doc["model"], sort_keys=True, separators=(",", ":"))
+    doc["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+LEAF = ["L", 0.5, 3]
+
+
+def axis(left, right):
+    return ["A", 0, 0.25, True, left, right, 1.0]
+
+
+class TestMalformedTrees:
+    """Checksum-valid files whose node records are not the preorder layout."""
+
+    def test_self_reference_rejected(self, trained):
+        with pytest.raises(ModelFormatError, match="left child of node 0"):
+            loads_model(with_trees(trained, [[axis(0, 2), LEAF, LEAF]]))
+
+    def test_negative_child_rejected(self, trained):
+        with pytest.raises(ModelFormatError, match="right child of node 0"):
+            loads_model(with_trees(trained, [[axis(1, -1), LEAF, LEAF]]))
+
+    def test_shared_child_rejected(self, trained):
+        with pytest.raises(ModelFormatError, match="right child of node 0"):
+            loads_model(with_trees(trained, [[axis(1, 1), LEAF]]))
+
+    def test_unreached_record_rejected(self, trained):
+        with pytest.raises(ModelFormatError, match="node record 3 is not reached"):
+            loads_model(with_trees(trained, [[axis(1, 2), LEAF, LEAF, LEAF]]))
+
+    @pytest.mark.parametrize(
+        "records",
+        [[], [axis(1, 2), LEAF], [["A", 0, 0.25]], [["X", 1]], [7]],
+        ids=["empty", "missing-right", "short-record", "unknown-tag", "not-a-list"],
+    )
+    def test_incomplete_tree_rejected(self, trained, records):
+        with pytest.raises(ModelFormatError):
+            loads_model(with_trees(trained, [records]))
+
+    def test_deep_chain_loads_without_recursion(self, trained):
+        # A split chain deeper than the interpreter's recursion limit.
+        depth = 5000
+        records = [rec for d in range(depth) for rec in (axis(2 * d + 1, 2 * d + 2), LEAF)]
+        model = loads_model(with_trees(trained, [records + [LEAF]]))
+        assert model.trees[0].n_nodes() == 2 * depth + 1

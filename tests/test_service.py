@@ -1,6 +1,7 @@
 import http.client
 import json
 import logging
+import re
 import threading
 import time
 import urllib.error
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from channelrank.core import TruncationConfig, truncate
-from channelrank.dataset import ItemCatalog, build_dataset, item_count_table
+from channelrank.dataset import build_dataset, item_count_table
 from channelrank.features import item_feature_block
 from channelrank.gbdt.model import Model, TrainParams, train
 from channelrank.gbdt.serialize import load_model, save_model
@@ -38,8 +39,7 @@ CFG = WorldConfig(
 def trained_world():
     world = generate(CFG)
     split = filter_and_split(world.events, CFG.num_weeks)
-    cat = world.ground_truth.catalog
-    catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+    catalog = world.ground_truth.catalog
     trunc = TruncationConfig.uniform(world.channels, CFG.per_channel_n)
     data = build_dataset(
         world.events, world.channel_lists, catalog, world.channels,
@@ -253,6 +253,26 @@ class TestScoreService:
         assert len(set(results)) == 1
 
 
+class TestItemFeatureFile:
+    HEADER = "item_id\titem_price\titem_category\n"
+
+    def load(self, tmp_path, body):
+        path = tmp_path / "items.tsv"
+        path.write_text(self.HEADER + body)
+        return str(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc", ""])
+    def test_bad_cell_rejected_with_line(self, tmp_path, cell):
+        path = self.load(tmp_path, f"A\t1.0\t2\nB\t3.0\t{cell}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: item_category {cell!r}")):
+            ItemFeatureTable.from_file(path)
+
+    def test_duplicate_item_rejected_with_line(self, tmp_path):
+        path = self.load(tmp_path, "A\t1.0\t2\nB\t3.0\t4\nA\t5.0\t6\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: duplicate item id 'A'")):
+            ItemFeatureTable.from_file(path)
+
+
 class TestTrainServeParity:
     """Serving rebuilds the training row: same features, same score, bit for bit."""
 
@@ -260,8 +280,7 @@ class TestTrainServeParity:
         world, data, model = trained_world
         split = filter_and_split(world.events, CFG.num_weeks)
         week = split.test_week
-        cat = world.ground_truth.catalog
-        catalog = ItemCatalog(cat.item_vocab, cat.price, cat.category, cat.intro_week)
+        catalog = world.ground_truth.catalog
         sidecar_rows = item_feature_block(
             data.schema, data.lookback,
             item_count_table(world.events, catalog, CFG.num_weeks),

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from channelrank.dataset import ItemCatalog
 from channelrank.labeling import Action, write_event_log
 from channelrank.synthgen import (
     GroundTruth,
@@ -124,6 +125,12 @@ class TestGenerate:
         assert loaded.config == SMALL
         np.testing.assert_array_equal(loaded.universe, world.ground_truth.universe)
         np.testing.assert_array_equal(loaded.relevance, world.ground_truth.relevance)
+        for gt in (world.ground_truth, loaded):
+            assert isinstance(gt.catalog, ItemCatalog)
+            assert gt.catalog.item_vocab == world.events.item_vocab
+        np.testing.assert_array_equal(loaded.catalog.price, world.ground_truth.catalog.price)
+        np.testing.assert_array_equal(loaded.popularity, world.ground_truth.popularity)
+        np.testing.assert_array_equal(loaded.conv_quality, world.ground_truth.conv_quality)
 
     def test_write_world_emits_all_files(self, world, tmp_path):
         paths = write_world(world, str(tmp_path / "world"))
