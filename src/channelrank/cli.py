@@ -80,9 +80,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_world_dir(
-    events_path: str, lists_dir: str, catalog_path: str, num_channels_hint: int | None = None
-):
+def _load_world_dir(events_path: str, lists_dir: str, catalog_path: str):
     events = read_event_log(events_path)
     catalog = ds.read_item_catalog(catalog_path)
     weeks = sorted(
@@ -153,9 +151,9 @@ def _train_params(args: argparse.Namespace) -> TrainParams:
     )
 
 
-def _add_train_flags(p: argparse.ArgumentParser, trees=300, depth=6) -> None:
-    p.add_argument("--trees", type=int, default=trees)
-    p.add_argument("--depth", type=int, default=depth)
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trees", type=int, default=300)
+    p.add_argument("--depth", type=int, default=6)
     p.add_argument("--shrinkage", type=float, default=0.1)
     p.add_argument("--min-leaf", type=int, default=5)
     p.add_argument("--l2", type=float, default=1.0)

@@ -212,8 +212,10 @@ def read_channel_lists(
             query, channel_name, item, score_text = parts
             try:
                 score = float(score_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad score {score_text!r}") from exc
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {score_text!r} is not a finite number")
             names_seen.add(channel_name)
             raw.setdefault((query, channel_name), []).append((item, score))
 

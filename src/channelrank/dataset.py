@@ -12,6 +12,7 @@ tie-breaking.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -68,7 +69,14 @@ def write_item_catalog(path: str, catalog: ItemCatalog) -> None:
 
 
 def read_item_catalog(path: str) -> ItemCatalog:
+    """Load a catalog written by :func:`write_item_catalog`.
+
+    A wrong field count, a price that is not a finite number, a category
+    or intro week that is not an integer and a repeated item id are
+    rejected with ``path:line``.
+    """
     items: list[str] = []
+    seen: set[str] = set()
     price: list[float] = []
     category: list[int] = []
     intro: list[int] = []
@@ -80,10 +88,26 @@ def read_item_catalog(path: str) -> ItemCatalog:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            items.append(parts[0])
-            price.append(float(parts[1]))
-            category.append(int(parts[2]))
-            intro.append(int(parts[3]))
+            item, price_text, category_text, intro_text = parts
+            if item in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate item id {item!r}")
+            seen.add(item)
+            items.append(item)
+            try:
+                value = float(price_text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: price {price_text!r} is not a finite number")
+            price.append(value)
+            for name, text, column in (
+                ("category", category_text, category),
+                ("intro_week", intro_text, intro),
+            ):
+                try:
+                    column.append(int(text))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
     return ItemCatalog(
         item_vocab=tuple(items),
         price=np.array(price),
@@ -126,12 +150,6 @@ class Dataset:
         wanted = set(keys)
         group_in = np.array([key in wanted for key in self.group_keys])
         return group_in[self.group_ids]
-
-    def feature_view(self, drop_engagement: bool) -> tuple[np.ndarray, FeatureSchema]:
-        if not drop_engagement:
-            return self.X, self.schema
-        keep = ~self.schema.group_mask("engagement")
-        return self.X[:, keep], self.schema.drop_group("engagement")
 
     def labels(self, scheme: str) -> np.ndarray:
         if scheme == "conversion":
@@ -380,6 +398,12 @@ class LoadedDataset:
 
 
 def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
+    """Load an instance table written by :func:`write_dataset` with its labels.
+
+    A wrong field count, a week that is not a non-negative integer, a
+    cell that is not a number and a non-finite label or feature cell
+    other than ``NA`` are rejected with ``path:line``.
+    """
     sidecar = schema_path or path + ".schema.json"
     with open(sidecar, encoding="utf-8") as fh:
         schema = FeatureSchema.from_json(fh.read())
@@ -388,6 +412,8 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
     weeks: list[int] = []
     labels: list[float] = []
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
+    na_counts: list[int] = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         expected = ["query_id", "item_id", "week", "label", *schema.names]
@@ -401,18 +427,35 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
             parts = line.split(",")
             if len(parts) != 4 + n_cols:
                 raise ValueError(f"{path}:{lineno}: wrong field count")
+            week = parts[2]
+            if not (week.isascii() and week.isdigit()):
+                raise ValueError(f"{path}:{lineno}: week {week!r} is not a non-negative integer")
+            cells = parts[4:]
+            try:
+                labels.append(float(parts[3]))
+                rows.append(
+                    np.array([np.nan if v == "NA" else float(v) for v in cells], dtype=np.float64)
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             query_ids.append(parts[0])
             item_ids.append(parts[1])
-            weeks.append(int(parts[2]))
-            labels.append(float(parts[3]))
-            rows.append(
-                np.array(
-                    [np.nan if v == "NA" else float(v) for v in parts[4:]],
-                    dtype=np.float64,
-                )
-            )
+            weeks.append(int(week))
+            linenos.append(lineno)
+            na_counts.append(cells.count("NA"))
     if not rows:
         raise ValueError(f"{path}: no instances")
+    X = np.vstack(rows)
+    label_arr = np.array(labels)
+    # NA is the only way to write a missing cell, so a row holds exactly
+    # as many NaN cells as NA fields.
+    bad = ~np.isfinite(label_arr) | np.isinf(X).any(axis=1)
+    bad |= np.isnan(X).sum(axis=1) != na_counts
+    if bad.any():
+        raise ValueError(
+            f"{path}:{linenos[int(np.argmax(bad))]}: non-finite label or feature cell "
+            "(a missing cell is written NA)"
+        )
     # Each row's id is its (query_id, week) tuple, so an error names the key.
     keys = np.fromiter(zip(query_ids, weeks), dtype=object, count=len(weeks))
     try:
@@ -421,8 +464,8 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
         raise ValueError(f"{path}: (query_id, week) {exc}") from None
     return LoadedDataset(
         schema=schema,
-        X=np.vstack(rows),
-        labels=np.array(labels),
+        X=X,
+        labels=label_arr,
         query_ids=query_ids,
         item_ids=item_ids,
         weeks=np.array(weeks, dtype=np.int64),

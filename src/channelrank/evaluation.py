@@ -154,15 +154,6 @@ class RRFRanker(Ranker):
         return [np.array([pos[item] for item in fused.items], dtype=np.intp)]
 
 
-class OracleRanker(Ranker):
-    """Sorts by the true labels; the attainable upper bound."""
-
-    name = "oracle"
-
-    def orders(self, group: EvalGroup) -> list[np.ndarray]:
-        return [order_from_scores(group.labels)]
-
-
 @dataclass(slots=True)
 class VariantResult:
     name: str

@@ -372,12 +372,9 @@ def _oblique_split(
         np.column_stack([node_X[:, feats] @ w for feats, w in projections]),
         max_bins=params.max_bins,
     )
-    [(hist_g, hist_h, hist_c)] = _batch_histograms(
-        binned, g[rows], h[rows], [np.arange(len(rows))]
-    )
     best = _best_axis_splits(
-        hist_g[None], hist_h[None], hist_c[None], binned.plan,
-        params.l2, params.min_examples_per_leaf,
+        *_batch_histograms(binned, g[rows], h[rows], [np.arange(len(rows))]),
+        binned.plan, params.l2, params.min_examples_per_leaf,
     )
     gain = best.gain[0]
     if not (np.isfinite(gain) and gain > 0.0):
@@ -395,25 +392,20 @@ def _oblique_split(
     return split, binned.codes[:, p], b
 
 
-@dataclass(slots=True)
-class _NodeRec:
-    depth: int
-    rows: np.ndarray
-    split: AxisSplit | ObliqueSplit | None = None
-    left: int = -1
-    right: int = -1
-    leaf: Leaf | None = None
-
-
 def _batch_histograms(
     binned: Binned,
     g: np.ndarray,
     h: np.ndarray,
     node_rows: list[np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-node packed (hist_g, hist_h, hist_c), one bincount pass each."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed (hist_g, hist_h, hist_c), each (len(node_rows), ``plan.size``).
+
+    Row i is the histogram of ``node_rows[i]``; each statistic takes one
+    bincount pass over all rows.
+    """
     n_features = binned.n_features
     size = binned.plan.size
+    shape = (len(node_rows), size)
     slot_rows = np.concatenate(node_rows)
     keys = binned.keys[slot_rows]
     if len(node_rows) > 1:
@@ -425,14 +417,12 @@ def _batch_histograms(
     minlength = len(node_rows) * size
     hist_g = np.bincount(
         keys, weights=np.repeat(g[slot_rows], n_features), minlength=minlength
-    ).reshape(len(node_rows), size)
+    ).reshape(shape)
     hist_h = np.bincount(
         keys, weights=np.repeat(h[slot_rows], n_features), minlength=minlength
-    ).reshape(len(node_rows), size)
-    hist_c = np.bincount(keys, minlength=minlength).reshape(
-        len(node_rows), size
-    ).astype(np.float64)
-    return [(hist_g[i], hist_h[i], hist_c[i]) for i in range(len(node_rows))]
+    ).reshape(shape)
+    hist_c = np.bincount(keys, minlength=minlength).reshape(shape).astype(np.float64)
+    return hist_g, hist_h, hist_c
 
 
 def grow_tree(
@@ -445,143 +435,97 @@ def grow_tree(
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree; returns it plus each training row's leaf value.
 
-    Nodes are processed level by level. Each level histograms only the
-    smaller child of every split and derives the larger sibling by
-    subtracting from the parent histogram; gradient quantization keeps
-    the derived histograms exact. Oblique splits draw their projections
-    from ``rng``, which they require.
+    Nodes are split one level at a time. A level's searching nodes are
+    kept as (rows, parent, side), and row i of the level's histogram
+    arrays is node i's. Each split histograms only its smaller child;
+    the larger sibling's row is the parent's row minus it, which gradient
+    quantization keeps exact. Each leaf and split is attached to its
+    parent when it is made. Oblique splits draw their projections from
+    ``rng``, which they require, node by node in level order.
     """
     if params.oblique and rng is None:
         raise ValueError("oblique splits need an rng")
-    n = len(g)
-    row_values = np.zeros(n, dtype=np.float64)
-    table: list[_NodeRec] = [_NodeRec(depth=0, rows=np.arange(n))]
-    level = [0]
-    hists: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    # (parent, left, right) pairs whose child histograms are still owed.
-    pending: list[tuple[int, int, int]] = []
+    min_leaf = params.min_examples_per_leaf
+    row_values = np.zeros(len(g), dtype=np.float64)
+    no_rows = np.empty(0, dtype=np.int64)
+    # The placeholder root is replaced by the root node when it is made.
+    tree = Tree(root=Leaf(0.0))
 
-    def is_searching(nid: int) -> bool:
-        rec = table[nid]
-        return (
-            rec.depth < params.max_depth
-            and len(rec.rows) >= 2 * params.min_examples_per_leaf
+    def attach_leaf(rows: np.ndarray, parent: Tree | AxisSplit | ObliqueSplit, side: str) -> None:
+        leaf = Leaf(
+            value=leaf_value(float(g[rows].sum()), float(h[rows].sum()), params.l2),
+            n_samples=len(rows),
         )
+        row_values[rows] = leaf.value
+        setattr(parent, side, leaf)
 
+    root = np.arange(len(g))
+    level = []
+    if params.max_depth > 0 and len(root) >= 2 * min_leaf:
+        level = [(root, tree, "root")]
+        hists = _batch_histograms(binned, g, h, [root])
+    else:
+        attach_leaf(root, tree, "root")
+    depth = 0
     while level:
-        searching = [nid for nid in level if is_searching(nid)]
-        searching_set = set(searching)
-        for nid in level:
-            if nid not in searching_set:
-                rec = table[nid]
-                rec.leaf = _make_leaf(rec.rows, g, h, params.l2)
-                row_values[rec.rows] = rec.leaf.value
-
-        # Fill in missing histograms: direct for the root, small-child
-        # plus sibling subtraction below it.
-        if searching:
-            if not pending:
-                for nid, hist in zip(
-                    searching, _batch_histograms(binned, g, h, [table[n_].rows for n_ in searching])
-                ):
-                    hists[nid] = hist
-            else:
-                to_compute: list[int] = []
-                derive: list[tuple[int, int, int]] = []
-                for parent, left, right in pending:
-                    l_need = is_searching(left)
-                    r_need = is_searching(right)
-                    if not (l_need or r_need):
-                        hists.pop(parent, None)
-                        continue
-                    if len(table[left].rows) <= len(table[right].rows):
-                        small, large = left, right
-                    else:
-                        small, large = right, left
-                    to_compute.append(small)
-                    derive.append((parent, small, large))
-                if to_compute:
-                    for nid, hist in zip(
-                        to_compute,
-                        _batch_histograms(binned, g, h, [table[n_].rows for n_ in to_compute]),
-                    ):
-                        hists[nid] = hist
-                for parent, small, large in derive:
-                    pg, ph, pc = hists.pop(parent)
-                    sg, sh, sc = hists[small]
-                    if is_searching(large):
-                        hists[large] = (pg - sg, ph - sh, pc - sc)
-                    if not is_searching(small):
-                        hists.pop(small, None)
-        pending = []
-
-        next_level: list[int] = []
-        if searching:
-            hist_g = np.stack([hists[nid][0] for nid in searching])
-            hist_h = np.stack([hists[nid][1] for nid in searching])
-            hist_c = np.stack([hists[nid][2] for nid in searching])
-            axis_best = _best_axis_splits(
-                hist_g, hist_h, hist_c, binned.plan, params.l2,
-                params.min_examples_per_leaf,
-            )
-            for slot, nid in enumerate(searching):
-                rec = table[nid]
-                split: AxisSplit | ObliqueSplit | None = None
-                best_gain = axis_best.gain[slot]
-                if np.isfinite(best_gain) and best_gain > 0.0:
-                    f = int(axis_best.feature[slot])
-                    b = int(axis_best.bin_idx[slot])
-                    split = AxisSplit(
-                        feature=f,
-                        threshold=float(binned.thresholds[f][b]),
-                        missing_left=bool(axis_best.missing_left[slot]),
-                        gain=float(best_gain),
-                    )
-                    codes = binned.codes[rec.rows, f]
-                if params.oblique:
-                    oblique = _oblique_split(X, rec.rows, g, h, params, rng)
-                    if oblique is not None and oblique[0].gain > (
-                        split.gain if split is not None else 0.0
-                    ):
-                        split, codes, b = oblique
-                if split is None:
-                    rec.leaf = _make_leaf(rec.rows, g, h, params.l2)
-                    row_values[rec.rows] = rec.leaf.value
-                    hists.pop(nid, None)
-                    continue
-                # Every bin's code range maps to one side of its threshold,
-                # the missing bin to the learned side.
-                go_left = np.where(
-                    codes == binned.missing_code, split.missing_left, codes <= b
+        depth += 1
+        best = _best_axis_splits(*hists, binned.plan, params.l2, min_leaf)
+        next_level = []
+        # Rows histogrammed into each next-level slot, and the slots that
+        # become (parent slot's row) - (smaller sibling's slot's row).
+        slot_rows: list[np.ndarray] = []
+        derived: list[tuple[int, int, int]] = []  # (slot, small slot, parent slot)
+        for s, (rows, parent, side) in enumerate(level):
+            split: AxisSplit | ObliqueSplit | None = None
+            if np.isfinite(best.gain[s]) and best.gain[s] > 0.0:
+                f = int(best.feature[s])
+                b = int(best.bin_idx[s])
+                split = AxisSplit(
+                    feature=f,
+                    threshold=float(binned.thresholds[f][b]),
+                    missing_left=bool(best.missing_left[s]),
+                    gain=float(best.gain[s]),
                 )
-                rec.split = split
-                left_rows = rec.rows[go_left]
-                right_rows = rec.rows[~go_left]
-                rec.left = len(table)
-                table.append(_NodeRec(depth=rec.depth + 1, rows=left_rows))
-                rec.right = len(table)
-                table.append(_NodeRec(depth=rec.depth + 1, rows=right_rows))
-                next_level.extend((rec.left, rec.right))
-                pending.append((nid, rec.left, rec.right))
+                codes = binned.codes[rows, f]
+            if params.oblique:
+                oblique = _oblique_split(X, rows, g, h, params, rng)
+                if oblique is not None and oblique[0].gain > (
+                    split.gain if split is not None else 0.0
+                ):
+                    split, codes, b = oblique
+            if split is None:
+                attach_leaf(rows, parent, side)
+                continue
+            setattr(parent, side, split)
+            # Every bin's code range maps to one side of its threshold,
+            # the missing bin to the learned side.
+            go_left = np.where(codes == binned.missing_code, split.missing_left, codes <= b)
+            left, right = rows[go_left], rows[~go_left]
+            searching = []
+            for child, child_side in ((left, "left"), (right, "right")):
+                if depth < params.max_depth and len(child) >= 2 * min_leaf:
+                    searching.append((child, split, child_side))
+                else:
+                    attach_leaf(child, split, child_side)
+            small_is_left = len(left) <= len(right)
+            small = left if small_is_left else right
+            slot = len(next_level)
+            next_level += searching
+            if len(searching) == 2:
+                slot_rows += [small, no_rows] if small_is_left else [no_rows, small]
+                derived.append((slot + small_is_left, slot + (not small_is_left), s))
+            elif searching:
+                # The one slot holds the smaller child's histogram, and
+                # becomes the larger sibling's when that is the one searching.
+                slot_rows.append(small)
+                if searching[0][0] is not small:
+                    derived.append((slot, slot, s))
+        if next_level:
+            new_hists = _batch_histograms(binned, g, h, slot_rows)
+            if derived:
+                dst, src, par = np.array(derived).T
+                for new, old in zip(new_hists, hists):
+                    new[dst] = old[par] - new[src]
+            hists = new_hists
         level = next_level
-
-    hists.clear()
-
-    def build(nid: int) -> Node:
-        rec = table[nid]
-        if rec.leaf is not None:
-            return rec.leaf
-        node = rec.split
-        assert node is not None
-        node.left = build(rec.left)
-        node.right = build(rec.right)
-        return node
-
-    return Tree(root=build(0)), row_values
-
-
-def _make_leaf(rows: np.ndarray, g: np.ndarray, h: np.ndarray, l2: float) -> Leaf:
-    return Leaf(
-        value=leaf_value(float(g[rows].sum()), float(h[rows].sum()), l2),
-        n_samples=len(rows),
-    )
+    return tree, row_values

@@ -80,10 +80,6 @@ class LabelWeights:
                 f"({self.a}, {self.b}, {self.c}, {self.d})"
             )
 
-    def as_array(self) -> np.ndarray:
-        # Indexed by Action value: view weight first.
-        return np.array([self.d, self.c, self.b, self.a], dtype=np.float64)
-
 
 #: Fixed graded-relevance weights for the heuristic-label model variant.
 HEURISTIC_WEIGHTS = LabelWeights(a=4.0, b=3.0, c=2.0, d=0.0)
@@ -146,21 +142,6 @@ class EventFrame:
 
     def __len__(self) -> int:
         return len(self.week)
-
-    def restrict_weeks(self, max_week_exclusive: int) -> EventFrame:
-        """Drop all events at or after the given week."""
-        mask = self.week < max_week_exclusive
-        return EventFrame(
-            week=self.week[mask],
-            session=self.session[mask],
-            query=self.query[mask],
-            item=self.item[mask],
-            action=self.action[mask],
-            timestamp=self.timestamp[mask],
-            query_vocab=self.query_vocab,
-            item_vocab=self.item_vocab,
-            session_vocab=self.session_vocab,
-        )
 
     def session_name(self, code: int) -> str:
         if self.session_vocab is not None:

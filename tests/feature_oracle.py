@@ -102,7 +102,8 @@ def engagement_features(
         prev = by_session.get(key)
         if prev is None or ev.action > prev:
             by_session[key] = ev.action
-    w_arr = weights.as_array()
+    # Indexed by Action value: view weight first.
+    w_arr = (weights.d, weights.c, weights.b, weights.a)
     out = {window: 0.0 for window in cfg.windows}
     for (_, week), action in by_session.items():
         age = as_of - week

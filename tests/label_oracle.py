@@ -5,7 +5,8 @@ list to session counts by deepest action, one session at a time;
 ``raw_label`` and ``normalize_labels`` apply the label formula to those
 counts one item at a time. ``funnel_table`` with ``weighted_counts`` and
 ``max_normalize`` must give the same labels, exactly. ``to_events``
-turns an ``EventFrame`` back into event objects.
+turns an ``EventFrame`` back into event objects, and ``restrict_weeks``
+drops a frame's events from a given week on.
 """
 
 from __future__ import annotations
@@ -153,3 +154,19 @@ def to_events(frame: EventFrame) -> list[InteractionEvent]:
             frame.timestamp,
         )
     ]
+
+
+def restrict_weeks(frame: EventFrame, max_week_exclusive: int) -> EventFrame:
+    """The frame without its events at or after the given week."""
+    mask = frame.week < max_week_exclusive
+    return EventFrame(
+        week=frame.week[mask],
+        session=frame.session[mask],
+        query=frame.query[mask],
+        item=frame.item[mask],
+        action=frame.action[mask],
+        timestamp=frame.timestamp[mask],
+        query_vocab=frame.query_vocab,
+        item_vocab=frame.item_vocab,
+        session_vocab=frame.session_vocab,
+    )

@@ -15,10 +15,19 @@ a lower threshold of the same projection gain the same, this loop keeps
 the missing-left one and the scan the lower threshold, as it does for
 axis splits.
 
+``table_grow_tree`` grows a tree the way ``grow_tree`` did before it kept
+each level's histograms in arrays: a table of node records, a histogram
+per node in a dict, lists of the histograms still owed, and a recursive
+pass that links the table into a tree. Its histograms and scans are the
+dense ones above. ``grow_tree`` must return the same tree and row values,
+byte for byte.
+
 ``find_best_split`` is ``grow_tree`` at ``max_depth=1`` on one node's rows.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +37,14 @@ from channelrank.gbdt.tree import (
     AxisSplit,
     Binned,
     Leaf,
+    Node,
     ObliqueSplit,
+    Tree,
     _AxisBest,
+    _oblique_split,
     bin_features,
     grow_tree,
+    leaf_value,
 )
 
 
@@ -117,8 +130,8 @@ def dense_histograms(
     g: np.ndarray,
     h: np.ndarray,
     node_rows: list[np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-node (hist_g, hist_h, hist_c) of shape (F, stride), one bincount pass."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hist_g, hist_h, hist_c), each (len(node_rows), F, stride), one bincount pass."""
     n_features = binned.n_features
     stride = binned.stride
     feat_offsets = np.arange(n_features, dtype=np.int64) * stride
@@ -141,7 +154,7 @@ def dense_histograms(
     hist_c = np.bincount(keys, minlength=minlength).reshape(
         len(node_rows), n_features, stride
     ).astype(np.float64)
-    return [(hist_g[i], hist_h[i], hist_c[i]) for i in range(len(node_rows))]
+    return hist_g, hist_h, hist_c
 
 
 def dense_best_axis_splits(
@@ -241,3 +254,162 @@ def find_best_split(
     )
     tree, _ = grow_tree(bin_features(X, max_bins=max_bins), X, g, h, params, rng)
     return None if isinstance(tree.root, Leaf) else tree.root
+
+
+@dataclass(slots=True)
+class _NodeRec:
+    depth: int
+    rows: np.ndarray
+    split: AxisSplit | ObliqueSplit | None = None
+    left: int = -1
+    right: int = -1
+    leaf: Leaf | None = None
+
+
+def _make_leaf(rows: np.ndarray, g: np.ndarray, h: np.ndarray, l2: float) -> Leaf:
+    return Leaf(
+        value=leaf_value(float(g[rows].sum()), float(h[rows].sum()), l2),
+        n_samples=len(rows),
+    )
+
+
+def table_grow_tree(
+    binned: Binned,
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    params: TrainParams,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tree, np.ndarray]:
+    """Grow one tree through a node table; returns it plus each row's leaf value.
+
+    Nodes are processed level by level. Each level histograms only the
+    smaller child of every split and derives the larger sibling by
+    subtracting from the parent histogram. Oblique splits draw their
+    projections from ``rng`` in level order.
+    """
+    if params.oblique and rng is None:
+        raise ValueError("oblique splits need an rng")
+    thr_counts = np.array([len(t) for t in binned.thresholds], dtype=np.int64)
+
+    def histograms(node_rows):
+        return list(zip(*dense_histograms(binned, g, h, node_rows)))
+
+    n = len(g)
+    row_values = np.zeros(n, dtype=np.float64)
+    table: list[_NodeRec] = [_NodeRec(depth=0, rows=np.arange(n))]
+    level = [0]
+    hists: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # (parent, left, right) pairs whose child histograms are still owed.
+    pending: list[tuple[int, int, int]] = []
+
+    def is_searching(nid: int) -> bool:
+        rec = table[nid]
+        return (
+            rec.depth < params.max_depth
+            and len(rec.rows) >= 2 * params.min_examples_per_leaf
+        )
+
+    while level:
+        searching = [nid for nid in level if is_searching(nid)]
+        searching_set = set(searching)
+        for nid in level:
+            if nid not in searching_set:
+                rec = table[nid]
+                rec.leaf = _make_leaf(rec.rows, g, h, params.l2)
+                row_values[rec.rows] = rec.leaf.value
+
+        # Fill in missing histograms: direct for the root, small-child
+        # plus sibling subtraction below it.
+        if searching:
+            if not pending:
+                for nid, hist in zip(searching, histograms([table[n_].rows for n_ in searching])):
+                    hists[nid] = hist
+            else:
+                to_compute: list[int] = []
+                derive: list[tuple[int, int, int]] = []
+                for parent, left, right in pending:
+                    l_need = is_searching(left)
+                    r_need = is_searching(right)
+                    if not (l_need or r_need):
+                        hists.pop(parent, None)
+                        continue
+                    if len(table[left].rows) <= len(table[right].rows):
+                        small, large = left, right
+                    else:
+                        small, large = right, left
+                    to_compute.append(small)
+                    derive.append((parent, small, large))
+                if to_compute:
+                    for nid, hist in zip(
+                        to_compute, histograms([table[n_].rows for n_ in to_compute])
+                    ):
+                        hists[nid] = hist
+                for parent, small, large in derive:
+                    pg, ph, pc = hists.pop(parent)
+                    sg, sh, sc = hists[small]
+                    if is_searching(large):
+                        hists[large] = (pg - sg, ph - sh, pc - sc)
+                    if not is_searching(small):
+                        hists.pop(small, None)
+        pending = []
+
+        next_level: list[int] = []
+        if searching:
+            hist_g = np.stack([hists[nid][0] for nid in searching])
+            hist_h = np.stack([hists[nid][1] for nid in searching])
+            hist_c = np.stack([hists[nid][2] for nid in searching])
+            axis_best = dense_best_axis_splits(
+                hist_g, hist_h, hist_c, thr_counts, params.l2,
+                params.min_examples_per_leaf,
+            )
+            for slot, nid in enumerate(searching):
+                rec = table[nid]
+                split: AxisSplit | ObliqueSplit | None = None
+                best_gain = axis_best.gain[slot]
+                if np.isfinite(best_gain) and best_gain > 0.0:
+                    f = int(axis_best.feature[slot])
+                    b = int(axis_best.bin_idx[slot])
+                    split = AxisSplit(
+                        feature=f,
+                        threshold=float(binned.thresholds[f][b]),
+                        missing_left=bool(axis_best.missing_left[slot]),
+                        gain=float(best_gain),
+                    )
+                    codes = binned.codes[rec.rows, f]
+                if params.oblique:
+                    oblique = _oblique_split(X, rec.rows, g, h, params, rng)
+                    if oblique is not None and oblique[0].gain > (
+                        split.gain if split is not None else 0.0
+                    ):
+                        split, codes, b = oblique
+                if split is None:
+                    rec.leaf = _make_leaf(rec.rows, g, h, params.l2)
+                    row_values[rec.rows] = rec.leaf.value
+                    hists.pop(nid, None)
+                    continue
+                go_left = np.where(
+                    codes == binned.missing_code, split.missing_left, codes <= b
+                )
+                rec.split = split
+                left_rows = rec.rows[go_left]
+                right_rows = rec.rows[~go_left]
+                rec.left = len(table)
+                table.append(_NodeRec(depth=rec.depth + 1, rows=left_rows))
+                rec.right = len(table)
+                table.append(_NodeRec(depth=rec.depth + 1, rows=right_rows))
+                next_level.extend((rec.left, rec.right))
+                pending.append((nid, rec.left, rec.right))
+        level = next_level
+
+    def build(nid: int) -> Node:
+        rec = table[nid]
+        if rec.leaf is not None:
+            return rec.leaf
+        node = rec.split
+        assert node is not None
+        node.left = build(rec.left)
+        node.right = build(rec.right)
+        return node
+
+    return Tree(root=build(0)), row_values

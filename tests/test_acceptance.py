@@ -29,6 +29,7 @@ from channelrank.labeling import CorpusStats, calibrate_weights, max_normalize, 
 from channelrank.metrics import MetricConfig, ndcg_at_k
 from channelrank.service import ScoreService, bench, synth_requests
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
+from tests.label_oracle import restrict_weeks
 from tests.lambda_oracle import lambda_gradients
 
 
@@ -367,7 +368,7 @@ def test_criterion_7_no_leakage(small_world, tmp_path):
                 keys, trunc,
             )
             rebuilt = build_dataset(
-                world.events.restrict_weeks(audit_week), world.channel_lists,
+                restrict_weeks(world.events, audit_week), world.channel_lists,
                 catalog, world.channels, keys, trunc,
             )
             a = tmp_path / f"full_{audit_week}.csv"

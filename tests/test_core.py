@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -153,4 +154,13 @@ class TestChannelListFile:
         path = tmp_path / "lists.tsv"
         path.write_text("q1\tlexical\tB\n")
         with pytest.raises(ValueError, match="expected 4"):
+            read_channel_lists(str(path))
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "high"])
+    def test_bad_score_rejected_with_line(self, tmp_path, score):
+        path = tmp_path / "lists.tsv"
+        path.write_text(f"q1\tlexical\tA\t0.9\nq1\tlexical\ti1\t{score}\n")
+        with pytest.raises(
+            ValueError, match="^" + re.escape(f"{path}:2: score {score!r} is not a finite number")
+        ):
             read_channel_lists(str(path))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from channelrank.features import channel_columns, item_feature_block
 from channelrank.labeling import HEURISTIC_WEIGHTS
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 from tests.feature_oracle import engagement_features, lookback_aggregates, velocity
-from tests.label_oracle import funnel_counts, normalize_labels, raw_label, to_events
+from tests.label_oracle import (
+    funnel_counts,
+    normalize_labels,
+    raw_label,
+    restrict_weeks,
+    to_events,
+)
 
 CFG = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -44,6 +52,14 @@ def dataset(world, split, catalog):
         world.events, world.channel_lists, catalog, world.channels,
         split.all_keys(), trunc,
     )
+
+
+def _feature_view(dataset, drop_engagement):
+    """The feature matrix and schema, without the engagement group if asked."""
+    if not drop_engagement:
+        return dataset.X, dataset.schema
+    keep = ~dataset.schema.group_mask("engagement")
+    return dataset.X[:, keep], dataset.schema.drop_group("engagement")
 
 
 class TestBuildDataset:
@@ -189,10 +205,10 @@ class TestBuildDataset:
         )
 
     def test_feature_view_drops_engagement(self, dataset):
-        X_view, schema_view = dataset.feature_view(drop_engagement=True)
+        X_view, schema_view = _feature_view(dataset, drop_engagement=True)
         assert X_view.shape[1] == len(schema_view)
         assert all(c.group != "engagement" for c in schema_view.columns)
-        X_full, schema_full = dataset.feature_view(drop_engagement=False)
+        X_full, schema_full = _feature_view(dataset, drop_engagement=False)
         shared = [c.name for c in schema_view.columns]
         for name in shared:
             i_full = schema_full.index_of(name)
@@ -210,7 +226,7 @@ class TestNoLeakage:
         full = build_dataset(
             world.events, world.channel_lists, catalog, world.channels, keys, trunc
         )
-        truncated_events = world.events.restrict_weeks(audit_week)
+        truncated_events = restrict_weeks(world.events, audit_week)
         rebuilt = build_dataset(
             truncated_events, world.channel_lists, catalog, world.channels, keys, trunc
         )
@@ -229,7 +245,7 @@ class TestNoLeakage:
             world.events, world.channel_lists, catalog, world.channels, keys, trunc
         )
         rebuilt = build_dataset(
-            world.events.restrict_weeks(4), world.channel_lists, catalog,
+            restrict_weeks(world.events, 4), world.channel_lists, catalog,
             world.channels, keys, trunc,
         )
         assert full.labels_conversion.any()
@@ -263,3 +279,63 @@ class TestFiles:
         np.testing.assert_array_equal(loaded.price, catalog.price)
         np.testing.assert_array_equal(loaded.category, catalog.category)
         np.testing.assert_array_equal(loaded.intro_week, catalog.intro_week)
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [("i1\tabc\t2\t0", "price 'abc' is not a finite number"),
+         ("i1\tnan\t2\t0", "price 'nan' is not a finite number"),
+         ("i1\t-inf\t2\t0", "price '-inf' is not a finite number"),
+         ("i1\t1.0\tshoes\t0", "category 'shoes' is not an integer"),
+         ("i1\t1.0\t2\t1.5", "intro_week '1.5' is not an integer")],
+        ids=["word-price", "nan-price", "inf-price", "word-category", "fractional-week"],
+    )
+    def test_item_catalog_bad_field_names_line(self, tmp_path, line, field):
+        path = tmp_path / "items.tsv"
+        path.write_text("i0\t10.0\t1\t0\n" + line + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {field}")):
+            read_item_catalog(str(path))
+
+    def test_item_catalog_duplicate_id_rejected_with_line(self, tmp_path):
+        # Loaded, both rows would enter item_vocab and index() would keep the second.
+        path = tmp_path / "items.tsv"
+        path.write_text("i1\t10.0\t1\t0\ni2\t5.0\t1\t0\ni1\t7.0\t2\t-3\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: duplicate item id 'i1'")):
+            read_item_catalog(str(path))
+
+    def _dataset_file(self, dataset, tmp_path, week="1", label="2.0", cell="0.5"):
+        """A two-row table whose second row has the given week, label and first cell."""
+        names = dataset.schema.names
+        path = tmp_path / "data.csv"
+        (tmp_path / "data.csv.schema.json").write_text(dataset.schema.to_json())
+        rest = ["NA"] * (len(names) - 1)
+        path.write_text("\n".join([
+            ",".join(["query_id", "item_id", "week", "label", *names]),
+            ",".join(["q", "i0", "1", "1.0", "0.25", *rest]),
+            ",".join(["q", "i1", week, label, cell, *rest]),
+        ]) + "\n")
+        return str(path)
+
+    def test_dataset_file_helper_loads(self, dataset, tmp_path):
+        loaded = read_dataset(self._dataset_file(dataset, tmp_path))
+        assert loaded.labels.tolist() == [1.0, 2.0]
+        assert loaded.X[:, 0].tolist() == [0.25, 0.5]
+        assert np.isnan(loaded.X[:, 1:]).all()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"week": "1.5"}, "week '1.5' is not a non-negative integer"),
+         ({"week": "-1"}, "week '-1' is not a non-negative integer"),
+         ({"label": "nan"}, "non-finite label or feature cell"),
+         ({"label": "inf"}, "non-finite label or feature cell"),
+         ({"label": "high"}, "could not convert string to float: 'high'"),
+         ({"cell": "inf"}, "non-finite label or feature cell"),
+         ({"cell": "-inf"}, "non-finite label or feature cell"),
+         ({"cell": "nan"}, "non-finite label or feature cell"),
+         ({"cell": "x"}, "could not convert string to float: 'x'")],
+        ids=["fractional-week", "negative-week", "nan-label", "inf-label", "word-label",
+             "inf-cell", "neg-inf-cell", "nan-cell", "word-cell"],
+    )
+    def test_bad_dataset_row_names_line(self, dataset, tmp_path, fields, message):
+        path = self._dataset_file(dataset, tmp_path, **fields)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: {message}")):
+            read_dataset(path)

@@ -5,7 +5,6 @@ from channelrank.core import TruncationConfig
 from channelrank.dataset import build_dataset
 from channelrank.evaluation import (
     AblationConfig,
-    OracleRanker,
     Ranker,
     RRFRanker,
     WIRanker,
@@ -14,7 +13,7 @@ from channelrank.evaluation import (
     evaluate_variant,
 )
 from channelrank.gbdt.model import TrainParams
-from channelrank.metrics import MetricConfig
+from channelrank.metrics import MetricConfig, order_from_scores
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 
 CFG = WorldConfig(
@@ -46,6 +45,15 @@ def dataset(world, split):
 @pytest.fixture(scope="module")
 def groups(dataset, world, split):
     return build_eval_groups(dataset, world.channel_lists, split.test)
+
+
+class OracleRanker(Ranker):
+    """Sorts by the true labels; the attainable upper bound."""
+
+    name = "oracle"
+
+    def orders(self, group):
+        return [order_from_scores(group.labels)]
 
 
 class _FixedOrder(Ranker):
@@ -100,7 +108,7 @@ class TestEvaluateVariant:
         result = evaluate_variant(OracleRanker(), groups, MetricConfig(k=8))
         assert result.group_count == len(groups)
         labeled = [g for g in groups if g.labels.any()]
-        from channelrank.metrics import ndcg_at_k, order_from_scores
+        from channelrank.metrics import ndcg_at_k
 
         for g in labeled:
             order = order_from_scores(g.labels)

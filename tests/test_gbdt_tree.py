@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from channelrank.gbdt.model import TrainParams
+from channelrank.gbdt.serialize import _flatten_tree
 from channelrank.gbdt.tree import (
     AxisSplit,
     Leaf,
@@ -20,6 +21,7 @@ from tests.split_oracle import (
     dense_histograms,
     find_best_split,
     oblique_candidate,
+    table_grow_tree,
 )
 
 
@@ -255,9 +257,8 @@ def _packed_and_dense(binned, g, h, parent_rows, child_rows, l2, min_leaf):
         (_batch_histograms, _best_axis_splits, binned.plan),
         (dense_histograms, dense_best_axis_splits, thr_counts),
     ):
-        parent, child = histograms(binned, g, h, [parent_rows, child_rows])
-        sibling = tuple(p - c for p, c in zip(parent, child))
-        stacked = [np.stack(parts) for parts in zip(parent, child, sibling)]
+        hists = histograms(binned, g, h, [parent_rows, child_rows])
+        stacked = [np.concatenate([hist, hist[:1] - hist[1:]]) for hist in hists]
         out.append(_split_tuples(scan(*stacked, layout, l2, min_leaf)))
     return out
 
@@ -391,3 +392,76 @@ class TestGrowTree:
         assert children == [(1, 2), (1, 1), (3, 4), (3, 3), (4, 4)]
         assert (tree.depth(), tree.n_nodes(), tree.leaves()) == (2, 5, leaves)
         assert Tree(root=Leaf(0.0)).depth() == 0
+
+
+def _growth_case(seed):
+    """Inputs for one tree: NaN and constant columns, and leaf sizes that
+    stop some children while their siblings go on splitting."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    n_features = int(rng.integers(1, 7))
+    X = rng.normal(size=(n, n_features))
+    if seed % 3 == 0:
+        X = np.round(X, 1)  # few distinct values, many tied gains
+    X[:, rng.random(n_features) < 0.2] = 1.5  # constant features
+    nan_cols = rng.random(n_features) < 0.5
+    X[(rng.random((n, n_features)) < 0.3) & nan_cols] = np.nan
+    if seed % 10 == 0:
+        X[:, 0] = np.nan
+    if seed % 2:
+        g = rng.integers(-4, 5, size=n) / 8.0  # quantized, as in training
+        h = rng.integers(1, 5, size=n) / 4.0
+    else:
+        g = rng.normal(size=n)
+        h = rng.random(n) + 0.1
+    if seed % 8 == 7:
+        min_leaf = int(rng.integers(n // 2 + 1, n + 2))  # the root is a leaf
+    else:
+        min_leaf = int(rng.integers(1, max(2, n // 4)))
+    params = TrainParams(
+        max_depth=1 + seed % 6,
+        min_examples_per_leaf=min_leaf,
+        l2=float(rng.choice([0.0, 1.0])),
+        oblique=seed % 4 == 0,
+        oblique_projections=int(rng.integers(1, 6)),
+        oblique_sparsity=float(rng.uniform(0.2, 1.0)),
+        max_bins=int(rng.choice([3, 16, 255])),
+    )
+    return X, g, h, params
+
+
+def _stops_beside_a_split(tree, params):
+    """Whether a split above the depth bound has a child too small to split
+    and a child that splits."""
+    nodes, children = tree.preorder()
+    depth = [0] * len(nodes)
+    for idx, (left, right) in enumerate(children):
+        if left == idx:
+            continue
+        depth[left] = depth[right] = depth[idx] + 1
+        if depth[idx] + 1 < params.max_depth:
+            for a, b in ((left, right), (right, left)):
+                if (isinstance(nodes[a], Leaf) and not isinstance(nodes[b], Leaf)
+                        and nodes[a].n_samples < 2 * params.min_examples_per_leaf):
+                    return True
+    return False
+
+
+class TestGrowTreeOracle:
+    """``grow_tree`` returns the node-table grower's tree and row values, byte for byte."""
+
+    def test_random_trees_match_table_grower(self):
+        seen = {"root_leaf": 0, "oblique": 0, "stopped_beside_splitting": 0, "depth_6": 0}
+        for seed in range(180):
+            X, g, h, params = _growth_case(seed)
+            binned = bin_features(X, max_bins=params.max_bins)
+            rngs = [np.random.default_rng(seed) if params.oblique else None for _ in range(2)]
+            tree, row_values = grow_tree(binned, X, g, h, params, rngs[0])
+            expected, expected_values = table_grow_tree(binned, X, g, h, params, rngs[1])
+            assert repr(_flatten_tree(tree)) == repr(_flatten_tree(expected)), seed
+            assert row_values.tobytes() == expected_values.tobytes(), seed
+            seen["root_leaf"] += isinstance(tree.root, Leaf)
+            seen["oblique"] += has_oblique(tree)
+            seen["stopped_beside_splitting"] += _stops_beside_a_split(tree, params)
+            seen["depth_6"] += tree.depth() == 6
+        assert min(seen.values()) >= 5, seen
