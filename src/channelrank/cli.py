@@ -90,16 +90,20 @@ def _load_world_dir(events_path: str, lists_dir: str, catalog_path: str):
     )
     if not weeks:
         raise ValueError(f"no channel_lists_w*.tsv files under {lists_dir}")
-    names: list[str] | None = None
-    lists_by_week = {}
-    for week in weeks:
-        path = os.path.join(lists_dir, f"channel_lists_w{week}.tsv")
-        loaded = read_channel_lists(path, channel_names=names)
-        if names is None:
-            any_query = next(iter(loaded.values()))
-            names = [cl.channel.name for cl in any_query]
-        lists_by_week[week] = loaded
-    channels = tuple(ChannelId(i, name) for i, name in enumerate(names or []))
+    paths = {week: os.path.join(lists_dir, f"channel_lists_w{week}.tsv") for week in weeks}
+    # Channels are numbered over every week's files, so a channel that
+    # serves only some queries or weeks keeps one index throughout.
+    names: set[str] = set()
+    for path in paths.values():
+        with open(path, encoding="utf-8") as fh:
+            fields = (line.split("\t") for line in fh)
+            names.update(parts[1] for parts in fields if len(parts) == 4)
+    channel_names = sorted(names)
+    lists_by_week = {
+        week: read_channel_lists(path, channel_names=channel_names)
+        for week, path in paths.items()
+    }
+    channels = tuple(ChannelId(i, name) for i, name in enumerate(channel_names))
     return events, lists_by_week, catalog, channels
 
 

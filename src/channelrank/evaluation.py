@@ -295,12 +295,13 @@ def ablation_run(
 ) -> EvalReport:
     """Train and evaluate the WI / UR / UR+EF / UR+EF+CL ladder.
 
-    All learned variants share the train/valid/test partitions, the
-    training seed, and every non-engagement feature column; they differ
-    only along the documented axes (engagement columns, label scheme).
+    All learned variants share the train/test partitions, the training
+    seed, and every non-engagement feature column; they differ only along
+    the documented axes (engagement columns, label scheme). Models train
+    on the training weeks alone: nothing scores the validation weeks, and
+    ``train_history`` logs the training NDCG@k of each round.
     """
     train_mask = dataset.mask_for(split.train)
-    valid_mask = dataset.mask_for(split.valid)
     full_idx = np.arange(len(dataset.schema))
     no_eng_mask = ~dataset.schema.group_mask("engagement")
     no_eng_idx = np.flatnonzero(no_eng_mask)
@@ -314,11 +315,6 @@ def ablation_run(
             dataset.group_ids[train_mask],
             schema,
             cfg.train_params,
-            valid=(
-                dataset.X[valid_mask][:, column_idx],
-                labels[valid_mask],
-                dataset.group_ids[valid_mask],
-            ),
             n_threads=cfg.n_threads,
         )
         return result.model, [r.train_ndcg for r in result.history]

@@ -284,10 +284,19 @@ def train(
         raise TrainingError("empty training set")
     if not (len(X) == len(labels) == len(group_ids)):
         raise TrainingError("X, labels and group_ids must align")
-    if X.shape[1] != len(schema):
+    if X.ndim != 2 or X.shape[1] != len(schema):
         raise TrainingError(
-            f"feature matrix has {X.shape[1]} columns, schema expects {len(schema)}"
+            f"feature matrix has shape {X.shape}, schema expects {len(schema)} columns"
         )
+    if valid is not None:
+        Xv = np.asarray(valid[0], dtype=np.float64)
+        if Xv.ndim != 2 or Xv.shape[1] != len(schema):
+            raise TrainingError(
+                f"validation feature matrix has shape {Xv.shape}, "
+                f"schema expects {len(schema)} columns"
+            )
+        if not (len(Xv) == len(valid[1]) == len(valid[2])):
+            raise TrainingError("X_valid, labels_valid and group_ids_valid must align")
     try:
         groups = QueryGroups.from_ids(group_ids)
         valid_groups = QueryGroups.from_ids(valid[2]) if valid is not None else None
@@ -302,7 +311,6 @@ def train(
     train_metric = GroupedNdcg(labels, groups, k=params.ndcg_truncation)
     valid_metric = None
     if valid is not None:
-        Xv = np.asarray(valid[0], dtype=np.float64)
         valid_metric = GroupedNdcg(valid[1], valid_groups, k=params.ndcg_truncation)
         valid_scores = np.zeros(len(Xv), dtype=np.float64)
 

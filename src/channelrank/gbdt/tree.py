@@ -20,6 +20,8 @@ scores missing-right only for features that have missing rows; elsewhere
 that direction gains exactly what missing-left does and the argmax keeps
 missing-left. Prefix sums add each feature's bins in the same order a
 dense full-width scan would, so the chosen splits are byte-identical.
+The root's histogram reads every row's keys in place, and its counts,
+the same for every tree of a fit, are built once by ``bin_features``.
 
 Nodes are split level by level for vectorization; with a pure depth bound
 and no global leaf budget this yields exactly the tree a depth-first
@@ -166,6 +168,8 @@ class Binned:
 
     ``keys[i, f]`` is the position of row i's bin for feature f in one
     node's packed histogram; ``plan`` lays that histogram out.
+    ``counts`` is the read-only count histogram of all rows, the same
+    for every tree of a fit.
     """
 
     codes: np.ndarray  # (n, F) uint16; missing bin = stride - 1
@@ -173,6 +177,7 @@ class Binned:
     stride: int
     keys: np.ndarray  # (n, F) int64
     plan: _ScanPlan
+    counts: np.ndarray  # (1, plan.size) float64
 
     @property
     def n_features(self) -> int:
@@ -253,7 +258,12 @@ def bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
         codes[:, f] = c.astype(np.uint16)
     thr_counts = np.array([len(t) for t in thresholds], dtype=np.int64)
     keys, plan = _layout(codes, thr_counts, missing_code)
-    return Binned(codes=codes, thresholds=thresholds, stride=stride, keys=keys, plan=plan)
+    counts = np.bincount(keys.ravel(), minlength=plan.size).astype(np.float64)[None]
+    counts.flags.writeable = False
+    return Binned(
+        codes=codes, thresholds=thresholds, stride=stride, keys=keys, plan=plan,
+        counts=counts,
+    )
 
 
 def leaf_value(g_sum: float, h_sum: float, l2: float) -> float:
@@ -373,7 +383,7 @@ def _oblique_split(
         max_bins=params.max_bins,
     )
     best = _best_axis_splits(
-        *_batch_histograms(binned, g[rows], h[rows], [np.arange(len(rows))]),
+        *_batch_histograms(binned, g[rows], h[rows]),
         binned.plan, params.l2, params.min_examples_per_leaf,
     )
     gain = best.gain[0]
@@ -396,32 +406,40 @@ def _batch_histograms(
     binned: Binned,
     g: np.ndarray,
     h: np.ndarray,
-    node_rows: list[np.ndarray],
+    node_rows: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed (hist_g, hist_h, hist_c), each (len(node_rows), ``plan.size``).
 
     Row i is the histogram of ``node_rows[i]``; each statistic takes one
-    bincount pass over all rows.
+    bincount pass over all rows. Without ``node_rows`` the one row is
+    every row's, in row order: the keys are read in place, with no
+    gather, and the counts are ``binned.counts``.
     """
     n_features = binned.n_features
     size = binned.plan.size
-    shape = (len(node_rows), size)
-    slot_rows = np.concatenate(node_rows)
-    keys = binned.keys[slot_rows]
-    if len(node_rows) > 1:
-        slot_of_row = np.repeat(
-            np.arange(len(node_rows)), [len(rows) for rows in node_rows]
-        )
-        keys += (slot_of_row * size)[:, None]
-    keys = keys.ravel()
-    minlength = len(node_rows) * size
+    if node_rows is None:
+        n_slots, slot_rows = 1, slice(None)
+        keys = binned.keys.ravel()
+    else:
+        n_slots = len(node_rows)
+        slot_rows = np.concatenate(node_rows)
+        keys = binned.keys[slot_rows]
+        if n_slots > 1:
+            slot_of_row = np.repeat(np.arange(n_slots), [len(rows) for rows in node_rows])
+            keys += (slot_of_row * size)[:, None]
+        keys = keys.ravel()
+    shape = (n_slots, size)
+    minlength = n_slots * size
     hist_g = np.bincount(
         keys, weights=np.repeat(g[slot_rows], n_features), minlength=minlength
     ).reshape(shape)
     hist_h = np.bincount(
         keys, weights=np.repeat(h[slot_rows], n_features), minlength=minlength
     ).reshape(shape)
-    hist_c = np.bincount(keys, minlength=minlength).reshape(shape).astype(np.float64)
+    if node_rows is None:
+        hist_c = binned.counts
+    else:
+        hist_c = np.bincount(keys, minlength=minlength).reshape(shape).astype(np.float64)
     return hist_g, hist_h, hist_c
 
 
@@ -463,7 +481,7 @@ def grow_tree(
     level = []
     if params.max_depth > 0 and len(root) >= 2 * min_leaf:
         level = [(root, tree, "root")]
-        hists = _batch_histograms(binned, g, h, [root])
+        hists = _batch_histograms(binned, g, h)
     else:
         attach_leaf(root, tree, "root")
     depth = 0

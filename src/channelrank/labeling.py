@@ -166,7 +166,13 @@ class FunnelTable:
 
 
 def funnel_table(frame: EventFrame) -> FunnelTable:
-    """Compute per (query, item, week) funnel counts for a whole frame."""
+    """Compute per (query, item, week) funnel counts for a whole frame.
+
+    One sort brings each (group, session)'s events together, groups
+    ascending; each run's deepest action is its session's, and each
+    group's sessions are tallied by that action. Groups come out in
+    (query, item, week) order.
+    """
     if len(frame) == 0:
         empty_i = np.empty(0, dtype=np.int64)
         return FunnelTable(*(empty_i.copy() for _ in range(7)))
@@ -175,18 +181,22 @@ def funnel_table(frame: EventFrame) -> FunnelTable:
     group_key = (
         frame.query.astype(np.int64) * n_items + frame.item
     ) * n_weeks + frame.week
-    session_key = np.stack([group_key, frame.session.astype(np.int64)], axis=1)
-    # Deepest action per (group, session).
-    uniq, inverse = np.unique(
-        session_key.view([("g", np.int64), ("s", np.int64)]).ravel(),
-        return_inverse=True,
-    )
-    deepest = np.zeros(len(uniq), dtype=np.int64)
-    np.maximum.at(deepest, inverse, frame.action.astype(np.int64))
-    sess_group = uniq["g"]
-    group_ids, group_inverse = np.unique(sess_group, return_inverse=True)
+    order = np.lexsort((frame.session, group_key))
+    group_key = group_key[order]
+    session = frame.session[order]
+    # A (group, session) run starts where either key changes; a group's
+    # first session starts where the group key does.
+    new_group = np.empty(len(order), dtype=bool)
+    new_group[0] = True
+    np.not_equal(group_key[1:], group_key[:-1], out=new_group[1:])
+    new_session = new_group.copy()
+    new_session[1:] |= session[1:] != session[:-1]
+    session_starts = np.flatnonzero(new_session)
+    deepest = np.maximum.reduceat(frame.action.astype(np.int64)[order], session_starts)
+    group_ids = group_key[new_group]
+    group_of_session = np.cumsum(new_group[session_starts]) - 1
     counts = np.bincount(
-        group_inverse * 4 + deepest, minlength=len(group_ids) * 4
+        group_of_session * 4 + deepest, minlength=len(group_ids) * 4
     ).reshape(len(group_ids), 4)
     week = group_ids % n_weeks
     rest = group_ids // n_weeks

@@ -128,9 +128,17 @@ class QueryGroups:
         Rows rank by score descending, ties by row index ascending. The
         discount at 0-based rank p of a group is 1/log2(p + 2), and 0 from
         p = k on.
+
+        Two stable sorts give the (group, score descending, row) order: by
+        score, then by group. Group codes fit ``uint16`` up to 65,536
+        groups, and numpy radix-sorts those in O(n).
         """
         n = len(self.codes)
-        order = np.lexsort((np.arange(n), -np.asarray(scores, dtype=np.float64), self.codes))
+        by_score = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+        codes = self.codes[by_score]
+        if self.count <= 1 << 16:
+            codes = codes.astype(np.uint16)
+        order = by_score[np.argsort(codes, kind="stable")]
         pos_in_group = np.arange(n) - self.starts[self.codes[order]]
         return order, np.where(pos_in_group < k, 1.0 / np.log2(pos_in_group + 2.0), 0.0)
 

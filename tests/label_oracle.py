@@ -6,7 +6,8 @@ list to session counts by deepest action, one session at a time;
 counts one item at a time. ``funnel_table`` with ``weighted_counts`` and
 ``max_normalize`` must give the same labels, exactly. ``to_events``
 turns an ``EventFrame`` back into event objects, and ``restrict_weeks``
-drops a frame's events from a given week on.
+drops a frame's events from a given week on. ``unique_funnel_table`` is
+the columnar ``funnel_table`` as it was built on ``np.unique``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,16 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from channelrank.core import ItemId, QueryId, WeekId
-from channelrank.labeling import WEEK_SECONDS, Action, EventFrame, LabelWeights
+from channelrank.labeling import (
+    WEEK_SECONDS,
+    Action,
+    EventFrame,
+    FunnelTable,
+    LabelWeights,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,4 +178,42 @@ def restrict_weeks(frame: EventFrame, max_week_exclusive: int) -> EventFrame:
         query_vocab=frame.query_vocab,
         item_vocab=frame.item_vocab,
         session_vocab=frame.session_vocab,
+    )
+
+
+def unique_funnel_table(frame: EventFrame) -> FunnelTable:
+    """Compute per (query, item, week) funnel counts for a whole frame."""
+    if len(frame) == 0:
+        empty_i = np.empty(0, dtype=np.int64)
+        return FunnelTable(*(empty_i.copy() for _ in range(7)))
+    n_items = len(frame.item_vocab)
+    n_weeks = int(frame.week.max()) + 1
+    group_key = (
+        frame.query.astype(np.int64) * n_items + frame.item
+    ) * n_weeks + frame.week
+    session_key = np.stack([group_key, frame.session.astype(np.int64)], axis=1)
+    # Deepest action per (group, session).
+    uniq, inverse = np.unique(
+        session_key.view([("g", np.int64), ("s", np.int64)]).ravel(),
+        return_inverse=True,
+    )
+    deepest = np.zeros(len(uniq), dtype=np.int64)
+    np.maximum.at(deepest, inverse, frame.action.astype(np.int64))
+    sess_group = uniq["g"]
+    group_ids, group_inverse = np.unique(sess_group, return_inverse=True)
+    counts = np.bincount(
+        group_inverse * 4 + deepest, minlength=len(group_ids) * 4
+    ).reshape(len(group_ids), 4)
+    week = group_ids % n_weeks
+    rest = group_ids // n_weeks
+    item = rest % n_items
+    query = rest // n_items
+    return FunnelTable(
+        query=query.astype(np.int64),
+        item=item.astype(np.int64),
+        week=week.astype(np.int64),
+        views=counts[:, 0],
+        clicks=counts[:, 1],
+        atcs=counts[:, 2],
+        purchases=counts[:, 3],
     )

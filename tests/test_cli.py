@@ -1,9 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from channelrank.cli import main
+from channelrank import cli
+from channelrank.cli import _load_world_dir, main
+from channelrank.core import ChannelId
 from channelrank.dataset import read_dataset
 from channelrank.gbdt.serialize import load_model
 from tests.test_serialize import with_trees
@@ -193,6 +196,27 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("columns", [1, -1])
+    def test_train_bad_validation_matrix_exits_one(
+        self, dataset_path, tmp_path, capsys, monkeypatch, columns
+    ):
+        # A validation matrix one column wider or narrower than the schema.
+        fit = cli.train
+
+        def reshape_valid(*args, valid, **kwargs):
+            Xv = valid[0]
+            Xv = np.hstack([Xv, Xv[:, :1]]) if columns > 0 else Xv[:, :-1]
+            return fit(*args, valid=(Xv, *valid[1:]), **kwargs)
+
+        monkeypatch.setattr(cli, "train", reshape_valid)
+        out = tmp_path / "m.frm"
+        capsys.readouterr()
+        rc = main(["train", "--data", str(dataset_path), "--out", str(out), "--trees", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: validation feature matrix")
+        assert not out.exists()
+
     def test_bench_with_item_sidecar(self, model_path, dataset_path, tmp_path, capsys):
         items = dataset_path.parent / "item_features.tsv"
         report = tmp_path / "bench.json"
@@ -217,3 +241,28 @@ class TestPipeline:
         ]
         stdout = capsys.readouterr().out
         assert "UR+EF+CL" in stdout
+
+
+def _probe_world(root, weeks):
+    """``q1`` served only by ``lexical``, ``q2`` by ``lexical`` and ``semantic``."""
+    (root / "events.tsv").write_text("10.0\t0\ts1\tq1\ti1\timpression\n")
+    (root / "catalog.tsv").write_text("i1\t9.5\t0\t0\ni2\t3.0\t1\t0\n")
+    for week in weeks:
+        (root / f"channel_lists_w{week}.tsv").write_text(
+            "q1\tlexical\ti1\t0.9\n"
+            "q2\tlexical\ti1\t0.8\n"
+            "q2\tsemantic\ti2\t0.7\n"
+        )
+    return [str(root / "events.tsv"), str(root), str(root / "catalog.tsv")]
+
+
+class TestLoadWorldDir:
+    @pytest.mark.parametrize("weeks", [(0, 1), (0,)])
+    def test_channels_are_the_union_over_every_file(self, tmp_path, weeks):
+        _, lists_by_week, _, channels = _load_world_dir(*_probe_world(tmp_path, weeks))
+        lexical, semantic = ChannelId(0, "lexical"), ChannelId(1, "semantic")
+        assert channels == (lexical, semantic)
+        assert sorted(lists_by_week) == list(weeks)
+        for lists in lists_by_week.values():
+            assert [cl.channel for cl in lists["q1"]] == [lexical]
+            assert [cl.channel for cl in lists["q2"]] == [lexical, semantic]

@@ -83,6 +83,25 @@ class TestTrain:
         with pytest.raises(TrainingError, match="contiguous"):
             train(X, labels, group_ids, generic_schema(2), TrainParams(num_trees=1))
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (lambda Xv, lv, iv: (np.hstack([Xv, Xv[:, :1]]), lv, iv), "validation feature"),
+            (lambda Xv, lv, iv: (Xv[:, :-1], lv, iv), "validation feature"),
+            (lambda Xv, lv, iv: (Xv[:-1], lv, iv), "align"),
+            (lambda Xv, lv, iv: (Xv, lv[:-1], iv), "align"),
+            (lambda Xv, lv, iv: (Xv, lv, iv[:-1]), "align"),
+            (lambda Xv, lv, iv: (Xv[0], lv, iv), "validation feature"),
+        ],
+        ids=["extra-column", "missing-column", "short-X", "short-labels", "short-ids", "1-d"],
+    )
+    def test_bad_validation_triple_rejected(self, bad, match):
+        X, labels, group_ids = ranking_problem(137, n_groups=4)
+        Xv, labels_v, ids_v = ranking_problem(139, n_groups=2)
+        with pytest.raises(TrainingError, match=match):
+            train(X, labels, group_ids, generic_schema(X.shape[1]),
+                  TrainParams(num_trees=1), valid=bad(Xv, labels_v, ids_v))
+
     def test_one_training_sort_per_round(self, monkeypatch):
         # Each round's gradients and logged NDCG share one ranking of the
         # training scores: T + 1 sorts, not 2T. The ideal-DCG sort of the
@@ -104,6 +123,42 @@ class TestTrain:
         assert len(result.history) == 6
         assert len(sorted_scores) == 6 + 1
         assert not sorted_scores[0].any()
+
+    def test_all_rows_counts_built_once_per_fit(self, monkeypatch):
+        # Every tree's root reads the count histogram that bin_features
+        # built; no other unweighted bincount covers every row's keys.
+        from channelrank.gbdt import model as gmodel
+        from channelrank.gbdt import tree as gtree
+
+        X, labels, group_ids = ranking_problem(131, n_groups=10)
+        binned_seen, root_counts, full_counts = [], [], []
+        bin_features, best_axis_splits, bincount = (
+            gmodel.bin_features, gtree._best_axis_splits, np.bincount
+        )
+
+        def spy_bin(*args, **kwargs):
+            binned_seen.append(bin_features(*args, **kwargs))
+            return binned_seen[-1]
+
+        def spy_best(hist_g, hist_h, hist_c, *rest):
+            if hist_c.shape[0] == 1 and hist_c[0].sum() == X.size:
+                root_counts.append(hist_c)
+            return best_axis_splits(hist_g, hist_h, hist_c, *rest)
+
+        def spy_bincount(x, weights=None, minlength=0):
+            if weights is None and len(x) == X.size:
+                full_counts.append(len(x))
+            return bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(gmodel, "bin_features", spy_bin)
+        monkeypatch.setattr(gtree, "_best_axis_splits", spy_best)
+        monkeypatch.setattr(np, "bincount", spy_bincount)
+        params = TrainParams(num_trees=5, max_depth=3, min_examples_per_leaf=2)
+        train(X, labels, group_ids, generic_schema(X.shape[1]), params)
+        assert len(binned_seen) == 1
+        assert len(root_counts) == 5
+        assert all(counts is binned_seen[0].counts for counts in root_counts)
+        assert full_counts == [X.size]
 
     def test_same_seed_byte_identical_models(self):
         X, labels, group_ids = ranking_problem(107, n_groups=12)

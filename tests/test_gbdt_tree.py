@@ -322,6 +322,38 @@ class TestPackedSplitScan:
         assert packed[0] == (np.float64(-np.inf).tobytes(), 0, 0, True)
 
 
+class TestAllRowsHistograms:
+    """Every row's histogram, read in place, equals the gathered one byte for byte."""
+
+    def test_equals_gathered_histograms(self):
+        rng = np.random.default_rng(77)
+        for case in range(40):
+            n = int(rng.integers(1, 300))
+            n_features = int(rng.integers(1, 8))
+            X = rng.normal(size=(n, n_features))
+            if case % 2:
+                X = np.round(X, 1)
+            X[rng.random((n, n_features)) < 0.2] = np.nan
+            binned = bin_features(X, max_bins=int(rng.choice([3, 16, 255])))
+            g = rng.normal(size=n) * 1e3
+            h = rng.random(n) * 1e3
+            in_place = _batch_histograms(binned, g, h)
+            gathered = _batch_histograms(binned, g, h, [np.arange(n)])
+            for got, want in zip(in_place, gathered):
+                assert got.shape == want.shape == (1, binned.plan.size)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), case
+
+    def test_counts_built_once_and_read_only(self):
+        X = np.random.default_rng(3).normal(size=(50, 3))
+        binned = bin_features(X)
+        assert not binned.counts.flags.writeable
+        g, h = np.ones(50), np.ones(50)
+        assert _batch_histograms(binned, g, h)[2] is binned.counts
+        with pytest.raises(ValueError):
+            binned.counts[0, 0] = 1.0
+
+
 def _fit_tree(X, g, h, max_depth=4, min_leaf=1, l2=1.0, **kw):
     params = TrainParams(
         max_depth=max_depth, min_examples_per_leaf=min_leaf, l2=l2, **kw

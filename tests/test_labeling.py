@@ -29,6 +29,7 @@ from tests.label_oracle import (
     normalize_labels,
     raw_label,
     to_events,
+    unique_funnel_table,
 )
 
 
@@ -274,6 +275,64 @@ class TestBulkFunnelTable:
         assert stats.total_purchases == 1
         assert stats.total_atcs == 2  # purchase session reached atc too
         assert stats.total_clicks == 3
+
+
+def _random_frame(seed, n_events, n_weeks):
+    """Codes drawn from small ranges, so (group, session) pairs repeat."""
+    rng = np.random.default_rng(seed)
+    n_queries, n_items, n_sessions = 4, 6, 30
+    week = rng.integers(n_weeks, size=n_events)
+    return EventFrame(
+        week=week,
+        session=rng.integers(n_sessions, size=n_events),
+        query=rng.integers(n_queries, size=n_events),
+        item=rng.integers(n_items, size=n_events),
+        action=rng.integers(4, size=n_events),
+        timestamp=week * WEEK_SECONDS + rng.uniform(0, 1000, size=n_events),
+        query_vocab=tuple(f"q{i}" for i in range(n_queries)),
+        item_vocab=tuple(f"i{i}" for i in range(n_items)),
+    )
+
+
+class TestFunnelTableOracle:
+    """The sort-grouped ``funnel_table`` equals the ``np.unique`` one array for array."""
+
+    @staticmethod
+    def _assert_same(frame):
+        got, want = funnel_table(frame), unique_funnel_table(frame)
+        for name in ("query", "item", "week", "views", "clicks", "atcs", "purchases"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tolist() == b.tolist(), name
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_frames(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        frame = _random_frame(seed, int(rng.integers(2, 600)), int(rng.integers(1, 5)))
+        self._assert_same(frame)
+
+    def test_frames_repeat_group_session_events(self):
+        frame = _random_frame(0, 500, 2)
+        keys = list(zip(frame.query, frame.item, frame.week, frame.session))
+        assert len(set(keys)) < len(keys)
+        self._assert_same(frame)
+
+    def test_single_event(self):
+        self._assert_same(_random_frame(5, 1, 1))
+
+    def test_one_week(self):
+        frame = _random_frame(7, 300, 1)
+        assert set(frame.week.tolist()) == {0}
+        self._assert_same(frame)
+
+    def test_late_week_only(self):
+        frame = _random_frame(9, 200, 1)
+        frame.week = frame.week + 3
+        frame.timestamp = frame.timestamp + 3 * WEEK_SECONDS
+        self._assert_same(frame)
+
+    def test_empty(self):
+        self._assert_same(_random_frame(3, 0, 1))
 
 
 class TestLabelFormula:

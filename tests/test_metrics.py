@@ -131,6 +131,54 @@ class TestQueryGroups:
         np.testing.assert_array_equal(order, [0, 1, 2, 3, 4])
 
 
+def lexsort_rank_discounts(groups, scores, k):
+    """``rank_discounts`` as one three-key ``lexsort``: group, score descending, row."""
+    n = len(groups.codes)
+    order = np.lexsort((np.arange(n), -np.asarray(scores, dtype=np.float64), groups.codes))
+    pos_in_group = np.arange(n) - groups.starts[groups.codes[order]]
+    return order, np.where(pos_in_group < k, 1.0 / np.log2(pos_in_group + 2.0), 0.0)
+
+
+class TestRankDiscountsOracle:
+    """``rank_discounts`` ranks exactly as the three-key ``lexsort`` does."""
+
+    @staticmethod
+    def _assert_same(groups, scores, k):
+        order, disc = groups.rank_discounts(scores, k)
+        want_order, want_disc = lexsort_rank_discounts(groups, scores, k)
+        assert order.tolist() == want_order.tolist()
+        assert disc.tobytes() == want_disc.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_groups_with_ties_nan_and_signed_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 30, size=int(rng.integers(1, 60)))
+        n = int(sizes.sum())
+        # Few distinct values, so many scores tie within a group.
+        pool = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
+        scores = pool[rng.integers(len(pool), size=n)]
+        groups = QueryGroups.from_ids(np.repeat(np.arange(len(sizes)), sizes))
+        for k in (1, 3, 8, 40):
+            self._assert_same(groups, scores, k)
+
+    def test_signed_zeros_tie_by_row(self):
+        groups = QueryGroups.from_ids(np.zeros(4, dtype=np.int64))
+        order, _ = groups.rank_discounts(np.array([-0.0, 0.0, np.nan, -0.0]), 8)
+        assert order.tolist() == [0, 1, 3, 2]
+        self._assert_same(groups, np.array([0.0, -0.0, 0.0, np.nan]), 2)
+
+    @pytest.mark.parametrize("n_groups", [1 << 16, 70_000])
+    def test_one_row_groups_at_and_past_uint16(self, n_groups):
+        # Codes sort as uint16 up to 65,536 groups and as they are past it;
+        # a few five-row groups at both ends have ranks to get wrong.
+        rng = np.random.default_rng(n_groups)
+        sizes = np.ones(n_groups, dtype=np.int64)
+        sizes[:3] = sizes[-3:] = 5
+        groups = QueryGroups.from_ids(np.repeat(np.arange(n_groups), sizes))
+        scores = rng.integers(3, size=int(sizes.sum())).astype(np.float64)
+        self._assert_same(groups, scores, 2)
+
+
 class TestGroupedNdcg:
     def test_non_contiguous_ids_rejected(self):
         labels = np.array([0.0, 4.0, 0.0, 4.0])

@@ -4,7 +4,9 @@ Training speed-ups must leave every fitted model byte-identical. The
 benchmark checks its own worlds; this second world (60 queries, seed 11)
 checks an axis and an oblique model that no benchmark run trains, both
 fitted with a validation set. The training log's last NDCG values are pinned
-too. A change to any value below means a change to what training computes.
+too, and so is a small ablation on the same world: its dataset, its three
+models and its four variant scores. A change to any value below means a
+change to what labeling, training or evaluation computes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 from channelrank.core import TruncationConfig
 from channelrank.dataset import ItemCatalog, build_dataset
+from channelrank.evaluation import AblationConfig, ablation_run
 from channelrank.gbdt.model import TrainParams, train
 from channelrank.gbdt.serialize import model_fingerprint
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
@@ -29,9 +32,33 @@ OBLIQUE = (
     (0.8000157262799241, 0.7555097029518704),
 )
 
+#: ``Dataset.fingerprint()`` of the world's dataset.
+DATASET = "b5a5de27add04e5b80f3c3ee6ea6b4c8c51310121c32a9713f736b4b45d8c6ab"
+
+#: Per ablation variant: mean NDCG@8, ``model_fingerprint`` and the last
+#: logged training NDCG@8 (None for WI, which trains nothing).
+ABLATION = {
+    "WI": (0.7003487294883615, None, None),
+    "UR": (
+        0.6789734009438353,
+        "4fb09164799a9053dd7ee3b4b49f2bf828b08c8b5f8f2f8bdf4c868a5c7ef073",
+        0.7516113561750499,
+    ),
+    "UR+EF": (
+        0.693280935680508,
+        "bfb956626ed2af9a83c92c63896c0d611a5b84a43f550d8c12a73cb58dad0825",
+        0.7609443952934306,
+    ),
+    "UR+EF+CL": (
+        0.6989542295220221,
+        "343f7bab0ef55f7ae108abd190ce3ad1eb24024e300c091324fcfe65ca3d0ec5",
+        0.7380052439265342,
+    ),
+}
+
 
 @pytest.fixture(scope="module")
-def fit_inputs():
+def world_data():
     world = generate(CFG)
     split = filter_and_split(world.events, CFG.num_weeks)
     cat = world.ground_truth.catalog
@@ -41,6 +68,12 @@ def fit_inputs():
         world.events, world.channel_lists, catalog, world.channels,
         split.all_keys(), trunc,
     )
+    return world, split, ds
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(world_data):
+    _, split, ds = world_data
     tr = ds.mask_for(split.train)
     va = ds.mask_for(split.valid)
     labels = ds.labels("conversion")
@@ -66,3 +99,23 @@ def test_second_world_model_fingerprint(fit_inputs, params, expected):
     result = train(X, labels, group_ids, schema, params, valid=valid, n_threads=2)
     last = result.history[-1]
     assert (model_fingerprint(result.model), (last.train_ndcg, last.valid_ndcg)) == expected
+
+
+def test_second_world_ablation(world_data):
+    world, split, ds = world_data
+    params = TrainParams(
+        num_trees=4, shrinkage=0.15, max_depth=3, min_examples_per_leaf=5, seed=7
+    )
+    report = ablation_run(
+        ds, world.channel_lists, split, AblationConfig(train_params=params, wi_seeds=3)
+    )
+    assert ds.fingerprint() == report.dataset_fingerprint == DATASET
+    history = report.train_history
+    assert {
+        v.name: (
+            v.mean_ndcg,
+            v.model_fingerprint,
+            history[v.name][-1] if v.name in history else None,
+        )
+        for v in report.variants
+    } == ABLATION
