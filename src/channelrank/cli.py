@@ -90,21 +90,10 @@ def _load_world_dir(events_path: str, lists_dir: str, catalog_path: str):
     )
     if not weeks:
         raise ValueError(f"no channel_lists_w*.tsv files under {lists_dir}")
-    paths = {week: os.path.join(lists_dir, f"channel_lists_w{week}.tsv") for week in weeks}
-    # Channels are numbered over every week's files, so a channel that
-    # serves only some queries or weeks keeps one index throughout.
-    names: set[str] = set()
-    for path in paths.values():
-        with open(path, encoding="utf-8") as fh:
-            fields = (line.split("\t") for line in fh)
-            names.update(parts[1] for parts in fields if len(parts) == 4)
-    channel_names = sorted(names)
-    lists_by_week = {
-        week: read_channel_lists(path, channel_names=channel_names)
-        for week, path in paths.items()
-    }
-    channels = tuple(ChannelId(i, name) for i, name in enumerate(channel_names))
-    return events, lists_by_week, catalog, channels
+    files, channels = read_channel_lists(
+        [os.path.join(lists_dir, f"channel_lists_w{week}.tsv") for week in weeks]
+    )
+    return events, dict(zip(weeks, files)), catalog, channels
 
 
 def _cmd_build_dataset(args: argparse.Namespace) -> int:
@@ -265,7 +254,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    by_query = read_channel_lists(args.lists)
+    (by_query,), channels = read_channel_lists([args.lists])
     out_lines = []
     for query in sorted(by_query):
         lists = by_query[query]
@@ -274,7 +263,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             for rank, item in enumerate(fused.items, start=1):
                 out_lines.append(f"{query}\t{item}\t{fused.scores[rank - 1]!r}")
         else:
-            weights = _parse_weights(args.weight, lists)
+            weights = _parse_weights(args.weight, channels)
             fused = weighted_interleave(lists, weights, seed=args.seed)
             for rank, item in enumerate(fused.items, start=1):
                 out_lines.append(f"{query}\t{item}\t{rank}")
@@ -288,20 +277,18 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_weights(flags: list[str] | None, lists) -> InterleaveWeights:
-    channels = {cl.channel.name: cl.channel for cl in lists}
+def _parse_weights(flags: list[str] | None, channels: tuple[ChannelId, ...]) -> InterleaveWeights:
     if not flags:
-        return InterleaveWeights.uniform(list(channels.values()))
-    weights = {}
+        return InterleaveWeights.uniform(channels)
+    by_name = {c.name: c for c in channels}
+    weights = dict.fromkeys(channels, 0.0)
     for flag in flags:
         if "=" not in flag:
             raise ValueError(f"--weight expects name=value, got {flag!r}")
         name, value = flag.split("=", 1)
-        if name not in channels:
+        if name not in by_name:
             raise ValueError(f"unknown channel {name!r} in --weight")
-        weights[channels[name]] = float(value)
-    for name, channel in channels.items():
-        weights.setdefault(channel, 0.0)
+        weights[by_name[name]] = float(value)
     return InterleaveWeights(weights)
 
 

@@ -11,7 +11,7 @@ consume.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 QueryId = str
@@ -189,48 +189,74 @@ def write_channel_lists(path: str, lists: Iterable[ChannelList]) -> None:
                 fh.write(f"{cl.query}\t{cl.channel.name}\t{item}\t{score!r}\n")
 
 
-def read_channel_lists(
+def read_fields(
     path: str,
-    channel_names: Sequence[str] | None = None,
-) -> dict[QueryId, list[ChannelList]]:
-    """Load channel lists from the tab-separated interchange format.
+    n_fields: int | None = None,
+    ids: Mapping[int, str] | None = None,
+    sep: str = "\t",
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-blank line of a text file.
 
-    Lines may arrive in any order; entries are sorted on load. Channel
-    indices follow ``channel_names`` when given, otherwise the sorted
-    distinct names in the file (stable under line reordering).
+    A line must hold ``n_fields`` fields and a non-empty value at each id
+    position in ``ids`` (position -> name), or ``ValueError`` names its
+    ``path:line``. With ``n_fields`` None the first line is a header,
+    yielded as it is, whose length fixes the count.
     """
-    raw: dict[tuple[QueryId, str], list[tuple[ItemId, float]]] = {}
-    names_seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            query, channel_name, item, score_text = parts
-            try:
-                score = float(score_text)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: score {score_text!r} is not a finite number")
-            names_seen.add(channel_name)
-            raw.setdefault((query, channel_name), []).append((item, score))
+            fields = line.rstrip("\n").split(sep)
+            if len(fields) != n_fields:
+                if n_fields is None:
+                    n_fields = len(fields)
+                elif fields == [""]:
+                    continue
+                else:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
+                    )
+            elif ids and "" in fields:
+                for k, name in ids.items():
+                    if not fields[k]:
+                        raise ValueError(f"{path}:{lineno}: empty {name} id")
+            yield lineno, fields
 
-    if channel_names is None:
-        channel_names = sorted(names_seen)
-    else:
-        unknown = names_seen - set(channel_names)
-        if unknown:
-            raise ValueError(f"{path}: unregistered channel names {sorted(unknown)}")
-    channels = {name: ChannelId(index=i, name=name) for i, name in enumerate(channel_names)}
 
-    out: dict[QueryId, list[ChannelList]] = {}
-    for (query, channel_name), pairs in raw.items():
-        cl = ChannelList.from_pairs(channels[channel_name], query, pairs)
-        out.setdefault(query, []).append(cl)
-    for query in out:
-        out[query].sort(key=lambda c: c.channel.index)
-    return out
+def parse_finite(text: str, field: str, path: str, lineno: int) -> float:
+    """``text`` as a float; ``ValueError`` with ``path:line`` unless it is finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: {field} {text!r} is not a finite number")
+    return value
+
+
+def read_channel_lists(
+    paths: Sequence[str],
+) -> tuple[list[dict[QueryId, list[ChannelList]]], tuple[ChannelId, ...]]:
+    """Load channel-list files: one ``{query: lists in channel order}`` dict
+    per file, and the channels, numbered over the sorted names of every
+    file. Lines may come in any order; entries are sorted on load.
+    """
+    raw: dict[tuple[str, int, QueryId], dict[ItemId, float]] = {}
+    for f, path in enumerate(paths):
+        for lineno, (query, name, item, score) in read_fields(
+            path, 4, {0: "query", 1: "channel", 2: "item"}
+        ):
+            entries = raw.setdefault((name, f, query), {})
+            if item in entries:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate item {item!r} for query {query!r} "
+                    f"channel {name!r}"
+                )
+            entries[item] = parse_finite(score, "score", path, lineno)
+    names = sorted({name for name, _, _ in raw})
+    channels = {name: ChannelId(index=i, name=name) for i, name in enumerate(names)}
+    files: list[dict[QueryId, list[ChannelList]]] = [{} for _ in paths]
+    # Keys lead with the channel name, so each query's lists come out in channel order.
+    for (name, f, query), entries in sorted(raw.items()):
+        files[f].setdefault(query, []).append(
+            ChannelList.from_pairs(channels[name], query, entries.items())
+        )
+    return files, tuple(channels.values())

@@ -12,7 +12,6 @@ tie-breaking.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -24,6 +23,8 @@ from .core import (
     QueryId,
     TruncationConfig,
     merge_pool,
+    parse_finite,
+    read_fields,
 )
 from .features import (
     FeatureSchema,
@@ -71,43 +72,28 @@ def write_item_catalog(path: str, catalog: ItemCatalog) -> None:
 def read_item_catalog(path: str) -> ItemCatalog:
     """Load a catalog written by :func:`write_item_catalog`.
 
-    A wrong field count, a price that is not a finite number, a category
-    or intro week that is not an integer and a repeated item id are
-    rejected with ``path:line``.
+    A non-finite price, a non-integer category or intro week and a
+    repeated item id are rejected with ``path:line``.
     """
-    items: list[str] = []
-    seen: set[str] = set()
+    items: dict[str, None] = {}
     price: list[float] = []
     category: list[int] = []
     intro: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            item, price_text, category_text, intro_text = parts
-            if item in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate item id {item!r}")
-            seen.add(item)
-            items.append(item)
+    for lineno, (item, price_text, category_text, intro_text) in read_fields(
+        path, 4, {0: "item"}
+    ):
+        if item in items:
+            raise ValueError(f"{path}:{lineno}: duplicate item id {item!r}")
+        items[item] = None
+        price.append(parse_finite(price_text, "price", path, lineno))
+        for name, text, column in (
+            ("category", category_text, category),
+            ("intro_week", intro_text, intro),
+        ):
             try:
-                value = float(price_text)
+                column.append(int(text))
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: price {price_text!r} is not a finite number")
-            price.append(value)
-            for name, text, column in (
-                ("category", category_text, category),
-                ("intro_week", intro_text, intro),
-            ):
-                try:
-                    column.append(int(text))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
+                raise ValueError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
     return ItemCatalog(
         item_vocab=tuple(items),
         price=np.array(price),
@@ -400,13 +386,17 @@ class LoadedDataset:
 def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
     """Load an instance table written by :func:`write_dataset` with its labels.
 
-    A wrong field count, a week that is not a non-negative integer, a
-    cell that is not a number and a non-finite label or feature cell
-    other than ``NA`` are rejected with ``path:line``.
+    A malformed schema sidecar is rejected with its path. A header that
+    does not match it, a week that is not a non-negative integer and a
+    label or feature cell that is not a finite number or ``NA`` are
+    rejected with ``path:line``.
     """
     sidecar = schema_path or path + ".schema.json"
     with open(sidecar, encoding="utf-8") as fh:
-        schema = FeatureSchema.from_json(fh.read())
+        try:
+            schema = FeatureSchema.from_json(fh.read())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{sidecar}: malformed feature schema ({exc!r})") from None
     query_ids: list[str] = []
     item_ids: list[str] = []
     weeks: list[int] = []
@@ -414,35 +404,27 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
     rows: list[np.ndarray] = []
     linenos: list[int] = []
     na_counts: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        expected = ["query_id", "item_id", "week", "label", *schema.names]
-        if header != expected:
-            raise ValueError(f"{path}: header does not match schema sidecar")
-        n_cols = len(schema)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4 + n_cols:
-                raise ValueError(f"{path}:{lineno}: wrong field count")
-            week = parts[2]
-            if not (week.isascii() and week.isdigit()):
-                raise ValueError(f"{path}:{lineno}: week {week!r} is not a non-negative integer")
-            cells = parts[4:]
-            try:
-                labels.append(float(parts[3]))
-                rows.append(
-                    np.array([np.nan if v == "NA" else float(v) for v in cells], dtype=np.float64)
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            query_ids.append(parts[0])
-            item_ids.append(parts[1])
-            weeks.append(int(week))
-            linenos.append(lineno)
-            na_counts.append(cells.count("NA"))
+    lines = read_fields(path, ids={0: "query", 1: "item"}, sep=",")
+    _, header = next(lines, (1, []))
+    if header != ["query_id", "item_id", "week", "label", *schema.names]:
+        raise ValueError(f"{path}:1: header does not match schema sidecar")
+    for lineno, parts in lines:
+        week = parts[2]
+        if not (week.isascii() and week.isdigit()):
+            raise ValueError(f"{path}:{lineno}: week {week!r} is not a non-negative integer")
+        cells = parts[4:]
+        try:
+            labels.append(float(parts[3]))
+            rows.append(
+                np.array([np.nan if v == "NA" else float(v) for v in cells], dtype=np.float64)
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        query_ids.append(parts[0])
+        item_ids.append(parts[1])
+        weeks.append(int(week))
+        linenos.append(lineno)
+        na_counts.append(cells.count("NA"))
     if not rows:
         raise ValueError(f"{path}: no instances")
     X = np.vstack(rows)

@@ -226,15 +226,6 @@ class Model:
             self._forest = _Forest.compile(self.trees, len(self.schema))
         return self.base_score + self.shrinkage * self._forest.raw(X)
 
-    def predict(self, features: np.ndarray) -> float:
-        """Score one feature vector (missing cells as NaN)."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape != (len(self.schema),):
-            raise ValueError(
-                f"feature vector must have length {len(self.schema)}, got {features.shape}"
-            )
-        return float(self.predict_matrix(features[None, :])[0])
-
 
 @dataclass(frozen=True, slots=True)
 class RoundStats:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import parse_finite, read_fields
+
 WEEK_SECONDS = 7 * 24 * 3600
 
 
@@ -39,7 +41,7 @@ _ACTION_NAMES = {
     Action.ADD_TO_CART: "atc",
     Action.PURCHASE: "purchase",
 }
-_ACTION_FROM_NAME = {name: action for action, name in _ACTION_NAMES.items()}
+_ACTION_CODES = {name: int(action) for action, name in _ACTION_NAMES.items()}
 
 
 class CalibrationError(ValueError):
@@ -254,40 +256,39 @@ def read_event_log(path: str) -> EventFrame:
     queries: list[str] = []
     items: list[str] = []
     actions: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 tab-separated fields")
-            t, w, s, q, i, a = parts
-            if a not in _ACTION_FROM_NAME:
-                raise ValueError(f"{path}:{lineno}: unknown action {a!r}")
-            try:
-                timestamps.append(float(t))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: timestamp {t!r} is not a number") from None
-            if not (w.isascii() and w.isdigit()):
-                raise ValueError(f"{path}:{lineno}: week {w!r} is not a non-negative integer")
-            weeks.append(int(w))
-            sessions.append(s)
-            queries.append(q)
-            items.append(i)
-            actions.append(int(_ACTION_FROM_NAME[a]))
+    for lineno, (t, w, s, q, i, a) in read_fields(
+        path, 6, {2: "session", 3: "query", 4: "item"}
+    ):
+        if a not in _ACTION_CODES:
+            raise ValueError(f"{path}:{lineno}: unknown action {a!r}")
+        timestamps.append(parse_finite(t, "timestamp", path, lineno))
+        if not (w.isascii() and w.isdigit()):
+            raise ValueError(f"{path}:{lineno}: week {w!r} is not a non-negative integer")
+        weeks.append(int(w))
+        sessions.append(s)
+        queries.append(q)
+        items.append(i)
+        actions.append(_ACTION_CODES[a])
 
-    query_vocab, query_codes = np.unique(np.array(queries, dtype=object), return_inverse=True)
-    item_vocab, item_codes = np.unique(np.array(items, dtype=object), return_inverse=True)
-    session_vocab, session_codes = np.unique(np.array(sessions, dtype=object), return_inverse=True)
+    query_vocab, query_codes = _encode(queries)
+    item_vocab, item_codes = _encode(items)
+    session_vocab, session_codes = _encode(sessions)
     return EventFrame(
         week=np.array(weeks, dtype=np.int64),
-        session=session_codes.astype(np.int64),
-        query=query_codes.astype(np.int64),
-        item=item_codes.astype(np.int64),
+        session=session_codes,
+        query=query_codes,
+        item=item_codes,
         action=np.array(actions, dtype=np.int64),
         timestamp=np.array(timestamps, dtype=np.float64),
-        query_vocab=tuple(str(q) for q in query_vocab),
-        item_vocab=tuple(str(i) for i in item_vocab),
-        session_vocab=tuple(str(s) for s in session_vocab),
+        query_vocab=query_vocab,
+        item_vocab=item_vocab,
+        session_vocab=session_vocab,
     )
+
+
+def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    vocab = sorted(set(values))
+    index = {value: k for k, value in enumerate(vocab)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return tuple(vocab), codes

@@ -45,7 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .core import ChannelId, ChannelList, TruncationConfig, merge_pool
+from .core import ChannelId, ChannelList, TruncationConfig, merge_pool, parse_finite, read_fields
 from .features import fill_channel_block
 from .gbdt.model import Model
 from .gbdt.serialize import model_fingerprint
@@ -94,34 +94,22 @@ class ItemFeatureTable:
     @classmethod
     def from_file(cls, path: str) -> ItemFeatureTable:
         """Load the tab-separated sidecar (header: item_id + column names)."""
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if not header or header[0] != "item_id":
-                raise ValueError(f"{path}: first header field must be item_id")
-            columns = tuple(header[1:])
-            rows: list[list[float]] = []
-            index: dict[str, int] = {}
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != len(columns) + 1:
-                    raise ValueError(f"{path}:{lineno}: wrong field count")
-                if parts[0] in index:
-                    raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
-                row = []
-                for name, value in zip(columns, parts[1:]):
-                    try:
-                        row.append(_finite_number(float(value)))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:{lineno}: {name} {value!r} is not a finite number"
-                        ) from None
-                index[parts[0]] = len(rows)
-                rows.append(row)
+        lines = read_fields(path, ids={0: "item"})
+        _, (first, *columns) = next(lines, (1, [""]))
+        if first != "item_id":
+            raise ValueError(f"{path}:1: first header field must be item_id")
+        for name in columns:
+            if not name or columns.count(name) > 1:
+                raise ValueError(f"{path}:1: column name {name!r} is empty or repeated")
+        rows: list[list[float]] = []
+        index: dict[str, int] = {}
+        for lineno, (item, *cells) in lines:
+            if item in index:
+                raise ValueError(f"{path}:{lineno}: duplicate item id {item!r}")
+            index[item] = len(rows)
+            rows.append([parse_finite(v, c, path, lineno) for c, v in zip(columns, cells)])
         matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
-        return cls(columns=columns, matrix=matrix, index=index)
+        return cls(columns=tuple(columns), matrix=matrix, index=index)
 
 
 def write_item_features(path: str, columns: Sequence[str], items: Mapping[str, Sequence[float]]) -> None:

@@ -167,6 +167,15 @@ class TestPipeline:
         assert rc == 0
         assert out.read_text().strip()
 
+    def test_fuse_weight_for_a_channel_some_queries_lack(self, tmp_path, capsys):
+        # q1 has no semantic list; its weight still applies to q2.
+        lists = tmp_path / "lists.tsv"
+        lists.write_text("q1\tlexical\ti1\t0.9\nq2\tlexical\ti1\t0.8\nq2\tsemantic\ti2\t0.7\n")
+        capsys.readouterr()
+        assert main(["fuse", "--lists", str(lists), "--method", "wi",
+                     "--weight", "semantic=2"]) == 0
+        assert capsys.readouterr().out == "q1\ti1\t1\nq2\ti2\t1\nq2\ti1\t2\n"
+
     def test_fuse_bad_weight_flag_exits_one(self, world_dir, capsys):
         rc = main([
             "fuse", "--lists", str(world_dir / "channel_lists_w0.tsv"),
@@ -217,6 +226,36 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("error: validation feature matrix")
         assert not out.exists()
 
+    def test_fuse_duplicate_item_names_line(self, tmp_path, capsys):
+        lists = tmp_path / "lists.tsv"
+        lists.write_text("q1\tlexical\ti1\t0.9\nq1\tlexical\ti1\t0.5\n")
+        capsys.readouterr()
+        assert main(["fuse", "--lists", str(lists)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {lists}:2: duplicate item 'i1' for query 'q1' channel 'lexical'"]
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["{}", "[1]", '{"columns": [{"name": "a", "group": "item"}]}', "{"],
+        ids=["no-columns", "list", "no-kind", "not-json"],
+    )
+    @pytest.mark.parametrize("cmd", ["train", "evaluate"])
+    def test_bad_schema_sidecar_exits_one(
+        self, dataset_path, model_path, tmp_path, capsys, cmd, sidecar
+    ):
+        data = tmp_path / "data.csv"
+        data.write_bytes(dataset_path.read_bytes())
+        (tmp_path / "data.csv.schema.json").write_text(sidecar)
+        flags = ["--model", str(model_path)]
+        if cmd == "train":
+            flags = ["--out", str(tmp_path / "m.frm")]
+        capsys.readouterr()
+        rc = main([cmd, "--data", str(data), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {data}.schema.json: malformed feature schema")
+
     def test_bench_with_item_sidecar(self, model_path, dataset_path, tmp_path, capsys):
         items = dataset_path.parent / "item_features.tsv"
         report = tmp_path / "bench.json"
@@ -266,3 +305,19 @@ class TestLoadWorldDir:
         for lists in lists_by_week.values():
             assert [cl.channel for cl in lists["q1"]] == [lexical]
             assert [cl.channel for cl in lists["q2"]] == [lexical, semantic]
+
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch):
+        paths = _probe_world(tmp_path, (0, 1))
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        _load_world_dir(*paths)
+        monkeypatch.undo()
+        assert sorted(opened) == [
+            "catalog.tsv", "channel_lists_w0.tsv", "channel_lists_w1.tsv", "events.tsv",
+        ]

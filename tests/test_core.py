@@ -139,7 +139,8 @@ class TestChannelListFile:
         ]
         path = tmp_path / "lists.tsv"
         write_channel_lists(str(path), lists)
-        loaded = read_channel_lists(str(path), channel_names=["lexical", "semantic"])
+        (loaded,), channels = read_channel_lists([str(path)])
+        assert channels == (C0, C1)
         assert set(loaded) == {"red shoes", "blue hat"}
         assert loaded["red shoes"][0].entries == (("A", 0.9), ("B", 0.5))
         assert loaded["red shoes"][1].entries == (("B", 0.8),)
@@ -147,20 +148,30 @@ class TestChannelListFile:
     def test_load_sorts_arbitrary_line_order(self, tmp_path):
         path = tmp_path / "lists.tsv"
         path.write_text("q1\tlexical\tB\t0.5\nq1\tlexical\tA\t0.9\n")
-        loaded = read_channel_lists(str(path))
+        (loaded,), _ = read_channel_lists([str(path)])
         assert loaded["q1"][0].items == ("A", "B")
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "lists.tsv"
         path.write_text("q1\tlexical\tB\n")
         with pytest.raises(ValueError, match="expected 4"):
-            read_channel_lists(str(path))
+            read_channel_lists([str(path)])
 
-    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "high"])
-    def test_bad_score_rejected_with_line(self, tmp_path, score):
+    @pytest.mark.parametrize(
+        "line, message",
+        [("q1\tlexical\ti1\tnan", "score 'nan' is not a finite number"),
+         ("q1\tlexical\ti1\tinf", "score 'inf' is not a finite number"),
+         ("q1\tlexical\ti1\t-inf", "score '-inf' is not a finite number"),
+         ("q1\tlexical\ti1\thigh", "score 'high' is not a finite number"),
+         ("\tlexical\ti1\t0.5", "empty query id"),
+         ("q1\t\ti1\t0.5", "empty channel id"),
+         ("q1\tlexical\t\t0.5", "empty item id"),
+         ("q1\tlexical\tA\t0.5", "duplicate item 'A' for query 'q1' channel 'lexical'")],
+        ids=["nan", "inf", "-inf", "high", "empty-query", "empty-channel", "empty-item",
+             "duplicate-item"],
+    )
+    def test_bad_score_rejected_with_line(self, tmp_path, line, message):
         path = tmp_path / "lists.tsv"
-        path.write_text(f"q1\tlexical\tA\t0.9\nq1\tlexical\ti1\t{score}\n")
-        with pytest.raises(
-            ValueError, match="^" + re.escape(f"{path}:2: score {score!r} is not a finite number")
-        ):
-            read_channel_lists(str(path))
+        path.write_text(f"q1\tlexical\tA\t0.9\n{line}\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {message}")):
+            read_channel_lists([str(path)])

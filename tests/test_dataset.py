@@ -286,8 +286,10 @@ class TestFiles:
          ("i1\tnan\t2\t0", "price 'nan' is not a finite number"),
          ("i1\t-inf\t2\t0", "price '-inf' is not a finite number"),
          ("i1\t1.0\tshoes\t0", "category 'shoes' is not an integer"),
-         ("i1\t1.0\t2\t1.5", "intro_week '1.5' is not an integer")],
-        ids=["word-price", "nan-price", "inf-price", "word-category", "fractional-week"],
+         ("i1\t1.0\t2\t1.5", "intro_week '1.5' is not an integer"),
+         ("\t1.0\t2\t0", "empty item id")],
+        ids=["word-price", "nan-price", "inf-price", "word-category", "fractional-week",
+             "empty-item"],
     )
     def test_item_catalog_bad_field_names_line(self, tmp_path, line, field):
         path = tmp_path / "items.tsv"
@@ -302,8 +304,8 @@ class TestFiles:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: duplicate item id 'i1'")):
             read_item_catalog(str(path))
 
-    def _dataset_file(self, dataset, tmp_path, week="1", label="2.0", cell="0.5"):
-        """A two-row table whose second row has the given week, label and first cell."""
+    def _dataset_file(self, dataset, tmp_path, item="i1", week="1", label="2.0", cell="0.5"):
+        """A two-row table whose second row has the given item, week, label and first cell."""
         names = dataset.schema.names
         path = tmp_path / "data.csv"
         (tmp_path / "data.csv.schema.json").write_text(dataset.schema.to_json())
@@ -311,7 +313,7 @@ class TestFiles:
         path.write_text("\n".join([
             ",".join(["query_id", "item_id", "week", "label", *names]),
             ",".join(["q", "i0", "1", "1.0", "0.25", *rest]),
-            ",".join(["q", "i1", week, label, cell, *rest]),
+            ",".join(["q", item, week, label, cell, *rest]),
         ]) + "\n")
         return str(path)
 
@@ -331,9 +333,10 @@ class TestFiles:
          ({"cell": "inf"}, "non-finite label or feature cell"),
          ({"cell": "-inf"}, "non-finite label or feature cell"),
          ({"cell": "nan"}, "non-finite label or feature cell"),
-         ({"cell": "x"}, "could not convert string to float: 'x'")],
+         ({"cell": "x"}, "could not convert string to float: 'x'"),
+         ({"item": ""}, "empty item id")],
         ids=["fractional-week", "negative-week", "nan-label", "inf-label", "word-label",
-             "inf-cell", "neg-inf-cell", "nan-cell", "word-cell"],
+             "inf-cell", "neg-inf-cell", "nan-cell", "word-cell", "empty-item"],
     )
     def test_bad_dataset_row_names_line(self, dataset, tmp_path, fields, message):
         path = self._dataset_file(dataset, tmp_path, **fields)

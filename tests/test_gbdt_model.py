@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -218,12 +220,12 @@ class TestPredict:
 
     def test_hand_traced_single_split(self):
         model = self._manual_model()
-        assert model.predict(np.array([0.3, 9.0])) == pytest.approx(-0.1)
-        assert model.predict(np.array([0.7, 9.0])) == pytest.approx(0.2)
+        scores = model.predict_matrix(np.array([[0.3, 9.0], [0.7, 9.0]]))
+        assert scores.tolist() == pytest.approx([-0.1, 0.2])
 
     def test_missing_routed_by_learned_direction(self):
         model = self._manual_model()
-        assert model.predict(np.array([np.nan, 1.0])) == pytest.approx(0.2)
+        assert model.predict_matrix(np.array([[np.nan, 1.0]]))[0] == pytest.approx(0.2)
 
     def test_zero_leaf_model_returns_base_score(self):
         split = AxisSplit(feature=0, threshold=0.0, missing_left=True, gain=0.0)
@@ -233,19 +235,21 @@ class TestPredict:
             trees=(Tree(root=split),), shrinkage=0.1, base_score=1.25,
             schema=generic_schema(2), params=TrainParams(num_trees=1),
         )
-        assert model.predict(np.array([3.0, -1.0])) == 1.25
+        assert model.predict_matrix(np.array([[3.0, -1.0]]))[0] == 1.25
 
     def test_all_missing_vector_scores_finite(self):
         X, labels, group_ids = ranking_problem(131, n_groups=10)
         params = TrainParams(num_trees=5, max_depth=3, min_examples_per_leaf=2)
         model = train(X, labels, group_ids, generic_schema(X.shape[1]), params).model
-        value = model.predict(np.full(X.shape[1], np.nan))
+        value = model.predict_matrix(np.full((1, X.shape[1]), np.nan))[0]
         assert np.isfinite(value)
 
     def test_schema_mismatch_rejected(self):
         model = self._manual_model()
-        with pytest.raises(ValueError, match="length 2"):
-            model.predict(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match=re.escape("must be (n, 2), got (1, 3)")):
+            model.predict_matrix(np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ValueError, match=re.escape("must be (n, 2), got (2,)")):
+            model.predict_matrix(np.array([1.0, 2.0]))
 
     def test_matrix_and_single_agree(self):
         X, labels, group_ids = ranking_problem(137, n_groups=10)
@@ -255,7 +259,7 @@ class TestPredict:
         Xq = rng.normal(size=(40, X.shape[1]))
         Xq[rng.random(size=Xq.shape) < 0.2] = np.nan
         batch = model.predict_matrix(Xq)
-        single = np.array([model.predict(row) for row in Xq])
+        single = np.array([model.predict_matrix(row[None, :])[0] for row in Xq])
         np.testing.assert_array_equal(batch, single)
 
     def test_forest_equals_tree_walk(self):
@@ -411,7 +415,6 @@ class TestForestParity:
         X = queries(1, 5, seed=7)
         for model in (axis_model, oblique_model):
             self.assert_parity(model, X)
-            assert model.predict(X[0]) == walk_model(model, X)[0]
 
     def test_batch_longer_than_one_chunk(self, axis_model, oblique_model):
         for model in (axis_model, oblique_model):

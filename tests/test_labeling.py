@@ -383,6 +383,22 @@ class TestEventLogFile:
             events, key=lambda e: (e.session, e.timestamp)
         )
 
+    def test_vocabularies_and_codes_match_np_unique(self, tmp_path):
+        # Session names s0..s29 sort as strings, not as numbers.
+        frame = _random_frame(3, 400, 3)
+        path = tmp_path / "events.tsv"
+        write_event_log(str(path), frame)
+        loaded = read_event_log(str(path))
+        for vocab, codes, names in (
+            (loaded.query_vocab, loaded.query, [frame.query_vocab[c] for c in frame.query]),
+            (loaded.item_vocab, loaded.item, [frame.item_vocab[c] for c in frame.item]),
+            (loaded.session_vocab, loaded.session, [frame.session_name(c) for c in frame.session]),
+        ):
+            expected, inverse = np.unique(np.array(names, dtype=object), return_inverse=True)
+            assert vocab == tuple(expected)
+            assert codes.dtype == np.int64
+            np.testing.assert_array_equal(codes, inverse)
+
     def test_unknown_action_rejected(self, tmp_path):
         path = tmp_path / "events.tsv"
         path.write_text("0.0\t0\ts1\tq\ti\tview\n")
@@ -405,8 +421,13 @@ class TestEventLogFile:
         "line, field",
         [("0.0\t1.5\ts1\tq\ti\tclick", "week '1.5'"),
          ("0.0\t\ts1\tq\ti\tclick", "week ''"),
-         ("later\t0\ts1\tq\ti\tclick", "timestamp 'later'")],
-        ids=["fractional-week", "empty-week", "word-timestamp"],
+         ("later\t0\ts1\tq\ti\tclick", "timestamp 'later' is not a finite number"),
+         ("nan\t0\ts1\tq\ti\tclick", "timestamp 'nan' is not a finite number"),
+         ("0.0\t0\t\tq\ti\tclick", "empty session id"),
+         ("0.0\t0\ts1\t\ti\tclick", "empty query id"),
+         ("0.0\t0\ts1\tq\t\tclick", "empty item id")],
+        ids=["fractional-week", "empty-week", "word-timestamp", "nan-timestamp",
+             "empty-session", "empty-query", "empty-item"],
     )
     def test_bad_number_field_names_line(self, tmp_path, line, field):
         path = tmp_path / "events.tsv"

@@ -272,6 +272,26 @@ class TestItemFeatureFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: duplicate item id 'A'")):
             ItemFeatureTable.from_file(path)
 
+    def test_empty_item_rejected_with_line(self, tmp_path):
+        path = self.load(tmp_path, "A\t1.0\t2\n\t3.0\t4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: empty item id")):
+            ItemFeatureTable.from_file(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("item_id\ta\ta", "column name 'a' is empty or repeated"),
+         ("item_id\ta\t", "column name '' is empty or repeated"),
+         ("item\ta\tb", "first header field must be item_id"),
+         ("", "first header field must be item_id")],
+        ids=["repeated", "empty", "no-item-id", "blank"],
+    )
+    def test_bad_header_rejected_with_line_one(self, tmp_path, header, message):
+        # Loaded, a repeated column would be served from its first copy only.
+        path = tmp_path / "items.tsv"
+        path.write_text(header + "\nA\t1.0\t2\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: {message}")):
+            ItemFeatureTable.from_file(str(path))
+
 
 class TestTrainServeParity:
     """Serving rebuilds the training row: same features, same score, bit for bit."""
