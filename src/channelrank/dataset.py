@@ -377,8 +377,6 @@ class LoadedDataset:
     schema: FeatureSchema
     X: np.ndarray
     labels: np.ndarray
-    query_ids: list[str]
-    item_ids: list[str]
     weeks: np.ndarray
     group_ids: np.ndarray
 
@@ -388,8 +386,9 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
 
     A malformed schema sidecar is rejected with its path. A header that
     does not match it, a week that is not a non-negative integer and a
-    label or feature cell that is not a finite number or ``NA`` are
-    rejected with ``path:line``.
+    label or feature cell that is not a finite number or ``NA``, and a
+    repeated ``(query_id, week, item_id)`` row are rejected with
+    ``path:line``.
     """
     sidecar = schema_path or path + ".schema.json"
     with open(sidecar, encoding="utf-8") as fh:
@@ -444,12 +443,20 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
         groups = QueryGroups.from_ids(keys)
     except ValueError as exc:
         raise ValueError(f"{path}: (query_id, week) {exc}") from None
+    # Sorted by (group, item) with ties in file order, a repeat sits right
+    # after an earlier copy of its row.
+    item_codes = np.unique(np.array(item_ids), return_inverse=True)[1]
+    order = np.lexsort((item_codes, groups.codes))
+    repeat = (np.diff(groups.codes[order]) == 0) & (np.diff(item_codes[order]) == 0)
+    if repeat.any():
+        raise ValueError(
+            f"{path}:{linenos[int(order[1:][repeat].min())]}: repeated "
+            "(query_id, week, item_id) row"
+        )
     return LoadedDataset(
         schema=schema,
         X=X,
         labels=label_arr,
-        query_ids=query_ids,
-        item_ids=item_ids,
         weeks=np.array(weeks, dtype=np.int64),
         group_ids=groups.codes,
     )

@@ -78,8 +78,8 @@ class TrainParams:
 
 
 #: Rows per scoring chunk are capped so that one chunk's per-tree node
-#: indices and derived columns, and each oblique-feature gather, stay
-#: near this many elements.
+#: indices and walk columns stay near this many elements; each oblique
+#: gather stays near half of it.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -87,22 +87,31 @@ _CHUNK_ELEMENTS = 1 << 16
 class _Forest:
     """Every tree of a model flattened into one node table.
 
-    Node ``i`` routes a row to ``child[2*i + go_right]``. A leaf's two
-    children are the leaf itself, so every row takes exactly ``depth``
-    branch-free steps and ends on its leaf. Oblique node ``k`` becomes an
-    axis split on derived column ``F + k``, its projection; projections
-    are computed per chunk, one batched product per group of nodes that
-    share a feature count.
+    Rows are walked over ``Z = [X | -X | projections]``, one comparison per
+    level: node ``i`` sends row ``r`` to ``child[2*i + (Z[r, column[i]] >=
+    threshold[i])]``. A NaN compares false, so a missing value always takes
+    ``child[2*i]``. A split that sends missing rows left reads its value
+    as it is, with its own threshold and children. One that sends them
+    right reads the negated value (column ``F + f``, or negated oblique
+    weights; negation is exact), compares it with ``nextafter(-t, inf)``
+    and swaps its children, since ``-v >= nextafter(-t, inf)`` holds
+    exactly when ``v < t``. With ``t = -inf`` such a split sends every
+    row right, so its threshold becomes NaN, which no value reaches.
+    Oblique node ``k`` reads derived column ``2F + k``, its projection;
+    projections are computed per chunk, one batched product per group of
+    nodes that share a feature count. A leaf's two children are the leaf
+    itself, so every row takes exactly ``depth`` branch-free steps and
+    ends on its leaf.
     """
 
-    feature: np.ndarray
+    column: np.ndarray
     threshold: np.ndarray
-    missing_left: np.ndarray
     value: np.ndarray
     child: np.ndarray
     roots: np.ndarray
     depth: int
     n_features: int
+    width: int
     projections: list[tuple[np.ndarray, np.ndarray]]
     chunk: int
 
@@ -116,32 +125,45 @@ class _Forest:
             roots.append(len(nodes))
             child.append(np.array(children, dtype=np.intp).ravel() + len(nodes))
             nodes.extend(tree_nodes)
-        feature = [node.feature if isinstance(node, AxisSplit) else 0 for node in nodes]
+        # Splits that send missing rows right walk the negated value.
+        flip = np.array([not getattr(n, "missing_left", True) for n in nodes], dtype=bool)
+        column = np.array(
+            [node.feature if isinstance(node, AxisSplit) else 0 for node in nodes],
+            dtype=np.intp,
+        )
+        column[flip] += n_features
         by_width: dict[int, list[int]] = {}
         for idx, node in enumerate(nodes):
             if isinstance(node, ObliqueSplit):
                 by_width.setdefault(len(node.features), []).append(idx)
         projections = []
-        column = n_features
-        for width in sorted(by_width):
-            group = by_width[width]
-            for idx in group:
-                feature[idx] = column
-                column += 1
-            projections.append((
-                np.array([nodes[idx].features for idx in group], dtype=np.intp),
-                np.array([nodes[idx].weights for idx in group], dtype=np.float64),
-            ))
-        per_row = max(len(roots), column, 1)
+        width = 2 * n_features
+        for size in sorted(by_width):
+            group = by_width[size]
+            column[group] = np.arange(width, width + len(group))
+            width += len(group)
+            weights = np.array([nodes[idx].weights for idx in group], dtype=np.float64)
+            weights[flip[group]] *= -1.0
+            projections.append(
+                (np.array([nodes[idx].features for idx in group], dtype=np.intp), weights)
+            )
+        threshold = np.array([getattr(n, "threshold", 0.0) for n in nodes], dtype=np.float64)
+        threshold[flip] = np.where(
+            threshold[flip] == -np.inf, np.nan, np.nextafter(-threshold[flip], np.inf)
+        )
+        child = np.concatenate(child).reshape(-1, 2)
+        child[flip] = child[flip, ::-1]
+        width = max(width, 1)  # leaves read column 0, unused, even with no features
+        per_row = max(len(roots), width)
         return cls(
-            feature=np.array(feature, dtype=np.intp),
-            threshold=np.array([getattr(n, "threshold", 0.0) for n in nodes], dtype=np.float64),
-            missing_left=np.array([getattr(n, "missing_left", False) for n in nodes], dtype=bool),
+            column=column,
+            threshold=threshold,
             value=np.array([getattr(n, "value", 0.0) for n in nodes], dtype=np.float64),
-            child=np.concatenate(child),
+            child=child.ravel(),
             roots=np.array(roots, dtype=np.intp),
             depth=max((tree.depth() for tree in trees), default=0),
             n_features=n_features,
+            width=width,
             projections=projections,
             chunk=max(1, _CHUNK_ELEMENTS // per_row),
         )
@@ -155,16 +177,16 @@ class _Forest:
         return out
 
     def _columns(self, X: np.ndarray) -> np.ndarray:
-        """``X`` plus one derived column per oblique node."""
-        if not self.projections:
-            return np.ascontiguousarray(X)
-        width = self.n_features + sum(len(w) for _, w in self.projections)
-        Z = np.empty((len(X), width), dtype=np.float64)
-        Z[:, : self.n_features] = X
-        column = self.n_features
+        """``X``, ``-X`` and one derived column per oblique node."""
+        F = self.n_features
+        Z = np.empty((len(X), self.width), dtype=np.float64)
+        Z[:, :F] = X
+        np.negative(X, out=Z[:, F : 2 * F])
+        column = 2 * F
         for feats, weights in self.projections:
-            # Nodes go in blocks so each gather stays within the budget.
-            block = max(1, _CHUNK_ELEMENTS // (len(X) * feats.shape[1]))
+            # Nodes go in blocks so each gather stays within half the
+            # budget, small enough that the allocator reuses its memory.
+            block = max(1, _CHUNK_ELEMENTS // (2 * len(X) * feats.shape[1]))
             for k in range(0, len(weights), block):
                 # One matrix-vector product per node, exactly as a per-node
                 # ``X[:, feats] @ w`` computes it; a dense ``X @ W.T`` or an
@@ -182,15 +204,15 @@ class _Forest:
     def _block(self, X: np.ndarray) -> np.ndarray:
         Z = self._columns(X)
         n = len(Z)
+        roots = self.roots
+        cur = self.child.take(
+            2 * roots + (Z[:, self.column.take(roots)] >= self.threshold.take(roots))
+        )
         flat = Z.ravel()
-        row_base = np.arange(n, dtype=np.intp)[:, None] * Z.shape[1]
-        cur = np.broadcast_to(self.roots, (n, len(self.roots))).copy()
-        for _ in range(self.depth):
-            x = flat.take(row_base + self.feature.take(cur))
-            go_left = (x < self.threshold.take(cur)) | (
-                np.isnan(x) & self.missing_left.take(cur)
-            )
-            cur = self.child.take(2 * cur + ~go_left)
+        row_base = np.arange(n, dtype=np.intp)[:, None] * self.width
+        for _ in range(self.depth - 1):
+            right = flat.take(row_base + self.column.take(cur)) >= self.threshold.take(cur)
+            cur = self.child.take(2 * cur + right)
         values = self.value.take(cur)
         if not self.projections:
             return values.sum(axis=1)

@@ -19,7 +19,10 @@ Layout (documented contract):
   reached exactly once.
 
 Any checksum, magic, version, or structural mismatch raises
-:class:`ModelFormatError`; no partially constructed model escapes.
+:class:`ModelFormatError`; no partially constructed model escapes. So
+does a value that would score wrong: a feature index outside the schema,
+a NaN threshold, or a non-finite leaf value, oblique weight, shrinkage
+or base score. Thresholds of ``±inf`` are legal.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 
 from ..features import FeatureColumn, FeatureSchema
 from .model import Model, TrainParams
@@ -58,18 +62,30 @@ def _flatten_tree(tree: Tree) -> list[list]:
     return records
 
 
-def _node(rec: object, idx: int) -> tuple[Node, tuple[object, object] | None]:
-    """One record as a node, with its declared (left, right) children if a split."""
+def _node(
+    rec: object, where: str, n_features: int
+) -> tuple[Node, tuple[object, object] | None]:
+    """One record as a node, with its declared (left, right) children if a split.
+
+    A record that would load and then score wrong or fail is rejected:
+    a feature outside the schema, a NaN threshold (``±inf`` is fine), a
+    leaf value or oblique weight that is not finite, or an oblique node
+    without one weight per feature.
+    """
     tag = rec[0] if isinstance(rec, list) and rec else None
     if tag == "L" and len(rec) == 3:
-        return Leaf(value=float(rec[1]), n_samples=int(rec[2])), None
+        leaf = Leaf(value=float(rec[1]), n_samples=int(rec[2]))
+        if not math.isfinite(leaf.value):
+            raise ModelFormatError(f"{where}: leaf value {leaf.value} is not finite")
+        return leaf, None
     if tag == "A" and len(rec) == 7:
-        split = AxisSplit(
+        split: AxisSplit | ObliqueSplit = AxisSplit(
             feature=int(rec[1]), threshold=float(rec[2]), missing_left=bool(rec[3]),
             gain=float(rec[6]),
         )
-        return split, (rec[4], rec[5])
-    if tag == "O" and len(rec) == 8:
+        features: tuple[int, ...] = (split.feature,)
+        children = (rec[4], rec[5])
+    elif tag == "O" and len(rec) == 8:
         split = ObliqueSplit(
             features=tuple(int(f) for f in rec[1]),
             weights=tuple(float(w) for w in rec[2]),
@@ -77,45 +93,68 @@ def _node(rec: object, idx: int) -> tuple[Node, tuple[object, object] | None]:
             missing_left=bool(rec[4]),
             gain=float(rec[7]),
         )
-        return split, (rec[5], rec[6])
-    raise ModelFormatError(f"node record {idx} is not a leaf, axis or oblique record")
+        features = split.features
+        if len(split.weights) != len(features):
+            raise ModelFormatError(
+                f"{where}: {len(features)} features but {len(split.weights)} weights"
+            )
+        if not all(math.isfinite(w) for w in split.weights):
+            raise ModelFormatError(f"{where}: oblique weights {split.weights} are not finite")
+        children = (rec[5], rec[6])
+    else:
+        raise ModelFormatError(f"{where} is not a leaf, axis or oblique record")
+    for f in features:
+        if not 0 <= f < n_features:
+            raise ModelFormatError(
+                f"{where}: feature {f} is outside the schema's [0, {n_features})"
+            )
+    if math.isnan(split.threshold):
+        raise ModelFormatError(f"{where}: threshold is NaN")
+    return split, children
 
 
-def _rebuild_tree(records: list) -> Tree:
-    """The tree of one record list, in the preorder layout ``_flatten_tree`` writes.
+def _rebuild_tree(records: list, tree: int, n_features: int) -> Tree:
+    """Tree number ``tree`` from its records, in the preorder layout ``_flatten_tree`` writes.
 
     Records are read in order, without recursion; any other layout (a
     child that is not the next node of the walk, a record no split
-    reaches, a split cut off by the end of the list) is rejected.
+    reaches, a split cut off by the end of the list) is rejected, and so
+    is any record :func:`_node` rejects.
     """
     if not isinstance(records, list) or not records:
-        raise ModelFormatError("a tree needs at least one node record")
+        raise ModelFormatError(f"tree {tree}: a tree needs at least one node record")
     root: Node | None = None
     # Splits whose right subtree is still to come: split, position, declared start.
     pending: list[tuple[AxisSplit | ObliqueSplit, int, object]] = []
     slot: tuple[AxisSplit | ObliqueSplit, str] | None = None  # where record idx hangs
     for idx, rec in enumerate(records):
         if idx and slot is None:
-            raise ModelFormatError(f"node record {idx} is not reached from the root")
-        node, children = _node(rec, idx)
+            raise ModelFormatError(f"tree {tree}: node record {idx} is not reached from the root")
+        node, children = _node(rec, f"tree {tree} node {idx}", n_features)
         if slot is None:
             root = node
         else:
             setattr(slot[0], slot[1], node)
         if children is not None:
             if children[0] != idx + 1:
-                raise ModelFormatError(f"left child of node {idx} is not node {idx + 1}")
+                raise ModelFormatError(
+                    f"tree {tree}: left child of node {idx} is not node {idx + 1}"
+                )
             pending.append((node, idx, children[1]))
             slot = (node, "left")
         elif pending:
             split, at, right = pending.pop()
             if right != idx + 1:
-                raise ModelFormatError(f"right child of node {at} is not node {idx + 1}")
+                raise ModelFormatError(
+                    f"tree {tree}: right child of node {at} is not node {idx + 1}"
+                )
             slot = (split, "right")
         else:
             slot = None
     if slot is not None:
-        raise ModelFormatError("tree records end before every split has two children")
+        raise ModelFormatError(
+            f"tree {tree}: records end before every split has two children"
+        )
     return Tree(root=root)
 
 
@@ -180,11 +219,20 @@ def loads_model(data: bytes) -> Model:
             )
         )
         params = TrainParams(**payload["params"])
-        trees = tuple(_rebuild_tree(records) for records in payload["trees"])
+        trees = tuple(
+            _rebuild_tree(records, t, len(schema))
+            for t, records in enumerate(payload["trees"])
+        )
+        shrinkage = float(payload["shrinkage"])
+        base_score = float(payload["base_score"])
+        if not (math.isfinite(shrinkage) and math.isfinite(base_score)):
+            raise ModelFormatError(
+                f"shrinkage {shrinkage} and base_score {base_score} must be finite"
+            )
         return Model(
             trees=trees,
-            shrinkage=float(payload["shrinkage"]),
-            base_score=float(payload["base_score"]),
+            shrinkage=shrinkage,
+            base_score=base_score,
             schema=schema,
             params=params,
             format_version=version,

@@ -237,7 +237,8 @@ class ScoreService:
         fill_channel_block(X, self.model.schema, pool, items)
 
         scores = self.model.predict_matrix(X)
-        order = np.lexsort((np.array(items, dtype=object), -scores))
+        # ``items`` is sorted, so a stable sort breaks score ties by item id.
+        order = np.argsort(-scores, kind="stable")
         latency_us = int((time.perf_counter() - started) * 1e6)
         return {
             "query": query,

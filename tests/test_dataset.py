@@ -323,6 +323,19 @@ class TestFiles:
         assert loaded.X[:, 0].tolist() == [0.25, 0.5]
         assert np.isnan(loaded.X[:, 1:]).all()
 
+    def test_same_item_in_another_week_loads(self, dataset, tmp_path):
+        loaded = read_dataset(self._dataset_file(dataset, tmp_path, item="i0", week="2"))
+        assert loaded.weeks.tolist() == [1, 2]
+
+    def test_repeated_row_names_its_line(self, dataset, tmp_path):
+        path = self._dataset_file(dataset, tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([*lines, lines[1]])  # a copy of line 2 as line 4
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:4: repeated")):
+            read_dataset(path)
+
     @pytest.mark.parametrize(
         "fields, message",
         [({"week": "1.5"}, "week '1.5' is not a non-negative integer"),
@@ -334,9 +347,10 @@ class TestFiles:
          ({"cell": "-inf"}, "non-finite label or feature cell"),
          ({"cell": "nan"}, "non-finite label or feature cell"),
          ({"cell": "x"}, "could not convert string to float: 'x'"),
-         ({"item": ""}, "empty item id")],
+         ({"item": ""}, "empty item id"),
+         ({"item": "i0"}, "repeated (query_id, week, item_id) row")],
         ids=["fractional-week", "negative-week", "nan-label", "inf-label", "word-label",
-             "inf-cell", "neg-inf-cell", "nan-cell", "word-cell", "empty-item"],
+             "inf-cell", "neg-inf-cell", "nan-cell", "word-cell", "empty-item", "repeat"],
     )
     def test_bad_dataset_row_names_line(self, dataset, tmp_path, fields, message):
         path = self._dataset_file(dataset, tmp_path, **fields)

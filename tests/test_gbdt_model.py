@@ -384,6 +384,11 @@ class TestForestParity:
             forest_model([Leaf(0.75)], shrinkage=1.0, base=0.0).predict_matrix(X),
             np.full(len(X), 0.75),
         )
+        np.testing.assert_array_equal(
+            forest_model([Leaf(0.75)], n_features=0, shrinkage=1.0, base=0.0)
+            .predict_matrix(np.empty((3, 0))),
+            np.full(3, 0.75),
+        )
 
     def test_trees_of_unequal_depth(self, axis_model, oblique_model):
         deep = split(
@@ -421,6 +426,40 @@ class TestForestParity:
             model.predict_matrix(queries(1, 5, seed=8))
             n = 2 * model._forest.chunk + 7
             self.assert_parity(model, queries(n, 5, seed=9))
+
+    def test_edge_thresholds_and_cells(self):
+        # Every pair of edge cells over two features, through axis and
+        # oblique splits on edge thresholds with either missing direction,
+        # each as a root and below one.
+        cells = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+        X = np.array([(a, b) for a in cells for b in cells])
+        thresholds = [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0]
+
+        def edge(k, threshold, missing_left, weights):
+            if weights is None:
+                return split(0, threshold, missing_left, Leaf(-1.0 - k), Leaf(1.0 + k))
+            return oblique_split(
+                (0, 1), weights, threshold, missing_left, Leaf(-1.0 - k), Leaf(1.0 + k)
+            )
+
+        trees = {None: [], (1.0, -1.0): [], (2.0, 0.5): []}
+        for weights, kind in trees.items():
+            for threshold in thresholds:
+                for missing_left in (True, False):
+                    k = len(kind)
+                    kind.append(edge(k, threshold, missing_left, weights))
+                    kind.append(split(
+                        1, 0.5, not missing_left,
+                        edge(k + 0.25, threshold, missing_left, weights),
+                        edge(k + 0.5, threshold, missing_left, weights),
+                    ))
+        for kind in trees.values():
+            for tree in kind:
+                np.testing.assert_array_equal(
+                    Tree(root=tree).predict_matrix(X), walk_tree(Tree(root=tree), X)
+                )
+        self.assert_parity(forest_model(trees[None], n_features=2), X)
+        self.assert_parity(forest_model([t for k in trees.values() for t in k], n_features=2), X)
 
     def test_single_tree_predict_matrix_matches_walk(self, oblique_model):
         X = queries(300, 5, seed=10)

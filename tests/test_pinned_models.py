@@ -4,13 +4,17 @@ Training speed-ups must leave every fitted model byte-identical. The
 benchmark checks its own worlds; this second world (60 queries, seed 11)
 checks an axis and an oblique model that no benchmark run trains, both
 fitted with a validation set. The training log's last NDCG values are pinned
-too, and so is a small ablation on the same world: its dataset, its three
+too, as are the models' scores on validation rows with NaN and infinite
+cells, and so is a small ablation on the same world: its dataset, its three
 models and its four variant scores. A change to any value below means a
 change to what labeling, training or evaluation computes.
 """
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from channelrank.core import TruncationConfig
@@ -22,14 +26,17 @@ from channelrank.synthgen import WorldConfig, filter_and_split, generate
 
 CFG = WorldConfig(num_queries=60, seed=11)
 
-#: ``model_fingerprint`` and the last round's (train, valid) NDCG@8.
+#: ``model_fingerprint``, the last round's (train, valid) NDCG@8 and the
+#: sha256 of ``predict_matrix`` on ``edge_rows`` of the validation matrix.
 AXIS = (
     "59cd7ae4770c23e03a14f30cd03c560e279a13e9a9166fe3212cf12a851089f4",
     (0.8492642101959529, 0.7791831014675896),
+    "f3961bf673453cd6a0982a4bdb780b90aa5c26957607c164f1d06f0dd39c82a4",
 )
 OBLIQUE = (
     "9573d5a6d1a62aad031bb7d6ede54e8e701de24cc1b31471090a0facf788dce4",
     (0.8000157262799241, 0.7555097029518704),
+    "408c4209f4ce170aa711ef2e9284179ae6125cc96157228ef1006288d206c401",
 )
 
 #: ``Dataset.fingerprint()`` of the world's dataset.
@@ -83,6 +90,17 @@ def fit_inputs(world_data):
     )
 
 
+def edge_rows(X):
+    """``X`` with a tenth of its cells NaN and a twentieth each +inf and -inf."""
+    rng = np.random.default_rng(0)
+    X = X.copy()
+    u = rng.random(size=X.shape)
+    X[u < 0.1] = np.nan
+    X[(u >= 0.1) & (u < 0.15)] = np.inf
+    X[(u >= 0.15) & (u < 0.2)] = -np.inf
+    return X
+
+
 @pytest.mark.parametrize(
     "params, expected",
     [
@@ -98,7 +116,12 @@ def test_second_world_model_fingerprint(fit_inputs, params, expected):
     (X, labels, group_ids, schema), valid = fit_inputs
     result = train(X, labels, group_ids, schema, params, valid=valid, n_threads=2)
     last = result.history[-1]
-    assert (model_fingerprint(result.model), (last.train_ndcg, last.valid_ndcg)) == expected
+    scores = result.model.predict_matrix(edge_rows(valid[0]))
+    assert (
+        model_fingerprint(result.model),
+        (last.train_ndcg, last.valid_ndcg),
+        hashlib.sha256(scores.tobytes()).hexdigest(),
+    ) == expected
 
 
 def test_second_world_ablation(world_data):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from channelrank.gbdt.serialize import (
     save_model,
     serialize_model,
 )
+from tests.forest_oracle import walk_model
 from tests.test_gbdt_model import generic_schema, ranking_problem
 
 
@@ -107,10 +109,10 @@ class TestCorruption:
             loads_model(b"\x00\x01\x02binary-garbage")
 
 
-def with_trees(model, trees):
-    """A checksum-valid .frm of ``model`` with its tree records replaced."""
+def with_trees(model, trees, **fields):
+    """A checksum-valid .frm of ``model`` with its tree records and ``fields`` replaced."""
     doc = json.loads(serialize_model(model))
-    doc["model"]["trees"] = trees
+    doc["model"].update(trees=trees, **fields)
     canonical = json.dumps(doc["model"], sort_keys=True, separators=(",", ":"))
     doc["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -157,3 +159,60 @@ class TestMalformedTrees:
         records = [rec for d in range(depth) for rec in (axis(2 * d + 1, 2 * d + 2), LEAF)]
         model = loads_model(with_trees(trained, [records + [LEAF]]))
         assert model.trees[0].n_nodes() == 2 * depth + 1
+
+
+def oblique(features, weights, threshold=0.25, left=1, right=2):
+    return ["O", features, weights, threshold, False, left, right, 1.0]
+
+
+class TestBadValues:
+    """Checksum-valid files whose values would score wrong or fail."""
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [([["A", -1, 0.25, True, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: feature -1 is outside the schema's [0, 5)"),
+         ([["A", 5, 0.25, True, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: feature 5 is outside the schema's [0, 5)"),
+         ([axis(1, 2), LEAF, oblique([0, 7], [1.0, -1.0])],
+          "tree 1 node 2: feature 7 is outside the schema's [0, 5)"),
+         ([["A", 0, float("nan"), True, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: threshold is NaN"),
+         ([oblique([0, 1], [1.0, -1.0], float("nan")), LEAF, LEAF],
+          "tree 1 node 0: threshold is NaN"),
+         ([axis(1, 2), LEAF, ["L", float("inf"), 3]],
+          "tree 1 node 2: leaf value inf is not finite"),
+         ([axis(1, 2), ["L", float("nan"), 3], LEAF],
+          "tree 1 node 1: leaf value nan is not finite"),
+         ([oblique([0, 1], [1.0, float("-inf")]), LEAF, LEAF],
+          "tree 1 node 0: oblique weights (1.0, -inf) are not finite"),
+         ([oblique([0, 1], [1.0]), LEAF, LEAF],
+          "tree 1 node 0: 2 features but 1 weights")],
+        ids=["feature-negative", "feature-past-schema", "oblique-feature-past-schema",
+             "nan-threshold", "nan-oblique-threshold", "inf-leaf", "nan-leaf",
+             "inf-weight", "weight-count"],
+    )
+    def test_bad_node_names_tree_and_node(self, trained, records, message):
+        assert len(trained.schema) == 5
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            loads_model(with_trees(trained, [[LEAF], records]))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"shrinkage": float("inf")}, {"shrinkage": float("nan")},
+         {"base_score": float("-inf")}, {"base_score": float("nan")}],
+        ids=["inf-shrinkage", "nan-shrinkage", "inf-base", "nan-base"],
+    )
+    def test_non_finite_scale_rejected(self, trained, fields):
+        with pytest.raises(ModelFormatError, match="must be finite"):
+            loads_model(with_trees(trained, [[LEAF]], **fields))
+
+    def test_infinite_thresholds_load_and_score(self, trained):
+        records = [
+            ["A", 0, float("-inf"), False, 1, 2, 1.0], LEAF,
+            oblique([1, 2], [1.0, -1.0], float("inf"), 3, 4), ["L", -1.0, 1], ["L", 2.0, 1],
+        ]
+        model = loads_model(with_trees(trained, [records]))
+        X = random_queries(5, n=200, seed=5)
+        X[:20, 1] = np.inf
+        np.testing.assert_array_equal(model.predict_matrix(X), walk_model(model, X))
