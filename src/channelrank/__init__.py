@@ -21,7 +21,13 @@ from .core import (
     truncate,
     write_channel_lists,
 )
-from .fusion import FusedList, InterleaveWeights, rrf_fuse, weighted_interleave
+from .fusion import (
+    FusedList,
+    InterleaveWeights,
+    rrf_fuse,
+    weighted_interleave,
+    weighted_interleave_batch,
+)
 from .labeling import (
     Action,
     CorpusStats,

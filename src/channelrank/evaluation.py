@@ -30,10 +30,17 @@ import dataclasses
 
 from .core import ChannelList, QueryId, truncate
 from .dataset import Dataset
-from .fusion import InterleaveWeights, weighted_interleave, rrf_fuse
+# weighted_interleave is imported by name here so a tracer can wrap it;
+# the WI ranker interleaves through weighted_interleave_batch.
+from .fusion import (  # noqa: F401
+    InterleaveWeights,
+    rrf_fuse,
+    weighted_interleave,
+    weighted_interleave_batch,
+)
 from .gbdt.model import Model, TrainParams, train
 from .gbdt.serialize import model_fingerprint
-from .metrics import MetricConfig, discounts, ndcg_at_k, order_from_scores
+from .metrics import MetricConfig, discounts, gain, ideal_dcg_at_k, order_from_scores
 from .synthgen import SplitPlan
 
 
@@ -85,24 +92,13 @@ def build_eval_groups(
     return groups
 
 
-def _linear_ndcg(values: np.ndarray, order: np.ndarray, k: int) -> float:
-    """NDCG@k with linear gain; 0 when all values are zero."""
-    values = np.asarray(values, dtype=np.float64)
-    disc = discounts(len(values), k)
-    dcg = float(values[order] @ disc)
-    ideal = np.sort(values)[::-1]
-    idcg = float(ideal @ disc)
-    if idcg == 0.0:
-        return 0.0
-    return dcg / idcg
-
-
 class Ranker:
     """A scoring strategy: emits one or more orderings per group."""
 
     name = "ranker"
 
-    def orders(self, group: EvalGroup) -> list[np.ndarray]:
+    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
+        """For each group, its orderings: permutations of the group's item positions."""
         raise NotImplementedError
 
 
@@ -114,13 +110,20 @@ class ModelRanker(Ranker):
         self.model = model
         self.column_indices = column_indices
 
-    def orders(self, group: EvalGroup) -> list[np.ndarray]:
-        scores = self.model.predict_matrix(group.X[:, self.column_indices])
-        return [order_from_scores(scores)]
+    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
+        return [
+            [order_from_scores(self.model.predict_matrix(group.X[:, self.column_indices]))]
+            for group in groups
+        ]
 
 
 class WIRanker(Ranker):
-    """Weighted interleaving averaged over a fixed set of seeds."""
+    """Weighted interleaving averaged over a fixed set of seeds.
+
+    Every group under every seed is interleaved in one
+    :func:`weighted_interleave_batch` call. Without explicit weights each
+    group weighs its own channels uniformly.
+    """
 
     def __init__(
         self,
@@ -131,15 +134,18 @@ class WIRanker(Ranker):
         self.weights = weights
         self.seeds = tuple(seeds)
 
-    def orders(self, group: EvalGroup) -> list[np.ndarray]:
-        weights = self.weights
-        if weights is None:
-            weights = InterleaveWeights.uniform([cl.channel for cl in group.lists])
-        pos = {item: i for i, item in enumerate(group.items)}
+    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
+        weights = [
+            InterleaveWeights.uniform([cl.channel for cl in group.lists])
+            if self.weights is None else self.weights
+            for group in groups
+        ]
+        fused = weighted_interleave_batch([group.lists for group in groups], weights, self.seeds)
         out = []
-        for seed in self.seeds:
-            fused = weighted_interleave(group.lists, weights, seed=seed)
-            out.append(np.array([pos[item] for item in fused.items], dtype=np.intp))
+        for group, (items, orders) in zip(groups, fused):
+            pos = {item: i for i, item in enumerate(group.items)}
+            at = np.array([pos[item] for item in items], dtype=np.intp)
+            out.append(list(at[orders]))
         return out
 
 
@@ -148,10 +154,45 @@ class RRFRanker(Ranker):
         self.name = "RRF"
         self.k_rrf = k_rrf
 
-    def orders(self, group: EvalGroup) -> list[np.ndarray]:
-        fused = rrf_fuse(group.lists, k_rrf=self.k_rrf)
-        pos = {item: i for i, item in enumerate(group.items)}
-        return [np.array([pos[item] for item in fused.items], dtype=np.intp)]
+    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
+        out = []
+        for group in groups:
+            fused = rrf_fuse(group.lists, k_rrf=self.k_rrf)
+            pos = {item: i for i, item in enumerate(group.items)}
+            out.append([np.array([pos[item] for item in fused.items], dtype=np.intp)])
+        return out
+
+
+def _group_ndcgs(group: EvalGroup, orders: list[np.ndarray], k: int) -> tuple[float, float]:
+    """Mean NDCG@k and mean purchase NDCG@k of one group's orderings.
+
+    The ideal DCGs are computed once per group; each ordering's DCG is the
+    same ``gain(...) @ discounts(...)`` that :func:`ndcg_at_k` takes, so the
+    values match it bit for bit. Purchases use linear gain, and a group
+    whose ideal DCG is 0 scores 0.
+    """
+    labels = np.asarray(group.labels, dtype=np.float64)
+    purchases = np.asarray(group.purchases, dtype=np.float64)
+    n = len(labels)
+    if np.any(labels < 0):
+        raise ValueError("labels must be non-negative")
+    shaped = bool(orders) and all(np.shape(order) == (n,) for order in orders)
+    stacked = np.array(orders, dtype=np.intp) if shaped else None
+    if stacked is None or not (np.sort(stacked, axis=1) == np.arange(n)).all():
+        raise ValueError(
+            f"group {group.query!r} week {group.week}: orders must be one or more "
+            f"permutations of range({n})"
+        )
+    disc = discounts(n, k)
+    gains = gain(labels)
+    idcg = ideal_dcg_at_k(labels, k)
+    purchase_idcg = float(np.sort(purchases)[::-1] @ disc)
+    vals = [float(gains[order] @ disc) / idcg if idcg != 0.0 else 0.0 for order in stacked]
+    pvals = [
+        float(purchases[order] @ disc) / purchase_idcg if purchase_idcg != 0.0 else 0.0
+        for order in stacked
+    ]
+    return float(np.mean(vals)), float(np.mean(pvals))
 
 
 @dataclass(slots=True)
@@ -185,23 +226,25 @@ def evaluate_variant(
 ) -> VariantResult:
     """Mean NDCG@k (and purchase-only NDCG@k) over evaluation groups.
 
-    Stochastic rankers contribute the per-group mean over their orderings;
-    groups whose labels are all zero score 0 and stay in the mean, with
-    the count reported for transparency.
+    The ranker orders every group in one call. Stochastic rankers
+    contribute the per-group mean over their orderings; groups whose
+    labels are all zero score 0 and stay in the mean, with the count
+    reported for transparency.
     """
     if not groups:
         raise ValueError("evaluate_variant requires a non-empty eval set")
+    all_orders = ranker.orders(groups)
+    if len(all_orders) != len(groups):
+        raise ValueError(
+            f"ranker {ranker.name!r} gave orders for {len(all_orders)} of {len(groups)} groups"
+        )
     per_group = np.empty(len(groups))
     per_group_purchase = np.empty(len(groups))
     zero_idcg = 0
     n_orders = 0
-    for gi, group in enumerate(groups):
-        orders = ranker.orders(group)
+    for gi, (group, orders) in enumerate(zip(groups, all_orders)):
         n_orders = max(n_orders, len(orders))
-        vals = [ndcg_at_k(group.labels, order, cfg.k) for order in orders]
-        pvals = [_linear_ndcg(group.purchases, order, cfg.k) for order in orders]
-        per_group[gi] = float(np.mean(vals))
-        per_group_purchase[gi] = float(np.mean(pvals))
+        per_group[gi], per_group_purchase[gi] = _group_ndcgs(group, orders, cfg.k)
         if not group.labels.any():
             zero_idcg += 1
     quantiles = {

@@ -3,7 +3,10 @@
 Both operate on the same per-query channel lists the learned ranker sees,
 and serve as experimental controls. RRF is deterministic; weighted
 interleaving is a seeded stochastic policy, so experiment configs carry
-the seed.
+the seed. :func:`weighted_interleave` fuses one list set under one seed;
+:func:`weighted_interleave_batch` gives the same orders for many list sets
+under many seeds in one vectorized pass, which the ablation's WI baseline
+uses.
 """
 
 from __future__ import annotations
@@ -163,3 +166,153 @@ def weighted_interleave(
                 break
 
     return FusedList(query=query, items=tuple(out))
+
+
+def weighted_interleave_batch(
+    list_sets: Sequence[Sequence[ChannelList]],
+    weights: Sequence[InterleaveWeights],
+    seeds: Sequence[int],
+) -> list[tuple[tuple[ItemId, ...], np.ndarray]]:
+    """:func:`weighted_interleave` of every list set under every seed, in one pass.
+
+    Returns one ``(items, orders)`` pair per list set: ``items`` is the
+    deduplicated union of its lists (channel-index order, then rank), and
+    row ``s`` of the ``(len(seeds), len(items))`` array ``orders`` holds
+    the indices into ``items`` in the order
+    ``weighted_interleave(list_sets[g], weights[g], seeds[s]).items``
+    emits them. Inputs are checked as that function checks them.
+
+    Each (set, seed) pair is an instance; every step makes one draw for
+    every instance still drawing, as numpy operations over all of them.
+    An instance's queues are read pointers into its set's entries, and an
+    entry is dead once its item is out, so a pick skips dead entries and
+    emits the next one. Step t uses uniform t of ``default_rng(seed).random``,
+    the value the loop's own t-th draw reads. When a queue empties, the
+    instance's cumulative weights are rebuilt over all channels with the
+    dead ones at 0 (a sequential cumsum, so each live channel's value is
+    unchanged, and a pick never lands on a dead channel), and its total is
+    numpy's ``sum`` over just its live weights, taken row-wise per live
+    count. Instances whose live weights total 0 are flushed one at a time,
+    as in the loop. One instance is faster through the loop itself.
+    """
+    if len(weights) != len(list_sets):
+        raise ValueError(f"{len(list_sets)} list sets but {len(weights)} weight maps")
+    n_seeds = len(seeds)
+    # Encode every set: global item codes, one flat run of entries per
+    # list in channel-index order, and each list's entry range and weight.
+    set_items: list[tuple[ItemId, ...]] = []
+    entry_item: list[int] = []
+    set_lists: list[list[tuple[int, int, float]]] = []
+    n_items = 0
+    for lists, wmap in zip(list_sets, weights):
+        codes: dict[ItemId, int] = {}
+        spans: list[tuple[int, int, float]] = []
+        if lists:
+            _check_one_query(lists)
+            for cl in lists:
+                if cl.channel not in wmap.weights:
+                    raise ValueError(f"no weight for channel {cl.channel.name!r}")
+            for cl in sorted(lists, key=lambda c: c.channel.index):
+                lo = len(entry_item)
+                entry_item.extend(
+                    n_items + codes.setdefault(item, len(codes)) for item, _ in cl.entries
+                )
+                spans.append((lo, len(entry_item), wmap.weights[cl.channel]))
+        set_items.append(tuple(codes))
+        set_lists.append(spans)
+        n_items += len(codes)
+
+    n_sets = len(list_sets)
+    n_channels = max(map(len, set_lists), default=0)
+    n_entries = len(entry_item)
+    items_of = np.array(entry_item, dtype=np.intp)
+    item_base = np.cumsum([0] + [len(items) for items in set_items])
+    # Each item's entries, one per list that holds it; n_entries pads.
+    by_item = np.argsort(items_of, kind="stable")
+    holders = np.bincount(items_of, minlength=n_items)
+    slot = np.arange(n_entries) - (np.cumsum(holders) - holders)[items_of[by_item]]
+    entries_of = np.full((n_items, max(n_channels, 1)), n_entries, dtype=np.intp)
+    entries_of[items_of[by_item], slot] = by_item
+
+    lo = np.zeros((n_sets, n_channels), dtype=np.intp)
+    hi = np.zeros((n_sets, n_channels), dtype=np.intp)
+    w = np.zeros((n_sets, n_channels))
+    for k, spans in enumerate(set_lists):
+        for j, span in enumerate(spans):
+            lo[k, j], hi[k, j], w[k, j] = span
+    # Instance i is set i // n_seeds under seed i % n_seeds.
+    head = np.repeat(lo, n_seeds, axis=0)
+    end = np.repeat(hi, n_seeds, axis=0)
+    w = np.repeat(w, n_seeds, axis=0)
+    seed_of = np.tile(np.arange(n_seeds), n_sets)
+    most_entries = int((hi - lo).sum(axis=1).max(initial=0))
+    uniforms = np.array(
+        [np.random.default_rng(seed).random(most_entries) for seed in seeds]
+    ).reshape(n_seeds, most_entries)
+    dead = np.zeros((n_seeds, n_entries + 1), dtype=bool)
+    most_items = max(map(len, set_items), default=0)
+    out = np.zeros((n_sets * n_seeds, most_items), dtype=np.intp)
+    out_len = np.zeros(n_sets * n_seeds, dtype=np.intp)
+    cumulative = np.zeros((n_sets * n_seeds, n_channels))
+    total = np.zeros(n_sets * n_seeds)
+
+    def emit(inst: np.ndarray, entries: np.ndarray) -> None:
+        item = items_of[entries]
+        out[inst, out_len[inst]] = item
+        out_len[inst] += 1
+        dead[seed_of[inst, None], entries_of[item]] = True
+
+    def flush(i: int) -> None:
+        # Only zero-weight channels are live: emit what they hold, in channel order.
+        s = seed_of[i]
+        for c in range(n_channels):
+            for e in range(head[i, c], end[i, c]):
+                if not dead[s, e]:
+                    emit(np.array([i]), np.array([e]))
+            head[i, c] = end[i, c]
+
+    active = np.flatnonzero((end > head).any(axis=1))
+    rebuild = active
+    step = 0
+    while active.size:
+        if rebuild.size:
+            live = head[rebuild] < end[rebuild]
+            live_w = np.where(live, w[rebuild], 0.0)
+            cumulative[rebuild] = np.cumsum(live_w, axis=1)
+            n_live = live.sum(axis=1)
+            sums = np.zeros(len(rebuild))
+            for m in np.unique(n_live[n_live > 0]):
+                rows = n_live == m
+                sums[rows] = w[rebuild[rows]][live[rows]].reshape(-1, m).sum(axis=1)
+            total[rebuild] = sums
+            stop = n_live == 0
+            flushed = ~stop & (sums <= 0.0)
+            for i in rebuild[flushed]:
+                flush(int(i))
+            stop |= flushed
+            if stop.any():
+                active = np.setdiff1d(active, rebuild[stop], assume_unique=True)
+                if not active.size:
+                    break
+        seeds_now = seed_of[active]
+        x = uniforms[seeds_now, step] * total[active]
+        chosen = (cumulative[active] <= x[:, None]).sum(axis=1)
+        at = head[active, chosen]
+        stop_at = end[active, chosen]
+        # Pop entries whose item is already out.
+        while True:
+            skip = (at < stop_at) & dead[seeds_now, at]
+            if not skip.any():
+                break
+            at += skip
+        hit = at < stop_at
+        emit(active[hit], at[hit])
+        at += hit
+        head[active, chosen] = at
+        rebuild = active[at == stop_at]
+        step += 1
+
+    return [
+        (items, out[k * n_seeds:(k + 1) * n_seeds, : len(items)] - item_base[k])
+        for k, items in enumerate(set_items)
+    ]

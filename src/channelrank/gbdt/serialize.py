@@ -20,7 +20,9 @@ Layout (documented contract):
 
 Any checksum, magic, version, or structural mismatch raises
 :class:`ModelFormatError`; no partially constructed model escapes. So
-does a value that would score wrong: a feature index outside the schema,
+does a node field of the wrong JSON type (``true`` or ``1.7`` as a
+feature index, ``"false"`` as ``missing_left``, a string as a number),
+and a value that would score wrong: a feature index outside the schema,
 a NaN threshold, or a non-finite leaf value, oblique weight, shrinkage
 or base score. Thresholds of ``±inf`` are legal.
 """
@@ -62,36 +64,75 @@ def _flatten_tree(tree: Tree) -> list[list]:
     return records
 
 
+def _integer(value: object, what: str, where: str) -> int:
+    if type(value) is not int:  # a JSON true or 1.0 is not an index or a count
+        raise ModelFormatError(f"{where}: {what} {value!r} is not an integer")
+    return value
+
+
+def _flag(value: object, what: str, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ModelFormatError(f"{where}: {what} {value!r} is not true or false")
+    return value
+
+
+def _number(value: object, what: str, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{where}: {what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{where}: {what} {value} is not finite") from None
+
+
+def _array(value: object, what: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{where}: {what} {value!r} is not a list")
+    return value
+
+
 def _node(
     rec: object, where: str, n_features: int
-) -> tuple[Node, tuple[object, object] | None]:
+) -> tuple[Node, tuple[int, int] | None]:
     """One record as a node, with its declared (left, right) children if a split.
 
-    A record that would load and then score wrong or fail is rejected:
-    a feature outside the schema, a NaN threshold (``±inf`` is fine), a
-    leaf value or oblique weight that is not finite, or an oblique node
-    without one weight per feature.
+    Every field must have its stated JSON type: integers (not ``true``,
+    not ``1.0``) for feature indices, sample counts and children, ``true``
+    or ``false`` for ``missing_left``, and numbers for thresholds, gains,
+    leaf values and weights. A record that would load and then score
+    wrong or fail is rejected too: a feature outside the schema, a NaN
+    threshold (``±inf`` is fine), a leaf value or oblique weight that is
+    not finite, or an oblique node without one weight per feature.
     """
     tag = rec[0] if isinstance(rec, list) and rec else None
     if tag == "L" and len(rec) == 3:
-        leaf = Leaf(value=float(rec[1]), n_samples=int(rec[2]))
+        leaf = Leaf(
+            value=_number(rec[1], "leaf value", where),
+            n_samples=_integer(rec[2], "sample count", where),
+        )
         if not math.isfinite(leaf.value):
             raise ModelFormatError(f"{where}: leaf value {leaf.value} is not finite")
         return leaf, None
     if tag == "A" and len(rec) == 7:
         split: AxisSplit | ObliqueSplit = AxisSplit(
-            feature=int(rec[1]), threshold=float(rec[2]), missing_left=bool(rec[3]),
-            gain=float(rec[6]),
+            feature=_integer(rec[1], "feature", where),
+            threshold=_number(rec[2], "threshold", where),
+            missing_left=_flag(rec[3], "missing_left", where),
+            gain=_number(rec[6], "gain", where),
         )
         features: tuple[int, ...] = (split.feature,)
         children = (rec[4], rec[5])
     elif tag == "O" and len(rec) == 8:
         split = ObliqueSplit(
-            features=tuple(int(f) for f in rec[1]),
-            weights=tuple(float(w) for w in rec[2]),
-            threshold=float(rec[3]),
-            missing_left=bool(rec[4]),
-            gain=float(rec[7]),
+            features=tuple(
+                _integer(f, "feature", where) for f in _array(rec[1], "features", where)
+            ),
+            weights=tuple(
+                _number(w, "weight", where) for w in _array(rec[2], "weights", where)
+            ),
+            threshold=_number(rec[3], "threshold", where),
+            missing_left=_flag(rec[4], "missing_left", where),
+            gain=_number(rec[7], "gain", where),
         )
         features = split.features
         if len(split.weights) != len(features):
@@ -110,7 +151,8 @@ def _node(
             )
     if math.isnan(split.threshold):
         raise ModelFormatError(f"{where}: threshold is NaN")
-    return split, children
+    return split, (_integer(children[0], "left child", where),
+                   _integer(children[1], "right child", where))
 
 
 def _rebuild_tree(records: list, tree: int, n_features: int) -> Tree:
@@ -125,7 +167,7 @@ def _rebuild_tree(records: list, tree: int, n_features: int) -> Tree:
         raise ModelFormatError(f"tree {tree}: a tree needs at least one node record")
     root: Node | None = None
     # Splits whose right subtree is still to come: split, position, declared start.
-    pending: list[tuple[AxisSplit | ObliqueSplit, int, object]] = []
+    pending: list[tuple[AxisSplit | ObliqueSplit, int, int]] = []
     slot: tuple[AxisSplit | ObliqueSplit, str] | None = None  # where record idx hangs
     for idx, rec in enumerate(records):
         if idx and slot is None:

@@ -7,7 +7,7 @@ Gain convention: 2**label - 1 with graded labels in [0, 4]; discount
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,6 +98,9 @@ class QueryGroups:
     starts: np.ndarray
     codes: np.ndarray
     sizes: np.ndarray
+    # rank_discounts' padded size buckets and each row's position in its
+    # group, laid out on its first call.
+    _layout: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -122,6 +125,30 @@ class QueryGroups:
         sizes = np.diff(starts)
         return cls(starts=starts, codes=np.repeat(np.arange(len(sizes)), sizes), sizes=sizes)
 
+    def _padded_layout(self) -> tuple[list, np.ndarray]:
+        """Groups bucketed by the power of two at or above their size, and row positions.
+
+        Each bucket is ``(rows, base, keep, dest)``: ``rows`` is a (groups,
+        width) matrix of row indices, padded with the index one past the
+        last row; ``base`` is each group's first row; ``keep`` picks the
+        real cells of the flattened matrix and ``dest`` gives their rows.
+        """
+        if self._layout is None:
+            n = len(self.codes)
+            bucket = np.frexp(np.maximum(self.sizes - 1, 0))[1]
+            buckets = []
+            for b in np.unique(bucket):
+                members = np.flatnonzero(bucket == b)
+                base = self.starts[members, None]
+                cols = np.arange(int(self.sizes[members].max()))
+                real = cols < self.sizes[members, None]
+                rows = np.where(real, base + cols, n)
+                keep = np.flatnonzero(real)
+                buckets.append((rows, base, keep, rows.ravel()[keep]))
+            position = np.arange(n) - self.starts[self.codes]
+            object.__setattr__(self, "_layout", (buckets, position))
+        return self._layout
+
     def rank_discounts(self, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows in within-group rank order, and the NDCG@k discount at each rank.
 
@@ -129,18 +156,28 @@ class QueryGroups:
         discount at 0-based rank p of a group is 1/log2(p + 2), and 0 from
         p = k on.
 
-        Two stable sorts give the (group, score descending, row) order: by
-        score, then by group. Group codes fit ``uint16`` up to 65,536
-        groups, and numpy radix-sorts those in O(n).
+        Each size bucket of ``_padded_layout`` is one stable row-wise
+        argsort of its negated scores. Padding cells read NaN, which sorts
+        after every score, and the stable sort keeps a real NaN (an earlier
+        column) ahead of the padding, so each group's first ``size`` sorted
+        cells are its rows in rank order. Rank p of group g lands at
+        position ``starts[g] + p``, so the discounts follow from a
+        per-position table.
         """
         n = len(self.codes)
-        by_score = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-        codes = self.codes[by_score]
-        if self.count <= 1 << 16:
-            codes = codes.astype(np.uint16)
-        order = by_score[np.argsort(codes, kind="stable")]
-        pos_in_group = np.arange(n) - self.starts[self.codes[order]]
-        return order, np.where(pos_in_group < k, 1.0 / np.log2(pos_in_group + 2.0), 0.0)
+        buckets, position = self._padded_layout()
+        negated = np.empty(n + 1)
+        np.negative(np.asarray(scores, dtype=np.float64), out=negated[:n])
+        negated[n] = np.nan
+        order = np.empty(n, dtype=np.intp)
+        for rows, base, keep, dest in buckets:
+            ranked = np.argsort(negated[rows], axis=1, kind="stable")
+            ranked += base
+            order[dest] = ranked.ravel()[keep]
+        width = int(self.sizes.max()) if self.count else 0
+        table = 1.0 / np.log2(np.arange(width) + 2.0)
+        table[k:] = 0.0
+        return order, table[position]
 
 
 class GroupedNdcg:

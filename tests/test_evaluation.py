@@ -52,8 +52,8 @@ class OracleRanker(Ranker):
 
     name = "oracle"
 
-    def orders(self, group):
-        return [order_from_scores(group.labels)]
+    def orders(self, groups):
+        return [[order_from_scores(group.labels)] for group in groups]
 
 
 class _FixedOrder(Ranker):
@@ -61,9 +61,12 @@ class _FixedOrder(Ranker):
         self.name = "fixed-rev" if reverse else "fixed"
         self.reverse = reverse
 
-    def orders(self, group):
-        order = np.arange(len(group.items))
-        return [order[::-1] if self.reverse else order]
+    def orders(self, groups):
+        out = []
+        for group in groups:
+            order = np.arange(len(group.items))
+            out.append([order[::-1] if self.reverse else order])
+        return out
 
 
 class _RelevanceOracle(Ranker):
@@ -76,16 +79,19 @@ class _RelevanceOracle(Ranker):
         self.q_index = {q: i for i, q in enumerate(ground_truth.query_vocab)}
         self.i_index = {item: i for i, item in enumerate(ground_truth.catalog.item_vocab)}
 
-    def orders(self, group):
-        q = self.q_index[group.query]
-        uni = {int(code): u for u, code in enumerate(self.gt.universe[q])}
-        rel = np.array(
-            [
-                self.gt.relevance[q, uni[self.i_index[item]], group.week]
-                for item in group.items
-            ]
-        )
-        return [np.lexsort((np.arange(len(rel)), -rel))]
+    def orders(self, groups):
+        out = []
+        for group in groups:
+            q = self.q_index[group.query]
+            uni = {int(code): u for u, code in enumerate(self.gt.universe[q])}
+            rel = np.array(
+                [
+                    self.gt.relevance[q, uni[self.i_index[item]], group.week]
+                    for item in group.items
+                ]
+            )
+            out.append([np.lexsort((np.arange(len(rel)), -rel))])
+        return out
 
 
 class _ChannelOrder(Ranker):
@@ -95,12 +101,15 @@ class _ChannelOrder(Ranker):
         self.name = f"channel{channel_index}"
         self.channel_index = channel_index
 
-    def orders(self, group):
-        lst = group.lists[self.channel_index]
-        pos = {item: i for i, item in enumerate(group.items)}
-        ranked = [pos[item] for item, _ in lst.entries if item in pos]
-        rest = sorted(set(range(len(group.items))) - set(ranked))
-        return [np.array(ranked + rest, dtype=np.intp)]
+    def orders(self, groups):
+        out = []
+        for group in groups:
+            lst = group.lists[self.channel_index]
+            pos = {item: i for i, item in enumerate(group.items)}
+            ranked = [pos[item] for item, _ in lst.entries if item in pos]
+            rest = sorted(set(range(len(group.items))) - set(ranked))
+            out.append([np.array(ranked + rest, dtype=np.intp)])
+        return out
 
 
 class TestEvaluateVariant:
@@ -198,3 +207,37 @@ class TestBuildEvalGroups:
     def test_unknown_key_rejected(self, dataset, world):
         with pytest.raises(ValueError, match="not materialized"):
             build_eval_groups(dataset, world.channel_lists, [(999, 4)])
+
+
+class _Orders(Ranker):
+    """Returns the same given orderings for every group."""
+
+    name = "given"
+
+    def __init__(self, orders):
+        self.given = orders
+
+    def orders(self, groups):
+        return [self.given(len(group.items)) for group in groups]
+
+
+class TestRankerOrdersChecked:
+    @pytest.mark.parametrize(
+        "given",
+        [lambda n: [], lambda n: [np.arange(n - 1)], lambda n: [np.zeros(n, dtype=np.intp)],
+         lambda n: [np.arange(n), np.arange(n + 1)]],
+        ids=["none", "short", "repeats", "ragged"],
+    )
+    def test_non_permutations_rejected(self, groups, given):
+        with pytest.raises(ValueError, match="permutations of range"):
+            evaluate_variant(_Orders(given), groups, MetricConfig(k=8))
+
+    def test_one_orders_list_per_group(self, groups):
+        class _Short(Ranker):
+            name = "short"
+
+            def orders(self, groups):
+                return [[np.arange(len(g.items))] for g in groups[1:]]
+
+        with pytest.raises(ValueError, match=f"orders for {len(groups) - 1} of {len(groups)}"):
+            evaluate_variant(_Short(), groups, MetricConfig(k=8))

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from channelrank.core import ChannelId, ChannelList
-from channelrank.fusion import FusedList, InterleaveWeights, rrf_fuse, weighted_interleave
+from channelrank.fusion import (
+    FusedList,
+    InterleaveWeights,
+    rrf_fuse,
+    weighted_interleave,
+    weighted_interleave_batch,
+)
 from tests import fusion_oracle
 
 C0 = ChannelId(0, "lexical")
@@ -254,6 +260,85 @@ class TestWeightedInterleaveOracle:
             scalars = [rng.random() for _ in range(300)]
             block = np.random.default_rng(seed).random(450)
             assert block[:300].tolist() == scalars
+
+
+def assert_batch_matches(list_sets, weights, seeds):
+    """``weighted_interleave_batch`` equals the package loop and the oracle, instance by instance."""
+    result = weighted_interleave_batch(list_sets, weights, seeds)
+    assert len(result) == len(list_sets)
+    for lists, w, (items, orders) in zip(list_sets, weights, result):
+        assert orders.shape == (len(seeds), len(items))
+        for seed, row in zip(seeds, orders):
+            got = tuple(items[j] for j in row)
+            assert got == weighted_interleave(lists, w, seed).items
+            assert got == fusion_oracle.weighted_interleave(lists, w, seed).items
+
+
+class TestWeightedInterleaveBatch:
+    """One vectorized pass over many (lists, weights, seed) instances."""
+
+    @pytest.mark.parametrize("batch", range(6))
+    def test_random_batches_with_mixed_channel_counts(self, batch):
+        rng = np.random.default_rng(2000 + batch)
+        cases = [
+            random_case(rng, int(rng.choice([1, 2, 3, 4, 8, 9, 12])))
+            for _ in range(int(rng.integers(5, 25)))
+        ]
+        seeds = [int(s) for s in rng.integers(2**32, size=int(rng.integers(1, 8)))]
+        assert_batch_matches([c[0] for c in cases], [c[1] for c in cases], seeds)
+
+    def test_pairwise_total_beside_other_sets(self):
+        # The nine-channel set of test_pairwise_total_decides_a_pick, batched
+        # with sets of fewer channels whose totals are sequential sums.
+        weights = [10.995055988527364] + [0.1 * k + 1.0 / 3.0 for k in range(1, 9)]
+        channels = [ChannelId(c, f"c{c}") for c in range(9)]
+        nine = [cl(ch, [ch.name, "shared"]) for ch in channels]
+        w9 = InterleaveWeights(dict(zip(channels, weights)))
+        two = [cl(C0, ["A", "B"]), cl(C1, ["B", "C"])]
+        w2 = InterleaveWeights({C0: 1.0, C1: 1.0 / 3.0})
+        result = weighted_interleave_batch([nine, two, nine], [w9, w2, w9], [0, 1, 2])
+        items, orders = result[0]
+        assert items[orders[0][0]] == "c0"
+        assert_batch_matches([nine, two, nine], [w9, w2, w9], [0, 1, 2, 3])
+
+    def test_zero_weight_flush_and_duplicates(self):
+        flush = [cl(C0, ["A", "B"]), cl(C1, ["C", "A", "D"]), cl(C2, ["E", "B", "F"])]
+        w_flush = InterleaveWeights({C0: 0.0, C1: 1.0 / 3.0, C2: 0.0})
+        # Only zero-weight channels are served: flushed before any draw.
+        only_zero = [cl(C0, ["A", "B"]), cl(C2, ["B", "C"])]
+        w_zero = InterleaveWeights({C0: 0.0, C1: 1.0, C2: 0.0})
+        same = [cl(C0, ["A", "B", "C"]), cl(C1, ["A", "B", "C"]), cl(C2, ["C", "B", "A"])]
+        w_same = InterleaveWeights({C0: 0.3, C1: 0.3, C2: 0.4})
+        assert_batch_matches(
+            [flush, only_zero, same], [w_flush, w_zero, w_same], list(range(40))
+        )
+        items, orders = weighted_interleave_batch([only_zero], [w_zero], [7])[0]
+        assert tuple(items[j] for j in orders[0]) == ("A", "B", "C")
+
+    def test_empty_sets_and_lists(self):
+        empty_list = ChannelList(C1, "q1", ())
+        lists = [cl(C0, ["A", "B"]), empty_list]
+        w = InterleaveWeights({C0: 1.0, C1: 1.0})
+        result = weighted_interleave_batch(
+            [[], lists, [empty_list]], [w, w, w], [3, 4]
+        )
+        assert result[0][0] == () and result[0][1].shape == (2, 0)
+        assert result[2][0] == () and result[2][1].shape == (2, 0)
+        assert_batch_matches([[], lists, [empty_list]], [w, w, w], [3, 4])
+        assert weighted_interleave_batch([], [], [0]) == []
+        items, orders = weighted_interleave_batch([lists], [w], [])[0]
+        assert items == ("A", "B") and orders.shape == (0, 2)
+
+    def test_inputs_checked_like_the_loop(self):
+        w = InterleaveWeights({C0: 1.0})
+        with pytest.raises(ValueError, match="no weight"):
+            weighted_interleave_batch([[cl(C0, ["A"]), cl(C1, ["B"])]], [w], [0])
+        with pytest.raises(ValueError, match="mixed query"):
+            weighted_interleave_batch(
+                [[cl(C0, ["A"]), cl(C0, ["B"], query="q2")]], [w], [0]
+            )
+        with pytest.raises(ValueError, match="1 list sets but 2 weight maps"):
+            weighted_interleave_batch([[cl(C0, ["A"])]], [w, w], [0])
 
 
 class TestFusedList:

@@ -179,6 +179,48 @@ class TestRankDiscountsOracle:
         self._assert_same(groups, scores, 2)
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_large_group_among_small_ones(self, seed):
+        # The 1,000-row group is a bucket of its own; the 1-3-row groups
+        # fill three narrow buckets (1, 2 and 3-4 rows).
+        rng = np.random.default_rng(100 + seed)
+        sizes = rng.integers(1, 4, size=300)
+        sizes[int(rng.integers(len(sizes)))] = 1000
+        groups = QueryGroups.from_ids(np.repeat(np.arange(len(sizes)), sizes))
+        pool = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, 2.5])
+        scores = np.where(
+            rng.random(int(sizes.sum())) < 0.5,
+            pool[rng.integers(len(pool), size=int(sizes.sum()))],
+            rng.normal(size=int(sizes.sum())),
+        )
+        for k in (1, 8, 1000):
+            self._assert_same(groups, scores, k)
+
+    def test_sizes_on_both_sides_of_powers_of_two(self):
+        # 2**b and 2**b + 1 rows fall in neighbouring buckets, so each
+        # bucket pads its smaller groups to its largest one.
+        rng = np.random.default_rng(5)
+        sizes = np.array([s for b in range(7) for s in (2**b - 1, 2**b, 2**b + 1) if s > 0])
+        sizes = np.concatenate([sizes, rng.permutation(sizes)])
+        groups = QueryGroups.from_ids(np.repeat(np.arange(len(sizes)), sizes))
+        scores = rng.integers(4, size=int(sizes.sum())).astype(np.float64)
+        scores[rng.random(len(scores)) < 0.1] = np.nan
+        for k in (1, 3, 64):
+            self._assert_same(groups, scores, k)
+
+    def test_later_calls_rank_their_own_scores(self):
+        groups = QueryGroups.from_ids(np.repeat(np.arange(3), [2, 5, 1]))
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            self._assert_same(groups, rng.normal(size=8), 2)
+
+    def test_no_rows(self):
+        order, disc = QueryGroups.from_ids(np.array([], dtype=np.int64)).rank_discounts(
+            np.array([]), 8
+        )
+        assert order.shape == disc.shape == (0,)
+
+
 class TestGroupedNdcg:
     def test_non_contiguous_ids_rejected(self):
         labels = np.array([0.0, 4.0, 0.0, 4.0])

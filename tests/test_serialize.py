@@ -216,3 +216,64 @@ class TestBadValues:
         X = random_queries(5, n=200, seed=5)
         X[:20, 1] = np.inf
         np.testing.assert_array_equal(model.predict_matrix(X), walk_model(model, X))
+
+
+class TestFieldTypes:
+    """Checksum-valid files whose node fields have the wrong JSON type load as nothing."""
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [([["L", "0.5", 3]], "tree 1 node 0: leaf value '0.5' is not a number"),
+         ([["L", True, 3]], "tree 1 node 0: leaf value True is not a number"),
+         ([["L", 0.5, 3.0]], "tree 1 node 0: sample count 3.0 is not an integer"),
+         ([["L", 0.5, True]], "tree 1 node 0: sample count True is not an integer"),
+         ([["A", 1.7, 0.25, True, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: feature 1.7 is not an integer"),
+         ([["A", True, 0.25, True, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: feature True is not an integer"),
+         ([["A", 0, "0.25", True, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: threshold '0.25' is not a number"),
+         ([["A", 0, 0.25, "false", 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: missing_left 'false' is not true or false"),
+         ([["A", 0, 0.25, 0, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: missing_left 0 is not true or false"),
+         ([["A", 0, 0.25, True, 1, 2, None], LEAF, LEAF],
+          "tree 1 node 0: gain None is not a number"),
+         ([["A", 0, 0.25, True, True, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: left child True is not an integer"),
+         ([["A", 0, 0.25, True, 1, 2.0, 1.0], LEAF, LEAF],
+          "tree 1 node 0: right child 2.0 is not an integer"),
+         ([oblique([0, 1.0], [1.0, -1.0]), LEAF, LEAF],
+          "tree 1 node 0: feature 1.0 is not an integer"),
+         ([oblique("01", [1.0, -1.0]), LEAF, LEAF],
+          "tree 1 node 0: features '01' is not a list"),
+         ([oblique([0, 1], [1.0, "-1"]), LEAF, LEAF],
+          "tree 1 node 0: weight '-1' is not a number"),
+         ([oblique([0, 1], 1.0), LEAF, LEAF],
+          "tree 1 node 0: weights 1.0 is not a list"),
+         ([["O", [0, 1], [1.0, -1.0], [0.25], False, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: threshold [0.25] is not a number"),
+         ([["O", [0, 1], [1.0, -1.0], 0.25, None, 1, 2, 1.0], LEAF, LEAF],
+          "tree 1 node 0: missing_left None is not true or false"),
+         ([["O", [0, 1], [1.0, -1.0], 0.25, False, 1, 2, "1"], LEAF, LEAF],
+          "tree 1 node 0: gain '1' is not a number"),
+         ([axis(1, 2), LEAF, ["L", 10**400, 3]],
+          "tree 1 node 2: leaf value " + str(10**400) + " is not finite")],
+        ids=["leaf-value-string", "leaf-value-bool", "samples-float", "samples-bool",
+             "feature-float", "feature-bool", "threshold-string", "missing-left-string",
+             "missing-left-int", "gain-null", "left-child-bool", "right-child-float",
+             "oblique-feature-float", "oblique-features-string", "weight-string",
+             "weights-number", "oblique-threshold-list", "oblique-missing-left-null",
+             "oblique-gain-string", "leaf-value-huge-int"],
+    )
+    def test_wrong_type_names_tree_and_node(self, trained, records, message):
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            loads_model(with_trees(trained, [[LEAF], records]))
+
+    def test_integral_numbers_load_as_floats(self, trained):
+        # JSON numbers without a fraction are still numbers.
+        records = [["A", 0, 1, False, 1, 2, 0], ["L", 2, 3], ["L", -1, 4]]
+        tree = loads_model(with_trees(trained, [records])).trees[0]
+        assert (tree.root.threshold, tree.root.gain) == (1.0, 0.0)
+        assert (tree.root.left.value, tree.root.right.value) == (2.0, -1.0)
+        assert isinstance(tree.root.threshold, float)
