@@ -215,15 +215,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    ablation = AblationConfig(wi_seeds=args.wi_seeds, n_threads=args.threads)
     if args.config == "default":
         cfg = synthgen.WorldConfig(seed=args.seed)
-        train_params = AblationConfig().train_params
     elif args.config == "small":
         cfg = synthgen.WorldConfig(
             num_queries=120, num_items=1500, universe_size=24, per_channel_n=12,
             sessions_mean=30.0, seed=args.seed,
         )
-        train_params = TrainParams(
+        ablation.train_params = TrainParams(
             num_trees=40, shrinkage=0.2, max_depth=4,
             min_examples_per_leaf=5, l2=1.0, seed=7,
         )
@@ -236,11 +236,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         world.events, world.channel_lists, world.ground_truth.catalog, world.channels,
         split.all_keys(), trunc,
     )
-    report = ablation_run(
-        data, world.channel_lists, split,
-        AblationConfig(train_params=train_params, wi_seeds=args.wi_seeds,
-                       n_threads=args.threads),
-    )
+    report = ablation_run(data, world.channel_lists, split, ablation)
     print(report.render_text())
     os.makedirs(args.out_dir, exist_ok=True)
     json_path = os.path.join(args.out_dir, "ablation_report.json")

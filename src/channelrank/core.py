@@ -138,6 +138,15 @@ def truncate(channel_list: ChannelList, n: int) -> ChannelList:
     )
 
 
+def _check_one_query(lists: Sequence[ChannelList]) -> QueryId:
+    """The one query id of a non-empty run of lists; mixed ids raise ValueError."""
+    query = lists[0].query
+    for cl in lists[1:]:
+        if cl.query != query:
+            raise ValueError(f"mixed query ids: {query!r} vs {cl.query!r}")
+    return query
+
+
 def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> CandidatePool:
     """Union the truncated channel lists into a candidate pool with provenance.
 
@@ -152,13 +161,9 @@ def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> Candidate
     """
     if not lists:
         raise ValueError("merge_pool requires at least one channel list")
-    query = lists[0].query
+    query = _check_one_query(lists)
     seen_channels: set[int] = set()
     for cl in lists:
-        if cl.query != query:
-            raise ValueError(
-                f"mixed query ids: {query!r} vs {cl.query!r}"
-            )
         if cl.channel.index in seen_channels:
             raise ValueError(f"duplicate channel {cl.channel.name!r}")
         seen_channels.add(cl.channel.index)

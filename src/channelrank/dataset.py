@@ -30,6 +30,7 @@ from .features import (
     FeatureSchema,
     LookbackConfig,
     build_schema,
+    engagement_columns,
     fill_channel_block,
     item_feature_block,
 )
@@ -290,10 +291,8 @@ def build_dataset(
                 clicks += rows[:, 1] + rows[:, 2] + rows[:, 3]
                 atcs += rows[:, 2] + rows[:, 3]
                 purch += rows[:, 3]
-            block[:, col[f"qi_engagement_w{window}"]] = eng
-            block[:, col[f"qi_clicks_w{window}"]] = clicks
-            block[:, col[f"qi_atcs_w{window}"]] = atcs
-            block[:, col[f"qi_purchases_w{window}"]] = purch
+            for name, values in zip(engagement_columns(window), (eng, clicks, atcs, purch)):
+                block[:, col[name]] = values
 
         fill_channel_block(block, schema, pool, item_strs)
 
@@ -337,13 +336,12 @@ def write_dataset(
     path: str,
     label_scheme: str = "conversion",
     include_labels: bool = True,
-    schema_path: str | None = None,
 ) -> None:
     """Write the instance table as CSV with ``NA`` for missing cells.
 
     Header: ``query_id,item_id,week,label,<feature columns...>`` (the
-    label column is omitted when ``include_labels`` is false). A schema
-    sidecar (JSON) lands next to the file unless ``schema_path`` is given.
+    label column is omitted when ``include_labels`` is false). The schema
+    sidecar (JSON) lands next to it, at ``path + ".schema.json"``.
     """
     labels = dataset.labels(label_scheme) if include_labels else None
     with open(path, "w", encoding="utf-8") as fh:
@@ -365,8 +363,7 @@ def write_dataset(
                 "NA" if np.isnan(v) else repr(float(v)) for v in row
             )
             fh.write(",".join(fields) + "\n")
-    sidecar = schema_path or path + ".schema.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with open(path + ".schema.json", "w", encoding="utf-8") as fh:
         fh.write(dataset.schema.to_json())
 
 
@@ -381,7 +378,7 @@ class LoadedDataset:
     group_ids: np.ndarray
 
 
-def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
+def read_dataset(path: str) -> LoadedDataset:
     """Load an instance table written by :func:`write_dataset` with its labels.
 
     A malformed schema sidecar is rejected with its path. A header that
@@ -390,7 +387,7 @@ def read_dataset(path: str, schema_path: str | None = None) -> LoadedDataset:
     repeated ``(query_id, week, item_id)`` row are rejected with
     ``path:line``.
     """
-    sidecar = schema_path or path + ".schema.json"
+    sidecar = path + ".schema.json"
     with open(sidecar, encoding="utf-8") as fh:
         try:
             schema = FeatureSchema.from_json(fh.read())

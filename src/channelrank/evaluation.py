@@ -19,14 +19,13 @@ purchase-only NDCG@k that credits nothing but same-week purchase counts
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-
-import dataclasses
 
 from .core import ChannelList, QueryId, truncate
 from .dataset import Dataset
@@ -121,24 +120,17 @@ class WIRanker(Ranker):
     """Weighted interleaving averaged over a fixed set of seeds.
 
     Every group under every seed is interleaved in one
-    :func:`weighted_interleave_batch` call. Without explicit weights each
-    group weighs its own channels uniformly.
+    :func:`weighted_interleave_batch` call; each group weighs its own
+    channels uniformly.
     """
 
-    def __init__(
-        self,
-        weights: InterleaveWeights | None = None,
-        seeds: Sequence[int] = tuple(range(20)),
-    ):
+    def __init__(self, seeds: Sequence[int] = tuple(range(20))):
         self.name = "WI"
-        self.weights = weights
         self.seeds = tuple(seeds)
 
     def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
         weights = [
-            InterleaveWeights.uniform([cl.channel for cl in group.lists])
-            if self.weights is None else self.weights
-            for group in groups
+            InterleaveWeights.uniform([cl.channel for cl in group.lists]) for group in groups
         ]
         fused = weighted_interleave_batch([group.lists for group in groups], weights, self.seeds)
         out = []
@@ -206,18 +198,6 @@ class VariantResult:
     zero_idcg_groups: int
     model_fingerprint: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mean_ndcg": self.mean_ndcg,
-            "mean_purchase_ndcg": self.mean_purchase_ndcg,
-            "group_count": self.group_count,
-            "quantiles": self.quantiles,
-            "n_orders": self.n_orders,
-            "zero_idcg_groups": self.zero_idcg_groups,
-            "model_fingerprint": self.model_fingerprint,
-        }
-
 
 def evaluate_variant(
     ranker: Ranker,
@@ -279,6 +259,10 @@ class AblationConfig:
     wi_seeds: int = 20
     n_threads: int = 1
 
+    def __post_init__(self) -> None:
+        if self.wi_seeds < 1:
+            raise ValueError(f"wi_seeds must be >= 1, got {self.wi_seeds}")
+
 
 @dataclass(slots=True)
 class EvalReport:
@@ -305,7 +289,7 @@ class EvalReport:
                 "wi_seeds": self.wi_seeds,
                 "dataset_fingerprint": self.dataset_fingerprint,
                 "config_hash": self.config_hash,
-                "variants": [v.as_dict() for v in self.variants],
+                "variants": [dataclasses.asdict(v) for v in self.variants],
                 "deltas": self.deltas,
             },
             indent=2,

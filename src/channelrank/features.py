@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,6 +53,14 @@ _HIT_COUNT_COLUMN = "ch_hit_count"
 def channel_columns(channel_name: str) -> tuple[str, str]:
     """The (score, rank) column names of one retrieval channel."""
     return f"ch_{channel_name}_score", f"ch_{channel_name}_rank"
+
+
+def engagement_columns(window: int) -> tuple[str, str, str, str]:
+    """The (engagement, clicks, atcs, purchases) column names of one lookback window."""
+    return (
+        f"qi_engagement_w{window}", f"qi_clicks_w{window}",
+        f"qi_atcs_w{window}", f"qi_purchases_w{window}",
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,26 +118,23 @@ class FeatureSchema:
             columns=tuple(c for c in self.columns if c.group != group)
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "columns": [
-                    {"name": c.name, "kind": c.kind, "group": c.group}
-                    for c in self.columns
-                ]
-            },
-            indent=2,
+    def records(self) -> list[dict[str, str]]:
+        """One ``{"name", "kind", "group"}`` record per column, the encoding
+        that the schema sidecar and the ``.frm`` payload both store."""
+        return [asdict(c) for c in self.columns]
+
+    @classmethod
+    def from_records(cls, records: list) -> FeatureSchema:
+        return cls(
+            columns=tuple(FeatureColumn(c["name"], c["kind"], c["group"]) for c in records)
         )
+
+    def to_json(self) -> str:
+        return json.dumps({"columns": self.records()}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> FeatureSchema:
-        payload = json.loads(text)
-        return cls(
-            columns=tuple(
-                FeatureColumn(c["name"], c["kind"], c["group"])
-                for c in payload["columns"]
-            )
-        )
+        return cls.from_records(json.loads(text)["columns"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,9 +175,8 @@ def build_schema(
             cols.append(FeatureColumn(name, "numeric", "channel"))
     cols.append(FeatureColumn(_HIT_COUNT_COLUMN, "numeric", "channel"))
     for window in lookback.windows:
-        cols.append(FeatureColumn(f"qi_engagement_w{window}", "numeric", "engagement"))
-        for stat in ("clicks", "atcs", "purchases"):
-            cols.append(FeatureColumn(f"qi_{stat}_w{window}", "numeric", "engagement"))
+        for name in engagement_columns(window):
+            cols.append(FeatureColumn(name, "numeric", "engagement"))
     return FeatureSchema(columns=tuple(cols))
 
 

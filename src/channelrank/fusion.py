@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelId, ChannelList, ItemId, QueryId
+from .core import ChannelId, ChannelList, ItemId, QueryId, _check_one_query
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,14 +70,6 @@ class FusedList:
         return len(self.items)
 
 
-def _check_one_query(lists: Sequence[ChannelList]) -> QueryId:
-    query = lists[0].query
-    for cl in lists[1:]:
-        if cl.query != query:
-            raise ValueError(f"mixed query ids: {query!r} vs {cl.query!r}")
-    return query
-
-
 def rrf_fuse(lists: Sequence[ChannelList], k_rrf: float = 60.0) -> FusedList:
     """Fuse ranked lists by summed reciprocal rank 1 / (k_rrf + rank).
 
@@ -101,6 +93,30 @@ def rrf_fuse(lists: Sequence[ChannelList], k_rrf: float = 60.0) -> FusedList:
         items=tuple(item for item, _ in ordered),
         scores=tuple(score for _, score in ordered),
     )
+
+
+def _encode(
+    lists: Sequence[ChannelList], weights: InterleaveWeights
+) -> tuple[QueryId, tuple[ItemId, ...], list[list[int]], list[float]]:
+    """Check one list set and encode it for interleaving.
+
+    Returns the query, the deduplicated union of the lists' items
+    (channel-index order, then rank), and per list, in channel-index
+    order, its row of indices into that union and its weight. An empty
+    set encodes as query ``""`` with nothing in it.
+    """
+    if not lists:
+        return "", (), [], []
+    query = _check_one_query(lists)
+    codes: dict[ItemId, int] = {}
+    rows: list[list[int]] = []
+    w: list[float] = []
+    for cl in sorted(lists, key=lambda c: c.channel.index):
+        if cl.channel not in weights.weights:
+            raise ValueError(f"no weight for channel {cl.channel.name!r}")
+        rows.append([codes.setdefault(item, len(codes)) for item, _ in cl.entries])
+        w.append(weights.weights[cl.channel])
+    return query, tuple(codes), rows, w
 
 
 def weighted_interleave(
@@ -127,19 +143,12 @@ def weighted_interleave(
     cumulative weights a sequential ``np.cumsum``; another summation order
     could move a draw across a channel boundary.
     """
-    if not lists:
-        return FusedList(query="", items=())
-    query = _check_one_query(lists)
-    for cl in lists:
-        if cl.channel not in weights.weights:
-            raise ValueError(f"no weight for channel {cl.channel.name!r}")
-
-    ordered_lists = sorted(lists, key=lambda c: c.channel.index)
-    queues = [[item for item, _ in reversed(cl.entries)] for cl in ordered_lists]
-    w = np.array([weights.weights[cl.channel] for cl in ordered_lists], dtype=np.float64)
+    query, items, rows, weight_list = _encode(lists, weights)
+    queues = [row[::-1] for row in rows]
+    w = np.array(weight_list, dtype=np.float64)
     uniforms = np.random.default_rng(seed).random(sum(map(len, queues))).tolist()
 
-    out: dict[ItemId, None] = {}  # insertion-ordered set of emitted items
+    out: dict[int, None] = {}  # insertion-ordered set of emitted items
     alive = [i for i, q in enumerate(queues) if q]
     n_drawn = 0
     while alive:
@@ -165,7 +174,7 @@ def weighted_interleave(
                 alive.remove(chosen)
                 break
 
-    return FusedList(query=query, items=tuple(out))
+    return FusedList(query=query, items=tuple(items[i] for i in out))
 
 
 def weighted_interleave_batch(
@@ -184,91 +193,66 @@ def weighted_interleave_batch(
 
     Each (set, seed) pair is an instance; every step makes one draw for
     every instance still drawing, as numpy operations over all of them.
-    An instance's queues are read pointers into its set's entries, and an
-    entry is dead once its item is out, so a pick skips dead entries and
-    emits the next one. Step t uses uniform t of ``default_rng(seed).random``,
-    the value the loop's own t-th draw reads. When a queue empties, the
-    instance's cumulative weights are rebuilt over all channels with the
-    dead ones at 0 (a sequential cumsum, so each live channel's value is
-    unchanged, and a pick never lands on a dead channel), and its total is
-    numpy's ``sum`` over just its live weights, taken row-wise per live
-    count. Instances whose live weights total 0 are flushed one at a time,
-    as in the loop. One instance is faster through the loop itself.
+    An instance's queues are read pointers into its set's padded rows of
+    item indices, and each instance keeps a mask of the items it has
+    emitted, so a pick skips emitted items and emits the next one. Step t
+    uses uniform t of ``default_rng(seed).random``, the value the loop's
+    own t-th draw reads. When a queue empties, the instance's cumulative
+    weights are rebuilt over all channels with the dead ones at 0 (a
+    sequential cumsum, so each live channel's value is unchanged, and a
+    pick never lands on a dead channel), and its total is numpy's ``sum``
+    over just its live weights, taken row-wise per live count. Instances
+    whose live weights total 0 are flushed one at a time, as in the loop.
+    One instance is faster through the loop itself.
     """
     if len(weights) != len(list_sets):
         raise ValueError(f"{len(list_sets)} list sets but {len(weights)} weight maps")
-    n_seeds = len(seeds)
-    # Encode every set: global item codes, one flat run of entries per
-    # list in channel-index order, and each list's entry range and weight.
-    set_items: list[tuple[ItemId, ...]] = []
-    entry_item: list[int] = []
-    set_lists: list[list[tuple[int, int, float]]] = []
-    n_items = 0
-    for lists, wmap in zip(list_sets, weights):
-        codes: dict[ItemId, int] = {}
-        spans: list[tuple[int, int, float]] = []
-        if lists:
-            _check_one_query(lists)
-            for cl in lists:
-                if cl.channel not in wmap.weights:
-                    raise ValueError(f"no weight for channel {cl.channel.name!r}")
-            for cl in sorted(lists, key=lambda c: c.channel.index):
-                lo = len(entry_item)
-                entry_item.extend(
-                    n_items + codes.setdefault(item, len(codes)) for item, _ in cl.entries
-                )
-                spans.append((lo, len(entry_item), wmap.weights[cl.channel]))
-        set_items.append(tuple(codes))
-        set_lists.append(spans)
-        n_items += len(codes)
-
-    n_sets = len(list_sets)
-    n_channels = max(map(len, set_lists), default=0)
-    n_entries = len(entry_item)
-    items_of = np.array(entry_item, dtype=np.intp)
-    item_base = np.cumsum([0] + [len(items) for items in set_items])
-    # Each item's entries, one per list that holds it; n_entries pads.
-    by_item = np.argsort(items_of, kind="stable")
-    holders = np.bincount(items_of, minlength=n_items)
-    slot = np.arange(n_entries) - (np.cumsum(holders) - holders)[items_of[by_item]]
-    entries_of = np.full((n_items, max(n_channels, 1)), n_entries, dtype=np.intp)
-    entries_of[items_of[by_item], slot] = by_item
-
-    lo = np.zeros((n_sets, n_channels), dtype=np.intp)
-    hi = np.zeros((n_sets, n_channels), dtype=np.intp)
+    encoded = [_encode(lists, wmap)[1:] for lists, wmap in zip(list_sets, weights)]
+    n_sets, n_seeds = len(encoded), len(seeds)
+    n_channels = max((len(set_rows) for _, set_rows, _ in encoded), default=0)
+    longest = max((len(row) for _, set_rows, _ in encoded for row in set_rows), default=0)
+    # rows[k, c, r] is the item at rank r of set k's c-th list; one pad
+    # column past the longest list keeps a read at a queue's end in bounds.
+    width = longest + 1
+    rows = np.zeros((n_sets, n_channels, width), dtype=np.intp)
+    end = np.zeros((n_sets, n_channels), dtype=np.intp)
     w = np.zeros((n_sets, n_channels))
-    for k, spans in enumerate(set_lists):
-        for j, span in enumerate(spans):
-            lo[k, j], hi[k, j], w[k, j] = span
+    for k, (_, set_rows, set_w) in enumerate(encoded):
+        for c, row in enumerate(set_rows):
+            rows[k, c, : len(row)] = row
+            end[k, c] = len(row)
+        w[k, : len(set_w)] = set_w
+    flat_rows = rows.ravel()
     # Instance i is set i // n_seeds under seed i % n_seeds.
-    head = np.repeat(lo, n_seeds, axis=0)
-    end = np.repeat(hi, n_seeds, axis=0)
-    w = np.repeat(w, n_seeds, axis=0)
+    n_inst = n_sets * n_seeds
+    set_of = np.repeat(np.arange(n_sets), n_seeds)
     seed_of = np.tile(np.arange(n_seeds), n_sets)
-    most_entries = int((hi - lo).sum(axis=1).max(initial=0))
+    most_entries = int(end.sum(axis=1).max(initial=0))
     uniforms = np.array(
         [np.random.default_rng(seed).random(most_entries) for seed in seeds]
     ).reshape(n_seeds, most_entries)
-    dead = np.zeros((n_seeds, n_entries + 1), dtype=bool)
-    most_items = max(map(len, set_items), default=0)
-    out = np.zeros((n_sets * n_seeds, most_items), dtype=np.intp)
-    out_len = np.zeros(n_sets * n_seeds, dtype=np.intp)
-    cumulative = np.zeros((n_sets * n_seeds, n_channels))
-    total = np.zeros(n_sets * n_seeds)
+    head = np.zeros((n_inst, n_channels), dtype=np.intp)
+    end = np.repeat(end, n_seeds, axis=0)
+    w = np.repeat(w, n_seeds, axis=0)
+    most_items = max((len(items) for items, _, _ in encoded), default=0)
+    # Instance i's emitted-item mask is emitted[i * most_items:][:most_items].
+    emitted = np.zeros(n_inst * most_items, dtype=bool)
+    out = np.zeros((n_inst, most_items), dtype=np.intp)
+    out_len = np.zeros(n_inst, dtype=np.intp)
+    cumulative = np.zeros((n_inst, n_channels))
+    total = np.zeros(n_inst)
 
-    def emit(inst: np.ndarray, entries: np.ndarray) -> None:
-        item = items_of[entries]
+    def emit(inst, item) -> None:
         out[inst, out_len[inst]] = item
         out_len[inst] += 1
-        dead[seed_of[inst, None], entries_of[item]] = True
+        emitted[inst * most_items + item] = True
 
     def flush(i: int) -> None:
         # Only zero-weight channels are live: emit what they hold, in channel order.
-        s = seed_of[i]
         for c in range(n_channels):
-            for e in range(head[i, c], end[i, c]):
-                if not dead[s, e]:
-                    emit(np.array([i]), np.array([e]))
+            for item in rows[set_of[i], c, head[i, c]:end[i, c]]:
+                if not emitted[i * most_items + item]:
+                    emit(i, item)
             head[i, c] = end[i, c]
 
     active = np.flatnonzero((end > head).any(axis=1))
@@ -282,8 +266,8 @@ def weighted_interleave_batch(
             n_live = live.sum(axis=1)
             sums = np.zeros(len(rebuild))
             for m in np.unique(n_live[n_live > 0]):
-                rows = n_live == m
-                sums[rows] = w[rebuild[rows]][live[rows]].reshape(-1, m).sum(axis=1)
+                at_m = n_live == m
+                sums[at_m] = w[rebuild[at_m]][live[at_m]].reshape(-1, m).sum(axis=1)
             total[rebuild] = sums
             stop = n_live == 0
             flushed = ~stop & (sums <= 0.0)
@@ -294,25 +278,27 @@ def weighted_interleave_batch(
                 active = np.setdiff1d(active, rebuild[stop], assume_unique=True)
                 if not active.size:
                     break
-        seeds_now = seed_of[active]
-        x = uniforms[seeds_now, step] * total[active]
+        x = uniforms[seed_of[active], step] * total[active]
         chosen = (cumulative[active] <= x[:, None]).sum(axis=1)
+        row_start = (set_of[active] * n_channels + chosen) * width
+        seen_start = active * most_items
         at = head[active, chosen]
         stop_at = end[active, chosen]
         # Pop entries whose item is already out.
         while True:
-            skip = (at < stop_at) & dead[seeds_now, at]
+            item = flat_rows[row_start + at]
+            skip = (at < stop_at) & emitted[seen_start + item]
             if not skip.any():
                 break
             at += skip
         hit = at < stop_at
-        emit(active[hit], at[hit])
+        emit(active[hit], item[hit])
         at += hit
         head[active, chosen] = at
         rebuild = active[at == stop_at]
         step += 1
 
     return [
-        (items, out[k * n_seeds:(k + 1) * n_seeds, : len(items)] - item_base[k])
-        for k, items in enumerate(set_items)
+        (items, out[k * n_seeds:(k + 1) * n_seeds, : len(items)])
+        for k, (items, _, _) in enumerate(encoded)
     ]

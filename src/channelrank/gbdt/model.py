@@ -234,7 +234,6 @@ class Model:
     base_score: float
     schema: FeatureSchema
     params: TrainParams
-    format_version: int = 1
     _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import hashlib
 import json
 import math
 
-from ..features import FeatureColumn, FeatureSchema
+from ..features import FeatureSchema
 from .model import Model, TrainParams
 from .tree import AxisSplit, Leaf, Node, ObliqueSplit, Tree
 
@@ -204,10 +204,7 @@ def _payload(model: Model) -> dict:
     return {
         "base_score": model.base_score,
         "shrinkage": model.shrinkage,
-        "schema": [
-            {"name": c.name, "kind": c.kind, "group": c.group}
-            for c in model.schema.columns
-        ],
+        "schema": model.schema.records(),
         "params": dataclasses.asdict(model.params),
         "trees": [_flatten_tree(tree) for tree in model.trees],
     }
@@ -254,12 +251,7 @@ def loads_model(data: bytes) -> Model:
     if digest != doc.get("sha256"):
         raise ModelFormatError("checksum mismatch; model file is corrupt")
     try:
-        schema = FeatureSchema(
-            columns=tuple(
-                FeatureColumn(c["name"], c["kind"], c["group"])
-                for c in payload["schema"]
-            )
-        )
+        schema = FeatureSchema.from_records(payload["schema"])
         params = TrainParams(**payload["params"])
         trees = tuple(
             _rebuild_tree(records, t, len(schema))
@@ -277,7 +269,6 @@ def loads_model(data: bytes) -> Model:
             base_score=base_score,
             schema=schema,
             params=params,
-            format_version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):

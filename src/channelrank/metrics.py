@@ -161,8 +161,8 @@ class QueryGroups:
         after every score, and the stable sort keeps a real NaN (an earlier
         column) ahead of the padding, so each group's first ``size`` sorted
         cells are its rows in rank order. Rank p of group g lands at
-        position ``starts[g] + p``, so the discounts follow from a
-        per-position table.
+        position ``starts[g] + p``, so the discounts are :func:`discounts`
+        of the largest group, read at each row's position.
         """
         n = len(self.codes)
         buckets, position = self._padded_layout()
@@ -175,9 +175,7 @@ class QueryGroups:
             ranked += base
             order[dest] = ranked.ravel()[keep]
         width = int(self.sizes.max()) if self.count else 0
-        table = 1.0 / np.log2(np.arange(width) + 2.0)
-        table[k:] = 0.0
-        return order, table[position]
+        return order, discounts(width, k)[position]
 
 
 class GroupedNdcg:
@@ -192,6 +190,8 @@ class GroupedNdcg:
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != groups.codes.shape:
             raise ValueError("labels must have one entry per grouped row")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         self.groups = groups
         self.group_count = groups.count
         self.k = int(k)

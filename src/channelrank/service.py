@@ -40,7 +40,7 @@ import numbers
 import platform
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -48,7 +48,7 @@ import numpy as np
 from .core import ChannelId, ChannelList, TruncationConfig, merge_pool, parse_finite, read_fields
 from .features import fill_channel_block
 from .gbdt.model import Model
-from .gbdt.serialize import model_fingerprint
+from .gbdt.serialize import MODEL_FORMAT_VERSION, model_fingerprint
 
 DEFAULT_POOL_CAP = 500
 #: Largest request body read; a longer Content-Length gets 413 before any read.
@@ -129,6 +129,8 @@ class ScoreService:
         item_features: ItemFeatureTable | None = None,
         pool_cap: int = DEFAULT_POOL_CAP,
     ):
+        if pool_cap < 1:
+            raise ValueError(f"pool_cap must be >= 1, got {pool_cap}")
         self.model = model
         self.pool_cap = pool_cap
         self.fingerprint = model_fingerprint(model)
@@ -259,7 +261,7 @@ class ScoreService:
         return {
             "status": "ok",
             "model_fingerprint": self.fingerprint,
-            "format_version": self.model.format_version,
+            "format_version": MODEL_FORMAT_VERSION,
             "channels": self.channel_names,
             "pool_cap": self.pool_cap,
         }
@@ -338,17 +340,10 @@ class LatencyReport:
             raise ValueError("latency percentiles must be non-decreasing")
 
     def as_dict(self) -> dict:
-        out = {
-            "request_count": self.request_count,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "mean_pool_size": self.mean_pool_size,
-            "max_pool_size": self.max_pool_size,
-            "hardware": self.hardware,
-        }
-        if self.end_to_end is not None:
-            out["end_to_end"] = self.end_to_end
+        """The fields in order; ``end_to_end`` only when an HTTP run filled it."""
+        out = asdict(self)
+        if self.end_to_end is None:
+            del out["end_to_end"]
         return out
 
     def render_text(self) -> str:

@@ -99,14 +99,14 @@ class GroundTruth:
         np.savez_compressed(
             path,
             config=json.dumps(asdict(self.config)),
-            item_vocab=np.array(self.catalog.item_vocab, dtype=object),
+            item_vocab=np.array(self.catalog.item_vocab, dtype=str),
             price=self.catalog.price,
             category=self.catalog.category,
             intro_week=self.catalog.intro_week,
             popularity=self.popularity,
             conv_quality=self.conv_quality,
-            query_vocab=np.array(self.query_vocab, dtype=object),
-            channel_names=np.array(self.channel_names, dtype=object),
+            query_vocab=np.array(self.query_vocab, dtype=str),
+            channel_names=np.array(self.channel_names, dtype=str),
             universe=self.universe,
             relevance=self.relevance,
             channel_quality=self.channel_quality,
@@ -114,25 +114,25 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path: str) -> GroundTruth:
-        data = np.load(path, allow_pickle=True)
-        config = WorldConfig(**json.loads(str(data["config"])))
-        catalog = ItemCatalog(
-            item_vocab=tuple(data["item_vocab"]),
-            price=data["price"],
-            category=data["category"],
-            intro_week=data["intro_week"],
-        )
-        return cls(
-            config=config,
-            catalog=catalog,
-            popularity=data["popularity"],
-            conv_quality=data["conv_quality"],
-            query_vocab=tuple(data["query_vocab"]),
-            channel_names=tuple(data["channel_names"]),
-            universe=data["universe"],
-            relevance=data["relevance"],
-            channel_quality=data["channel_quality"],
-        )
+        """Read a :meth:`save` file; an object (pickled) array raises ValueError."""
+        with np.load(path, allow_pickle=False) as data:
+            catalog = ItemCatalog(
+                item_vocab=tuple(data["item_vocab"].tolist()),
+                price=data["price"],
+                category=data["category"],
+                intro_week=data["intro_week"],
+            )
+            return cls(
+                config=WorldConfig(**json.loads(str(data["config"]))),
+                catalog=catalog,
+                popularity=data["popularity"],
+                conv_quality=data["conv_quality"],
+                query_vocab=tuple(data["query_vocab"].tolist()),
+                channel_names=tuple(data["channel_names"].tolist()),
+                universe=data["universe"],
+                relevance=data["relevance"],
+                channel_quality=data["channel_quality"],
+            )
 
 
 @dataclass(slots=True)
@@ -379,14 +379,13 @@ def filter_and_split(
     frame: EventFrame,
     num_weeks: int,
     min_impressions: int = 20,
-    min_purchases: int = 1,
 ) -> SplitPlan:
     """Retain query-weeks passing the engagement filter; split by week.
 
     A (query, week) group is kept when at least one item logged
-    ``min_impressions`` impressions and the group saw at least
-    ``min_purchases`` purchases that week. Weeks [0, num_weeks-3) train,
-    week num_weeks-2 validates, the final week is the held-out test.
+    ``min_impressions`` impressions and the group saw a purchase that
+    week. Weeks [0, num_weeks-2) train, week num_weeks-2 validates, the
+    final week is the held-out test.
     """
     if num_weeks < 5:
         raise ValueError("num_weeks must be >= 5")
@@ -398,9 +397,7 @@ def filter_and_split(
     qw_of_key = uniq // n_items
     hit = np.unique(qw_of_key[counts >= min_impressions])
 
-    purchase_mask = frame.action == int(Action.PURCHASE)
-    qw_purchases, purchase_counts = np.unique(qw[purchase_mask], return_counts=True)
-    purchased = qw_purchases[purchase_counts >= min_purchases]
+    purchased = np.unique(qw[frame.action == int(Action.PURCHASE)])
 
     retained = np.intersect1d(hit, purchased)
     train_weeks = tuple(range(num_weeks - 2))

@@ -1,8 +1,9 @@
 """Scalar reference feature code that the vectorized blocks are tested against.
 
 ``lookback_aggregates`` and ``velocity`` count one item's events the slow
-way (the item block's oracle); ``engagement_features`` walks one (query,
-item)'s sessions (the dataset builder's engagement oracle);
+way (the item block's oracle); ``engagement_features`` and
+``engagement_counts`` walk one (query, item)'s sessions (the dataset
+builder's engagement oracles);
 ``assemble_instance`` builds one feature row from a pool's provenance
 cell by cell (the channel block's oracle).
 """
@@ -81,6 +82,39 @@ def decay_factor(age_weeks: np.ndarray | float, half_life: float) -> np.ndarray 
     return np.exp2(-np.asarray(age_weeks, dtype=np.float64) / half_life)
 
 
+def _deepest_actions(
+    events: Sequence[InteractionEvent], as_of: WeekId
+) -> dict[tuple[str, int], Action]:
+    """The deepest action of each (session, week) before ``as_of``."""
+    by_session: dict[tuple[str, int], Action] = {}
+    for ev in events:
+        if ev.week >= as_of:
+            continue
+        key = (ev.session, ev.week)
+        prev = by_session.get(key)
+        if prev is None or ev.action > prev:
+            by_session[key] = ev.action
+    return by_session
+
+
+def engagement_counts(
+    events: Sequence[InteractionEvent], as_of: WeekId, cfg: LookbackConfig
+) -> dict[int, ActionCounts]:
+    """Sessions of one (query, item) per window that reached at least each action.
+
+    A session that ended in a purchase counts toward clicks, add-to-carts
+    and purchases alike; window L keeps sessions with age <= L.
+    ``impressions`` counts every session in the window.
+    """
+    tallies = {window: [0, 0, 0, 0] for window in cfg.windows}
+    for (_, week), action in _deepest_actions(events, as_of).items():
+        for window in cfg.windows:
+            if as_of - week <= window:
+                for reached in range(int(action) + 1):
+                    tallies[window][reached] += 1
+    return {window: ActionCounts(*t) for window, t in tallies.items()}
+
+
 def engagement_features(
     events: Sequence[InteractionEvent],
     as_of: WeekId,
@@ -94,18 +128,10 @@ def engagement_features(
     excluded; window L keeps sessions with age <= L. No per-query
     normalization is applied.
     """
-    by_session: dict[tuple[str, int], Action] = {}
-    for ev in events:
-        if ev.week >= as_of:
-            continue
-        key = (ev.session, ev.week)
-        prev = by_session.get(key)
-        if prev is None or ev.action > prev:
-            by_session[key] = ev.action
     # Indexed by Action value: view weight first.
     w_arr = (weights.d, weights.c, weights.b, weights.a)
     out = {window: 0.0 for window in cfg.windows}
-    for (_, week), action in by_session.items():
+    for (_, week), action in _deepest_actions(events, as_of).items():
         age = as_of - week
         contribution = float(w_arr[int(action)]) * float(
             decay_factor(age, cfg.decay_half_life)

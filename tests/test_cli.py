@@ -109,6 +109,16 @@ class TestPipeline:
         assert payload["week"] == 4
         assert 0.0 <= payload["mean_ndcg"] <= 1.0
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_evaluate_k_below_one_exits_one(self, dataset_path, model_path, capsys, k):
+        capsys.readouterr()
+        rc = main(["evaluate", "--data", str(dataset_path), "--model", str(model_path),
+                   "--k", k])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: k must be >= 1, got {k}"]
+        assert "ndcg@" not in captured.out
+
     def test_evaluate_self_referencing_model_exits_one(
         self, dataset_path, model_path, tmp_path, capsys
     ):
@@ -280,6 +290,28 @@ class TestPipeline:
         ]
         stdout = capsys.readouterr().out
         assert "UR+EF+CL" in stdout
+
+    def test_ablate_zero_wi_seeds_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_world(cfg):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(cli.synthgen, "generate", no_world)
+        out_dir = tmp_path / "ablation"
+        capsys.readouterr()
+        rc = main(["ablate", "--config", "small", "--wi-seeds", "0", "--out-dir", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: wi_seeds must be >= 1, got 0"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cmd", ["serve", "bench"])
+    def test_zero_pool_cap_exits_one(self, model_path, capsys, monkeypatch, cmd):
+        monkeypatch.setenv("CHANNELRANK_POOL_CAP", "0")
+        monkeypatch.setattr(cli, "make_server", None)  # serve must fail before binding
+        capsys.readouterr()
+        assert main([cmd, "--model", str(model_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: pool_cap must be >= 1, got 0"]
 
 
 def _probe_world(root, weeks):

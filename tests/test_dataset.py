@@ -12,10 +12,15 @@ from channelrank.dataset import (
     write_dataset,
     write_item_catalog,
 )
-from channelrank.features import channel_columns, item_feature_block
+from channelrank.features import channel_columns, engagement_columns, item_feature_block
 from channelrank.labeling import HEURISTIC_WEIGHTS
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
-from tests.feature_oracle import engagement_features, lookback_aggregates, velocity
+from tests.feature_oracle import (
+    engagement_counts,
+    engagement_features,
+    lookback_aggregates,
+    velocity,
+)
 from tests.label_oracle import (
     funnel_counts,
     normalize_labels,
@@ -147,9 +152,14 @@ class TestBuildDataset:
             eng = engagement_features(
                 qi_events, week, dataset.conversion_weights, lookback
             )
+            reached = engagement_counts(qi_events, week, lookback)
             for window in lookback.windows:
-                got = dataset.X[ridx, col[f"qi_engagement_w{window}"]]
+                eng_col, clicks_col, atcs_col, purchases_col = engagement_columns(window)
+                got = dataset.X[ridx, col[eng_col]]
                 assert got == pytest.approx(eng[window], abs=1e-9)
+                assert dataset.X[ridx, col[clicks_col]] == reached[window].clicks
+                assert dataset.X[ridx, col[atcs_col]] == reached[window].atcs
+                assert dataset.X[ridx, col[purchases_col]] == reached[window].purchases
 
     @pytest.mark.parametrize("as_of", [1, 2, 5])
     def test_item_block_agrees_with_scalar_oracle(self, world, catalog, dataset, as_of):

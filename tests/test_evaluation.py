@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,20 @@ class TestAblationRun:
         assert "UR+EF+CL" in text
         payload = report.to_json()
         assert "dataset_fingerprint" in payload
+
+    def test_variant_records_keep_field_order(self, report):
+        payload = json.loads(report.to_json())
+        for record in payload["variants"]:
+            assert list(record) == [
+                "name", "mean_ndcg", "mean_purchase_ndcg", "group_count", "quantiles",
+                "n_orders", "zero_idcg_groups", "model_fingerprint",
+            ]
+        assert payload["variants"][0]["model_fingerprint"] is None
+
+    @pytest.mark.parametrize("wi_seeds", [0, -1])
+    def test_config_rejects_wi_seeds_below_one(self, wi_seeds):
+        with pytest.raises(ValueError, match=f"wi_seeds must be >= 1, got {wi_seeds}"):
+            AblationConfig(wi_seeds=wi_seeds)
 
     def test_wi_seed_count_recorded(self, report):
         assert report.wi_seeds == 5

@@ -243,6 +243,12 @@ class TestGroupedNdcg:
             start += size
         assert grouped.mean(scores) == pytest.approx(per_group.mean(), abs=1e-15)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        groups = QueryGroups.from_ids(np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            GroupedNdcg(np.array([1.0, 0.0, 2.0]), groups, k=k)
+
     def test_zero_idcg_group_scores_zero(self):
         labels = np.array([0.0, 0.0, 3.0, 1.0])
         group_ids = np.array([0, 0, 1, 1])

@@ -14,7 +14,7 @@ from channelrank.core import TruncationConfig, truncate
 from channelrank.dataset import build_dataset, item_count_table
 from channelrank.features import item_feature_block
 from channelrank.gbdt.model import Model, TrainParams, train
-from channelrank.gbdt.serialize import load_model, save_model
+from channelrank.gbdt.serialize import MODEL_FORMAT_VERSION, load_model, save_model
 from channelrank.gbdt.tree import Leaf, Tree
 from channelrank.service import (
     DEFAULT_POOL_CAP,
@@ -180,6 +180,12 @@ class TestScoreService:
         svc = ScoreService(model, pool_cap=2)
         with pytest.raises(ServiceError, match="exceeds cap"):
             svc.score(simple_request())
+
+    @pytest.mark.parametrize("pool_cap", [0, -1])
+    def test_pool_cap_below_one_rejected_at_construction(self, trained_world, pool_cap):
+        _, _, model = trained_world
+        with pytest.raises(ValueError, match=f"pool_cap must be >= 1, got {pool_cap}"):
+            ScoreService(model, pool_cap=pool_cap)
 
     def test_channel_over_cap_rejected_before_parsing(self, trained_world):
         _, _, model = trained_world
@@ -377,6 +383,7 @@ class TestHttpServer:
             body = json.loads(resp.read())
         assert body["status"] == "ok"
         assert len(body["model_fingerprint"]) == 64
+        assert body["format_version"] == MODEL_FORMAT_VERSION
 
     def test_score_round_trip_matches_in_process(self, server_url, service):
         status, body = self._post(server_url, simple_request())
@@ -509,6 +516,14 @@ class TestBench:
         assert 0 < report.p50_ms <= report.p95_ms <= report.p99_ms
         assert report.max_pool_size <= 40 + len(service.channel_names)
         assert "cpus" in report.hardware
+        fields = [
+            "request_count", "p50_ms", "p95_ms", "p99_ms", "mean_pool_size",
+            "max_pool_size", "hardware",
+        ]
+        assert list(report.as_dict()) == fields
+        report.end_to_end = {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0}
+        assert report.as_dict()["end_to_end"] == report.end_to_end
+        assert list(report.as_dict()) == [*fields, "end_to_end"]
 
     def test_zero_tree_model_latency_nonzero(self, trained_world):
         _, _, model = trained_world

@@ -131,6 +131,23 @@ class TestGenerate:
         np.testing.assert_array_equal(loaded.catalog.price, world.ground_truth.catalog.price)
         np.testing.assert_array_equal(loaded.popularity, world.ground_truth.popularity)
         np.testing.assert_array_equal(loaded.conv_quality, world.ground_truth.conv_quality)
+        for name in ("query_vocab", "channel_names"):
+            assert getattr(loaded, name) == getattr(world.ground_truth, name)
+        for words in (loaded.catalog.item_vocab, loaded.query_vocab, loaded.channel_names):
+            assert all(type(word) is str for word in words)
+        with np.load(str(path), allow_pickle=False) as data:
+            assert all(data[name].dtype.kind != "O" for name in data.files)
+
+    def test_ground_truth_object_array_rejected(self, world, tmp_path):
+        path = tmp_path / "gt.npz"
+        world.ground_truth.save(str(path))
+        with np.load(str(path)) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["query_vocab"] = arrays["query_vocab"].astype(object)
+        crafted = tmp_path / "crafted.npz"
+        np.savez(str(crafted), **arrays)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            GroundTruth.load(str(crafted))
 
     def test_write_world_emits_all_files(self, world, tmp_path):
         paths = write_world(world, str(tmp_path / "world"))
