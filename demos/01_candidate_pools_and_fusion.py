@@ -52,7 +52,7 @@ for cl in lists:
 cfg = TruncationConfig.uniform([lexical, semantic, trending, seasonal], 3)
 pool = merge_pool(lists, cfg)
 print(f"\n=== merged candidate pool: {len(pool)} items ===")
-for item in sorted(pool.candidates):
+for item in pool.items:
     hits = ", ".join(
         f"{hit.channel.name}#{hit.rank}" for hit in pool.provenance[item]
     )

@@ -21,6 +21,7 @@ from .core import ChannelId, TruncationConfig, read_channel_lists
 from .evaluation import AblationConfig, ablation_run
 from .features import LookbackConfig, item_feature_block
 from .fusion import InterleaveWeights, rrf_fuse, weighted_interleave
+from .gbdt.lambdas import check_threads
 from .gbdt.model import TrainParams, train, write_training_log
 from .gbdt.serialize import load_model, save_model
 from .labeling import read_event_log
@@ -157,6 +158,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    check_threads(args.threads)
     data = ds.read_dataset(args.data)
     max_week = int(data.weeks.max())
     valid_week = args.valid_week if args.valid_week is not None else max_week - 1

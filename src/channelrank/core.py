@@ -13,6 +13,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
+
+import numpy as np
 
 QueryId = str
 ItemId = str
@@ -33,6 +37,10 @@ class ChannelId:
             raise ValueError("channel name must be non-empty")
 
 
+_ITEM = itemgetter(0)
+_SCORE = itemgetter(1)
+
+
 @dataclass(frozen=True, slots=True)
 class ChannelList:
     """A single channel's ranked output for one query.
@@ -50,7 +58,7 @@ class ChannelList:
         if not self.query:
             raise ValueError("query id must be non-empty")
         seen: set[ItemId] = set()
-        prev: tuple[float, ItemId] | None = None
+        prev_score, prev_item = math.inf, ""
         for item, score in self.entries:
             if not item:
                 raise ValueError("item id must be non-empty")
@@ -59,12 +67,12 @@ class ChannelList:
             if item in seen:
                 raise ValueError(f"duplicate item {item!r} in channel list")
             seen.add(item)
-            key = (-score, item)
-            if prev is not None and key < prev:
+            # The (-score, item) order, compared without building the key.
+            if score > prev_score or (score == prev_score and item < prev_item):
                 raise ValueError(
                     "entries must be sorted by score desc, ties by item id asc"
                 )
-            prev = key
+            prev_score, prev_item = score, item
 
     @classmethod
     def from_pairs(
@@ -73,8 +81,13 @@ class ChannelList:
         query: QueryId,
         pairs: Iterable[tuple[ItemId, float]],
     ) -> ChannelList:
-        """Build a list from unordered (item, score) pairs, sorting on entry."""
-        ordered = sorted(pairs, key=lambda e: (-e[1], e[0]))
+        """Build a list from unordered (item, score) pairs, sorting on entry.
+
+        Two stable passes, by item and then by score descending, give the
+        ``(-score, item)`` order.
+        """
+        ordered = sorted(pairs, key=_ITEM)
+        ordered.sort(key=_SCORE, reverse=True)
         return cls(channel=channel, query=query, entries=tuple(ordered))
 
     def __len__(self) -> int:
@@ -94,16 +107,43 @@ class ChannelHit:
     score: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CandidatePool:
-    """Deduplicated union of truncated channel lists for one query."""
+    """Deduplicated union of truncated channel lists for one query.
+
+    ``items`` are the distinct items, sorted. Hit ``h`` says that channel
+    ``channels[hit_channel[h]]`` placed ``items[hit_row[h]]`` at 1-based
+    rank ``hit_rank[h]`` with score ``hit_score[h]``. ``channels`` are the
+    merged lists' channels by index, and the hits run in that order, then
+    by rank, so the pool does not depend on the order of its input lists.
+    The arrays are read-only.
+    """
 
     query: QueryId
-    candidates: frozenset[ItemId]
-    provenance: Mapping[ItemId, tuple[ChannelHit, ...]]
+    items: tuple[ItemId, ...]
+    channels: tuple[ChannelId, ...]
+    hit_row: np.ndarray
+    hit_channel: np.ndarray
+    hit_rank: np.ndarray
+    hit_score: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.items)
+
+    @property
+    def candidates(self) -> frozenset[ItemId]:
+        return frozenset(self.items)
+
+    @property
+    def provenance(self) -> dict[ItemId, tuple[ChannelHit, ...]]:
+        """Each item's hits, in channel-index order, built from the arrays."""
+        hits: dict[ItemId, list[ChannelHit]] = {item: [] for item in self.items}
+        for row, c, rank, score in zip(
+            self.hit_row.tolist(), self.hit_channel.tolist(),
+            self.hit_rank.tolist(), self.hit_score.tolist(),
+        ):
+            hits[self.items[row]].append(ChannelHit(self.channels[c], rank, score))
+        return {item: tuple(entry) for item, entry in hits.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,14 +190,13 @@ def _check_one_query(lists: Sequence[ChannelList]) -> QueryId:
 def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> CandidatePool:
     """Union the truncated channel lists into a candidate pool with provenance.
 
-    Items retrieved by several channels appear once, carrying one
-    provenance hit per retrieving channel. Provenance hits are ordered by
-    channel index so the result is independent of input list order.
+    Items retrieved by several channels appear once, with one hit per
+    retrieving channel.
 
     Raises
     ------
     ValueError
-        If the lists mix query ids or repeat a channel.
+        If the lists mix query ids, repeat a channel or have a budget below 1.
     """
     if not lists:
         raise ValueError("merge_pool requires at least one channel list")
@@ -168,18 +207,32 @@ def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> Candidate
             raise ValueError(f"duplicate channel {cl.channel.name!r}")
         seen_channels.add(cl.channel.index)
 
-    hits: dict[ItemId, list[ChannelHit]] = {}
-    for cl in sorted(lists, key=lambda c: c.channel.index):
-        truncated = truncate(cl, cfg.n_for(cl.channel))
-        for rank, (item, score) in enumerate(truncated.entries, start=1):
-            hits.setdefault(item, []).append(
-                ChannelHit(channel=cl.channel, rank=rank, score=score)
-            )
-    provenance = {item: tuple(entry) for item, entry in hits.items()}
+    ordered = sorted(lists, key=lambda c: c.channel.index)
+    cuts = [cfg.n_for(cl.channel) for cl in ordered]
+    if min(cuts) < 1:
+        raise ValueError(f"n must be >= 1, got {min(cuts)}")
+    kept = [cl.entries[:n] for cl, n in zip(ordered, cuts)]
+    hits = list(chain.from_iterable(kept))
+    ids = list(map(_ITEM, hits))
+    items = tuple(sorted(set(ids)))
+    row_of = dict(zip(items, range(len(items))))
+    lengths = np.fromiter(map(len, kept), np.intp, len(kept))
+    starts = np.cumsum(lengths) - lengths
+    n = len(hits)
+    hit_row = np.fromiter(map(row_of.__getitem__, ids), np.intp, n)
+    hit_channel = np.repeat(np.arange(len(kept)), lengths)
+    hit_rank = np.arange(1, n + 1) - np.repeat(starts, lengths)
+    hit_score = np.fromiter(map(_SCORE, hits), np.float64, n)
+    for array in (hit_row, hit_channel, hit_rank, hit_score):
+        array.flags.writeable = False
     return CandidatePool(
         query=query,
-        candidates=frozenset(provenance),
-        provenance=provenance,
+        items=items,
+        channels=tuple(cl.channel for cl in ordered),
+        hit_row=hit_row,
+        hit_channel=hit_channel,
+        hit_rank=hit_rank,
+        hit_score=hit_score,
     )
 
 

@@ -266,8 +266,7 @@ def build_dataset(
                 f"no channel lists for query {qstr!r} week {week}"
             ) from exc
         pool = merge_pool(lists, truncation)
-        item_strs = sorted(pool.candidates)
-        items = np.array([catalog_index[i] for i in item_strs], dtype=np.int64)
+        items = np.array([catalog_index[i] for i in pool.items], dtype=np.int64)
         m = len(items)
         if m == 0:
             # Group codes index group_keys only if no group is empty.
@@ -294,7 +293,7 @@ def build_dataset(
             for name, values in zip(engagement_columns(window), (eng, clicks, atcs, purch)):
                 block[:, col[name]] = values
 
-        fill_channel_block(block, schema, pool, item_strs)
+        fill_channel_block(block, schema, pool)
 
         now = funnel_lookup(q, items, week)
         X_parts.append(block)

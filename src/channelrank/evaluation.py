@@ -37,6 +37,7 @@ from .fusion import (  # noqa: F401
     weighted_interleave,
     weighted_interleave_batch,
 )
+from .gbdt.lambdas import check_threads
 from .gbdt.model import Model, TrainParams, train
 from .gbdt.serialize import model_fingerprint
 from .metrics import MetricConfig, discounts, gain, ideal_dcg_at_k, order_from_scores
@@ -262,6 +263,7 @@ class AblationConfig:
     def __post_init__(self) -> None:
         if self.wi_seeds < 1:
             raise ValueError(f"wi_seeds must be >= 1, got {self.wi_seeds}")
+        check_threads(self.n_threads)
 
 
 @dataclass(slots=True)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import CandidatePool, ChannelId, ItemId
+from .core import CandidatePool, ChannelId
 from .labeling import Action
 
 if TYPE_CHECKING:
@@ -234,24 +234,19 @@ def item_feature_block(
     return block
 
 
-def fill_channel_block(
-    X: np.ndarray, schema: FeatureSchema, pool: CandidatePool, items: Sequence[ItemId]
-) -> None:
-    """Write channel score/rank and hit-count cells of rows ``items`` into ``X``.
+def fill_channel_block(X: np.ndarray, schema: FeatureSchema, pool: CandidatePool) -> None:
+    """Write the channel score/rank and hit-count cells of ``pool`` into ``X``.
 
-    Row r of ``X`` is ``items[r]``, a member of ``pool``. Cells of channels
-    that did not retrieve an item are left as they are (NA in a fresh row).
+    Row r of ``X`` is ``pool.items[r]``. Cells of channels that did not
+    retrieve an item are left as they are (NA in a fresh row).
     """
     col = {name: i for i, name in enumerate(schema.names)}
-    cells = {
-        name: tuple(col[c] for c in channel_columns(name)) for name in schema.channel_names
-    }
+    # Each hit's (score, rank) column pair.
+    hit_cols = np.array(
+        [[col[name] for name in channel_columns(c.name)] for c in pool.channels], dtype=np.intp
+    )[pool.hit_channel]
+    X[pool.hit_row, hit_cols[:, 0]] = pool.hit_score
+    X[pool.hit_row, hit_cols[:, 1]] = pool.hit_rank
     hit_col = col.get(_HIT_COUNT_COLUMN)
-    for r, item in enumerate(items):
-        hits = pool.provenance[item]
-        for hit in hits:
-            score_col, rank_col = cells[hit.channel.name]
-            X[r, score_col] = hit.score
-            X[r, rank_col] = hit.rank
-        if hit_col is not None:
-            X[r, hit_col] = len(hits)
+    if hit_col is not None:
+        X[:, hit_col] = np.bincount(pool.hit_row, minlength=len(pool))

@@ -25,6 +25,7 @@ so the skip leaves g and h bit-identical to evaluating every pair.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,6 +33,21 @@ import numpy as np
 from ..metrics import QueryGroups, gain, ideal_dcg_at_k
 
 _QUANTUM = 2.0**40
+
+
+def check_threads(n_threads: int) -> int:
+    """``n_threads`` if it is at least 1, else ValueError."""
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    return n_threads
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -135,8 +151,10 @@ class PairIndex:
         ``ranked`` is ``self.groups.rank_discounts(scores, k)`` when the
         caller already has it; otherwise it is computed here.
         Thread count never changes the result: groups are independent and
-        each thread writes a disjoint, contiguous row range.
+        each thread writes a disjoint, contiguous row range. At most
+        :func:`usable_cpus` threads run; ``n_threads`` below 1 raises.
         """
+        workers = min(check_threads(n_threads), usable_cpus(), self.group_count)
         scores = np.asarray(scores, dtype=np.float64)
         if ranked is None:
             ranked = self.groups.rank_discounts(scores, self.k)
@@ -148,15 +166,14 @@ class PairIndex:
         h = np.zeros(self.n)
         if not self.has_pairs:
             return g, h
-        if n_threads <= 1 or self.group_count == 1:
+        if workers <= 1:
             self._chunk(scores, disc, top, g, h, 0, self.group_count)
             return g, h
-        bounds = np.linspace(0, self.group_count, n_threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        bounds = np.linspace(0, self.group_count, workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(self._chunk, scores, disc, top, g, h, bounds[t], bounds[t + 1])
-                for t in range(n_threads)
-                if bounds[t] < bounds[t + 1]
+                for t in range(workers)
             ]
             for fut in futures:
                 fut.result()

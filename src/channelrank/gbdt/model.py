@@ -16,7 +16,7 @@ import numpy as np
 
 from ..features import FeatureSchema
 from ..metrics import GroupedNdcg, QueryGroups
-from .lambdas import PairIndex
+from .lambdas import PairIndex, check_threads
 from .tree import (
     MAX_BINS,
     AxisSplit,
@@ -287,8 +287,10 @@ def train(
         round for the training log.
     n_threads
         Gradient workers; an execution knob, never part of the model.
-        Any value yields bit-identical models.
+        Any value of at least 1 yields bit-identical models; at most the
+        process's usable CPUs run.
     """
+    check_threads(n_threads)
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     group_ids = np.asarray(group_ids)

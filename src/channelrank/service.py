@@ -26,7 +26,9 @@ Response::
 Malformed requests and pools beyond the configured cap return HTTP 400
 with an ``{"error": ...}`` body. Item ids must be non-empty strings;
 channel scores and engagement values must be finite numbers (bools and
-numeric strings are rejected). A ``Content-Length`` above
+numeric strings are rejected). Each engagement entry must be an object
+whose keys are engagement columns of the model, whether or not its item
+is in the pool. A ``Content-Length`` above
 ``MAX_BODY_BYTES`` gets 413 before the body is read. Any other failure
 while scoring returns 500 with the same shape and logs its traceback.
 """
@@ -139,9 +141,9 @@ class ScoreService:
         self.channels = {
             name: ChannelId(i, name) for i, name in enumerate(self.channel_names)
         }
-        self._engagement_cols = [
-            (i, c.name) for i, c in enumerate(schema.columns) if c.group == "engagement"
-        ]
+        self._engagement_cols = {
+            c.name: i for i, c in enumerate(schema.columns) if c.group == "engagement"
+        }
 
         # Align the sidecar to the schema's item columns once, at startup. The
         # last row holds the all-zero defaults for items the sidecar lacks.
@@ -215,47 +217,65 @@ class ScoreService:
             raise ServiceError(
                 f"candidate pool of {len(pool)} exceeds cap {self.pool_cap}"
             )
-        items = sorted(pool.candidates)
+        items = pool.items
         X = np.full((len(items), len(self.model.schema)), np.nan)
         default = len(self._item_matrix) - 1
         rows = [self._item_index.get(item, default) for item in items]
         X[:, self._item_cols] = self._item_matrix[rows]
         unknown_items = rows.count(default)
-
         if engagement:
-            for r, item in enumerate(items):
-                values = engagement.get(item)
-                if not values:
-                    continue
-                if not isinstance(values, dict):
-                    raise ServiceError(f"engagement for {item!r} must be an object")
-                for ci, name in self._engagement_cols:
-                    if name in values:
-                        try:
-                            X[r, ci] = _finite_number(values[name])
-                        except ValueError as exc:
-                            raise ServiceError(f"engagement {name!r} for {item!r}: {exc}") from exc
-
-        fill_channel_block(X, self.model.schema, pool, items)
+            self._fill_engagement(X, items, engagement)
+        fill_channel_block(X, self.model.schema, pool)
 
         scores = self.model.predict_matrix(X)
         # ``items`` is sorted, so a stable sort breaks score ties by item id.
-        order = np.argsort(-scores, kind="stable")
+        order = np.argsort(-scores, kind="stable").tolist()
+        scores = scores.tolist()
+        # Hits run in channel-index order, so each row's names do too.
+        names = [c.name for c in pool.channels]
+        channels: list[list[str]] = [[] for _ in items]
+        for row, c in zip(pool.hit_row.tolist(), pool.hit_channel.tolist()):
+            channels[row].append(names[c])
         latency_us = int((time.perf_counter() - started) * 1e6)
         return {
             "query": query,
             "results": [
-                {
-                    "item": items[i],
-                    "score": float(scores[i]),
-                    "channels": [hit.channel.name for hit in pool.provenance[items[i]]],
-                }
+                {"item": items[i], "score": scores[i], "channels": channels[i]}
                 for i in order
             ],
             "unknown_items": unknown_items,
             "model_fingerprint": self.fingerprint,
             "latency_us": latency_us,
         }
+
+    def _fill_engagement(self, X: np.ndarray, items: Sequence[str], engagement: dict) -> None:
+        """Write the engagement map's cells into the rows of ``items`` with one
+        scatter. Every entry is checked, in the pool or not; the first bad
+        one raises ServiceError."""
+        row_of = dict(zip(items, range(len(items))))
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list[float] = []
+        for item, cells in engagement.items():
+            if not isinstance(cells, dict):
+                raise ServiceError(f"engagement for {item!r} must be an object")
+            row = row_of.get(item)
+            for name, value in cells.items():
+                col = self._engagement_cols.get(name)
+                if col is None:
+                    raise ServiceError(
+                        f"engagement {name!r} for {item!r} is not an engagement column; "
+                        f"model knows {list(self._engagement_cols)}"
+                    )
+                try:
+                    value = _finite_number(value)
+                except ValueError as exc:
+                    raise ServiceError(f"engagement {name!r} for {item!r}: {exc}") from exc
+                if row is not None:
+                    rows.append(row)
+                    cols.append(col)
+                    values.append(value)
+        X[rows, cols] = values
 
     def health(self) -> dict:
         return {

@@ -304,6 +304,33 @@ class TestPipeline:
         assert err == ["error: wi_seeds must be >= 1, got 0"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_ablate_threads_below_one_exits_one_before_any_work(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        def no_world(cfg):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(cli.synthgen, "generate", no_world)
+        out_dir = tmp_path / "ablation"
+        capsys.readouterr()
+        rc = main(["ablate", "--config", "small", "--threads", threads, "--out-dir", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: n_threads must be >= 1, got {threads}"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_train_threads_below_one_exits_one_before_reading(self, tmp_path, capsys, threads):
+        out = tmp_path / "model.frm"
+        capsys.readouterr()
+        rc = main(["train", "--data", str(tmp_path / "missing.tsv"), "--out", str(out),
+                   "--threads", threads])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: n_threads must be >= 1, got {threads}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", ["serve", "bench"])
     def test_zero_pool_cap_exits_one(self, model_path, capsys, monkeypatch, cmd):
         monkeypatch.setenv("CHANNELRANK_POOL_CAP", "0")

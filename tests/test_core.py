@@ -1,9 +1,11 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from channelrank.core import (
+    ChannelHit,
     ChannelId,
     ChannelList,
     TruncationConfig,
@@ -20,6 +22,28 @@ C2 = ChannelId(2, "trending")
 
 def cl(channel, pairs, query="q1"):
     return ChannelList.from_pairs(channel, query, pairs)
+
+
+def reference_provenance(lists, cfg):
+    """The pool's provenance one hit at a time: each list in channel-index
+    order, each kept entry with its 1-based rank."""
+    hits = {}
+    for lst in sorted(lists, key=lambda c: c.channel.index):
+        for rank, (item, score) in enumerate(lst.entries[: cfg.n_for(lst.channel)], start=1):
+            hits.setdefault(item, []).append(ChannelHit(lst.channel, rank, score))
+    return {item: tuple(h) for item, h in sorted(hits.items())}
+
+
+def random_lists(rng, channels, universe=12, max_len=8):
+    """Lists over a small shared universe, with tied scores and both zeros."""
+    values = [1.5, 0.5, 0.0, -0.0, -0.25, 2.0]
+    out = []
+    for channel in channels:
+        size = int(rng.integers(0, max_len + 1))
+        picks = rng.choice(universe, size=size, replace=False)
+        out.append(cl(channel, [(f"i{p:02d}", values[int(rng.integers(len(values)))])
+                                for p in picks]))
+    return out
 
 
 class TestChannelList:
@@ -40,6 +64,43 @@ class TestChannelList:
     def test_rejects_unsorted_entries(self):
         with pytest.raises(ValueError, match="sorted"):
             ChannelList(channel=C0, query="q1", entries=(("A", 0.1), ("B", 0.9)))
+
+    def test_from_pairs_matches_negated_score_key_order(self):
+        rng = np.random.default_rng(3)
+        values = [1.0, 0.5, 0.0, -0.0, -2.0]
+        for _ in range(300):
+            size = int(rng.integers(0, 12))
+            items = rng.choice(40, size=size, replace=False)
+            pairs = [(f"i{i}", values[int(rng.integers(len(values)))]) for i in items]
+            expected = sorted(pairs, key=lambda e: (-e[1], e[0]))
+            entries = cl(C0, pairs).entries
+            assert entries == tuple(expected)
+            # Equal scores compare equal, so also pin the sign of each zero.
+            assert [repr(s) for _, s in entries] == [repr(s) for _, s in expected]
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [((("A", 0.9), ("", 0.5)), "item id must be non-empty"),
+         ((("A", 0.9), ("B", float("nan"))), "non-finite score nan for item 'B'"),
+         ((("A", 0.9), ("B", float("-inf"))), "non-finite score -inf for item 'B'"),
+         ((("A", 0.9), ("A", 0.5)), "duplicate item 'A' in channel list"),
+         ((("A", 0.9), ("B", 0.5), ("A", 0.7)), "duplicate item 'A' in channel list"),
+         ((("B", 0.5), ("A", 0.5)), "entries must be sorted"),
+         ((("A", 0.5), ("B", 0.9), ("", 1.0)), "entries must be sorted"),
+         ((("A", 0.5), ("", float("nan"))), "item id must be non-empty"),
+         ((("A", 0.9), ("B", 0.9), ("B", 0.1)), "duplicate item 'B' in channel list")],
+        ids=["empty-item", "nan", "-inf", "duplicate", "later-duplicate", "tie-order",
+             "unsorted-before-empty", "empty-before-nan", "duplicate-before-unsorted"],
+    )
+    def test_names_the_first_fault(self, entries, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ChannelList(channel=C0, query="q1", entries=entries)
+
+    def test_zeros_of_either_sign_tie(self):
+        lst = ChannelList(channel=C0, query="q1", entries=(("A", 0.0), ("B", -0.0), ("C", 0.0)))
+        assert lst.items == ("A", "B", "C")
+        with pytest.raises(ValueError, match="sorted"):
+            ChannelList(channel=C0, query="q1", entries=(("B", -0.0), ("A", 0.0)))
 
 
 class TestTruncate:
@@ -93,6 +154,15 @@ class TestMergePool:
         with pytest.raises(ValueError, match="duplicate channel"):
             merge_pool([l0, l1], TruncationConfig.uniform([C0], 5))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_budget_below_one_rejected(self, n):
+        per_channel_n = {C0: 2, C1: 2}
+        cfg = TruncationConfig(per_channel_n=per_channel_n)
+        per_channel_n[C1] = n  # the config keeps the caller's mapping
+        lists = [cl(C0, [("A", 0.9)]), cl(C1, [("B", 0.9), ("C", 0.5)])]
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            merge_pool(lists, cfg)
+
     def test_pool_size_bound_and_disjoint_equality(self):
         l0 = cl(C0, [("A", 0.9), ("B", 0.5)])
         l1 = cl(C1, [("C", 0.8), ("D", 0.2)])
@@ -128,6 +198,49 @@ class TestMergePool:
             assert hit.rank == rank
             assert hit.score == score
         assert "D" not in pool.candidates
+
+
+class TestPoolLayout:
+    def test_arrays_follow_the_lists_for_every_input_order(self):
+        rng = np.random.default_rng(11)
+        channels = [ChannelId(i, name) for i, name in
+                    ((0, "lexical"), (2, "semantic"), (5, "trending"), (6, "seasonal"))]
+        for _ in range(40):
+            lists = random_lists(rng, channels)
+            cfg = TruncationConfig(per_channel_n={c: int(rng.integers(1, 7)) for c in channels})
+            expected = reference_provenance(lists, cfg)
+            for perm in itertools.permutations(lists):
+                pool = merge_pool(list(perm), cfg)
+                assert list(pool.items) == sorted(expected)
+                assert pool.channels == tuple(channels)
+                kept = [lst.entries[: cfg.n_for(lst.channel)] for lst in lists]
+                assert pool.hit_channel.tolist() == [
+                    c for c, entries in enumerate(kept) for _ in entries
+                ]
+                assert pool.hit_rank.tolist() == [
+                    r for entries in kept for r in range(1, len(entries) + 1)
+                ]
+                assert [pool.items[r] for r in pool.hit_row] == [
+                    item for entries in kept for item, _ in entries
+                ]
+                scores = [score for entries in kept for _, score in entries]
+                assert pool.hit_score.tobytes() == np.array(scores).tobytes()
+                assert pool.provenance == expected
+                assert pool.candidates == frozenset(expected)
+
+    def test_arrays_are_read_only(self):
+        pool = merge_pool([cl(C0, [("A", 0.9)])], TruncationConfig.uniform([C0], 1))
+        for array in (pool.hit_row, pool.hit_channel, pool.hit_rank, pool.hit_score):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_lists_truncated_to_nothing_keep_their_channel(self):
+        l0 = cl(C0, [("A", 0.9)])
+        l1 = cl(C1, [])
+        pool = merge_pool([l1, l0], TruncationConfig.uniform([C0, C1], 3))
+        assert pool.channels == (C0, C1)
+        assert pool.items == ("A",)
+        assert pool.hit_channel.tolist() == [0]
 
 
 class TestChannelListFile:

@@ -203,6 +203,11 @@ class TestAblationRun:
         with pytest.raises(ValueError, match=f"wi_seeds must be >= 1, got {wi_seeds}"):
             AblationConfig(wi_seeds=wi_seeds)
 
+    @pytest.mark.parametrize("n_threads", [0, -1])
+    def test_config_rejects_threads_below_one(self, n_threads):
+        with pytest.raises(ValueError, match=f"n_threads must be >= 1, got {n_threads}"):
+            AblationConfig(n_threads=n_threads)
+
     def test_wi_seed_count_recorded(self, report):
         assert report.wi_seeds == 5
         assert report.variant("WI").n_orders == 5

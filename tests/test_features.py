@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channelrank.core import ChannelId, ChannelList, TruncationConfig, merge_pool
 from channelrank.dataset import ItemCatalog
@@ -224,13 +226,40 @@ class TestChannelBlock:
     setup_method = TestAssembleInstance.setup_method
 
     def test_rows_equal_scalar_assembly(self):
-        items = sorted(self.pool.candidates)
+        items = self.pool.items
+        assert list(items) == sorted(self.pool.candidates)
         X = np.full((len(items), len(self.schema)), np.nan)
-        fill_channel_block(X, self.schema, self.pool, items)
+        fill_channel_block(X, self.schema, self.pool)
         channel_mask = self.schema.group_mask("channel")
         for r, item in enumerate(items):
             expected = assemble_instance(self.schema, self.pool, item, self.item_values)
             np.testing.assert_array_equal(X[r, channel_mask], expected[channel_mask])
+        assert np.isnan(X[:, ~channel_mask]).all()
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_scalar_assembly_on_random_pools(self, data):
+        # Any non-empty subset of the schema's channels, in any order, with
+        # overlapping items, tied scores, zeros of both signs and truncation.
+        channels = data.draw(
+            st.lists(st.sampled_from([C0, C1, C2]), min_size=1, max_size=3, unique=True)
+        )
+        lists = []
+        for channel in channels:
+            items = data.draw(st.lists(st.sampled_from("ABCDEFGH"), max_size=8, unique=True))
+            scores = data.draw(st.lists(
+                st.sampled_from([2.0, 0.5, 0.0, -0.0, -1.5]),
+                min_size=len(items), max_size=len(items),
+            ))
+            lists.append(ChannelList.from_pairs(channel, "q", zip(items, scores)))
+        cfg = TruncationConfig(per_channel_n={c: data.draw(st.integers(1, 5)) for c in channels})
+        pool = merge_pool(lists, cfg)
+        X = np.full((len(pool), len(self.schema)), np.nan)
+        fill_channel_block(X, self.schema, pool)
+        channel_mask = self.schema.group_mask("channel")
+        for r, item in enumerate(pool.items):
+            expected = assemble_instance(self.schema, pool, item, self.item_values)
+            assert X[r, channel_mask].tobytes() == expected[channel_mask].tobytes()
         assert np.isnan(X[:, ~channel_mask]).all()
 
     def test_schema_names_its_channels_in_column_order(self):

@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from channelrank.gbdt import lambdas
 from channelrank.gbdt.lambdas import PairIndex
 from channelrank.metrics import QueryGroups, ndcg_at_k
 from tests.lambda_oracle import delta_ndcg, full_pair_gradients, lambda_gradients
@@ -177,6 +179,31 @@ class TestPairIndex:
             gn, hn = index.gradients(scores, n_threads=n_threads)
             np.testing.assert_array_equal(g1, gn)
             np.testing.assert_array_equal(h1, hn)
+
+    @pytest.mark.parametrize("n_threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, n_threads):
+        labels, scores, group_ids, _ = self._random_groups(67, n_groups=8)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
+        with pytest.raises(ValueError, match=f"n_threads must be >= 1, got {n_threads}"):
+            index.gradients(scores, n_threads=n_threads)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_thread_pool_capped_at_usable_cpus(self, monkeypatch, cpus):
+        pools = []
+
+        class RecordingExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(lambdas, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(lambdas, "usable_cpus", lambda: cpus)
+        labels, scores, group_ids, _ = self._random_groups(67, n_groups=80)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
+        g1, h1 = index.gradients(scores, n_threads=1)
+        gn, hn = index.gradients(scores, n_threads=64)
+        assert pools == ([] if cpus == 1 else [cpus])
+        assert (gn.tobytes(), hn.tobytes()) == (g1.tobytes(), h1.tobytes())
 
     def test_per_group_sum_exactly_zero(self):
         labels, scores, group_ids, sizes = self._random_groups(71)

@@ -178,6 +178,13 @@ class TestTrain:
         m4 = train(X, labels, group_ids, schema, params, n_threads=4).model
         assert serialize_model(m1) == serialize_model(m4)
 
+    @pytest.mark.parametrize("n_threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, n_threads):
+        X, labels, group_ids = ranking_problem(113, n_groups=4)
+        params = TrainParams(num_trees=1, max_depth=2, min_examples_per_leaf=2)
+        with pytest.raises(ValueError, match=f"n_threads must be >= 1, got {n_threads}"):
+            train(X, labels, group_ids, generic_schema(X.shape[1]), params, n_threads=n_threads)
+
     def test_valid_history_recorded(self, tmp_path):
         X, labels, group_ids = ranking_problem(113, n_groups=12)
         Xv, lv, gv = ranking_problem(991, n_groups=4)

@@ -83,6 +83,30 @@ BAD_ENTRIES = pytest.mark.parametrize(
 )
 
 
+# Each engagement map is sent with simple_request(); each must be a 400 whose
+# error names the item and, for a bad cell, the column.
+BAD_ENGAGEMENT = pytest.mark.parametrize(
+    "engagement, message",
+    [({"A": 0}, "engagement for 'A' must be an object"),
+     ({"A": []}, "engagement for 'A' must be an object"),
+     ({"A": ""}, "engagement for 'A' must be an object"),
+     ({"A": False}, "engagement for 'A' must be an object"),
+     ({"A": None}, "engagement for 'A' must be an object"),
+     ({"A": 5}, "engagement for 'A' must be an object"),
+     ({"Z": 0}, "engagement for 'Z' must be an object"),
+     ({"A": {"qi_typo": "abc"}}, "engagement 'qi_typo' for 'A' is not an engagement column"),
+     ({"A": {"qi_typo": 1.0}}, "engagement 'qi_typo' for 'A' is not an engagement column"),
+     ({"Z": {"qi_typo": 1.0}}, "engagement 'qi_typo' for 'Z' is not an engagement column"),
+     ({"A": {"item_price": 1.0}}, "engagement 'item_price' for 'A' is not an engagement column"),
+     ({"Z": {"qi_engagement_w1": "abc"}}, "engagement 'qi_engagement_w1' for 'Z': 'abc' is not"),
+     ({"A": {}, "B": {"qi_engagement_w1": 1.0, "qi_typo": 1.0}, "C": 0},
+      "engagement 'qi_typo' for 'B' is not an engagement column")],
+    ids=["zero", "empty-list", "empty-string", "false", "null", "five", "zero-off-pool",
+         "unknown-word", "unknown-number", "unknown-off-pool", "item-column", "word-off-pool",
+         "first-fault"],
+)
+
+
 def bad_entry_request(entry):
     request = simple_request()
     request["channels"][0]["entries"] = [["A", 0.9], entry]
@@ -223,6 +247,40 @@ class TestScoreService:
         request["engagement"] = {"A": {col: value}}
         with pytest.raises(ServiceError, match="finite number"):
             service.score(request)
+
+    @BAD_ENGAGEMENT
+    def test_engagement_must_map_items_to_objects_of_model_columns(
+        self, service, engagement, message
+    ):
+        request = simple_request()
+        request["engagement"] = engagement
+        with pytest.raises(ServiceError, match="^" + re.escape(message)):
+            service.score(request)
+
+    def test_empty_engagement_object_scores_like_none(self, service):
+        request = simple_request()
+        request["engagement"] = {"A": {}, "Z": {}}
+        r1, r2 = service.score(request), service.score(simple_request())
+        assert r1["results"] == r2["results"]
+
+    def test_engagement_fills_its_cells_and_leaves_the_rest_na(
+        self, trained_world, service, monkeypatch
+    ):
+        _, data, _ = trained_world
+        names = [c.name for c in data.schema.columns if c.group == "engagement"]
+        request = simple_request()
+        request["engagement"] = {"B": {names[-1]: 2.5, names[0]: 1}, "Z": {names[1]: 4.0}}
+        seen = []
+        original = Model.predict_matrix
+        monkeypatch.setattr(
+            Model, "predict_matrix", lambda self, X: seen.append(X.copy()) or original(self, X)
+        )
+        service.score(request)
+        (X,) = seen
+        cols = data.schema.group_mask("engagement")
+        expected = np.full((3, len(names)), np.nan)
+        expected[1, 0], expected[1, -1] = 1.0, 2.5
+        np.testing.assert_array_equal(X[:, cols], expected)
 
     @BAD_ENTRIES
     def test_channel_entry_must_be_item_id_and_finite_score(self, service, entry):
@@ -424,6 +482,14 @@ class TestHttpServer:
         status, body = self._post(server_url, request)
         assert status == 400
         assert "finite number" in body["error"]
+
+    @BAD_ENGAGEMENT
+    def test_bad_engagement_map_is_400(self, server_url, engagement, message):
+        request = simple_request()
+        request["engagement"] = engagement
+        status, body = self._post(server_url, request)
+        assert status == 400
+        assert body["error"].startswith(message)
 
     @BAD_ENTRIES
     def test_bad_channel_entry_is_400(self, server_url, entry):
