@@ -17,6 +17,7 @@ from channelrank import (
     rrf_fuse,
     truncate,
     weighted_interleave,
+    weighted_interleave_batch,
 )
 
 lexical = ChannelId(0, "lexical")
@@ -74,9 +75,12 @@ print("\nSame seed is reproducible:",
       == weighted_interleave([truncate(cl, 3) for cl in lists], weights, seed=1).items)
 
 print("\nMonte Carlo: how often does each channel supply the first result?")
+# One batched call interleaves the lists under all 4,000 seeds.
+items, orders = weighted_interleave_batch(
+    [[truncate(cl, 3) for cl in lists]], [weights], [range(4000)]
+)[0]
 counts = {}
-for seed in range(4000):
-    first = weighted_interleave([truncate(cl, 3) for cl in lists], weights, seed=seed).items[0]
+for first in (items[j] for j in orders[:, 0]):
     owners = [h.channel.name for h in pool.provenance[first] if h.rank == 1]
     for owner in owners:
         counts[owner] = counts.get(owner, 0) + 1

@@ -20,7 +20,7 @@ from . import synthgen
 from .core import ChannelId, TruncationConfig, read_channel_lists
 from .evaluation import AblationConfig, ablation_run
 from .features import LookbackConfig, item_feature_block
-from .fusion import InterleaveWeights, rrf_fuse, weighted_interleave
+from .fusion import InterleaveWeights, rrf_fuse, weighted_interleave_batch
 from .gbdt.lambdas import check_threads
 from .gbdt.model import TrainParams, train, write_training_log
 from .gbdt.serialize import load_model, save_model
@@ -253,18 +253,23 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     (by_query,), channels = read_channel_lists([args.lists])
+    queries = sorted(by_query)
     out_lines = []
-    for query in sorted(by_query):
-        lists = by_query[query]
-        if args.method == "rrf":
-            fused = rrf_fuse(lists, k_rrf=args.k_rrf)
+    if args.method == "rrf":
+        for query in queries:
+            fused = rrf_fuse(by_query[query], k_rrf=args.k_rrf)
             for rank, item in enumerate(fused.items, start=1):
                 out_lines.append(f"{query}\t{item}\t{fused.scores[rank - 1]!r}")
-        else:
-            weights = _parse_weights(args.weight, channels)
-            fused = weighted_interleave(lists, weights, seed=args.seed)
-            for rank, item in enumerate(fused.items, start=1):
-                out_lines.append(f"{query}\t{item}\t{rank}")
+    elif queries:
+        weights = _parse_weights(args.weight, channels)
+        interleaved = weighted_interleave_batch(
+            [by_query[query] for query in queries],
+            [weights] * len(queries),
+            [[args.seed]] * len(queries),
+        )
+        for query, (items, orders) in zip(queries, interleaved):
+            for rank, j in enumerate(orders[0], start=1):
+                out_lines.append(f"{query}\t{items[j]}\t{rank}")
     body = "\n".join(out_lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -297,11 +302,19 @@ def _make_service(args: argparse.Namespace) -> ScoreService:
     return ScoreService(model, item_features=table, pool_cap=pool_cap)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    service = _make_service(args)
-    bind = os.environ.get("CHANNELRANK_BIND", args.bind)
+def _parse_bind(bind: str) -> tuple[str, int]:
+    """``host[:port]`` as (host, port); an empty host is 127.0.0.1, an empty port 8351."""
     host, _, port = bind.partition(":")
-    server = make_server(service, host=host or "127.0.0.1", port=int(port or 8351))
+    port = port or "8351"
+    if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+        raise ValueError(f"bind address {bind!r}: port must be an integer in 1..65535")
+    return host or "127.0.0.1", int(port)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    host, port = _parse_bind(os.environ.get("CHANNELRANK_BIND", args.bind))
+    service = _make_service(args)
+    server = make_server(service, host=host, port=port)
     print(f"serving model {service.fingerprint[:12]} on http://{host}:{port}")
     try:
         server.serve_forever()

@@ -29,8 +29,10 @@ import numpy as np
 
 from .core import ChannelList, QueryId, truncate
 from .dataset import Dataset
-# weighted_interleave is imported by name here so a tracer can wrap it;
-# the WI ranker interleaves through weighted_interleave_batch.
+# Nothing here calls weighted_interleave; the WI ranker interleaves through
+# weighted_interleave_batch. The name stays imported because perfbench's
+# tracer patches evaluation.weighted_interleave, and raises AttributeError
+# if it is missing.
 from .fusion import (  # noqa: F401
     InterleaveWeights,
     rrf_fuse,
@@ -133,7 +135,9 @@ class WIRanker(Ranker):
         weights = [
             InterleaveWeights.uniform([cl.channel for cl in group.lists]) for group in groups
         ]
-        fused = weighted_interleave_batch([group.lists for group in groups], weights, self.seeds)
+        fused = weighted_interleave_batch(
+            [group.lists for group in groups], weights, [self.seeds] * len(groups)
+        )
         out = []
         for group, (items, orders) in zip(groups, fused):
             pos = {item: i for i, item in enumerate(group.items)}

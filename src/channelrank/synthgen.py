@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import ChannelId, ChannelList, QueryId
 from .dataset import ItemCatalog
-from .fusion import InterleaveWeights, weighted_interleave
+from .fusion import InterleaveWeights, weighted_interleave_batch
 from .labeling import WEEK_SECONDS, Action, EventFrame
 
 DEFAULT_CHANNEL_NAMES = ("lexical", "semantic", "trending", "seasonal")
@@ -208,24 +208,21 @@ def generate(cfg: WorldConfig) -> SynthWorld:
     )
     channel_quality = np.empty((cfg.num_queries, cfg.num_channels), dtype=np.float64)
 
-    lists_by_week: dict[int, dict[QueryId, list[ChannelList]]] = {
-        w: {} for w in range(cfg.num_weeks)
-    }
-    ev_week: list[np.ndarray] = []
-    ev_session: list[np.ndarray] = []
-    ev_query: list[np.ndarray] = []
-    ev_item: list[np.ndarray] = []
-    ev_action: list[np.ndarray] = []
-    ev_ts: list[np.ndarray] = []
-
     pop_weights = np.exp(popularity)
     pop_weights /= pop_weights.sum()
     p_click0 = _logit(cfg.click_rate)
     p_atc0 = _logit(cfg.atc_rate)
     p_purchase0 = _logit(cfg.purchase_rate)
 
+    # Each query draws from its own stream: its set-up draws here, then per
+    # week its channel noise, then its session draws. The pinned worlds
+    # depend on that order.
+    rngs: list[np.random.Generator] = []
+    seen = np.empty((cfg.num_queries, cfg.num_channels, cfg.universe_size), dtype=bool)
+    sessions = np.empty((cfg.num_queries, cfg.num_weeks), dtype=np.int64)
     for q in range(cfg.num_queries):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, q]))
+        rngs.append(rng)
         items = rng.choice(
             cfg.num_items, size=cfg.universe_size, replace=False, p=pop_weights
         )
@@ -235,103 +232,109 @@ def generate(cfg: WorldConfig) -> SynthWorld:
         weekly_noise = 0.12 * rng.normal(
             0.0, 1.0, size=(cfg.universe_size, cfg.num_weeks)
         )
-        rel = rel0[:, None] + trend_amp[items][:, None] * ramp[None, :] + weekly_noise
-        relevance[q] = rel
-
-        quality = np.clip(
+        relevance[q] = (
+            rel0[:, None] + trend_amp[items][:, None] * ramp[None, :] + weekly_noise
+        )
+        channel_quality[q] = np.clip(
             cfg.channel_quality_base
             + cfg.channel_utility_concentration
             * rng.uniform(-0.5, 0.5, size=cfg.num_channels),
             0.05,
             0.98,
         )
-        channel_quality[q] = quality
-        seen = rng.random((cfg.num_channels, cfg.universe_size)) < cfg.channel_coverage
-        seen[:, 0] = True  # each channel retrieves at least one item
+        seen[q] = rng.random((cfg.num_channels, cfg.universe_size)) < cfg.channel_coverage
+        seen[q, :, 0] = True  # each channel retrieves at least one item
+        sessions[q] = rng.poisson(session_lambda[q], size=cfg.num_weeks)
 
-        v = conv_quality[items]
-        n_sessions_per_week = rng.poisson(session_lambda[q], size=cfg.num_weeks)
-
-        for w in range(cfg.num_weeks):
-            z = _standardize(rel[:, w])
-            week_lists: list[ChannelList] = []
+    lists_by_week: dict[int, dict[QueryId, list[ChannelList]]] = {}
+    uniform = InterleaveWeights.uniform(channels)
+    events_by_query: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(cfg.num_queries)]
+    for w in range(cfg.num_weeks):
+        week_lists: dict[QueryId, list[ChannelList]] = {}
+        z_by_query = []
+        for q in range(cfg.num_queries):
+            z = _standardize(relevance[q, :, w])
+            z_by_query.append(z)
+            quality = channel_quality[q]
+            lists: list[ChannelList] = []
             for c in range(cfg.num_channels):
-                noise = rng.normal(0.0, 1.0, size=cfg.universe_size)
+                noise = rngs[q].normal(0.0, 1.0, size=cfg.universe_size)
                 score = quality[c] * z + (1.0 - quality[c]) * noise
-                visible = np.flatnonzero(seen[c])
+                visible = np.flatnonzero(seen[q, c])
                 order = visible[np.argsort(-score[visible], kind="stable")]
                 top = order[: cfg.per_channel_n]
-                week_lists.append(
+                lists.append(
                     ChannelList.from_pairs(
                         channels[c],
                         query_vocab[q],
                         [
-                            (catalog.item_vocab[items[u]], float(score[u]))
+                            (catalog.item_vocab[universe[q, u]], float(score[u]))
                             for u in top
                         ],
                     )
                 )
-            lists_by_week[w][query_vocab[q]] = week_lists
+            week_lists[query_vocab[q]] = lists
+        lists_by_week[w] = week_lists
 
-            # Presentation order the logging policy would have shown.
-            wi_seed = int(
-                np.random.SeedSequence([cfg.seed, 2, q, w]).generate_state(1)[0]
-            )
-            presented = weighted_interleave(
-                week_lists, InterleaveWeights.uniform(channels), seed=wi_seed
-            )
-            item_code = {catalog.item_vocab[items[u]]: u for u in range(len(items))}
-            pres_u = np.array([item_code[it] for it in presented.items], dtype=np.int64)
-
-            n_sessions = int(n_sessions_per_week[w])
+        # Presentation orders the logging policy would have shown, every
+        # query's under its own (query, week) seed, in one batched call.
+        wi_seeds = [
+            [int(np.random.SeedSequence([cfg.seed, 2, q, w]).generate_state(1)[0])]
+            for q in range(cfg.num_queries)
+        ]
+        presented = weighted_interleave_batch(
+            list(week_lists.values()), [uniform] * cfg.num_queries, wi_seeds
+        )
+        for q, (shown, orders) in enumerate(presented):
+            n_sessions = int(sessions[q, w])
             if n_sessions == 0:
                 continue
+            items = universe[q]
+            item_code = {catalog.item_vocab[code]: u for u, code in enumerate(items)}
+            pres_u = np.array([item_code[shown[j]] for j in orders[0]], dtype=np.int64)
+            z = z_by_query[q]
+            v = conv_quality[items]
             n_pres = len(pres_u)
             exam_p = cfg.position_decay ** np.arange(n_pres, dtype=np.float64)
             p_click = _sigmoid(p_click0 + 1.3 * z[pres_u])
             p_atc = _sigmoid(p_atc0 + 0.9 * z[pres_u] + 0.7 * v[pres_u])
             p_purchase = _sigmoid(p_purchase0 + 1.6 * v[pres_u])
 
-            draws = rng.random((4, n_sessions, n_pres))
+            draws = rngs[q].random((4, n_sessions, n_pres))
             exam = draws[0] < exam_p[None, :]
             click = exam & (draws[1] < p_click[None, :])
             atc = click & (draws[2] < p_atc[None, :])
             purchase = atc & (draws[3] < p_purchase[None, :])
+            offsets = rngs[q].uniform(0.0, WEEK_SECONDS - 3600.0, size=n_sessions)
 
-            offsets = rng.uniform(0.0, WEEK_SECONDS - 3600.0, size=n_sessions)
+            # Stages stacked in Action order, so a stage's index is its Action
+            # value; nonzero walks them stage by stage, then by session.
+            action, s_idx, pos = np.nonzero(np.stack([exam, click, atc, purchase]))
             base_session = (np.int64(q) * cfg.num_weeks + w) * _SESSION_STRIDE
-            week_start = float(w) * WEEK_SECONDS
+            events_by_query[q].append((
+                np.full(len(action), w, dtype=np.int64),
+                base_session + s_idx,
+                np.full(len(action), q, dtype=np.int64),
+                items[pres_u[pos]],
+                action.copy(),  # not a view, which would keep s_idx and pos alive
+                float(w) * WEEK_SECONDS + offsets[s_idx] + pos + 800.0 * action,
+            ))
 
-            for action_value, mask in (
-                (Action.IMPRESSION, exam),
-                (Action.CLICK, click),
-                (Action.ADD_TO_CART, atc),
-                (Action.PURCHASE, purchase),
-            ):
-                s_idx, pos = np.nonzero(mask)
-                if len(s_idx) == 0:
-                    continue
-                ev_week.append(np.full(len(s_idx), w, dtype=np.int64))
-                ev_session.append(base_session + s_idx)
-                ev_query.append(np.full(len(s_idx), q, dtype=np.int64))
-                ev_item.append(items[pres_u[pos]])
-                ev_action.append(np.full(len(s_idx), int(action_value), dtype=np.int64))
-                ev_ts.append(
-                    week_start + offsets[s_idx] + pos + 800.0 * int(action_value)
-                )
+    # Event parts in (query, week) order.
+    parts = [part for query_parts in events_by_query for part in query_parts]
 
-    def cat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    def cat(column: int, dtype) -> np.ndarray:
         if not parts:
             return np.empty(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype)
+        return np.concatenate([part[column] for part in parts]).astype(dtype)
 
     events = EventFrame(
-        week=cat(ev_week, np.int64),
-        session=cat(ev_session, np.int64),
-        query=cat(ev_query, np.int64),
-        item=cat(ev_item, np.int64),
-        action=cat(ev_action, np.int64),
-        timestamp=cat(ev_ts, np.float64),
+        week=cat(0, np.int64),
+        session=cat(1, np.int64),
+        query=cat(2, np.int64),
+        item=cat(3, np.int64),
+        action=cat(4, np.int64),
+        timestamp=cat(5, np.float64),
         query_vocab=query_vocab,
         item_vocab=catalog.item_vocab,
     )

@@ -1,11 +1,11 @@
 """Reference weighted interleaving: one numpy draw and one alive rebuild per pick.
 
-This is the straightforward loop that ``fusion.weighted_interleave`` must
-reproduce exactly. Every pick rebuilds the list of channels with items left,
-sums their weights with numpy, takes a sequential cumulative sum, draws one
-scalar from the seed's PCG64 stream and picks a channel with
-``np.searchsorted``. Tests compare the package function against it on
-random inputs.
+This is the straightforward loop that ``fusion.weighted_interleave_batch``
+must reproduce exactly, instance by instance. Every pick rebuilds the list
+of channels with items left, sums their weights with numpy, takes a
+sequential cumulative sum, draws one scalar from the seed's PCG64 stream
+and picks a channel with ``np.searchsorted``. Tests compare the package
+function against it on random inputs.
 """
 
 from __future__ import annotations

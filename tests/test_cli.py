@@ -1,15 +1,18 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from channelrank import cli
-from channelrank.cli import _load_world_dir, main
+from channelrank.cli import _load_world_dir, _parse_bind, main
 from channelrank.core import ChannelId
 from channelrank.dataset import read_dataset
 from channelrank.gbdt.serialize import load_model
 from tests.test_serialize import with_trees
+
+DATA = Path(__file__).parent / "data"
 
 WORLD_FLAGS = [
     "--queries", "30", "--items", "300", "--n-per-channel", "8",
@@ -176,6 +179,35 @@ class TestPipeline:
         ])
         assert rc == 0
         assert out.read_text().strip()
+
+    def test_fuse_wi_matches_golden_output(self, tmp_path, monkeypatch):
+        # 12 queries, some missing a channel; seasonal gets weight 0 and is
+        # flushed. The golden file was written by the per-query interleaver
+        # that the one batched call over the file replaced.
+        calls = []
+        batch = cli.weighted_interleave_batch
+
+        def counting_batch(*args):
+            calls.append(len(args[0]))
+            return batch(*args)
+
+        monkeypatch.setattr(cli, "weighted_interleave_batch", counting_batch)
+        out = tmp_path / "fused.tsv"
+        rc = main([
+            "fuse", "--lists", str(DATA / "fuse_lists.tsv"), "--method", "wi", "--seed", "9",
+            "--weight", "lexical=0.7", "--weight", "semantic=0.3", "--weight", "trending=1",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert calls == [12]
+        assert out.read_text() == (DATA / "fuse_wi_seed9.tsv").read_text()
+
+    def test_fuse_wi_empty_lists_file(self, tmp_path, capsys):
+        lists = tmp_path / "lists.tsv"
+        lists.write_text("")
+        capsys.readouterr()
+        assert main(["fuse", "--lists", str(lists), "--method", "wi"]) == 0
+        assert capsys.readouterr().out == "\n"
 
     def test_fuse_weight_for_a_channel_some_queries_lack(self, tmp_path, capsys):
         # q1 has no semantic list; its weight still applies to q2.
@@ -380,3 +412,56 @@ class TestLoadWorldDir:
         assert sorted(opened) == [
             "catalog.tsv", "channel_lists_w0.tsv", "channel_lists_w1.tsv", "events.tsv",
         ]
+
+
+class TestServeBind:
+    @pytest.mark.parametrize(
+        "bind, expected",
+        [
+            ("127.0.0.1:8351", ("127.0.0.1", 8351)),
+            ("0.0.0.0", ("0.0.0.0", 8351)),
+            ("0.0.0.0:", ("0.0.0.0", 8351)),
+            (":9000", ("127.0.0.1", 9000)),
+            ("", ("127.0.0.1", 8351)),
+            ("localhost:65535", ("localhost", 65535)),
+        ],
+    )
+    def test_defaults_fill_missing_parts(self, bind, expected):
+        assert _parse_bind(bind) == expected
+
+    @pytest.mark.parametrize("port", ["http", "0", "65536", "-1", "+80", " 80", "8_0", "1:2"])
+    def test_bad_port_rejected(self, port):
+        with pytest.raises(ValueError, match="port must be an integer in 1..65535"):
+            _parse_bind(f"127.0.0.1:{port}")
+
+    @pytest.mark.parametrize(
+        "bind, banner",
+        [("0.0.0.0", "http://0.0.0.0:8351"), (":9000", "http://127.0.0.1:9000")],
+    )
+    def test_banner_shows_the_bound_address(self, model_path, capsys, monkeypatch, bind, banner):
+        bound = []
+
+        class Server:
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def server_close(self):
+                pass
+
+        def fake_make_server(service, host, port):
+            bound.append((host, port))
+            return Server()
+
+        monkeypatch.setattr(cli, "make_server", fake_make_server)
+        monkeypatch.setenv("CHANNELRANK_BIND", bind)
+        capsys.readouterr()
+        assert main(["serve", "--model", str(model_path)]) == 0
+        assert bound == [_parse_bind(bind)]
+        assert capsys.readouterr().out.strip().endswith(f"on {banner}")
+
+    def test_bad_bind_exits_one_before_loading(self, tmp_path, capsys):
+        capsys.readouterr()
+        rc = main(["serve", "--model", str(tmp_path / "missing.frm"), "--bind", ":port"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: bind address ':port': port must be an integer in 1..65535"]

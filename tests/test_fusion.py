@@ -263,12 +263,15 @@ class TestWeightedInterleaveOracle:
 
 
 def assert_batch_matches(list_sets, weights, seeds):
-    """``weighted_interleave_batch`` equals the package loop and the oracle, instance by instance."""
+    """``weighted_interleave_batch`` equals the one-set call and the oracle, instance by instance.
+
+    ``seeds`` holds one seed list per list set.
+    """
     result = weighted_interleave_batch(list_sets, weights, seeds)
     assert len(result) == len(list_sets)
-    for lists, w, (items, orders) in zip(list_sets, weights, result):
-        assert orders.shape == (len(seeds), len(items))
-        for seed, row in zip(seeds, orders):
+    for lists, w, set_seeds, (items, orders) in zip(list_sets, weights, seeds, result):
+        assert orders.shape == (len(set_seeds), len(items))
+        for seed, row in zip(set_seeds, orders):
             got = tuple(items[j] for j in row)
             assert got == weighted_interleave(lists, w, seed).items
             assert got == fusion_oracle.weighted_interleave(lists, w, seed).items
@@ -285,7 +288,45 @@ class TestWeightedInterleaveBatch:
             for _ in range(int(rng.integers(5, 25)))
         ]
         seeds = [int(s) for s in rng.integers(2**32, size=int(rng.integers(1, 8)))]
+        assert_batch_matches(
+            [c[0] for c in cases], [c[1] for c in cases], [seeds] * len(cases)
+        )
+
+    @pytest.mark.parametrize("batch", range(4))
+    def test_random_batches_with_per_set_seeds(self, batch):
+        # Each set draws 0-5 seeds from a pool of 6, so sets differ in seed
+        # count, some have none, and most seeds serve several sets.
+        rng = np.random.default_rng(3000 + batch)
+        cases = [
+            random_case(rng, int(rng.choice([1, 2, 3, 4, 9])))
+            for _ in range(int(rng.integers(5, 20)))
+        ]
+        pool = [int(s) for s in rng.integers(2**32, size=6)]
+        seeds = [
+            [pool[j] for j in rng.choice(6, size=int(rng.integers(0, 6)), replace=False)]
+            for _ in cases
+        ]
         assert_batch_matches([c[0] for c in cases], [c[1] for c in cases], seeds)
+
+    def test_seed_counts_differ_per_set(self):
+        a = [cl(C0, ["A", "B", "C"]), cl(C1, ["C", "D"])]
+        b = [cl(C0, ["X", "Y"], query="q2"), cl(C2, ["Y", "Z", "X"], query="q2")]
+        w = InterleaveWeights({C0: 0.6, C1: 0.3, C2: 0.1})
+        seeds = [[5, 6, 7], [], [8]]
+        result = weighted_interleave_batch([a, b, a], [w, w, w], seeds)
+        assert [orders.shape for _, orders in result] == [(3, 4), (0, 3), (1, 4)]
+        assert_batch_matches([a, b, a], [w, w, w], seeds)
+
+    def test_one_seed_shared_by_many_sets(self):
+        rng = np.random.default_rng(4000)
+        cases = [random_case(rng, 3) for _ in range(30)]
+        lists, weights = [c[0] for c in cases], [c[1] for c in cases]
+        assert_batch_matches(lists, weights, [[2**63 + 11]] * len(cases))
+        # A shared seed's uniforms are the ones a set alone would read.
+        shared = weighted_interleave_batch(lists, weights, [[7]] * len(cases))
+        for k, (items, orders) in enumerate(shared):
+            alone_items, alone = weighted_interleave_batch([lists[k]], [weights[k]], [[7]])[0]
+            assert items == alone_items and (orders == alone).all()
 
     def test_pairwise_total_beside_other_sets(self):
         # The nine-channel set of test_pairwise_total_decides_a_pick, batched
@@ -296,10 +337,10 @@ class TestWeightedInterleaveBatch:
         w9 = InterleaveWeights(dict(zip(channels, weights)))
         two = [cl(C0, ["A", "B"]), cl(C1, ["B", "C"])]
         w2 = InterleaveWeights({C0: 1.0, C1: 1.0 / 3.0})
-        result = weighted_interleave_batch([nine, two, nine], [w9, w2, w9], [0, 1, 2])
+        result = weighted_interleave_batch([nine, two, nine], [w9, w2, w9], [[0, 1, 2]] * 3)
         items, orders = result[0]
         assert items[orders[0][0]] == "c0"
-        assert_batch_matches([nine, two, nine], [w9, w2, w9], [0, 1, 2, 3])
+        assert_batch_matches([nine, two, nine], [w9, w2, w9], [[0, 1, 2, 3]] * 3)
 
     def test_zero_weight_flush_and_duplicates(self):
         flush = [cl(C0, ["A", "B"]), cl(C1, ["C", "A", "D"]), cl(C2, ["E", "B", "F"])]
@@ -310,9 +351,9 @@ class TestWeightedInterleaveBatch:
         same = [cl(C0, ["A", "B", "C"]), cl(C1, ["A", "B", "C"]), cl(C2, ["C", "B", "A"])]
         w_same = InterleaveWeights({C0: 0.3, C1: 0.3, C2: 0.4})
         assert_batch_matches(
-            [flush, only_zero, same], [w_flush, w_zero, w_same], list(range(40))
+            [flush, only_zero, same], [w_flush, w_zero, w_same], [list(range(40))] * 3
         )
-        items, orders = weighted_interleave_batch([only_zero], [w_zero], [7])[0]
+        items, orders = weighted_interleave_batch([only_zero], [w_zero], [[7]])[0]
         assert tuple(items[j] for j in orders[0]) == ("A", "B", "C")
 
     def test_empty_sets_and_lists(self):
@@ -320,25 +361,27 @@ class TestWeightedInterleaveBatch:
         lists = [cl(C0, ["A", "B"]), empty_list]
         w = InterleaveWeights({C0: 1.0, C1: 1.0})
         result = weighted_interleave_batch(
-            [[], lists, [empty_list]], [w, w, w], [3, 4]
+            [[], lists, [empty_list]], [w, w, w], [[3, 4]] * 3
         )
         assert result[0][0] == () and result[0][1].shape == (2, 0)
         assert result[2][0] == () and result[2][1].shape == (2, 0)
-        assert_batch_matches([[], lists, [empty_list]], [w, w, w], [3, 4])
-        assert weighted_interleave_batch([], [], [0]) == []
-        items, orders = weighted_interleave_batch([lists], [w], [])[0]
+        assert_batch_matches([[], lists, [empty_list]], [w, w, w], [[3, 4]] * 3)
+        assert weighted_interleave_batch([], [], []) == []
+        items, orders = weighted_interleave_batch([lists], [w], [[]])[0]
         assert items == ("A", "B") and orders.shape == (0, 2)
 
     def test_inputs_checked_like_the_loop(self):
         w = InterleaveWeights({C0: 1.0})
         with pytest.raises(ValueError, match="no weight"):
-            weighted_interleave_batch([[cl(C0, ["A"]), cl(C1, ["B"])]], [w], [0])
+            weighted_interleave_batch([[cl(C0, ["A"]), cl(C1, ["B"])]], [w], [[0]])
         with pytest.raises(ValueError, match="mixed query"):
             weighted_interleave_batch(
-                [[cl(C0, ["A"]), cl(C0, ["B"], query="q2")]], [w], [0]
+                [[cl(C0, ["A"]), cl(C0, ["B"], query="q2")]], [w], [[0]]
             )
         with pytest.raises(ValueError, match="1 list sets but 2 weight maps"):
-            weighted_interleave_batch([[cl(C0, ["A"])]], [w, w], [0])
+            weighted_interleave_batch([[cl(C0, ["A"])]], [w, w], [[0]])
+        with pytest.raises(ValueError, match="1 list sets but 2 seed lists"):
+            weighted_interleave_batch([[cl(C0, ["A"])]], [w], [[0], [1]])
 
 
 class TestFusedList:

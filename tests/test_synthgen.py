@@ -171,8 +171,9 @@ class TestPinnedWorld:
     """The logging policy's presentation order decides every event.
 
     ``generate`` shows each query's items in a weighted-interleaving order,
-    so a change to ``weighted_interleave``'s output, or to how it consumes
-    its seed's random stream, changes this digest.
+    so a change to ``weighted_interleave_batch``'s output, or to how it
+    consumes each seed's random stream, changes this digest. So does a
+    change to the order in which each query's own stream is drawn.
     """
 
     def test_event_table_digest(self):
