@@ -78,33 +78,47 @@ class TrainParams:
 
 
 #: Rows per scoring chunk are capped so that one chunk's per-tree node
-#: indices and walk columns stay near this many elements; each oblique
+#: indices and workspace stay near this many elements; each oblique
 #: gather stays near half of it.
 _CHUNK_ELEMENTS = 1 << 16
+
+#: Per-round validation scores a block of trees at a time, holding at most
+#: about this many (row, tree) leaf values.
+_VALID_ELEMENTS = 1 << 20
 
 
 @dataclass(slots=True)
 class _Forest:
     """Every tree of a model flattened into one node table.
 
-    Rows are walked over ``Z = [X | -X | projections]``, one comparison per
-    level: node ``i`` sends row ``r`` to ``child[2*i + (Z[r, column[i]] >=
-    threshold[i])]``. A NaN compares false, so a missing value always takes
-    ``child[2*i]``. A split that sends missing rows left reads its value
-    as it is, with its own threshold and children. One that sends them
-    right reads the negated value (column ``F + f``, or negated oblique
-    weights; negation is exact), compares it with ``nextafter(-t, inf)``
-    and swaps its children, since ``-v >= nextafter(-t, inf)`` holds
-    exactly when ``v < t``. With ``t = -inf`` such a split sends every
-    row right, so its threshold becomes NaN, which no value reaches.
-    Oblique node ``k`` reads derived column ``2F + k``, its projection;
-    projections are computed per chunk, one batched product per group of
-    nodes that share a feature count. A leaf's two children are the leaf
-    itself, so every row takes exactly ``depth`` branch-free steps and
-    ends on its leaf.
+    Rows are walked over the columns of ``[X | -X | projections]``, one
+    comparison per level: node ``i`` reads some column ``c`` and sends row
+    ``r`` to ``child[2*i + (value >= threshold[i])]``, where ``value`` is
+    row ``r`` of column ``c``. A NaN compares false, so a missing value
+    always takes ``child[2*i]``. A split that sends missing rows left reads
+    its value as it is, with its own threshold and children. One that sends
+    them right reads the negated value (column ``F + f``, or negated oblique
+    weights; negation is exact), compares it with ``nextafter(-t, inf)`` and
+    swaps its children, since ``-v >= nextafter(-t, inf)`` holds exactly
+    when ``v < t``. With ``t = -inf`` such a split sends every row right, so
+    its threshold becomes NaN, which no value reaches. Oblique node ``k``
+    reads derived column ``2F + k``, its projection; projections are
+    computed per chunk, one batched product per group of nodes that share a
+    feature count. A leaf's two children are the leaf itself, so every row
+    takes exactly ``depth`` branch-free steps and ends on its leaf.
+
+    The columns live feature-major in a ``(width, chunk)`` workspace, row
+    ``c`` holding column ``c`` for every row of a chunk, so row ``r`` of
+    column ``c`` sits at flat offset ``c * chunk + r``. ``at[i]`` is that
+    offset for node ``i``'s column and row 0; it and each root's column
+    are fixed at compile time, so no request passes over the node table.
+    A chunk of fewer rows leaves the tail of each workspace row unused.
+    Each call allocates its own workspace, so concurrent requests share
+    nothing but this read-only table.
     """
 
-    column: np.ndarray
+    at: np.ndarray
+    root_column: np.ndarray
     threshold: np.ndarray
     value: np.ndarray
     child: np.ndarray
@@ -154,75 +168,98 @@ class _Forest:
         child = np.concatenate(child).reshape(-1, 2)
         child[flip] = child[flip, ::-1]
         width = max(width, 1)  # leaves read column 0, unused, even with no features
-        per_row = max(len(roots), width)
+        chunk = max(1, _CHUNK_ELEMENTS // max(len(roots), width))
+        roots = np.array(roots, dtype=np.intp)
         return cls(
-            column=column,
+            at=column * chunk,
+            root_column=column[roots],
             threshold=threshold,
             value=np.array([getattr(n, "value", 0.0) for n in nodes], dtype=np.float64),
             child=child.ravel(),
-            roots=np.array(roots, dtype=np.intp),
+            roots=roots,
             depth=max((tree.depth() for tree in trees), default=0),
             n_features=n_features,
             width=width,
             projections=projections,
-            chunk=max(1, _CHUNK_ELEMENTS // per_row),
+            chunk=chunk,
         )
 
     def raw(self, X: np.ndarray) -> np.ndarray:
         """Sum of the trees' leaf values for each row of ``X``."""
-        n = len(X)
-        out = np.empty(n, dtype=np.float64)
-        for lo in range(0, n, self.chunk):
-            out[lo:lo + self.chunk] = self._block(X[lo:lo + self.chunk])
+        out = np.empty(len(X), dtype=np.float64)
+        for lo in range(0, len(X), self.chunk):
+            values = self._leaf_values(X[lo:lo + self.chunk])
+            if self.projections:
+                # Oblique models have always summed tree by tree and
+                # axis-only ones pairwise along the row; each keeps its
+                # order, so a saved model scores bit-identically to earlier
+                # releases.
+                total = np.zeros(len(values), dtype=np.float64)
+                for column in values.T:
+                    total += column
+            else:
+                total = values.sum(axis=1)
+            out[lo:lo + self.chunk] = total
+        return out
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Each tree's leaf value for each row of ``X``, shape ``(n, trees)``."""
+        out = np.empty((len(X), len(self.roots)), dtype=np.float64)
+        for lo in range(0, len(X), self.chunk):
+            out[lo:lo + self.chunk] = self._leaf_values(X[lo:lo + self.chunk])
         return out
 
     def _columns(self, X: np.ndarray) -> np.ndarray:
-        """``X``, ``-X`` and one derived column per oblique node."""
+        """Feature-major workspace: ``X.T``, ``-X.T``, then one row per oblique node.
+
+        The array is ``(width, chunk)``; only its first ``len(X)`` columns
+        are written. Each projection is one matrix-vector product per node,
+        exactly as training's per-node ``X[:, feats] @ w`` computes it; a
+        dense ``X @ W.T`` or an einsum rounds some projections differently.
+        The gather ``ZT[feats, :n]`` is laid out (node, feature, row), as
+        NumPy lays out the gather ``X[:, feats]`` of a row-major ``X``, so
+        each node's (row, feature) operand reaches BLAS with the same
+        strides either way and rounds alike. Products are written straight
+        into their rows.
+        """
+        n = len(X)
         F = self.n_features
-        Z = np.empty((len(X), self.width), dtype=np.float64)
-        Z[:, :F] = X
-        np.negative(X, out=Z[:, F : 2 * F])
+        ZT = np.empty((self.width, self.chunk), dtype=np.float64)
+        ZT[:F, :n] = X.T
+        np.negative(X.T, out=ZT[F : 2 * F, :n])
         column = 2 * F
         for feats, weights in self.projections:
             # Nodes go in blocks so each gather stays within half the
             # budget, small enough that the allocator reuses its memory.
-            block = max(1, _CHUNK_ELEMENTS // (2 * len(X) * feats.shape[1]))
+            block = max(1, _CHUNK_ELEMENTS // (2 * n * feats.shape[1]))
             for k in range(0, len(weights), block):
-                # One matrix-vector product per node, exactly as a per-node
-                # ``X[:, feats] @ w`` computes it; a dense ``X @ W.T`` or an
-                # einsum rounds some projections differently. A NaN
-                # projection (missing cell, or inf - inf) routes as missing.
+                hi = min(k + block, len(weights))
+                # A NaN projection (missing cell, or inf - inf) routes as
+                # missing.
                 with np.errstate(invalid="ignore"):
-                    z = np.matmul(
-                        X[:, feats[k : k + block]].transpose(1, 0, 2),
-                        weights[k : k + block, :, None],
+                    np.matmul(
+                        ZT[feats[k:hi], :n].transpose(0, 2, 1),
+                        weights[k:hi, :, None],
+                        out=ZT[column + k : column + hi, :n, None],
                     )
-                Z[:, column + k : column + k + len(z)] = z[:, :, 0].T
             column += len(weights)
-        return Z
+        return ZT
 
-    def _block(self, X: np.ndarray) -> np.ndarray:
-        Z = self._columns(X)
-        n = len(Z)
+    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Each tree's leaf value for each row of one chunk of rows."""
+        n = len(X)
+        ZT = self._columns(X)
         roots = self.roots
-        cur = self.child.take(
-            2 * roots + (Z[:, self.column.take(roots)] >= self.threshold.take(roots))
-        )
-        flat = Z.ravel()
-        row_base = np.arange(n, dtype=np.intp)[:, None] * self.width
+        # Every row starts at the roots, so their columns come out as whole
+        # workspace rows, one contiguous copy per tree.
+        right = ZT[self.root_column, :n].T >= self.threshold.take(roots)
+        cur = self.child.take(2 * roots + right)
+        flat = ZT.ravel()
+        row = np.arange(n, dtype=np.intp)[:, None]
         for _ in range(self.depth - 1):
-            right = flat.take(row_base + self.column.take(cur)) >= self.threshold.take(cur)
+            right = flat.take(self.at.take(cur) + row) >= self.threshold.take(cur)
             cur = self.child.take(2 * cur + right)
-        values = self.value.take(cur)
-        if not self.projections:
-            return values.sum(axis=1)
-        # Oblique models have always summed tree by tree and axis-only
-        # ones pairwise along the row; each keeps its order, so a saved
-        # model scores bit-identically to earlier releases.
-        out = np.zeros(n, dtype=np.float64)
-        for column in values.T:
-            out += column
-        return out
+        return self.value.take(cur)
 
 
 @dataclass(slots=True)
@@ -323,14 +360,12 @@ def train(
 
     binned = bin_features(X, max_bins=params.max_bins)
     train_metric = GroupedNdcg(labels, groups, k=params.ndcg_truncation)
-    valid_metric = None
     if valid is not None:
         valid_metric = GroupedNdcg(valid[1], valid_groups, k=params.ndcg_truncation)
-        valid_scores = np.zeros(len(Xv), dtype=np.float64)
 
     scores = np.zeros(len(X), dtype=np.float64)
     trees: list[Tree] = []
-    history: list[RoundStats] = []
+    train_ndcg: list[float] = []
     # One sort of the training scores per round serves both the next
     # round's gradients and this round's logged NDCG.
     ranked = groups.rank_discounts(scores, params.ndcg_truncation)
@@ -345,17 +380,23 @@ def train(
         trees.append(tree)
         scores += params.shrinkage * row_values
         ranked = groups.rank_discounts(scores, params.ndcg_truncation)
-        valid_ndcg = None
-        if valid_metric is not None:
-            valid_scores += params.shrinkage * tree.predict_matrix(Xv)
-            valid_ndcg = valid_metric.mean(valid_scores)
-        history.append(
-            RoundStats(
-                round=t,
-                train_ndcg=train_metric.mean(scores, ranked=ranked),
-                valid_ndcg=valid_ndcg,
-            )
-        )
+        train_ndcg.append(train_metric.mean(scores, ranked=ranked))
+
+    valid_ndcg: list[float | None] = [None] * len(trees)
+    if valid is not None:
+        valid_scores = np.zeros(len(Xv), dtype=np.float64)
+        # One forest pass per block of trees gives every tree's values;
+        # adding them in round order repeats the per-round sums exactly.
+        step = max(1, _VALID_ELEMENTS // max(len(Xv), 1))
+        for lo in range(0, len(trees), step):
+            values = _Forest.compile(trees[lo : lo + step], len(schema)).leaf_values(Xv)
+            for t, column in enumerate(values.T, start=lo):
+                valid_scores += params.shrinkage * column
+                valid_ndcg[t] = valid_metric.mean(valid_scores)
+    history = [
+        RoundStats(round=t, train_ndcg=train_ndcg[t], valid_ndcg=valid_ndcg[t])
+        for t in range(len(trees))
+    ]
 
     model = Model(
         trees=tuple(trees),

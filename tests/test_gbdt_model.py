@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from channelrank.features import FeatureColumn, FeatureSchema
-from channelrank.gbdt.model import Model, TrainingError, TrainParams, train, write_training_log
+from channelrank.gbdt import model as model_module
+from channelrank.gbdt.model import (
+    Model,
+    TrainingError,
+    TrainParams,
+    _Forest,
+    train,
+    write_training_log,
+)
 from channelrank.gbdt.serialize import loads_model, serialize_model
 from channelrank.gbdt.tree import AxisSplit, Leaf, ObliqueSplit, Tree
-from channelrank.metrics import QueryGroups
+from channelrank.metrics import GroupedNdcg, QueryGroups
 from tests.forest_oracle import has_oblique, walk_model, walk_tree
 
 
@@ -200,6 +208,31 @@ class TestTrain:
         assert len(lines) == 5
         assert all(len(line.split("\t")) == 3 for line in lines)
 
+    @pytest.mark.parametrize("valid_elements", [None, 100], ids=["one-pass", "tree-blocks"])
+    @pytest.mark.parametrize("oblique", [False, True], ids=["axis", "oblique"])
+    def test_valid_ndcg_equals_per_round_tree_walks(self, oblique, valid_elements, monkeypatch):
+        # Validation scores every tree after the loop; each round's NDCG must
+        # still be that of the scores accumulated tree by tree up to it.
+        if valid_elements is not None:
+            monkeypatch.setattr(model_module, "_VALID_ELEMENTS", valid_elements)
+        X, labels, group_ids = ranking_problem(131, n_groups=12)
+        Xv, lv, gv = ranking_problem(993, n_groups=6)
+        Xv[::5, 1] = np.nan
+        Xv[::7, 2] = -np.inf
+        params = TrainParams(
+            num_trees=9, max_depth=3, min_examples_per_leaf=2,
+            oblique=oblique, oblique_projections=5, oblique_sparsity=0.6, seed=11,
+        )
+        result = train(
+            X, labels, group_ids, generic_schema(X.shape[1]), params, valid=(Xv, lv, gv),
+        )
+        assert any(has_oblique(t) for t in result.model.trees) == oblique
+        metric = GroupedNdcg(lv, QueryGroups.from_ids(gv), k=params.ndcg_truncation)
+        scores = np.zeros(len(Xv))
+        for tree, rec in zip(result.model.trees, result.history, strict=True):
+            scores += params.shrinkage * walk_tree(tree, Xv)
+            assert rec.valid_ndcg == metric.mean(scores)
+
     def test_oblique_flag_trains_and_is_deterministic(self):
         X, labels, group_ids = ranking_problem(127, n_groups=10)
         params = TrainParams(
@@ -332,6 +365,25 @@ def oblique_split(features, weights, threshold, missing_left, left, right):
     return node
 
 
+def rounding_forest():
+    """60 stumps over oblique nodes of 8 and 16 features, spanning several
+    projection blocks, and 200 rows; row ``k`` sits exactly on stump
+    ``k``'s threshold."""
+    rng = np.random.default_rng(12)
+    n_features = 24
+    X = rng.normal(size=(200, n_features)) * 10.0 ** rng.uniform(-3, 3, size=(200, n_features))
+    trees = []
+    for k in range(60):
+        width = (8, 16)[k % 2]
+        feats = tuple(int(f) for f in np.sort(rng.choice(n_features, width, replace=False)))
+        weights = tuple(float(w) for w in rng.normal(size=width))
+        # Row k sits exactly on the threshold, so a projection rounded
+        # one step lower than the per-node product sends it left.
+        threshold = float(X[k, list(feats)] @ np.asarray(weights))
+        trees.append(oblique_split(feats, weights, threshold, False, Leaf(-1.0 - k), Leaf(1.0 + k)))
+    return forest_model(trees, n_features=n_features), X
+
+
 def trained(oblique, seed=151):
     X, labels, group_ids = ranking_problem(seed, n_groups=12)
     params = TrainParams(
@@ -368,19 +420,30 @@ class TestForestParity:
         )
 
     def test_oblique_projections_round_like_per_node_products(self):
-        rng = np.random.default_rng(12)
-        n_features = 24
-        X = rng.normal(size=(200, n_features)) * 10.0 ** rng.uniform(-3, 3, size=(200, n_features))
-        trees = []
-        for k in range(60):
-            width = (8, 16)[k % 2]
-            feats = tuple(int(f) for f in np.sort(rng.choice(n_features, width, replace=False)))
-            weights = tuple(float(w) for w in rng.normal(size=width))
-            # Row k sits exactly on the threshold, so a projection rounded
-            # one step lower than the per-node product sends it left.
-            threshold = float(X[k, list(feats)] @ np.asarray(weights))
-            trees.append(oblique_split(feats, weights, threshold, False, Leaf(-1.0 - k), Leaf(1.0 + k)))
-        self.assert_parity(forest_model(trees, n_features=n_features), X)
+        self.assert_parity(*rounding_forest())
+
+    @pytest.mark.parametrize("kind", ["axis", "oblique", "rounding"])
+    def test_workspace_stride_at_chunk_edges(self, kind, axis_model, oblique_model):
+        # The workspace is (width, chunk) whatever the row count, so rows
+        # are read at ``column * chunk + row``; batches just under, at and
+        # over a chunk, and a ragged last chunk, must all read their own rows.
+        if kind == "rounding":
+            model, base = rounding_forest()
+            on_threshold = 60  # rows kept as they are, each on its stump's threshold
+        else:
+            model = axis_model if kind == "axis" else oblique_model
+            base = queries(400, 5, seed=11, nan_frac=0.0, inf_frac=0.0)
+            on_threshold = 0
+        chunk = _Forest.compile(model.trees, len(model.schema)).chunk
+        rng = np.random.default_rng(13)
+        for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
+            X = base[np.arange(n) % len(base)].copy()
+            u = rng.random(size=X.shape)
+            u[np.arange(n) % len(base) < on_threshold] = 1.0
+            X[u < 0.15] = np.nan
+            X[(u >= 0.15) & (u < 0.2)] = np.inf
+            X[(u >= 0.2) & (u < 0.25)] = -np.inf
+            self.assert_parity(model, X)
 
     def test_stump_and_single_leaf(self):
         stump = split(2, 0.1, True, Leaf(-0.5), Leaf(1.5))

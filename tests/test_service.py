@@ -2,6 +2,7 @@ import http.client
 import json
 import logging
 import re
+import sys
 import threading
 import time
 import urllib.error
@@ -28,6 +29,7 @@ from channelrank.service import (
     write_item_features,
 )
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
+from tests.forest_oracle import has_oblique
 
 CFG = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -315,6 +317,54 @@ class TestScoreService:
         for t in threads:
             t.join()
         assert len(set(results)) == 1
+
+    def test_concurrent_distinct_requests_match_serial(self, trained_world, tmp_path):
+        # Each thread scores its own pool through an oblique model, again and
+        # again; a workspace shared between calls would mix their rows.
+        world, data, _ = trained_world
+        train_mask = data.mask_for(filter_and_split(world.events, CFG.num_weeks).train)
+        params = TrainParams(num_trees=8, max_depth=4, min_examples_per_leaf=5,
+                             oblique=True, oblique_projections=6, seed=2)
+        model = train(
+            data.X[train_mask], data.labels_conversion[train_mask],
+            data.group_ids[train_mask], data.schema, params,
+        ).model
+        assert any(has_oblique(tree) for tree in model.trees)
+        item_cols = [c.name for c in data.schema.columns if c.group == "item"]
+        vocab = world.ground_truth.catalog.item_vocab
+        rows = np.random.default_rng(4).normal(size=(len(vocab), len(item_cols)))
+        path = tmp_path / "items.tsv"
+        write_item_features(str(path), item_cols, dict(zip(vocab, rows)))
+        svc = ScoreService(model, item_features=ItemFeatureTable.from_file(str(path)))
+        requests = synth_requests(svc, n_requests=8, pool_items=100, seed=9, item_ids=vocab)
+
+        def answer(request):
+            response = svc.score(request)
+            response.pop("latency_us")
+            return json.dumps(response, sort_keys=True)
+
+        serial = [answer(r) for r in requests]
+        assert len(set(serial)) == len(serial)
+        results = [[] for _ in requests]
+        start = threading.Barrier(len(requests))
+
+        def work(i):
+            start.wait()
+            results[i] = [answer(requests[i]) for _ in range(25)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(requests))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, answers in enumerate(results):
+            assert answers == [serial[i]] * 25
 
 
 class TestItemFeatureFile:
