@@ -326,6 +326,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.pool < 1:
+        raise ValueError(f"--pool must be >= 1, got {args.pool}")
     service = _make_service(args)
     item_ids = list(service._item_index) or None
     requests = synth_requests(

@@ -77,9 +77,10 @@ class TrainParams:
             raise ValueError(f"max_bins must be in [1, {MAX_BINS}]")
 
 
-#: Rows per scoring chunk are capped so that one chunk's per-tree node
-#: indices and workspace stay near this many elements; each oblique
-#: gather stays near half of it.
+#: Rows per scoring chunk are capped so that one chunk's workspace and
+#: each of a call's walk buffers (row numbers, node ids, offsets, cells,
+#: thresholds and branch bits, one entry per tree and row) stay near this
+#: many elements; each oblique gather stays near half of it.
 _CHUNK_ELEMENTS = 1 << 16
 
 #: Per-round validation scores a block of trees at a time, holding at most
@@ -89,23 +90,29 @@ _VALID_ELEMENTS = 1 << 20
 
 @dataclass(slots=True)
 class _Forest:
-    """Every tree of a model flattened into one node table.
+    """Every tree of a model flattened into one breadth-first node table.
 
     Rows are walked over the columns of ``[X | -X | projections]``, one
     comparison per level: node ``i`` reads some column ``c`` and sends row
-    ``r`` to ``child[2*i + (value >= threshold[i])]``, where ``value`` is
-    row ``r`` of column ``c``. A NaN compares false, so a missing value
-    always takes ``child[2*i]``. A split that sends missing rows left reads
-    its value as it is, with its own threshold and children. One that sends
-    them right reads the negated value (column ``F + f``, or negated oblique
-    weights; negation is exact), compares it with ``nextafter(-t, inf)`` and
-    swaps its children, since ``-v >= nextafter(-t, inf)`` holds exactly
-    when ``v < t``. With ``t = -inf`` such a split sends every row right, so
-    its threshold becomes NaN, which no value reaches. Oblique node ``k``
-    reads derived column ``2F + k``, its projection; projections are
-    computed per chunk, one batched product per group of nodes that share a
-    feature count. A leaf's two children are the leaf itself, so every row
-    takes exactly ``depth`` branch-free steps and ends on its leaf.
+    ``r`` to ``left[i] + (value >= threshold[i])``, where ``value`` is row
+    ``r`` of column ``c``; the two children of a split have consecutive
+    ids. A NaN compares false, so a missing value always takes
+    ``left[i]``. A split that sends missing rows left reads its value as it
+    is, with its own threshold and children. One that sends them right
+    reads the negated value (column ``F + f``, or negated oblique weights;
+    negation is exact), compares it with ``nextafter(-t, inf)`` and swaps
+    its children, since ``-v >= nextafter(-t, inf)`` holds exactly when
+    ``v < t``. With ``t = -inf`` such a split sends every row right, so its
+    threshold becomes NaN, which no value reaches. Oblique node ``k`` reads
+    derived column ``2F + k``, its projection; projections are computed per
+    chunk, one batched product per group of nodes that share a feature
+    count. A leaf has ``left[i] == i`` and a NaN threshold, so it never
+    moves: every row takes exactly ``depth`` branch-free steps and ends on
+    its leaf.
+
+    Nodes are numbered breadth-first over all trees at once: the roots are
+    ``0 .. trees - 1`` in model order, then come the children of each
+    level's splits, a split's two side by side.
 
     The columns live feature-major in a ``(width, chunk)`` workspace, row
     ``c`` holding column ``c`` for every row of a chunk, so row ``r`` of
@@ -113,16 +120,19 @@ class _Forest:
     offset for node ``i``'s column and row 0; it and each root's column
     are fixed at compile time, so no request passes over the node table.
     A chunk of fewer rows leaves the tail of each workspace row unused.
-    Each call allocates its own workspace, so concurrent requests share
-    nothing but this read-only table.
+    The walk is tree-major: node ids are held as ``(trees, rows)``, so the
+    rows of one tree that sit at one node read consecutive workspace cells.
+    Each ``raw`` or ``leaf_values`` call allocates its own workspace and
+    walk buffers and reuses them for all its chunks, so concurrent
+    requests share nothing but this read-only table.
     """
 
     at: np.ndarray
     root_column: np.ndarray
     threshold: np.ndarray
     value: np.ndarray
-    child: np.ndarray
-    roots: np.ndarray
+    left: np.ndarray
+    trees: int
     depth: int
     n_features: int
     width: int
@@ -132,12 +142,12 @@ class _Forest:
     @classmethod
     def compile(cls, trees: Sequence[Tree], n_features: int) -> _Forest:
         nodes: list[Node] = []
-        child = [np.empty(0, dtype=np.intp)]  # a model may hold no trees
+        child = [np.empty((0, 2), dtype=np.intp)]  # a model may hold no trees
         roots: list[int] = []
         for tree in trees:
             tree_nodes, children = tree.preorder()
             roots.append(len(nodes))
-            child.append(np.array(children, dtype=np.intp).ravel() + len(nodes))
+            child.append(np.array(children, dtype=np.intp) + len(nodes))
             nodes.extend(tree_nodes)
         # Splits that send missing rows right walk the negated value.
         flip = np.array([not getattr(n, "missing_left", True) for n in nodes], dtype=bool)
@@ -165,19 +175,30 @@ class _Forest:
         threshold[flip] = np.where(
             threshold[flip] == -np.inf, np.nan, np.nextafter(-threshold[flip], np.inf)
         )
-        child = np.concatenate(child).reshape(-1, 2)
+        child = np.concatenate(child)
         child[flip] = child[flip, ::-1]
+        leaf = child[:, 0] == np.arange(len(nodes))
+        threshold[leaf] = np.nan
+        # Breadth-first over every tree at once, one level per pass.
+        level = np.array(roots, dtype=np.intp)
+        levels = []
+        while len(level):
+            levels.append(level)
+            level = child[level[~leaf[level]]].ravel()
+        order = np.concatenate([*levels, level])  # preorder id of each new id
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
         width = max(width, 1)  # leaves read column 0, unused, even with no features
         chunk = max(1, _CHUNK_ELEMENTS // max(len(roots), width))
-        roots = np.array(roots, dtype=np.intp)
+        column = column[order]
         return cls(
             at=column * chunk,
-            root_column=column[roots],
-            threshold=threshold,
-            value=np.array([getattr(n, "value", 0.0) for n in nodes], dtype=np.float64),
-            child=child.ravel(),
-            roots=roots,
-            depth=max((tree.depth() for tree in trees), default=0),
+            root_column=column[: len(roots)],
+            threshold=threshold[order],
+            value=np.array([getattr(n, "value", 0.0) for n in nodes], dtype=np.float64)[order],
+            left=renumber[child[order, 0]],  # a leaf's child is itself
+            trees=len(roots),
+            depth=max(len(levels) - 1, 0),
             n_features=n_features,
             width=width,
             projections=projections,
@@ -187,33 +208,64 @@ class _Forest:
     def raw(self, X: np.ndarray) -> np.ndarray:
         """Sum of the trees' leaf values for each row of ``X``."""
         out = np.empty(len(X), dtype=np.float64)
+        buffers = self._buffers(len(X))
         for lo in range(0, len(X), self.chunk):
-            values = self._leaf_values(X[lo:lo + self.chunk])
+            total = out[lo : lo + self.chunk]
+            leaf, values = self._walk(X[lo : lo + self.chunk], buffers)
             if self.projections:
                 # Oblique models have always summed tree by tree and
                 # axis-only ones pairwise along the row; each keeps its
                 # order, so a saved model scores bit-identically to earlier
                 # releases.
-                total = np.zeros(len(values), dtype=np.float64)
-                for column in values.T:
-                    total += column
+                total[:] = 0.0
+                for row in self.value.take(leaf, out=values):
+                    total += row
             else:
-                total = values.sum(axis=1)
-            out[lo:lo + self.chunk] = total
+                values = values.reshape(len(total), self.trees)
+                np.sum(self.value.take(leaf.T, out=values), axis=1, out=total)
         return out
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Each tree's leaf value for each row of ``X``, shape ``(n, trees)``."""
-        out = np.empty((len(X), len(self.roots)), dtype=np.float64)
+        """Each tree's leaf value for each row of ``X``, shape ``(trees, n)``."""
+        out = np.empty((self.trees, len(X)), dtype=np.float64)
+        buffers = self._buffers(len(X))
         for lo in range(0, len(X), self.chunk):
-            out[lo:lo + self.chunk] = self._leaf_values(X[lo:lo + self.chunk])
+            leaf, _ = self._walk(X[lo : lo + self.chunk], buffers)
+            out[:, lo : lo + self.chunk] = self.value.take(leaf)
         return out
 
-    def _columns(self, X: np.ndarray) -> np.ndarray:
-        """Feature-major workspace: ``X.T``, ``-X.T``, then one row per oblique node.
+    def _buffers(self, rows: int) -> tuple[np.ndarray, ...]:
+        """One call's workspace and flat walk buffers, for chunks of ``rows``.
 
-        The array is ``(width, chunk)``; only its first ``len(X)`` columns
-        are written. Each projection is one matrix-vector product per node,
+        All are views into one allocation. glibc hands freed heap back to
+        the system once the free space at its top passes twice the largest
+        block freed so far, so seven separate arrays, each small against
+        their sum plus a projection gather, had a wide oblique model's
+        memory trimmed and faulted back in on every request.
+        """
+        size = self.trees * min(rows, self.chunk)
+        cells = self.width * self.chunk
+        # Floats, then integers, then bits, so every view starts aligned.
+        ints = 8 * (cells + 2 * size)
+        bits = ints + 8 * 3 * size
+        block = np.empty(bits + size, dtype=np.uint8)
+        floats = block[:ints].view(np.float64)
+        ids = block[ints:bits].view(np.intp)
+        return (
+            floats[:cells].reshape(self.width, self.chunk),  # workspace
+            floats[cells : cells + size],  # cells
+            floats[cells + size :],  # thresholds
+            ids[:size],  # row numbers
+            ids[size : 2 * size],  # node ids
+            ids[2 * size : 3 * size],  # cell offsets, then next node ids
+            block[bits:].view(np.bool_),  # branch bits
+        )
+
+    def _columns(self, X: np.ndarray, ZT: np.ndarray) -> None:
+        """Fill the feature-major workspace: ``X.T``, ``-X.T``, then one row per oblique node.
+
+        ``ZT`` is ``(width, chunk)``; only its first ``len(X)`` columns are
+        written. Each projection is one matrix-vector product per node,
         exactly as training's per-node ``X[:, feats] @ w`` computes it; a
         dense ``X @ W.T`` or an einsum rounds some projections differently.
         The gather ``ZT[feats, :n]`` is laid out (node, feature, row), as
@@ -224,7 +276,6 @@ class _Forest:
         """
         n = len(X)
         F = self.n_features
-        ZT = np.empty((self.width, self.chunk), dtype=np.float64)
         ZT[:F, :n] = X.T
         np.negative(X.T, out=ZT[F : 2 * F, :n])
         column = 2 * F
@@ -243,23 +294,42 @@ class _Forest:
                         out=ZT[column + k : column + hi, :n, None],
                     )
             column += len(weights)
-        return ZT
 
-    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Each tree's leaf value for each row of one chunk of rows."""
+    def _walk(
+        self, X: np.ndarray, buffers: tuple[np.ndarray, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each tree's leaf for each row of one chunk, as ``(trees, n)`` node ids.
+
+        Also returns a free ``(trees, n)`` float buffer. Both are views into
+        ``buffers``, so the next chunk overwrites them. Every id and offset
+        is in range by construction (the ``.frm`` loader checks each node's
+        indices), so the gathers use ``mode="clip"``, which writes straight
+        into ``out`` where the default mode buffers it.
+        """
         n = len(X)
-        ZT = self._columns(X)
-        roots = self.roots
+        ZT, *flat = buffers
+        cell, threshold, row, cur, step, right = (
+            b[: self.trees * n].reshape(self.trees, n) for b in flat
+        )
+        self._columns(X, ZT)
+        # Each tree's row numbers, written out once: adding a whole array
+        # runs one flat loop, where adding a broadcast row loops per tree.
+        np.copyto(row, np.arange(n, dtype=np.intp))
         # Every row starts at the roots, so their columns come out as whole
         # workspace rows, one contiguous copy per tree.
-        right = ZT[self.root_column, :n].T >= self.threshold.take(roots)
-        cur = self.child.take(2 * roots + right)
-        flat = ZT.ravel()
-        row = np.arange(n, dtype=np.intp)[:, None]
+        roots = slice(0, self.trees)
+        np.greater_equal(ZT[self.root_column, :n], self.threshold[roots, None], out=right)
+        np.add(self.left[roots, None], right, out=cur)
+        cells = ZT.ravel()
         for _ in range(self.depth - 1):
-            right = flat.take(self.at.take(cur) + row) >= self.threshold.take(cur)
-            cur = self.child.take(2 * cur + right)
-        return self.value.take(cur)
+            self.at.take(cur, out=step, mode="clip")
+            step += row
+            cells.take(step, out=cell, mode="clip")
+            self.threshold.take(cur, out=threshold, mode="clip")
+            np.greater_equal(cell, threshold, out=right)
+            self.left.take(cur, out=step, mode="clip")
+            np.add(step, right, out=cur)
+        return cur, cell
 
 
 @dataclass(slots=True)
@@ -280,9 +350,13 @@ class Model:
             raise ValueError(
                 f"feature matrix must be (n, {len(self.schema)}), got {X.shape}"
             )
+        return self.base_score + self.shrinkage * self.forest().raw(X)
+
+    def forest(self) -> _Forest:
+        """The compiled node table, built on first use."""
         if self._forest is None:
             self._forest = _Forest.compile(self.trees, len(self.schema))
-        return self.base_score + self.shrinkage * self._forest.raw(X)
+        return self._forest
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,8 +464,8 @@ def train(
         step = max(1, _VALID_ELEMENTS // max(len(Xv), 1))
         for lo in range(0, len(trees), step):
             values = _Forest.compile(trees[lo : lo + step], len(schema)).leaf_values(Xv)
-            for t, column in enumerate(values.T, start=lo):
-                valid_scores += params.shrinkage * column
+            for t, row in enumerate(values, start=lo):
+                valid_scores += params.shrinkage * row
                 valid_ndcg[t] = valid_metric.mean(valid_scores)
     history = [
         RoundStats(round=t, train_ndcg=train_ndcg[t], valid_ndcg=valid_ndcg[t])

@@ -134,6 +134,7 @@ class ScoreService:
         if pool_cap < 1:
             raise ValueError(f"pool_cap must be >= 1, got {pool_cap}")
         self.model = model
+        model.forest()  # compiled now, so the first request does not pay for it
         self.pool_cap = pool_cap
         self.fingerprint = model_fingerprint(model)
         schema = model.schema

@@ -363,6 +363,14 @@ class TestPipeline:
         assert err == [f"error: n_threads must be >= 1, got {threads}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("pool", ["0", "-5"])
+    def test_bench_pool_below_one_exits_one(self, model_path, capsys, monkeypatch, pool):
+        monkeypatch.setattr(cli, "bench", None)  # must fail before benchmarking
+        capsys.readouterr()
+        assert main(["bench", "--model", str(model_path), "--pool", pool]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --pool must be >= 1, got {pool}"]
+
     @pytest.mark.parametrize("cmd", ["serve", "bench"])
     def test_zero_pool_cap_exits_one(self, model_path, capsys, monkeypatch, cmd):
         monkeypatch.setenv("CHANNELRANK_POOL_CAP", "0")

@@ -535,3 +535,82 @@ class TestForestParity:
         X = queries(300, 5, seed=10)
         for tree in oblique_model.trees:
             np.testing.assert_array_equal(tree.predict_matrix(X), walk_tree(tree, X))
+
+
+def breadth_first(trees):
+    """Nodes in the compiled order: the roots, then each level's children,
+    a split's two side by side in the order its walk takes them."""
+    level = [tree.root for tree in trees]
+    order = []
+    while level:
+        order.extend(level)
+        level = [
+            child
+            for node in level if not isinstance(node, Leaf)
+            for child in ((node.left, node.right) if node.missing_left else (node.right, node.left))
+        ]
+    return order
+
+
+def chain(depth, feature=0):
+    """A depth-``depth`` tree whose splits alternate their missing direction."""
+    node = Leaf(float(depth))
+    for k in range(depth):
+        node = split((feature + k) % 5, 0.1 * k - 0.2, k % 2 == 0, Leaf(-1.0 - k), node)
+    return Tree(root=node)
+
+
+class TestNodeTable:
+    """The compiled table numbers siblings consecutively and parks leaves."""
+
+    def test_siblings_adjacent_and_leaves_fixed(self, axis_model, oblique_model):
+        trees = [*oblique_model.trees, chain(1), chain(6), Tree(root=Leaf(0.5)),
+                 *axis_model.trees]
+        forest = _Forest.compile(trees, 5)
+        order = breadth_first(trees)
+        assert len(forest.left) == len(order) == sum(t.n_nodes() for t in trees)
+        assert forest.trees == len(trees)
+        assert all(order[t] is tree.root for t, tree in enumerate(trees))
+        for i, node in enumerate(order):
+            if isinstance(node, Leaf):
+                assert forest.left[i] == i
+                assert np.isnan(forest.threshold[i])
+                assert forest.value[i] == node.value
+            else:
+                first, second = order[forest.left[i]], order[forest.left[i] + 1]
+                if not node.missing_left:
+                    first, second = second, first
+                assert first is node.left and second is node.right
+        assert forest.depth == max(t.depth() for t in trees) == 6
+
+    def test_empty_and_leaf_only_forests(self):
+        assert _Forest.compile((), 3).depth == 0
+        forest = _Forest.compile([Tree(root=Leaf(1.0)), Tree(root=Leaf(2.0))], 3)
+        assert (forest.depth, forest.trees, list(forest.left)) == (0, 2, [0, 1])
+
+    def test_leaves_stay_put_on_any_cell(self):
+        # Leaves read column 0; a row whose column-0 cell reaches a leaf's
+        # threshold must not move, whatever the cell and however many steps
+        # deeper trees leave for it.
+        trees = [chain(1), chain(6), chain(6, feature=2), Tree(root=Leaf(0.25)), chain(1, 3)]
+        X = queries(64, 5, seed=14)
+        X[:, 0] = np.resize([np.inf, 0.0, 1e300, np.nan, -0.0, 7.5, -np.inf], len(X))
+        model = forest_model(trees)
+        np.testing.assert_array_equal(model.predict_matrix(X), walk_model(model, X))
+        forest = _Forest.compile(model.trees, 5)
+        np.testing.assert_array_equal(
+            forest.leaf_values(X), np.stack([walk_tree(t, X) for t in model.trees])
+        )
+
+    @pytest.mark.parametrize("kind", ["axis", "oblique", "rounding"])
+    def test_leaf_values_at_chunk_edges(self, kind, axis_model, oblique_model):
+        if kind == "rounding":
+            model, base = rounding_forest()
+        else:
+            model = axis_model if kind == "axis" else oblique_model
+            base = queries(400, 5, seed=15)
+        forest = _Forest.compile(model.trees, len(model.schema))
+        for n in (1, forest.chunk - 1, forest.chunk, forest.chunk + 1, 2 * forest.chunk + 7):
+            X = base[np.arange(n) % len(base)]
+            expected = np.stack([walk_tree(t, X) for t in model.trees])
+            np.testing.assert_array_equal(forest.leaf_values(X), expected)

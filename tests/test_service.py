@@ -207,6 +207,19 @@ class TestScoreService:
         with pytest.raises(ServiceError, match="exceeds cap"):
             svc.score(simple_request())
 
+    def test_forest_compiled_before_first_request(self, trained_world):
+        _, _, model = trained_world
+        fresh = Model(
+            trees=model.trees, shrinkage=model.shrinkage, base_score=model.base_score,
+            schema=model.schema, params=model.params,
+        )
+        assert fresh._forest is None
+        svc = ScoreService(fresh)
+        assert svc.model._forest is not None
+        compiled = svc.model._forest
+        svc.score(simple_request())
+        assert svc.model._forest is compiled
+
     @pytest.mark.parametrize("pool_cap", [0, -1])
     def test_pool_cap_below_one_rejected_at_construction(self, trained_world, pool_cap):
         _, _, model = trained_world
