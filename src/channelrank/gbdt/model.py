@@ -9,6 +9,7 @@ for a fixed seed and independent of the gradient worker thread count.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -63,12 +64,12 @@ class TrainParams:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.min_examples_per_leaf < 1:
             raise ValueError("min_examples_per_leaf must be >= 1")
-        if self.l2 < 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.ndcg_truncation < 1:
             raise ValueError("ndcg_truncation must be >= 1")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.oblique_projections < 1:
             raise ValueError("oblique_projections must be >= 1")
         if not 0.0 < self.oblique_sparsity <= 1.0:
@@ -389,7 +390,9 @@ def train(
         (n, F) float matrix, NaN marking missing cells; column order must
         match ``schema``.
     labels
-        Graded relevance per row (normalized labels in [0, 4]).
+        Graded relevance per row (normalized labels in [0, 4]); a
+        negative or non-finite label, here or in ``valid``, raises
+        ``TrainingError``.
     group_ids
         Query-group key per row; rows of one group must be contiguous and
         ordered by the desired tie-break (item id ascending).
@@ -422,6 +425,13 @@ def train(
             )
         if not (len(Xv) == len(valid[1]) == len(valid[2])):
             raise TrainingError("X_valid, labels_valid and group_ids_valid must align")
+    for name, y in (("training", labels), ("validation", () if valid is None else valid[1])):
+        y = np.asarray(y, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(y) | (y < 0.0))
+        if len(bad):
+            raise TrainingError(
+                f"{name} label {y[bad[0]]} at row {bad[0]}: labels must be finite and >= 0"
+            )
     try:
         groups = QueryGroups.from_ids(group_ids)
         valid_groups = QueryGroups.from_ids(valid[2]) if valid is not None else None

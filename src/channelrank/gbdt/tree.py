@@ -12,16 +12,19 @@ and keeping the higher gain. Optional sparse oblique splits project a
 random signed subset of features; each node's projections become derived
 columns over its rows, which are binned and scanned exactly like features.
 
-A node's histogram is packed: each feature keeps only its own real bins
-(padded to a power of two) and one missing bin, laid out once per fit by
-``bin_features`` together with every row's histogram keys. The split scan
-scores only real thresholds, in (feature, bin, direction) order, and
-scores missing-right only for features that have missing rows; elsewhere
-that direction gains exactly what missing-left does and the argmax keeps
-missing-left. Prefix sums add each feature's bins in the same order a
-dense full-width scan would, so the chosen splits are byte-identical.
-The root's histogram reads every row's keys in place, and its counts,
-the same for every tree of a fit, are built once by ``bin_features``.
+Each cell is binned once per fit, straight to its histogram key: the
+position of its bin in one node's packed histogram, where each feature
+keeps only its own real bins (padded to a power of two) and one missing
+bin. The split scan scores only real thresholds, in (feature, bin,
+direction) order, and scores missing-right only for features that have
+missing rows; elsewhere that direction gains exactly what missing-left
+does and the argmax keeps missing-left. A split is found as the index of
+its scan candidate, and ``Binned.goes_left`` is the one rule that sends
+a node's rows left or right by it, for axis and oblique splits alike.
+Prefix sums add each feature's bins in the same order a dense full-width
+scan would, so the chosen splits are byte-identical. The root's
+histogram reads every row's keys in place, and its counts, the same for
+every tree of a fit, are built once by ``bin_features``.
 
 Nodes are split level by level for vectorization; with a pure depth bound
 and no global leaf budget this yields exactly the tree a depth-first
@@ -126,8 +129,8 @@ class Tree:
         return len(self.preorder()[0])
 
 
-#: Largest ``max_bins``: codes are ``uint16``, and the missing code is
-#: ``max_bins + 1``.
+#: Largest ``max_bins``: it bounds each feature's share of a node's
+#: packed histogram, at most 2**16 real bins.
 MAX_BINS = 60000
 
 
@@ -141,8 +144,9 @@ class _ScanPlan:
     cover every feature with at most twice its bins. The blocks, by ascending
     width, fill positions ``[0, n_bins)``; ``n_bins + f`` is feature f's
     missing bin, and the last position, ``n_bins + F``, is never keyed and
-    stays 0. Split candidate k sends rows in bins ``<= bin[k]`` of
-    ``feature[k]`` left, and missing rows left when ``missing_left[k]``.
+    stays 0. Split candidate k sends rows in real bins at or below position
+    ``pos[k]`` of ``feature[k]`` left, and missing rows left when
+    ``missing_left[k]``; its threshold is the feature's ``bin[k]``-th.
     Candidates run in (feature, bin, direction) order over real thresholds
     only; the missing-right direction exists only for features with
     missing rows, since elsewhere it gains exactly what missing-left does.
@@ -164,34 +168,41 @@ class _ScanPlan:
 
 @dataclass(slots=True)
 class Binned:
-    """Pre-binned feature matrix, its split candidates and its histogram layout.
+    """Binned feature matrix: each cell's histogram key and the split candidates.
 
     ``keys[i, f]`` is the position of row i's bin for feature f in one
-    node's packed histogram; ``plan`` lays that histogram out.
-    ``counts`` is the read-only count histogram of all rows, the same
-    for every tree of a fit.
+    node's packed histogram, which ``plan`` lays out. A value's real bin
+    counts the ``thresholds[f]`` at or below it; a NaN's key is feature
+    f's missing bin, ``plan.n_bins + f``. ``counts`` is the read-only
+    count histogram of all rows, the same for every tree of a fit.
     """
 
-    codes: np.ndarray  # (n, F) uint16; missing bin = stride - 1
     thresholds: list[np.ndarray]
-    stride: int
     keys: np.ndarray  # (n, F) int64
     plan: _ScanPlan
     counts: np.ndarray  # (1, plan.size) float64
 
     @property
     def n_features(self) -> int:
-        return self.codes.shape[1]
+        return self.keys.shape[1]
 
-    @property
-    def missing_code(self) -> int:
-        return self.stride - 1
+    def goes_left(self, rows: np.ndarray | slice, k: int) -> np.ndarray:
+        """Whether each of ``rows`` goes left at plan candidate ``k``.
+
+        A real key goes left when it is at most the candidate's position,
+        that is when the value is below its threshold; a missing key,
+        ``>= plan.n_bins``, takes the candidate's missing side.
+        """
+        plan = self.plan
+        keys = self.keys[rows, plan.feature[k]]
+        return np.where(keys >= plan.n_bins, plan.missing_left[k], keys <= plan.pos[k])
 
 
-def _layout(
-    codes: np.ndarray, thr_counts: np.ndarray, missing_code: int
-) -> tuple[np.ndarray, _ScanPlan]:
-    """Histogram keys and scan plan for binned ``codes`` (see :class:`_ScanPlan`)."""
+def _plan(thr_counts: np.ndarray, has_missing: np.ndarray) -> _ScanPlan:
+    """Scan plan for features with ``thr_counts`` thresholds (see :class:`_ScanPlan`).
+
+    Features flagged in ``has_missing`` also get missing-right candidates.
+    """
     n_features = len(thr_counts)
     width = np.array([1 << int(t).bit_length() for t in thr_counts], dtype=np.int64)
     by_width = np.argsort(width, kind="stable")
@@ -201,18 +212,14 @@ def _layout(
     for w in np.unique(width):
         members = np.flatnonzero(width == w)
         classes.append((int(start[members[0]]), len(members), int(w)))
-    n_bins = int(width.sum())
-    features = np.arange(n_features, dtype=np.int64)
-    missing = codes == missing_code
-    keys = np.where(missing, n_bins + features, start + codes.astype(np.int64))
-    n_dirs = 1 + missing.any(axis=0)
+    n_dirs = 1 + has_missing
     per_feature = thr_counts * n_dirs
-    feature = np.repeat(features, per_feature)
+    feature = np.repeat(np.arange(n_features, dtype=np.int64), per_feature)
     within = np.arange(len(feature)) - np.repeat(np.cumsum(per_feature) - per_feature, per_feature)
     bin_idx = within // n_dirs[feature]
     missing_left = within % n_dirs[feature] == 0
-    plan = _ScanPlan(
-        n_bins=n_bins,
+    return _ScanPlan(
+        n_bins=int(width.sum()),
         classes=classes,
         last=start + thr_counts,
         pos=start[feature] + bin_idx,
@@ -221,49 +228,45 @@ def _layout(
         missing_left=missing_left,
         miss_src=np.where(missing_left, feature, n_features),
     )
-    return keys, plan
 
 
 def bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
     """Bin each feature onto at most ``max_bins`` threshold candidates.
 
     Midpoints of consecutive unique values are used while they fit the
-    budget; denser features fall back to interior quantiles. NaN cells
-    map to a reserved missing bin. Also lays out the packed histograms
-    that :func:`grow_tree` scans over these codes.
+    budget; denser features fall back to interior quantiles. A midpoint or
+    quantile between infinities is NaN and is dropped. Each cell's key is
+    written straight from its feature's thresholds; NaN cells take the
+    feature's missing bin.
     """
     if not 1 <= max_bins <= MAX_BINS:
         raise ValueError(f"max_bins must be in [1, {MAX_BINS}]")
     X = np.asarray(X, dtype=np.float64)
-    n, n_features = X.shape
-    stride = max_bins + 2
-    codes = np.empty((n, n_features), dtype=np.uint16)
+    n_features = X.shape[1]
+    missing = np.isnan(X)
     thresholds: list[np.ndarray] = []
-    missing_code = stride - 1
-    for f in range(n_features):
-        col = X[:, f]
-        nan_mask = np.isnan(col)
-        finite = col[~nan_mask]
-        uniq = np.unique(finite)
-        if len(uniq) <= 1:
-            thr = np.empty(0, dtype=np.float64)
-        elif len(uniq) - 1 <= max_bins:
-            thr = (uniq[:-1] + uniq[1:]) / 2.0
-        else:
-            qs = np.quantile(finite, np.arange(1, max_bins + 1) / (max_bins + 1))
-            thr = np.unique(qs)
-        thresholds.append(thr)
-        c = np.searchsorted(thr, col, side="right")
-        c[nan_mask] = missing_code
-        codes[:, f] = c.astype(np.uint16)
+    keys = np.empty(X.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # midpoints or quantiles between infinities
+        for f in range(n_features):
+            col = X[:, f]
+            finite = col[~missing[:, f]]
+            uniq = np.unique(finite)
+            if len(uniq) <= 1:
+                thr = np.empty(0, dtype=np.float64)
+            elif len(uniq) - 1 <= max_bins:
+                thr = (uniq[:-1] + uniq[1:]) / 2.0
+            else:
+                qs = np.quantile(finite, np.arange(1, max_bins + 1) / (max_bins + 1))
+                thr = np.unique(qs)
+            thresholds.append(thr[~np.isnan(thr)])
+            keys[:, f] = np.searchsorted(thresholds[f], col, side="right")
     thr_counts = np.array([len(t) for t in thresholds], dtype=np.int64)
-    keys, plan = _layout(codes, thr_counts, missing_code)
+    plan = _plan(thr_counts, missing.any(axis=0))
+    keys += plan.last - thr_counts  # each feature's first real bin
+    np.copyto(keys, plan.n_bins + np.arange(n_features), where=missing)
     counts = np.bincount(keys.ravel(), minlength=plan.size).astype(np.float64)[None]
     counts.flags.writeable = False
-    return Binned(
-        codes=codes, thresholds=thresholds, stride=stride, keys=keys, plan=plan,
-        counts=counts,
-    )
+    return Binned(thresholds=thresholds, keys=keys, plan=plan, counts=counts)
 
 
 def leaf_value(g_sum: float, h_sum: float, l2: float) -> float:
@@ -274,14 +277,6 @@ def leaf_value(g_sum: float, h_sum: float, l2: float) -> float:
     return -g_sum / denom
 
 
-@dataclass(slots=True)
-class _AxisBest:
-    gain: np.ndarray      # (S,)
-    feature: np.ndarray   # (S,)
-    bin_idx: np.ndarray   # (S,)
-    missing_left: np.ndarray  # (S,) bool
-
-
 def _best_axis_splits(
     hist_g: np.ndarray,
     hist_h: np.ndarray,
@@ -289,8 +284,8 @@ def _best_axis_splits(
     plan: _ScanPlan,
     l2: float,
     min_leaf: int,
-) -> _AxisBest:
-    """Best axis-aligned split per histogram slot.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best axis-aligned split per histogram slot: its gain and plan candidate.
 
     Histograms are (S, ``plan.size``) packed rows. Each feature's prefix
     sums run over its own real bins, padded with zeros to its class
@@ -298,18 +293,13 @@ def _best_axis_splits(
     ``max_bins + 1``-bin row. Only the plan's candidates are scored, in
     (feature, bin, direction) order; ties resolve to the lowest feature
     index, then lowest threshold, then missing-left, so results are
-    reproducible. A slot with no valid split reports gain -inf at
-    feature 0, bin 0, missing-left.
+    reproducible. A slot with no valid split reports gain -inf, and its
+    candidate index is then meaningless.
     """
     n_slots = hist_g.shape[0]
     n_features = len(plan.last)
     if len(plan.pos) == 0:
-        return _AxisBest(
-            gain=np.full(n_slots, -np.inf),
-            feature=np.zeros(n_slots, dtype=np.int64),
-            bin_idx=np.zeros(n_slots, dtype=np.int64),
-            missing_left=np.ones(n_slots, dtype=bool),
-        )
+        return np.full(n_slots, -np.inf), np.zeros(n_slots, dtype=np.int64)
 
     cum = np.empty((n_slots, plan.n_bins))
 
@@ -345,14 +335,7 @@ def _best_axis_splits(
     gains[too_small] = -np.inf
 
     best = np.argmax(gains, axis=1)
-    best_gain = gains[np.arange(n_slots), best]
-    found = ~np.isneginf(best_gain)
-    return _AxisBest(
-        gain=best_gain,
-        feature=np.where(found, plan.feature[best], 0),
-        bin_idx=np.where(found, plan.bin[best], 0),
-        missing_left=np.where(found, plan.missing_left[best], True),
-    )
+    return gains[np.arange(n_slots), best], best
 
 
 def _oblique_split(
@@ -362,12 +345,12 @@ def _oblique_split(
     h: np.ndarray,
     params: TrainParams,
     rng: np.random.Generator,
-) -> tuple[ObliqueSplit, np.ndarray, int] | None:
+) -> tuple[ObliqueSplit, np.ndarray] | None:
     """Best random sparse-projection split for one node, or None.
 
     Each projection is a derived column over the node's rows, binned and
-    scanned like a feature. Returns the split with the node rows' codes
-    for its column and the bin it splits after.
+    scanned like a feature. Returns the split and, for each of ``rows``,
+    whether it goes left.
     """
     n_features = X.shape[1]
     n_pick = max(1, int(round(params.oblique_sparsity * n_features)))
@@ -382,24 +365,22 @@ def _oblique_split(
         np.column_stack([node_X[:, feats] @ w for feats, w in projections]),
         max_bins=params.max_bins,
     )
-    best = _best_axis_splits(
+    (gain,), (k,) = _best_axis_splits(
         *_batch_histograms(binned, g[rows], h[rows]),
         binned.plan, params.l2, params.min_examples_per_leaf,
     )
-    gain = best.gain[0]
     if not (np.isfinite(gain) and gain > 0.0):
         return None
-    p = int(best.feature[0])
-    b = int(best.bin_idx[0])
+    p = binned.plan.feature[k]
     feats, w = projections[p]
     split = ObliqueSplit(
         features=tuple(int(f) for f in feats),
         weights=tuple(float(x) for x in w),
-        threshold=float(binned.thresholds[p][b]),
-        missing_left=bool(best.missing_left[0]),
+        threshold=float(binned.thresholds[p][binned.plan.bin[k]]),
+        missing_left=bool(binned.plan.missing_left[k]),
         gain=float(gain),
     )
-    return split, binned.codes[:, p], b
+    return split, binned.goes_left(slice(None), k)
 
 
 def _batch_histograms(
@@ -464,6 +445,7 @@ def grow_tree(
     if params.oblique and rng is None:
         raise ValueError("oblique splits need an rng")
     min_leaf = params.min_examples_per_leaf
+    plan = binned.plan
     row_values = np.zeros(len(g), dtype=np.float64)
     no_rows = np.empty(0, dtype=np.int64)
     # The placeholder root is replaced by the root node when it is made.
@@ -487,7 +469,7 @@ def grow_tree(
     depth = 0
     while level:
         depth += 1
-        best = _best_axis_splits(*hists, binned.plan, params.l2, min_leaf)
+        gain, best = _best_axis_splits(*hists, plan, params.l2, min_leaf)
         next_level = []
         # Rows histogrammed into each next-level slot, and the slots that
         # become (parent slot's row) - (smaller sibling's slot's row).
@@ -495,29 +477,26 @@ def grow_tree(
         derived: list[tuple[int, int, int]] = []  # (slot, small slot, parent slot)
         for s, (rows, parent, side) in enumerate(level):
             split: AxisSplit | ObliqueSplit | None = None
-            if np.isfinite(best.gain[s]) and best.gain[s] > 0.0:
-                f = int(best.feature[s])
-                b = int(best.bin_idx[s])
+            if np.isfinite(gain[s]) and gain[s] > 0.0:
+                k = best[s]
+                f = int(plan.feature[k])
                 split = AxisSplit(
                     feature=f,
-                    threshold=float(binned.thresholds[f][b]),
-                    missing_left=bool(best.missing_left[s]),
-                    gain=float(best.gain[s]),
+                    threshold=float(binned.thresholds[f][plan.bin[k]]),
+                    missing_left=bool(plan.missing_left[k]),
+                    gain=float(gain[s]),
                 )
-                codes = binned.codes[rows, f]
+                go_left = binned.goes_left(rows, k)
             if params.oblique:
                 oblique = _oblique_split(X, rows, g, h, params, rng)
                 if oblique is not None and oblique[0].gain > (
                     split.gain if split is not None else 0.0
                 ):
-                    split, codes, b = oblique
+                    split, go_left = oblique
             if split is None:
                 attach_leaf(rows, parent, side)
                 continue
             setattr(parent, side, split)
-            # Every bin's code range maps to one side of its threshold,
-            # the missing bin to the learned side.
-            go_left = np.where(codes == binned.missing_code, split.missing_left, codes <= b)
             left, right = rows[go_left], rows[~go_left]
             searching = []
             for child, child_side in ((left, "left"), (right, "right")):

@@ -1,9 +1,12 @@
 """Reference split searches that the packed histogram scan is tested against.
 
-``dense_histograms`` and ``dense_best_axis_splits`` lay every feature's
-histogram out at the full ``max_bins + 2`` stride, real bins and padding
-alike, and score both missing directions of every bin. The packed scan
-must return the same gains, features, bins and directions, byte for byte.
+``dense_codes`` bins ``X`` on a ``Binned``'s thresholds into dense codes:
+a value's code counts the thresholds at or below it, and NaN takes the
+last code of one stride shared by every feature. ``dense_histograms`` and
+``dense_best_axis_splits`` lay every feature's histogram out at that
+stride, real bins and padding alike, and score both missing directions
+of every bin. The packed scan must return the same gains, features, bins
+and directions, byte for byte.
 
 ``oblique_candidate`` draws each random sparse signed projection, picks
 its threshold candidates and scans both missing directions in its own
@@ -19,8 +22,9 @@ axis splits.
 each level's histograms in arrays: a table of node records, a histogram
 per node in a dict, lists of the histograms still owed, and a recursive
 pass that links the table into a tree. Its histograms and scans are the
-dense ones above. ``grow_tree`` must return the same tree and row values,
-byte for byte.
+dense ones above, and it sends rows left by comparing each row's value,
+or projection, with the split's threshold. ``grow_tree`` must return the
+same tree and row values, byte for byte.
 
 ``find_best_split`` is ``grow_tree`` at ``max_depth=1`` on one node's rows.
 """
@@ -40,7 +44,6 @@ from channelrank.gbdt.tree import (
     Node,
     ObliqueSplit,
     Tree,
-    _AxisBest,
     _oblique_split,
     bin_features,
     grow_tree,
@@ -125,15 +128,38 @@ def oblique_candidate(
     return best
 
 
+@dataclass(slots=True)
+class DenseBest:
+    gain: np.ndarray      # (S,)
+    feature: np.ndarray   # (S,)
+    bin_idx: np.ndarray   # (S,)
+    missing_left: np.ndarray  # (S,) bool
+
+
+def dense_codes(X: np.ndarray, thresholds: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """(n, F) codes of ``X`` on ``thresholds``, and their common stride.
+
+    The stride is two more than the most thresholds of any feature: room
+    for its real bins and the missing bin, ``stride - 1``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    stride = 2 + max((len(t) for t in thresholds), default=0)
+    codes = np.column_stack(
+        [np.searchsorted(thr, X[:, f], side="right") for f, thr in enumerate(thresholds)]
+    )
+    codes[np.isnan(X)] = stride - 1
+    return codes, stride
+
+
 def dense_histograms(
-    binned: Binned,
+    codes: np.ndarray,
+    stride: int,
     g: np.ndarray,
     h: np.ndarray,
     node_rows: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(hist_g, hist_h, hist_c), each (len(node_rows), F, stride), one bincount pass."""
-    n_features = binned.n_features
-    stride = binned.stride
+    n_features = codes.shape[1]
     feat_offsets = np.arange(n_features, dtype=np.int64) * stride
     slot_rows = np.concatenate(node_rows)
     slot_of_row = np.repeat(
@@ -142,7 +168,7 @@ def dense_histograms(
     keys = (
         slot_of_row[:, None] * (n_features * stride)
         + feat_offsets[None, :]
-        + binned.codes[slot_rows].astype(np.int64)
+        + codes[slot_rows]
     ).ravel()
     minlength = len(node_rows) * n_features * stride
     hist_g = np.bincount(
@@ -164,7 +190,7 @@ def dense_best_axis_splits(
     thr_counts: np.ndarray,
     l2: float,
     min_leaf: int,
-) -> _AxisBest:
+) -> DenseBest:
     """Best axis-aligned split per histogram slot.
 
     Histograms are (S, F, stride); the last bin is the missing bin. Ties
@@ -208,7 +234,7 @@ def dense_best_axis_splits(
     rem = best_flat // 2
     bin_idx = rem % n_bins
     feature = rem // n_bins
-    return _AxisBest(
+    return DenseBest(
         gain=best_gain,
         feature=feature,
         bin_idx=bin_idx,
@@ -256,6 +282,16 @@ def find_best_split(
     return None if isinstance(tree.root, Leaf) else tree.root
 
 
+def split_goes_left(split: AxisSplit | ObliqueSplit, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each of ``rows`` goes left: its value, or its projection,
+    is below the threshold; NaN follows the split's missing side."""
+    if isinstance(split, AxisSplit):
+        z = X[rows, split.feature]
+    else:
+        z = X[rows][:, list(split.features)] @ np.array(split.weights)
+    return np.where(np.isnan(z), split.missing_left, z < split.threshold)
+
+
 @dataclass(slots=True)
 class _NodeRec:
     depth: int
@@ -291,9 +327,10 @@ def table_grow_tree(
     if params.oblique and rng is None:
         raise ValueError("oblique splits need an rng")
     thr_counts = np.array([len(t) for t in binned.thresholds], dtype=np.int64)
+    codes, stride = dense_codes(X, binned.thresholds)
 
     def histograms(node_rows):
-        return list(zip(*dense_histograms(binned, g, h, node_rows)))
+        return list(zip(*dense_histograms(codes, stride, g, h, node_rows)))
 
     n = len(g)
     row_values = np.zeros(n, dtype=np.float64)
@@ -376,21 +413,18 @@ def table_grow_tree(
                         missing_left=bool(axis_best.missing_left[slot]),
                         gain=float(best_gain),
                     )
-                    codes = binned.codes[rec.rows, f]
                 if params.oblique:
                     oblique = _oblique_split(X, rec.rows, g, h, params, rng)
                     if oblique is not None and oblique[0].gain > (
                         split.gain if split is not None else 0.0
                     ):
-                        split, codes, b = oblique
+                        split = oblique[0]
                 if split is None:
                     rec.leaf = _make_leaf(rec.rows, g, h, params.l2)
                     row_values[rec.rows] = rec.leaf.value
                     hists.pop(nid, None)
                     continue
-                go_left = np.where(
-                    codes == binned.missing_code, split.missing_left, codes <= b
-                )
+                go_left = split_goes_left(split, X, rec.rows)
                 rec.split = split
                 left_rows = rec.rows[go_left]
                 right_rows = rec.rows[~go_left]

@@ -268,6 +268,36 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("error: validation feature matrix")
         assert not out.exists()
 
+    @pytest.mark.parametrize("l2", ["nan", "inf", "-1"])
+    def test_train_bad_l2_exits_one(self, dataset_path, tmp_path, capsys, l2):
+        out = tmp_path / "m.frm"
+        capsys.readouterr()
+        rc = main(["train", "--data", str(dataset_path), "--out", str(out), "--trees", "2",
+                   "--l2", l2])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: l2 must be finite and >= 0")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_train_negative_label_exits_one(self, dataset_path, tmp_path, capsys):
+        lines = dataset_path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = "-1"  # the label column of the first training row
+        data = tmp_path / "negative.csv"
+        data.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+        (tmp_path / "negative.csv.schema.json").write_text(
+            (dataset_path.parent / "train.csv.schema.json").read_text()
+        )
+        out = tmp_path / "m.frm"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out), "--trees", "2"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: training label -1.0 at row 0: labels must be finite")
+        assert not out.exists()
+
     def test_fuse_duplicate_item_names_line(self, tmp_path, capsys):
         lists = tmp_path / "lists.tsv"
         lists.write_text("q1\tlexical\ti1\t0.9\nq1\tlexical\ti1\t0.5\n")

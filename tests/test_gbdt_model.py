@@ -50,6 +50,15 @@ class TestTrainParams:
         with pytest.raises(ValueError, match="shrinkage"):
             TrainParams(shrinkage=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("l2", float("nan")), ("l2", float("inf")), ("l2", -1.0),
+         ("sigma", float("nan")), ("sigma", float("inf")), ("sigma", 0.0)],
+    )
+    def test_non_finite_or_out_of_range_l2_and_sigma_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainParams(**{field: value})
+
     def test_defaults_valid(self):
         params = TrainParams()
         assert params.num_trees == 300
@@ -85,6 +94,16 @@ class TestTrain:
         group_ids = np.repeat([0, 1], 10)
         with pytest.raises(TrainingError, match="distinct"):
             train(X, labels, group_ids, generic_schema(3), TrainParams(num_trees=1))
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["training", "validation"])
+    def test_negative_or_non_finite_label_rejected(self, bad, where):
+        X, labels, group_ids = ranking_problem(141, n_groups=4)
+        Xv, labels_v, ids_v = ranking_problem(143, n_groups=2)
+        (labels if where == "training" else labels_v)[3] = bad
+        with pytest.raises(TrainingError, match=f"{where} label .* at row 3: labels must be"):
+            train(X, labels, group_ids, generic_schema(X.shape[1]),
+                  TrainParams(num_trees=1), valid=(Xv, labels_v, ids_v))
 
     def test_non_contiguous_groups_rejected(self):
         X = np.random.default_rng(0).normal(size=(4, 2))

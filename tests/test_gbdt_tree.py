@@ -18,6 +18,7 @@ from channelrank.gbdt.tree import (
 from tests.forest_oracle import has_oblique, walk_row
 from tests.split_oracle import (
     dense_best_axis_splits,
+    dense_codes,
     dense_histograms,
     find_best_split,
     oblique_candidate,
@@ -43,19 +44,19 @@ class TestBinFeatures:
         X = np.array([[0.0], [1.0], [2.0]])
         binned = bin_features(X, max_bins=255)
         np.testing.assert_allclose(binned.thresholds[0], [0.5, 1.5])
-        assert list(binned.codes[:, 0]) == [0, 1, 2]
+        assert list(binned.keys[:, 0]) == [0, 1, 2]
 
     def test_missing_gets_reserved_bin(self):
         X = np.array([[0.0], [np.nan], [2.0]])
         binned = bin_features(X, max_bins=255)
-        assert binned.codes[1, 0] == binned.missing_code
+        assert binned.keys[1, 0] == binned.plan.n_bins
 
     def test_quantile_fallback_respects_cap(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(5000, 1))
         binned = bin_features(X, max_bins=63)
         assert len(binned.thresholds[0]) <= 63
-        assert binned.codes[:, 0].max() <= 63
+        assert binned.keys[:, 0].max() == binned.plan.last[0] <= 63
 
     def test_constant_feature_has_no_candidates(self):
         X = np.full((10, 1), 3.0)
@@ -63,25 +64,46 @@ class TestBinFeatures:
         assert len(binned.thresholds[0]) == 0
 
     def test_max_bins_above_uint16_cap_rejected(self):
-        # With max_bins=70000 the uint16 missing code would wrap to 4465,
-        # an ordinary bin.
+        # MAX_BINS bounds each feature's share of the packed histogram.
         X = np.array([[0.0], [np.nan], [2.0]])
         with pytest.raises(ValueError, match="max_bins"):
             bin_features(X, max_bins=70000)
         with pytest.raises(ValueError, match="max_bins"):
             bin_features(X, max_bins=0)
-        assert bin_features(X, max_bins=60000).codes[1, 0] == 60001
+        binned = bin_features(X, max_bins=60000)
+        assert binned.keys[1, 0] == binned.plan.n_bins
 
     def test_binning_agrees_with_threshold_predicate(self):
-        # code <= b must be exactly equivalent to value < thresholds[b].
+        # At every scan candidate, goes_left sends a finite or infinite
+        # value left exactly when it is below the candidate's threshold,
+        # and NaN to the candidate's missing side.
         rng = np.random.default_rng(1)
-        X = rng.choice([0.0, 0.5, 1.0, 2.5, 7.0], size=(200, 1))
-        binned = bin_features(X)
-        thr = binned.thresholds[0]
-        for b in range(len(thr)):
-            np.testing.assert_array_equal(
-                binned.codes[:, 0] <= b, X[:, 0] < thr[b]
-            )
+        n = 200
+        X = np.column_stack([
+            rng.choice([0.0, 0.5, 1.0, 2.5, 7.0], size=n),  # ties, no NaN
+            rng.choice([-np.inf, 0.0, 0.5, 1.0, 2.5, 7.0, np.inf, np.nan], size=n),
+            np.round(rng.normal(size=n), 1),
+            rng.choice([-np.inf, np.inf, np.nan], size=n),  # midpoint NaN
+            rng.normal(size=n),
+            np.where(rng.random(n) < 0.6, np.inf, rng.normal(size=n)),  # quantile NaN
+        ])
+        X[rng.random(n) < 0.2, 2] = np.nan
+        X[rng.random(n) < 0.05, 4] = np.inf
+        X[rng.random(n) < 0.1, 5] = -np.inf
+        rows = rng.permutation(n)[:150]
+        for max_bins in (1, 3, 255):
+            binned = bin_features(X, max_bins=max_bins)
+            plan = binned.plan
+            assert not any(np.isnan(thr).any() for thr in binned.thresholds)
+            assert plan.missing_left.any() and not plan.missing_left.all()
+            assert set(plan.feature) == {0, 1, 2, 4, 5}
+            for k in range(len(plan.pos)):
+                x = X[rows, plan.feature[k]]
+                threshold = binned.thresholds[plan.feature[k]][plan.bin[k]]
+                np.testing.assert_array_equal(
+                    binned.goes_left(rows, k),
+                    np.where(np.isnan(x), plan.missing_left[k], x < threshold),
+                )
 
 
 class TestFindBestSplit:
@@ -222,6 +244,20 @@ class TestObliqueSplitSearch:
             found = _oblique_split(X, rows, g, h, params, np.random.default_rng(seed))
             assert (found[0] if found is not None else None) == expected, f"seed {seed}"
 
+    def test_rows_go_left_below_the_projection_threshold(self):
+        split_count = 0
+        for seed in range(300):
+            X, rows, g, h, params = _random_oblique_case(seed)
+            found = _oblique_split(X, rows, g, h, params, np.random.default_rng(seed))
+            if found is None:
+                continue
+            split, go_left = found
+            z = X[rows][:, list(split.features)] @ np.array(split.weights)
+            expected = np.where(np.isnan(z), split.missing_left, z < split.threshold)
+            np.testing.assert_array_equal(go_left, expected, err_msg=f"seed {seed}")
+            split_count += 1
+        assert split_count > 200
+
     def test_tied_directions_resolve_like_axis_splits(self):
         # Missing-right after 0 and missing-left after 1 both gain 0.75.
         # One scan decides for both split kinds: the lower threshold wins.
@@ -230,7 +266,7 @@ class TestObliqueSplitSearch:
         g = np.array([1.0, -1.0, 1.0, -1.0])
         axis = find_best_split(X, g, np.ones(4), l2=1.0, min_examples_per_leaf=1)
         params = TrainParams(min_examples_per_leaf=1, oblique=True, oblique_projections=1)
-        oblique, _, _ = _oblique_split(
+        oblique, _ = _oblique_split(
             X, np.arange(4), g, np.ones(4), params, np.random.default_rng(0)
         )
         loop = oblique_candidate(
@@ -241,26 +277,33 @@ class TestObliqueSplitSearch:
         assert (loop.threshold, loop.missing_left, loop.gain) == (1.5, True, 0.75)
 
 
-def _split_tuples(best):
-    return [
-        (best.gain[s].tobytes(), int(best.feature[s]), int(best.bin_idx[s]),
-         bool(best.missing_left[s]))
-        for s in range(len(best.gain))
-    ]
+def _split_tuples(gain, split_at):
+    """Each slot's gain, then ``split_at(slot)`` when the slot has a split."""
+    return [(g.tobytes(),) + (split_at(s) if np.isfinite(g) else ()) for s, g in enumerate(gain)]
 
 
-def _packed_and_dense(binned, g, h, parent_rows, child_rows, l2, min_leaf):
+def _packed_and_dense(binned, X, g, h, parent_rows, child_rows, l2, min_leaf):
     """Both scans over a parent, its small child and the sibling derived by subtraction."""
+
+    def stacked(hists):
+        return [np.concatenate([hist, hist[:1] - hist[1:]]) for hist in hists]
+
+    node_rows = [parent_rows, child_rows]
+    plan = binned.plan
+    gain, best = _best_axis_splits(
+        *stacked(_batch_histograms(binned, g, h, node_rows)), plan, l2, min_leaf
+    )
+    packed = _split_tuples(gain, lambda s: (
+        int(plan.feature[best[s]]), int(plan.bin[best[s]]), bool(plan.missing_left[best[s]])
+    ))
     thr_counts = np.array([len(t) for t in binned.thresholds])
-    out = []
-    for histograms, scan, layout in (
-        (_batch_histograms, _best_axis_splits, binned.plan),
-        (dense_histograms, dense_best_axis_splits, thr_counts),
-    ):
-        hists = histograms(binned, g, h, [parent_rows, child_rows])
-        stacked = [np.concatenate([hist, hist[:1] - hist[1:]]) for hist in hists]
-        out.append(_split_tuples(scan(*stacked, layout, l2, min_leaf)))
-    return out
+    dense = dense_best_axis_splits(
+        *stacked(dense_histograms(*dense_codes(X, binned.thresholds), g, h, node_rows)),
+        thr_counts, l2, min_leaf,
+    )
+    return packed, _split_tuples(dense.gain, lambda s: (
+        int(dense.feature[s]), int(dense.bin_idx[s]), bool(dense.missing_left[s])
+    ))
 
 
 class TestPackedSplitScan:
@@ -293,11 +336,11 @@ class TestPackedSplitScan:
             child_rows = np.sort(rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)),
                                             replace=False))
             packed, dense = _packed_and_dense(
-                binned, g, h, parent_rows, child_rows,
+                binned, X, g, h, parent_rows, child_rows,
                 l2=float(rng.choice([0.0, 1.0])), min_leaf=int(rng.integers(1, 4)),
             )
             assert packed == dense, case
-            found += sum(np.isfinite(np.frombuffer(t[0])[0]) for t in dense)
+            found += sum(len(t) > 1 for t in dense)
         assert found > 400
 
     def test_tied_gains_keep_lowest_feature_bin_and_missing_left(self):
@@ -308,7 +351,7 @@ class TestPackedSplitScan:
         g = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
         binned = bin_features(X)
         rows = np.arange(len(x))
-        packed, dense = _packed_and_dense(binned, g, np.ones(6), rows, rows[:2], 0.0, 1)
+        packed, dense = _packed_and_dense(binned, X, g, np.ones(6), rows, rows[:2], 0.0, 1)
         assert packed == dense
         assert packed[0][1:] == (0, 1, True)
 
@@ -316,10 +359,10 @@ class TestPackedSplitScan:
         X = np.full((6, 2), 1.0)
         binned = bin_features(X)
         packed, dense = _packed_and_dense(
-            binned, np.arange(6.0), np.ones(6), np.arange(6), np.arange(3), 1.0, 1
+            binned, X, np.arange(6.0), np.ones(6), np.arange(6), np.arange(3), 1.0, 1
         )
         assert packed == dense
-        assert packed[0] == (np.float64(-np.inf).tobytes(), 0, 0, True)
+        assert packed[0] == (np.float64(-np.inf).tobytes(),)
 
 
 class TestAllRowsHistograms:
