@@ -381,10 +381,10 @@ def read_dataset(path: str) -> LoadedDataset:
     """Load an instance table written by :func:`write_dataset` with its labels.
 
     A malformed schema sidecar is rejected with its path. A header that
-    does not match it, a week that is not a non-negative integer and a
-    label or feature cell that is not a finite number or ``NA``, and a
-    repeated ``(query_id, week, item_id)`` row are rejected with
-    ``path:line``.
+    does not match it, a week that is not a non-negative integer, a label
+    that is negative, a label or feature cell that is not a finite number
+    or ``NA``, and a repeated ``(query_id, week, item_id)`` row are
+    rejected with ``path:line``.
     """
     sidecar = path + ".schema.json"
     with open(sidecar, encoding="utf-8") as fh:
@@ -433,6 +433,10 @@ def read_dataset(path: str) -> LoadedDataset:
             f"{path}:{linenos[int(np.argmax(bad))]}: non-finite label or feature cell "
             "(a missing cell is written NA)"
         )
+    negative = np.flatnonzero(label_arr < 0.0)
+    if len(negative):
+        row = negative[0]
+        raise ValueError(f"{path}:{linenos[row]}: label {label_arr[row]} is negative")
     # Each row's id is its (query_id, week) tuple, so an error names the key.
     keys = np.fromiter(zip(query_ids, weeks), dtype=object, count=len(weeks))
     try:

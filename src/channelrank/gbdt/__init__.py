@@ -11,22 +11,12 @@ from .serialize import (
     save_model,
     serialize_model,
 )
-from .tree import (
-    AxisSplit,
-    Leaf,
-    ObliqueSplit,
-    Tree,
-    bin_features,
-    leaf_value,
-)
+from .tree import Tree, bin_features, leaf_value
 
 __all__ = [
-    "AxisSplit",
-    "Leaf",
     "MODEL_FORMAT_VERSION",
     "Model",
     "ModelFormatError",
-    "ObliqueSplit",
     "PairIndex",
     "TrainParams",
     "TrainingError",

@@ -18,15 +18,7 @@ import numpy as np
 from ..features import FeatureSchema
 from ..metrics import GroupedNdcg, QueryGroups
 from .lambdas import PairIndex, check_threads
-from .tree import (
-    MAX_BINS,
-    AxisSplit,
-    Node,
-    ObliqueSplit,
-    Tree,
-    bin_features,
-    grow_tree,
-)
+from .tree import MAX_BINS, Tree, bin_features, breadth_first, grow_tree
 
 
 class TrainingError(ValueError):
@@ -91,7 +83,11 @@ _VALID_ELEMENTS = 1 << 20
 
 @dataclass(slots=True)
 class _Forest:
-    """Every tree of a model flattened into one breadth-first node table.
+    """Every tree of a model joined into one breadth-first node table.
+
+    ``compile`` concatenates the trees' node arrays (see :class:`Tree`),
+    rewrites missing-right splits as below and renumbers all trees
+    together, with array operations and one pass per level.
 
     Rows are walked over the columns of ``[X | -X | projections]``, one
     comparison per level: node ``i`` reads some column ``c`` and sends row
@@ -107,9 +103,10 @@ class _Forest:
     threshold becomes NaN, which no value reaches. Oblique node ``k`` reads
     derived column ``2F + k``, its projection; projections are computed per
     chunk, one batched product per group of nodes that share a feature
-    count. A leaf has ``left[i] == i`` and a NaN threshold, so it never
-    moves: every row takes exactly ``depth`` branch-free steps and ends on
-    its leaf.
+    count. Oblique nodes are numbered by feature count, then in the
+    model's preorder, the order of the ``.frm`` records. A leaf has
+    ``left[i] == i`` and a NaN threshold, so it never moves: every row
+    takes exactly ``depth`` branch-free steps and ends on its leaf.
 
     Nodes are numbered breadth-first over all trees at once: the roots are
     ``0 .. trees - 1`` in model order, then come the children of each
@@ -142,53 +139,55 @@ class _Forest:
 
     @classmethod
     def compile(cls, trees: Sequence[Tree], n_features: int) -> _Forest:
-        nodes: list[Node] = []
-        child = [np.empty((0, 2), dtype=np.intp)]  # a model may hold no trees
-        roots: list[int] = []
-        for tree in trees:
-            tree_nodes, children = tree.preorder()
-            roots.append(len(nodes))
-            child.append(np.array(children, dtype=np.intp) + len(nodes))
-            nodes.extend(tree_nodes)
+        def joined(field: str, dtype: type) -> np.ndarray:
+            # A model may hold no trees.
+            return np.concatenate([np.empty(0, dtype), *(getattr(t, field) for t in trees)])
+
+        sizes = np.array([t.n_nodes() for t in trees], dtype=np.intp)
+        roots = np.cumsum(sizes) - sizes
+        ids = np.arange(sizes.sum())
+        left = joined("left", np.intp) + np.repeat(roots, sizes)
+        split = left != ids
         # Splits that send missing rows right walk the negated value.
-        flip = np.array([not getattr(n, "missing_left", True) for n in nodes], dtype=bool)
-        column = np.array(
-            [node.feature if isinstance(node, AxisSplit) else 0 for node in nodes],
-            dtype=np.intp,
-        )
+        flip = split & ~joined("missing_left", bool)
+        column = np.maximum(joined("feature", np.intp), 0)
         column[flip] += n_features
-        by_width: dict[int, list[int]] = {}
-        for idx, node in enumerate(nodes):
-            if isinstance(node, ObliqueSplit):
-                by_width.setdefault(len(node.features), []).append(idx)
-        projections = []
-        width = 2 * n_features
-        for size in sorted(by_width):
-            group = by_width[size]
-            column[group] = np.arange(width, width + len(group))
-            width += len(group)
-            weights = np.array([nodes[idx].weights for idx in group], dtype=np.float64)
-            weights[flip[group]] *= -1.0
-            projections.append(
-                (np.array([nodes[idx].features for idx in group], dtype=np.intp), weights)
-            )
-        threshold = np.array([getattr(n, "threshold", 0.0) for n in nodes], dtype=np.float64)
+        threshold = joined("threshold", np.float64)
         threshold[flip] = np.where(
             threshold[flip] == -np.inf, np.nan, np.nextafter(-threshold[flip], np.inf)
         )
-        child = np.concatenate(child)
+        threshold[~split] = np.nan
+        child = np.stack([left, left + split], axis=1)
         child[flip] = child[flip, ::-1]
-        leaf = child[:, 0] == np.arange(len(nodes))
-        threshold[leaf] = np.nan
-        # Breadth-first over every tree at once, one level per pass.
-        level = np.array(roots, dtype=np.intp)
-        levels = []
-        while len(level):
-            levels.append(level)
-            level = child[level[~leaf[level]]].ravel()
-        order = np.concatenate([*levels, level])  # preorder id of each new id
-        renumber = np.empty_like(order)
-        renumber[order] = np.arange(len(order))
+        order, first_child, levels = breadth_first(child, roots)
+        width = 2 * n_features
+        projections = []
+        n_weights = np.concatenate([np.diff(t.oblique_start) for t in trees] or [ids[:0]])
+        oblique = np.flatnonzero(n_weights)
+        if len(oblique):
+            # Columns go by feature count, then by preorder position, which
+            # a split's subtree size gives its children level by level.
+            below = np.ones_like(ids)
+            for level in reversed(levels):
+                level = level[split[level]]
+                below[level] += below[left[level]] + below[left[level] + 1]
+            preorder = np.empty_like(ids)
+            preorder[roots] = roots
+            for level in levels:
+                level = level[split[level]]
+                preorder[left[level]] = preorder[level] + 1
+                preorder[left[level] + 1] = preorder[level] + 1 + below[left[level]]
+            oblique = oblique[np.lexsort((preorder[oblique], n_weights[oblique]))]
+            column[oblique] = np.arange(width, width + len(oblique))
+            width += len(oblique)
+            start = np.cumsum(n_weights) - n_weights
+            features = joined("oblique_feature", np.intp)
+            sign = np.where(flip, -1.0, 1.0)[:, None]  # negation is exact
+            weights = joined("oblique_weight", np.float64)
+            for size in sorted(set(n_weights[oblique].tolist())):  # np.unique imports numpy.ma
+                group = oblique[n_weights[oblique] == size]
+                at = start[group, None] + np.arange(size)
+                projections.append((features[at], weights[at] * sign[group]))
         width = max(width, 1)  # leaves read column 0, unused, even with no features
         chunk = max(1, _CHUNK_ELEMENTS // max(len(roots), width))
         column = column[order]
@@ -196,8 +195,8 @@ class _Forest:
             at=column * chunk,
             root_column=column[: len(roots)],
             threshold=threshold[order],
-            value=np.array([getattr(n, "value", 0.0) for n in nodes], dtype=np.float64)[order],
-            left=renumber[child[order, 0]],  # a leaf's child is itself
+            value=joined("value", np.float64)[order],
+            left=first_child,  # a leaf's child is itself
             trees=len(roots),
             depth=max(len(levels) - 1, 0),
             n_features=n_features,

@@ -23,8 +23,10 @@ Any checksum, magic, version, or structural mismatch raises
 does a node field of the wrong JSON type (``true`` or ``1.7`` as a
 feature index, ``"false"`` as ``missing_left``, a string as a number),
 and a value that would score wrong: a feature index outside the schema,
-a NaN threshold, or a non-finite leaf value, oblique weight, shrinkage
-or base score. Thresholds of ``±inf`` are legal.
+a NaN threshold, an oblique split without features, a sample count
+outside ``[0, 2**63)``, or a non-finite leaf value, oblique weight,
+shrinkage or base score. Thresholds of ``±inf`` are legal. A loaded tree
+is renumbered into :class:`Tree`'s breadth-first node arrays.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
+
 from ..features import FeatureSchema
 from .model import Model, TrainParams
-from .tree import AxisSplit, Leaf, Node, ObliqueSplit, Tree
+from .tree import Tree, breadth_first, node_record
 
 MODEL_FORMAT_VERSION = 1
 _MAGIC = "frm"
@@ -47,20 +51,24 @@ class ModelFormatError(ValueError):
 
 
 def _flatten_tree(tree: Tree) -> list[list]:
-    nodes, children = tree.preorder()
+    """The tree's node records in preorder (see the module docstring)."""
+    left, feature, threshold, missing_left, gain, value, n_samples, start, features, weights = (
+        getattr(tree, field.name).tolist() for field in dataclasses.fields(tree)
+    )
     records: list[list] = []
-    for node, (left, right) in zip(nodes, children):
-        if isinstance(node, Leaf):
-            records.append(["L", node.value, node.n_samples])
-        elif isinstance(node, AxisSplit):
-            records.append([
-                "A", node.feature, node.threshold, node.missing_left, left, right, node.gain,
-            ])
-        else:
-            records.append([
-                "O", list(node.features), list(node.weights), node.threshold,
-                node.missing_left, left, right, node.gain,
-            ])
+    stack: list[tuple[int, list | None]] = [(0, None)]  # a node, and its parent if a right child
+    while stack:
+        i, parent = stack.pop()
+        if parent is not None:
+            parent[-2] = len(records)
+        if left[i] == i:
+            records.append(["L", value[i], n_samples[i]])
+            continue
+        split = [threshold[i], missing_left[i], len(records) + 1, None, gain[i]]
+        ragged = slice(start[i], start[i + 1])
+        head = ["A", feature[i]] if feature[i] >= 0 else ["O", features[ragged], weights[ragged]]
+        records.append(head + split)
+        stack += ((left[i] + 1, records[-1]), (left[i], None))
     return records
 
 
@@ -93,8 +101,8 @@ def _array(value: object, what: str, where: str) -> list:
 
 def _node(
     rec: object, where: str, n_features: int
-) -> tuple[Node, tuple[int, int] | None]:
-    """One record as a node, with its declared (left, right) children if a split.
+) -> tuple[tuple, tuple[int, int] | None]:
+    """One record as a :func:`node_record`, with its declared (left, right) children if a split.
 
     Every field must have its stated JSON type: integers (not ``true``,
     not ``1.0``) for feature indices, sample counts and children, ``true``
@@ -102,57 +110,53 @@ def _node(
     leaf values and weights. A record that would load and then score
     wrong or fail is rejected too: a feature outside the schema, a NaN
     threshold (``±inf`` is fine), a leaf value or oblique weight that is
-    not finite, or an oblique node without one weight per feature.
+    not finite, a sample count an int64 cannot hold or below 0, or an
+    oblique node without features or without one weight per feature.
     """
     tag = rec[0] if isinstance(rec, list) and rec else None
     if tag == "L" and len(rec) == 3:
-        leaf = Leaf(
-            value=_number(rec[1], "leaf value", where),
-            n_samples=_integer(rec[2], "sample count", where),
-        )
-        if not math.isfinite(leaf.value):
-            raise ModelFormatError(f"{where}: leaf value {leaf.value} is not finite")
-        return leaf, None
+        value = _number(rec[1], "leaf value", where)
+        n_samples = _integer(rec[2], "sample count", where)
+        if not math.isfinite(value):
+            raise ModelFormatError(f"{where}: leaf value {value} is not finite")
+        if not 0 <= n_samples < 2**63:  # an int64 array holds it
+            raise ModelFormatError(f"{where}: sample count {n_samples} is out of range")
+        return node_record(value=value, n_samples=n_samples), None
     if tag == "A" and len(rec) == 7:
-        split: AxisSplit | ObliqueSplit = AxisSplit(
-            feature=_integer(rec[1], "feature", where),
-            threshold=_number(rec[2], "threshold", where),
-            missing_left=_flag(rec[3], "missing_left", where),
-            gain=_number(rec[6], "gain", where),
-        )
-        features: tuple[int, ...] = (split.feature,)
-        children = (rec[4], rec[5])
+        feature = _integer(rec[1], "feature", where)
+        features: tuple[int, ...] = (feature,)
     elif tag == "O" and len(rec) == 8:
-        split = ObliqueSplit(
-            features=tuple(
-                _integer(f, "feature", where) for f in _array(rec[1], "features", where)
-            ),
-            weights=tuple(
-                _number(w, "weight", where) for w in _array(rec[2], "weights", where)
-            ),
-            threshold=_number(rec[3], "threshold", where),
-            missing_left=_flag(rec[4], "missing_left", where),
-            gain=_number(rec[7], "gain", where),
+        feature = -1
+        features = tuple(
+            _integer(f, "feature", where) for f in _array(rec[1], "features", where)
         )
-        features = split.features
-        if len(split.weights) != len(features):
-            raise ModelFormatError(
-                f"{where}: {len(features)} features but {len(split.weights)} weights"
-            )
-        if not all(math.isfinite(w) for w in split.weights):
-            raise ModelFormatError(f"{where}: oblique weights {split.weights} are not finite")
-        children = (rec[5], rec[6])
+        weights = tuple(_number(w, "weight", where) for w in _array(rec[2], "weights", where))
     else:
         raise ModelFormatError(f"{where} is not a leaf, axis or oblique record")
+    # Both split records end with threshold, missing_left, left, right, gain.
+    threshold = _number(rec[-5], "threshold", where)
+    missing_left = _flag(rec[-4], "missing_left", where)
+    gain = _number(rec[-1], "gain", where)
+    if tag == "O":
+        if not features:
+            raise ModelFormatError(f"{where}: an oblique split needs at least one feature")
+        if len(weights) != len(features):
+            raise ModelFormatError(
+                f"{where}: {len(features)} features but {len(weights)} weights"
+            )
+        if not all(math.isfinite(w) for w in weights):
+            raise ModelFormatError(f"{where}: oblique weights {weights} are not finite")
     for f in features:
         if not 0 <= f < n_features:
             raise ModelFormatError(
                 f"{where}: feature {f} is outside the schema's [0, {n_features})"
             )
-    if math.isnan(split.threshold):
+    if math.isnan(threshold):
         raise ModelFormatError(f"{where}: threshold is NaN")
-    return split, (_integer(children[0], "left child", where),
-                   _integer(children[1], "right child", where))
+    oblique = (features, weights) if tag == "O" else ((), ())
+    return node_record(feature, threshold, missing_left, gain, 0.0, 0, *oblique), (
+        _integer(rec[-3], "left child", where), _integer(rec[-2], "right child", where)
+    )
 
 
 def _rebuild_tree(records: list, tree: int, n_features: int) -> Tree:
@@ -161,43 +165,40 @@ def _rebuild_tree(records: list, tree: int, n_features: int) -> Tree:
     Records are read in order, without recursion; any other layout (a
     child that is not the next node of the walk, a record no split
     reaches, a split cut off by the end of the list) is rejected, and so
-    is any record :func:`_node` rejects.
+    is any record :func:`_node` rejects. The preorder is then renumbered
+    breadth-first, as :class:`Tree` holds its nodes.
     """
     if not isinstance(records, list) or not records:
         raise ModelFormatError(f"tree {tree}: a tree needs at least one node record")
-    root: Node | None = None
-    # Splits whose right subtree is still to come: split, position, declared start.
-    pending: list[tuple[AxisSplit | ObliqueSplit, int, int]] = []
-    slot: tuple[AxisSplit | ObliqueSplit, str] | None = None  # where record idx hangs
+    nodes = []
+    child = [[idx, idx] for idx in range(len(records))]  # a leaf's children are itself
+    # Splits whose right subtree is still to come: position, declared start.
+    pending: list[tuple[int, int]] = []
+    open_slot = True  # whether some split, or the root, takes record idx
     for idx, rec in enumerate(records):
-        if idx and slot is None:
+        if not open_slot:
             raise ModelFormatError(f"tree {tree}: node record {idx} is not reached from the root")
         node, children = _node(rec, f"tree {tree} node {idx}", n_features)
-        if slot is None:
-            root = node
-        else:
-            setattr(slot[0], slot[1], node)
+        nodes.append(node)
         if children is not None:
             if children[0] != idx + 1:
                 raise ModelFormatError(
                     f"tree {tree}: left child of node {idx} is not node {idx + 1}"
                 )
-            pending.append((node, idx, children[1]))
-            slot = (node, "left")
+            pending.append((idx, children[1]))
+            child[idx] = children  # the right child is checked when it is reached
         elif pending:
-            split, at, right = pending.pop()
+            at, right = pending.pop()
             if right != idx + 1:
                 raise ModelFormatError(
                     f"tree {tree}: right child of node {at} is not node {idx + 1}"
                 )
-            slot = (split, "right")
         else:
-            slot = None
-    if slot is not None:
-        raise ModelFormatError(
-            f"tree {tree}: records end before every split has two children"
-        )
-    return Tree(root=root)
+            open_slot = False
+    if open_slot:
+        raise ModelFormatError(f"tree {tree}: records end before every split has two children")
+    order, left, _ = breadth_first(np.array(child), np.zeros(1, dtype=np.intp))
+    return Tree.from_records(left, [nodes[i] for i in order.tolist()])
 
 
 def _payload(model: Model) -> dict:

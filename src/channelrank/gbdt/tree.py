@@ -28,11 +28,14 @@ every tree of a fit, are built once by ``bin_features``.
 
 Nodes are split level by level for vectorization; with a pure depth bound
 and no global leaf budget this yields exactly the tree a depth-first
-recursion would produce.
+recursion would produce. ``grow_tree`` writes the tree's breadth-first
+node arrays (:class:`Tree`) as it goes; the scorer's compiler and the
+``.frm`` loader renumber nodes with the one :func:`breadth_first`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,43 +50,53 @@ LEAF_DENOM_FLOOR = 1e-6
 _GAIN_DENOM_FLOOR = 1e-12
 
 
-@dataclass(slots=True)
-class Leaf:
-    value: float
-    n_samples: int = 0
+def node_record(
+    feature: int = -1, threshold: float = np.nan, missing_left: bool = True, gain: float = 0.0,
+    value: float = 0.0, n_samples: int = 0, features: Sequence[int] = (),
+    weights: Sequence[float] = (),
+) -> tuple:
+    """One node's entries in :class:`Tree`'s fields, in order; the defaults are a leaf's."""
+    return feature, threshold, missing_left, gain, value, n_samples, features, weights
 
 
-@dataclass(slots=True)
-class AxisSplit:
-    """Single-feature threshold split; missing rows follow ``missing_left``."""
-
-    feature: int
-    threshold: float
-    missing_left: bool
-    gain: float
-    left: "Leaf | AxisSplit | ObliqueSplit | None" = None
-    right: "Leaf | AxisSplit | ObliqueSplit | None" = None
-
-
-@dataclass(slots=True)
-class ObliqueSplit:
-    """Split on a sparse signed projection of several features."""
-
-    features: tuple[int, ...]
-    weights: tuple[float, ...]
-    threshold: float
-    missing_left: bool
-    gain: float
-    left: "Leaf | AxisSplit | ObliqueSplit | None" = None
-    right: "Leaf | AxisSplit | ObliqueSplit | None" = None
-
-
-Node = Leaf | AxisSplit | ObliqueSplit
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Tree:
-    root: Node
+    """One tree as breadth-first node arrays; node 0 is the root.
+
+    A split's children are ``left[i]`` and ``left[i] + 1``, left child
+    first, and a leaf has ``left[i] == i``. Split ``i`` sends a row left
+    when its value is below ``threshold[i]``, and a missing one when
+    ``missing_left[i]``. An axis split reads feature ``feature[i]``. An
+    oblique split has feature -1 and projects ``oblique_feature[s]`` with
+    signed weights ``oblique_weight[s]``, where the slice ``s`` runs from
+    ``oblique_start[i]`` to ``oblique_start[i + 1]`` and is empty at every
+    other node. Fields a node does not use hold :func:`node_record`'s
+    defaults.
+    """
+
+    left: np.ndarray  # (n,) intp
+    feature: np.ndarray  # (n,) intp
+    threshold: np.ndarray  # (n,) float64
+    missing_left: np.ndarray  # (n,) bool
+    gain: np.ndarray  # (n,) float64
+    value: np.ndarray  # (n,) float64
+    n_samples: np.ndarray  # (n,) int64
+    oblique_start: np.ndarray  # (n + 1,) intp
+    oblique_feature: np.ndarray  # intp
+    oblique_weight: np.ndarray  # float64
+
+    @classmethod
+    def from_records(cls, left: Sequence[int], records: Sequence[tuple]) -> Tree:
+        """The tree whose node ``i`` has first child ``left[i]`` and fields ``records[i]``."""
+        *columns, features, weights = zip(*records)
+        dtypes = (np.intp, np.float64, bool, np.float64, np.float64, np.int64)
+        return cls(
+            np.array(left, dtype=np.intp),
+            *(np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)),
+            np.cumsum([0, *map(len, features)], dtype=np.intp),
+            np.array([f for fs in features for f in fs], dtype=np.intp),
+            np.array([w for ws in weights for w in ws], dtype=np.float64),
+        )
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """This tree's leaf value for each row, scored as a one-tree forest."""
@@ -92,41 +105,26 @@ class Tree:
         X = np.asarray(X, dtype=np.float64)
         return _Forest.compile((self,), X.shape[1]).raw(X)
 
-    def preorder(self) -> tuple[list[Node], list[tuple[int, int]]]:
-        """Nodes in preorder, with each node's (left, right) preorder positions.
-
-        A leaf's two positions are its own.
-        """
-        nodes: list[Node] = []
-        children: list[tuple[int, int]] = []
-        # Each entry holds a node and the split whose right child it is, if
-        # any; a split's left child always directly follows it.
-        stack: list[tuple[Node, int]] = [(self.root, -1)]
-        while stack:
-            node, parent = stack.pop()
-            idx = len(nodes)
-            nodes.append(node)
-            children.append((idx, idx))
-            if parent >= 0:
-                children[parent] = (parent + 1, idx)
-            if not isinstance(node, Leaf):
-                stack.append((node.right, idx))  # type: ignore[arg-type]
-                stack.append((node.left, -1))  # type: ignore[arg-type]
-        return nodes, children
-
-    def depth(self) -> int:
-        _, children = self.preorder()
-        depth = [0] * len(children)
-        for idx, (left, right) in enumerate(children):
-            if left != idx:
-                depth[left] = depth[right] = depth[idx] + 1
-        return max(depth)
-
-    def leaves(self) -> list[Leaf]:
-        return [node for node in self.preorder()[0] if isinstance(node, Leaf)]
-
     def n_nodes(self) -> int:
-        return len(self.preorder()[0])
+        return len(self.left)
+
+
+def breadth_first(child: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Breadth-first renumbering of trees given as an (n, 2) table of each node's children.
+
+    A leaf's row holds its own id twice. Levels start at ``roots`` and take
+    each split's children in row order. Returns the old id of each new id,
+    each new node's first child as a new id, and the levels.
+    """
+    levels = []
+    level = roots
+    while len(level):
+        levels.append(level)
+        level = child[level[child[level, 0] != level]].ravel()
+    order = np.concatenate([roots[:0], *levels])
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    return order, renumber[child[order, 0]], levels
 
 
 #: Largest ``max_bins``: it bounds each feature's share of a node's
@@ -345,12 +343,12 @@ def _oblique_split(
     h: np.ndarray,
     params: TrainParams,
     rng: np.random.Generator,
-) -> tuple[ObliqueSplit, np.ndarray] | None:
+) -> tuple[float, tuple, np.ndarray] | None:
     """Best random sparse-projection split for one node, or None.
 
     Each projection is a derived column over the node's rows, binned and
-    scanned like a feature. Returns the split and, for each of ``rows``,
-    whether it goes left.
+    scanned like a feature. Returns the split's gain, its
+    :func:`node_record` and, for each of ``rows``, whether it goes left.
     """
     n_features = X.shape[1]
     n_pick = max(1, int(round(params.oblique_sparsity * n_features)))
@@ -373,14 +371,11 @@ def _oblique_split(
         return None
     p = binned.plan.feature[k]
     feats, w = projections[p]
-    split = ObliqueSplit(
-        features=tuple(int(f) for f in feats),
-        weights=tuple(float(x) for x in w),
-        threshold=float(binned.thresholds[p][binned.plan.bin[k]]),
-        missing_left=bool(binned.plan.missing_left[k]),
-        gain=float(gain),
+    split = node_record(
+        -1, float(binned.thresholds[p][binned.plan.bin[k]]), bool(binned.plan.missing_left[k]),
+        float(gain), features=feats.tolist(), weights=w.tolist(),
     )
-    return split, binned.goes_left(slice(None), k)
+    return float(gain), split, binned.goes_left(slice(None), k)
 
 
 def _batch_histograms(
@@ -435,12 +430,13 @@ def grow_tree(
     """Grow one tree; returns it plus each training row's leaf value.
 
     Nodes are split one level at a time. A level's searching nodes are
-    kept as (rows, parent, side), and row i of the level's histogram
-    arrays is node i's. Each split histograms only its smaller child;
-    the larger sibling's row is the parent's row minus it, which gradient
-    quantization keeps exact. Each leaf and split is attached to its
-    parent when it is made. Oblique splits draw their projections from
-    ``rng``, which they require, node by node in level order.
+    kept as (rows, node id), and row i of the level's histogram arrays is
+    node i's. Each split histograms only its smaller child; the larger
+    sibling's row is the parent's row minus it, which gradient
+    quantization keeps exact. A split's two children take the next two
+    ids when it is made, so ids run breadth-first, as :class:`Tree`
+    numbers them. Oblique splits draw their projections from ``rng``,
+    which they require, node by node in level order.
     """
     if params.oblique and rng is None:
         raise ValueError("oblique splits need an rng")
@@ -448,24 +444,22 @@ def grow_tree(
     plan = binned.plan
     row_values = np.zeros(len(g), dtype=np.float64)
     no_rows = np.empty(0, dtype=np.int64)
-    # The placeholder root is replaced by the root node when it is made.
-    tree = Tree(root=Leaf(0.0))
+    # Each node's first child and record, set when it becomes a leaf or a split.
+    left = [0]
+    records: list[tuple] = [()]
 
-    def attach_leaf(rows: np.ndarray, parent: Tree | AxisSplit | ObliqueSplit, side: str) -> None:
-        leaf = Leaf(
-            value=leaf_value(float(g[rows].sum()), float(h[rows].sum()), params.l2),
-            n_samples=len(rows),
-        )
-        row_values[rows] = leaf.value
-        setattr(parent, side, leaf)
+    def make_leaf(node: int, rows: np.ndarray) -> None:
+        value = leaf_value(float(g[rows].sum()), float(h[rows].sum()), params.l2)
+        row_values[rows] = value
+        records[node] = node_record(value=value, n_samples=len(rows))
 
     root = np.arange(len(g))
     level = []
     if params.max_depth > 0 and len(root) >= 2 * min_leaf:
-        level = [(root, tree, "root")]
+        level = [(root, 0)]
         hists = _batch_histograms(binned, g, h)
     else:
-        attach_leaf(root, tree, "root")
+        make_leaf(0, root)
     depth = 0
     while level:
         depth += 1
@@ -475,37 +469,37 @@ def grow_tree(
         # become (parent slot's row) - (smaller sibling's slot's row).
         slot_rows: list[np.ndarray] = []
         derived: list[tuple[int, int, int]] = []  # (slot, small slot, parent slot)
-        for s, (rows, parent, side) in enumerate(level):
-            split: AxisSplit | ObliqueSplit | None = None
+        for s, (rows, node) in enumerate(level):
+            split, split_gain = None, 0.0
             if np.isfinite(gain[s]) and gain[s] > 0.0:
                 k = best[s]
                 f = int(plan.feature[k])
-                split = AxisSplit(
-                    feature=f,
-                    threshold=float(binned.thresholds[f][plan.bin[k]]),
-                    missing_left=bool(plan.missing_left[k]),
-                    gain=float(gain[s]),
+                split_gain = float(gain[s])
+                split = node_record(
+                    f, float(binned.thresholds[f][plan.bin[k]]), bool(plan.missing_left[k]),
+                    split_gain,
                 )
                 go_left = binned.goes_left(rows, k)
             if params.oblique:
                 oblique = _oblique_split(X, rows, g, h, params, rng)
-                if oblique is not None and oblique[0].gain > (
-                    split.gain if split is not None else 0.0
-                ):
-                    split, go_left = oblique
+                if oblique is not None and oblique[0] > split_gain:
+                    split_gain, split, go_left = oblique
             if split is None:
-                attach_leaf(rows, parent, side)
+                make_leaf(node, rows)
                 continue
-            setattr(parent, side, split)
-            left, right = rows[go_left], rows[~go_left]
+            records[node] = split
+            left[node] = len(left)
+            left += [len(left), len(left) + 1]
+            records += [(), ()]
+            children = (rows[go_left], rows[~go_left])
             searching = []
-            for child, child_side in ((left, "left"), (right, "right")):
-                if depth < params.max_depth and len(child) >= 2 * min_leaf:
-                    searching.append((child, split, child_side))
+            for child, child_rows in enumerate(children, start=left[node]):
+                if depth < params.max_depth and len(child_rows) >= 2 * min_leaf:
+                    searching.append((child_rows, child))
                 else:
-                    attach_leaf(child, split, child_side)
-            small_is_left = len(left) <= len(right)
-            small = left if small_is_left else right
+                    make_leaf(child, child_rows)
+            small_is_left = len(children[0]) <= len(children[1])
+            small = children[not small_is_left]
             slot = len(next_level)
             next_level += searching
             if len(searching) == 2:
@@ -525,4 +519,4 @@ def grow_tree(
                     new[dst] = old[par] - new[src]
             hists = new_hists
         level = next_level
-    return tree, row_values
+    return Tree.from_records(left, records), row_values

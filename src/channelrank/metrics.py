@@ -183,13 +183,19 @@ class GroupedNdcg:
 
     Built once per dataset (labels and grouping are fixed), then evaluated
     for any score vector; used to log per-round training quality without a
-    per-group Python loop.
+    per-group Python loop. A negative or non-finite label raises
+    ``ValueError``.
     """
 
     def __init__(self, labels: np.ndarray, groups: QueryGroups, k: int):
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != groups.codes.shape:
             raise ValueError("labels must have one entry per grouped row")
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels < 0.0))
+        if len(bad):
+            raise ValueError(
+                f"label {labels[bad[0]]} at row {bad[0]}: labels must be finite and >= 0"
+            )
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.groups = groups

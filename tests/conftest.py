@@ -1,0 +1,10 @@
+"""Suite-wide test settings.
+
+Property tests run derandomized and without an example database, so every
+run of the suite draws the same examples.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")

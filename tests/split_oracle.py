@@ -38,17 +38,14 @@ import numpy as np
 from channelrank.gbdt.model import TrainParams
 from channelrank.gbdt.tree import (
     _GAIN_DENOM_FLOOR,
-    AxisSplit,
     Binned,
-    Leaf,
-    Node,
-    ObliqueSplit,
     Tree,
     _oblique_split,
     bin_features,
     grow_tree,
     leaf_value,
 )
+from tests.forest_oracle import AxisSplit, Leaf, Node, ObliqueSplit, split_of, to_nodes, to_tree
 
 
 def _split_score(gl, hl, gr, hr, l2):
@@ -279,7 +276,8 @@ def find_best_split(
         max_bins=max_bins,
     )
     tree, _ = grow_tree(bin_features(X, max_bins=max_bins), X, g, h, params, rng)
-    return None if isinstance(tree.root, Leaf) else tree.root
+    root = to_nodes(tree)
+    return None if isinstance(root, Leaf) else root
 
 
 def split_goes_left(split: AxisSplit | ObliqueSplit, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -415,10 +413,10 @@ def table_grow_tree(
                     )
                 if params.oblique:
                     oblique = _oblique_split(X, rec.rows, g, h, params, rng)
-                    if oblique is not None and oblique[0].gain > (
+                    if oblique is not None and oblique[0] > (
                         split.gain if split is not None else 0.0
                     ):
-                        split = oblique[0]
+                        split = split_of(oblique[1])
                 if split is None:
                     rec.leaf = _make_leaf(rec.rows, g, h, params.l2)
                     row_values[rec.rows] = rec.leaf.value
@@ -446,4 +444,4 @@ def table_grow_tree(
         node.right = build(rec.right)
         return node
 
-    return Tree(root=build(0)), row_values
+    return to_tree(build(0)), row_values

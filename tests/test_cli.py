@@ -281,7 +281,8 @@ class TestPipeline:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_train_negative_label_exits_one(self, dataset_path, tmp_path, capsys):
+    @staticmethod
+    def _negative_label_file(dataset_path, tmp_path):
         lines = dataset_path.read_text().splitlines()
         fields = lines[1].split(",")
         fields[3] = "-1"  # the label column of the first training row
@@ -290,13 +291,24 @@ class TestPipeline:
         (tmp_path / "negative.csv.schema.json").write_text(
             (dataset_path.parent / "train.csv.schema.json").read_text()
         )
+        return data
+
+    def test_train_negative_label_exits_one(self, dataset_path, tmp_path, capsys):
+        data = self._negative_label_file(dataset_path, tmp_path)
         out = tmp_path / "m.frm"
         capsys.readouterr()
         assert main(["train", "--data", str(data), "--out", str(out), "--trees", "2"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: training label -1.0 at row 0: labels must be finite")
+        assert err == [f"error: {data}:2: label -1.0 is negative"]
         assert not out.exists()
+
+    def test_evaluate_negative_label_exits_one(self, dataset_path, model_path, tmp_path, capsys):
+        data = self._negative_label_file(dataset_path, tmp_path)
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(data), "--model", str(model_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {data}:2: label -1.0 is negative"]
+        assert "ndcg@" not in captured.out
 
     def test_fuse_duplicate_item_names_line(self, tmp_path, capsys):
         lists = tmp_path / "lists.tsv"

@@ -353,6 +353,7 @@ class TestFiles:
          ({"label": "nan"}, "non-finite label or feature cell"),
          ({"label": "inf"}, "non-finite label or feature cell"),
          ({"label": "high"}, "could not convert string to float: 'high'"),
+         ({"label": "-1"}, "label -1.0 is negative"),
          ({"cell": "inf"}, "non-finite label or feature cell"),
          ({"cell": "-inf"}, "non-finite label or feature cell"),
          ({"cell": "nan"}, "non-finite label or feature cell"),
@@ -360,6 +361,7 @@ class TestFiles:
          ({"item": ""}, "empty item id"),
          ({"item": "i0"}, "repeated (query_id, week, item_id) row")],
         ids=["fractional-week", "negative-week", "nan-label", "inf-label", "word-label",
+             "negative-label",
              "inf-cell", "neg-inf-cell", "nan-cell", "word-cell", "empty-item", "repeat"],
     )
     def test_bad_dataset_row_names_line(self, dataset, tmp_path, fields, message):

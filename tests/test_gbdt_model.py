@@ -14,9 +14,20 @@ from channelrank.gbdt.model import (
     write_training_log,
 )
 from channelrank.gbdt.serialize import loads_model, serialize_model
-from channelrank.gbdt.tree import AxisSplit, Leaf, ObliqueSplit, Tree
+from channelrank.gbdt.tree import Tree
 from channelrank.metrics import GroupedNdcg, QueryGroups
-from tests.forest_oracle import has_oblique, walk_model, walk_tree
+from tests.forest_oracle import (
+    AxisSplit,
+    Leaf,
+    ObliqueSplit,
+    depth,
+    has_oblique,
+    preorder,
+    to_nodes,
+    to_tree,
+    walk_model,
+    walk_tree,
+)
 
 
 def generic_schema(n):
@@ -270,7 +281,7 @@ class TestPredict:
         split.left = Leaf(value=-1.0, n_samples=1)
         split.right = Leaf(value=2.0, n_samples=1)
         return Model(
-            trees=(Tree(root=split),),
+            trees=(to_tree(split),),
             shrinkage=shrinkage,
             base_score=base,
             schema=generic_schema(2),
@@ -291,7 +302,7 @@ class TestPredict:
         split.left = Leaf(value=0.0)
         split.right = Leaf(value=0.0)
         model = Model(
-            trees=(Tree(root=split),), shrinkage=0.1, base_score=1.25,
+            trees=(to_tree(split),), shrinkage=0.1, base_score=1.25,
             schema=generic_schema(2), params=TrainParams(num_trees=1),
         )
         assert model.predict_matrix(np.array([[3.0, -1.0]]))[0] == 1.25
@@ -363,7 +374,7 @@ def queries(n, n_features, seed, nan_frac=0.15, inf_frac=0.05):
 
 def forest_model(trees, n_features=5, shrinkage=0.1, base=0.25):
     return Model(
-        trees=tuple(Tree(root=t) if not isinstance(t, Tree) else t for t in trees),
+        trees=tuple(t if isinstance(t, Tree) else to_tree(t) for t in trees),
         shrinkage=shrinkage, base_score=base, schema=generic_schema(n_features),
         params=TrainParams(num_trees=len(trees)),
     )
@@ -493,7 +504,7 @@ class TestForestParity:
         mixed = [Leaf(0.2), split(3, 0.0, False, Leaf(1.0), Leaf(-1.0)), deep,
                  *axis_model.trees[:9]]
         axis_only = forest_model(mixed)
-        assert {t.depth() for t in axis_only.trees} >= {0, 1, 3, 4}
+        assert {depth(t) for t in axis_only.trees} >= {0, 1, 3, 4}
         self.assert_parity(axis_only, X)
         self.assert_parity(forest_model([*mixed, leaning, *oblique_model.trees[:4]]), X)
 
@@ -545,7 +556,7 @@ class TestForestParity:
         for kind in trees.values():
             for tree in kind:
                 np.testing.assert_array_equal(
-                    Tree(root=tree).predict_matrix(X), walk_tree(Tree(root=tree), X)
+                    to_tree(tree).predict_matrix(X), walk_tree(to_tree(tree), X)
                 )
         self.assert_parity(forest_model(trees[None], n_features=2), X)
         self.assert_parity(forest_model([t for k in trees.values() for t in k], n_features=2), X)
@@ -556,10 +567,10 @@ class TestForestParity:
             np.testing.assert_array_equal(tree.predict_matrix(X), walk_tree(tree, X))
 
 
-def breadth_first(trees):
+def breadth_first(roots):
     """Nodes in the compiled order: the roots, then each level's children,
     a split's two side by side in the order its walk takes them."""
-    level = [tree.root for tree in trees]
+    level = list(roots)
     order = []
     while level:
         order.extend(level)
@@ -576,20 +587,21 @@ def chain(depth, feature=0):
     node = Leaf(float(depth))
     for k in range(depth):
         node = split((feature + k) % 5, 0.1 * k - 0.2, k % 2 == 0, Leaf(-1.0 - k), node)
-    return Tree(root=node)
+    return to_tree(node)
 
 
 class TestNodeTable:
     """The compiled table numbers siblings consecutively and parks leaves."""
 
     def test_siblings_adjacent_and_leaves_fixed(self, axis_model, oblique_model):
-        trees = [*oblique_model.trees, chain(1), chain(6), Tree(root=Leaf(0.5)),
+        trees = [*oblique_model.trees, chain(1), chain(6), to_tree(Leaf(0.5)),
                  *axis_model.trees]
         forest = _Forest.compile(trees, 5)
-        order = breadth_first(trees)
+        roots = [to_nodes(tree) for tree in trees]
+        order = breadth_first(roots)
         assert len(forest.left) == len(order) == sum(t.n_nodes() for t in trees)
         assert forest.trees == len(trees)
-        assert all(order[t] is tree.root for t, tree in enumerate(trees))
+        assert all(order[t] is root for t, root in enumerate(roots))
         for i, node in enumerate(order):
             if isinstance(node, Leaf):
                 assert forest.left[i] == i
@@ -600,18 +612,44 @@ class TestNodeTable:
                 if not node.missing_left:
                     first, second = second, first
                 assert first is node.left and second is node.right
-        assert forest.depth == max(t.depth() for t in trees) == 6
+        assert forest.depth == max(depth(t) for t in trees) == 6
+
+    def test_oblique_columns_by_feature_count_then_preorder(self, oblique_model):
+        # Oblique nodes are numbered as the .frm file lists them within each
+        # feature count; here breadth-first order would put the right child
+        # ahead of the left subtree's deeper node.
+        leaning = oblique_split(
+            (0, 3), (1.0, -1.0), 0.05, True,
+            oblique_split(
+                (1, 2), (1.0, 1.0), 0.4, False,
+                oblique_split((2, 4), (-1.0, 1.0), 0.1, True, Leaf(1.0), Leaf(2.0)), Leaf(3.0),
+            ),
+            oblique_split((0, 1, 4), (-1.0, 1.0, 1.0), 0.2, False, Leaf(4.0), Leaf(5.0)),
+        )
+        trees = [*oblique_model.trees, to_tree(leaning)]
+        nodes = [
+            node for tree in trees for node in preorder(to_nodes(tree))
+            if isinstance(node, ObliqueSplit)
+        ]
+        nodes.sort(key=lambda node: len(node.features))  # stable: preorder within a count
+        forest = _Forest.compile(trees, 5)
+        assert [tuple(f) for feats, _ in forest.projections for f in feats.tolist()] == [
+            node.features for node in nodes
+        ]
+        assert [tuple(w) for _, weights in forest.projections for w in weights.tolist()] == [
+            tuple(w if node.missing_left else -w for w in node.weights) for node in nodes
+        ]
 
     def test_empty_and_leaf_only_forests(self):
         assert _Forest.compile((), 3).depth == 0
-        forest = _Forest.compile([Tree(root=Leaf(1.0)), Tree(root=Leaf(2.0))], 3)
+        forest = _Forest.compile([to_tree(Leaf(1.0)), to_tree(Leaf(2.0))], 3)
         assert (forest.depth, forest.trees, list(forest.left)) == (0, 2, [0, 1])
 
     def test_leaves_stay_put_on_any_cell(self):
         # Leaves read column 0; a row whose column-0 cell reaches a leaf's
         # threshold must not move, whatever the cell and however many steps
         # deeper trees leave for it.
-        trees = [chain(1), chain(6), chain(6, feature=2), Tree(root=Leaf(0.25)), chain(1, 3)]
+        trees = [chain(1), chain(6), chain(6, feature=2), to_tree(Leaf(0.25)), chain(1, 3)]
         X = queries(64, 5, seed=14)
         X[:, 0] = np.resize([np.inf, 0.0, 1e300, np.nan, -0.0, 7.5, -np.inf], len(X))
         model = forest_model(trees)

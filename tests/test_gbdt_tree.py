@@ -4,10 +4,6 @@ import pytest
 from channelrank.gbdt.model import TrainParams
 from channelrank.gbdt.serialize import _flatten_tree
 from channelrank.gbdt.tree import (
-    AxisSplit,
-    Leaf,
-    ObliqueSplit,
-    Tree,
     _batch_histograms,
     _best_axis_splits,
     _oblique_split,
@@ -15,7 +11,19 @@ from channelrank.gbdt.tree import (
     grow_tree,
     leaf_value,
 )
-from tests.forest_oracle import has_oblique, walk_row
+from tests.forest_oracle import (
+    AxisSplit,
+    Leaf,
+    ObliqueSplit,
+    depth,
+    has_oblique,
+    leaves,
+    preorder,
+    split_of,
+    to_nodes,
+    to_tree,
+    walk_row,
+)
 from tests.split_oracle import (
     dense_best_axis_splits,
     dense_codes,
@@ -242,7 +250,7 @@ class TestObliqueSplitSearch:
                 np.random.default_rng(seed), params.max_bins,
             )
             found = _oblique_split(X, rows, g, h, params, np.random.default_rng(seed))
-            assert (found[0] if found is not None else None) == expected, f"seed {seed}"
+            assert (split_of(found[1]) if found is not None else None) == expected, f"seed {seed}"
 
     def test_rows_go_left_below_the_projection_threshold(self):
         split_count = 0
@@ -251,7 +259,7 @@ class TestObliqueSplitSearch:
             found = _oblique_split(X, rows, g, h, params, np.random.default_rng(seed))
             if found is None:
                 continue
-            split, go_left = found
+            split, go_left = split_of(found[1]), found[2]
             z = X[rows][:, list(split.features)] @ np.array(split.weights)
             expected = np.where(np.isnan(z), split.missing_left, z < split.threshold)
             np.testing.assert_array_equal(go_left, expected, err_msg=f"seed {seed}")
@@ -266,9 +274,9 @@ class TestObliqueSplitSearch:
         g = np.array([1.0, -1.0, 1.0, -1.0])
         axis = find_best_split(X, g, np.ones(4), l2=1.0, min_examples_per_leaf=1)
         params = TrainParams(min_examples_per_leaf=1, oblique=True, oblique_projections=1)
-        oblique, _ = _oblique_split(
+        oblique = split_of(_oblique_split(
             X, np.arange(4), g, np.ones(4), params, np.random.default_rng(0)
-        )
+        )[1])
         loop = oblique_candidate(
             X, np.arange(4), g, np.ones(4), 1.0, 1, 1, 1.0, np.random.default_rng(0), 255
         )
@@ -423,14 +431,14 @@ class TestGrowTree:
         g = rng.normal(size=500)
         h = np.ones(500)
         tree, _ = _fit_tree(X, g, h, max_depth=3, min_leaf=10)
-        assert tree.depth() <= 3
-        for leaf in tree.leaves():
+        assert depth(tree) <= 3
+        for leaf in leaves(tree):
             assert leaf.n_samples >= 10
 
     def test_pure_gradient_gives_single_leaf(self):
         X = np.random.default_rng(23).normal(size=(50, 3))
         tree, row_values = _fit_tree(X, np.zeros(50), np.ones(50))
-        assert isinstance(tree.root, Leaf)
+        assert isinstance(to_nodes(tree), Leaf)
         assert not row_values.any()
 
     def test_deterministic(self):
@@ -459,14 +467,17 @@ class TestGrowTree:
         np.testing.assert_array_equal(tree.predict_matrix(X), row_values)
 
     def test_preorder_positions_and_statistics(self):
-        leaves = [Leaf(1.0), Leaf(2.0), Leaf(3.0)]
-        inner = AxisSplit(1, 0.5, True, 1.0, leaves[1], leaves[2])
-        tree = Tree(root=AxisSplit(0, 0.5, False, 2.0, leaves[0], inner))
-        nodes, children = tree.preorder()
-        assert nodes == [tree.root, leaves[0], inner, leaves[1], leaves[2]]
+        leaf_nodes = [Leaf(1.0), Leaf(2.0), Leaf(3.0)]
+        inner = AxisSplit(1, 0.5, True, 1.0, leaf_nodes[1], leaf_nodes[2])
+        root = AxisSplit(0, 0.5, False, 2.0, leaf_nodes[0], inner)
+        tree = to_tree(root)
+        records = _flatten_tree(tree)
+        children = [tuple(rec[4:6]) if rec[0] == "A" else (i, i) for i, rec in enumerate(records)]
+        nodes = preorder(to_nodes(tree))
+        assert nodes == [root, leaf_nodes[0], inner, leaf_nodes[1], leaf_nodes[2]]
         assert children == [(1, 2), (1, 1), (3, 4), (3, 3), (4, 4)]
-        assert (tree.depth(), tree.n_nodes(), tree.leaves()) == (2, 5, leaves)
-        assert Tree(root=Leaf(0.0)).depth() == 0
+        assert (depth(tree), tree.n_nodes(), leaves(tree)) == (2, 5, leaf_nodes)
+        assert depth(to_tree(Leaf(0.0))) == 0
 
 
 def _growth_case(seed):
@@ -508,16 +519,16 @@ def _growth_case(seed):
 def _stops_beside_a_split(tree, params):
     """Whether a split above the depth bound has a child too small to split
     and a child that splits."""
-    nodes, children = tree.preorder()
-    depth = [0] * len(nodes)
-    for idx, (left, right) in enumerate(children):
-        if left == idx:
+    left = tree.left.tolist()
+    level = [0] * len(left)
+    for i, child in enumerate(left):
+        if child == i:
             continue
-        depth[left] = depth[right] = depth[idx] + 1
-        if depth[idx] + 1 < params.max_depth:
-            for a, b in ((left, right), (right, left)):
-                if (isinstance(nodes[a], Leaf) and not isinstance(nodes[b], Leaf)
-                        and nodes[a].n_samples < 2 * params.min_examples_per_leaf):
+        level[child] = level[child + 1] = level[i] + 1
+        if level[i] + 1 < params.max_depth:
+            for a, b in ((child, child + 1), (child + 1, child)):
+                if (left[a] == a and left[b] != b
+                        and tree.n_samples[a] < 2 * params.min_examples_per_leaf):
                     return True
     return False
 
@@ -535,8 +546,8 @@ class TestGrowTreeOracle:
             expected, expected_values = table_grow_tree(binned, X, g, h, params, rngs[1])
             assert repr(_flatten_tree(tree)) == repr(_flatten_tree(expected)), seed
             assert row_values.tobytes() == expected_values.tobytes(), seed
-            seen["root_leaf"] += isinstance(tree.root, Leaf)
+            seen["root_leaf"] += isinstance(to_nodes(tree), Leaf)
             seen["oblique"] += has_oblique(tree)
             seen["stopped_beside_splitting"] += _stops_beside_a_split(tree, params)
-            seen["depth_6"] += tree.depth() == 6
+            seen["depth_6"] += depth(tree) == 6
         assert min(seen.values()) >= 5, seen

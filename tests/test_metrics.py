@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ class TestGroupedNdcg:
             assert per_group[gi] == pytest.approx(expected, abs=1e-12)
             start += size
         assert grouped.mean(scores) == pytest.approx(per_group.mean(), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([-1.0, -1.0, 0.0, -2.0, 0.0], "label -1.0 at row 0"),
+         ([1.0, 0.0, 2.0, np.nan, 0.0], "label nan at row 3"),
+         ([1.0, 0.0, np.inf, 1.0, 0.0], "label inf at row 2")],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_negative_or_non_finite_labels_rejected(self, labels, message):
+        # Such labels used to score silently: mean NDCG@3 read 0.0 for the
+        # negative case and 0.5 with the NaN.
+        groups = QueryGroups.from_ids(np.array([0, 0, 0, 1, 1]))
+        with pytest.raises(ValueError, match=re.escape(message) + ": labels must be finite"):
+            GroupedNdcg(np.array(labels), groups, k=3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):

@@ -12,6 +12,7 @@ change to what labeling, training or evaluation computes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -20,11 +21,18 @@ import pytest
 from channelrank.core import TruncationConfig
 from channelrank.dataset import ItemCatalog, build_dataset
 from channelrank.evaluation import AblationConfig, ablation_run
-from channelrank.gbdt.model import TrainParams, train
-from channelrank.gbdt.serialize import model_fingerprint
+from channelrank.gbdt.model import TrainParams, _Forest, train
+from channelrank.gbdt.serialize import loads_model, model_fingerprint, serialize_model
+from channelrank.gbdt.tree import Tree
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 
 CFG = WorldConfig(num_queries=60, seed=11)
+
+AXIS_PARAMS = TrainParams(num_trees=6, max_depth=5, min_examples_per_leaf=3, seed=3)
+OBLIQUE_PARAMS = TrainParams(
+    num_trees=3, max_depth=4, min_examples_per_leaf=3, oblique=True, oblique_projections=8,
+    seed=3,
+)
 
 #: ``model_fingerprint``, the last round's (train, valid) NDCG@8 and the
 #: sha256 of ``predict_matrix`` on ``edge_rows`` of the validation matrix.
@@ -103,13 +111,7 @@ def edge_rows(X):
 
 @pytest.mark.parametrize(
     "params, expected",
-    [
-        (TrainParams(num_trees=6, max_depth=5, min_examples_per_leaf=3, seed=3),
-         AXIS),
-        (TrainParams(num_trees=3, max_depth=4, min_examples_per_leaf=3, oblique=True,
-                     oblique_projections=8, seed=3),
-         OBLIQUE),
-    ],
+    [(AXIS_PARAMS, AXIS), (OBLIQUE_PARAMS, OBLIQUE)],
     ids=["axis", "oblique"],
 )
 def test_second_world_model_fingerprint(fit_inputs, params, expected):
@@ -122,6 +124,34 @@ def test_second_world_model_fingerprint(fit_inputs, params, expected):
         (last.train_ndcg, last.valid_ndcg),
         hashlib.sha256(scores.tobytes()).hexdigest(),
     ) == expected
+
+
+def assert_same_arrays(a, b, fields):
+    for name in fields:
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.asarray(x).dtype == np.asarray(y).dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+@pytest.mark.parametrize("params", [AXIS_PARAMS, OBLIQUE_PARAMS], ids=["axis", "oblique"])
+def test_model_file_keeps_the_tree_arrays(fit_inputs, params):
+    # A trained tree and its .frm round trip have one layout, field by
+    # field, and so compile to one node table.
+    (X, labels, group_ids, schema), valid = fit_inputs
+    model = train(X, labels, group_ids, schema, params, valid=valid).model
+    restored = loads_model(serialize_model(model))
+    assert len(restored.trees) == len(model.trees)
+    tree_fields = [f.name for f in dataclasses.fields(Tree)]
+    for tree, back in zip(model.trees, restored.trees):
+        assert_same_arrays(tree, back, tree_fields)
+    table, back = (_Forest.compile(m.trees, len(schema)) for m in (model, restored))
+    assert_same_arrays(table, back, [
+        f.name for f in dataclasses.fields(_Forest) if f.name != "projections"
+    ])
+    assert len(table.projections) == len(back.projections) == int(params.oblique)
+    for (feats, weights), (back_feats, back_weights) in zip(table.projections, back.projections):
+        np.testing.assert_array_equal(feats, back_feats)
+        np.testing.assert_array_equal(weights, back_weights)
 
 
 def test_second_world_ablation(world_data):

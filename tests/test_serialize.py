@@ -15,7 +15,7 @@ from channelrank.gbdt.serialize import (
     save_model,
     serialize_model,
 )
-from tests.forest_oracle import walk_model
+from tests.forest_oracle import to_nodes, walk_model
 from tests.test_gbdt_model import generic_schema, ranking_problem
 
 
@@ -187,10 +187,17 @@ class TestBadValues:
          ([oblique([0, 1], [1.0, float("-inf")]), LEAF, LEAF],
           "tree 1 node 0: oblique weights (1.0, -inf) are not finite"),
          ([oblique([0, 1], [1.0]), LEAF, LEAF],
-          "tree 1 node 0: 2 features but 1 weights")],
+          "tree 1 node 0: 2 features but 1 weights"),
+         ([oblique([], []), LEAF, LEAF],
+          "tree 1 node 0: an oblique split needs at least one feature"),
+         ([axis(1, 2), ["L", 0.5, -1], LEAF],
+          "tree 1 node 1: sample count -1 is out of range"),
+         ([axis(1, 2), LEAF, ["L", 0.5, 2**63]],
+          f"tree 1 node 2: sample count {2**63} is out of range")],
         ids=["feature-negative", "feature-past-schema", "oblique-feature-past-schema",
              "nan-threshold", "nan-oblique-threshold", "inf-leaf", "nan-leaf",
-             "inf-weight", "weight-count"],
+             "inf-weight", "weight-count", "oblique-no-features", "negative-samples",
+             "samples-past-int64"],
     )
     def test_bad_node_names_tree_and_node(self, trained, records, message):
         assert len(trained.schema) == 5
@@ -273,7 +280,7 @@ class TestFieldTypes:
     def test_integral_numbers_load_as_floats(self, trained):
         # JSON numbers without a fraction are still numbers.
         records = [["A", 0, 1, False, 1, 2, 0], ["L", 2, 3], ["L", -1, 4]]
-        tree = loads_model(with_trees(trained, [records])).trees[0]
-        assert (tree.root.threshold, tree.root.gain) == (1.0, 0.0)
-        assert (tree.root.left.value, tree.root.right.value) == (2.0, -1.0)
-        assert isinstance(tree.root.threshold, float)
+        root = to_nodes(loads_model(with_trees(trained, [records])).trees[0])
+        assert (root.threshold, root.gain) == (1.0, 0.0)
+        assert (root.left.value, root.right.value) == (2.0, -1.0)
+        assert isinstance(root.threshold, float)

@@ -16,7 +16,6 @@ from channelrank.dataset import build_dataset, item_count_table
 from channelrank.features import item_feature_block
 from channelrank.gbdt.model import Model, TrainParams, train
 from channelrank.gbdt.serialize import MODEL_FORMAT_VERSION, load_model, save_model
-from channelrank.gbdt.tree import Leaf, Tree
 from channelrank.service import (
     DEFAULT_POOL_CAP,
     MAX_BODY_BYTES,
@@ -29,7 +28,7 @@ from channelrank.service import (
     write_item_features,
 )
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
-from tests.forest_oracle import has_oblique
+from tests.forest_oracle import Leaf, has_oblique, to_tree
 
 CFG = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -119,7 +118,7 @@ class TestScoreService:
     def test_identity_model_scores_base_and_breaks_ties_by_item(self, trained_world):
         _, data, model = trained_world
         flat = Model(
-            trees=(Tree(root=Leaf(value=0.0)),),
+            trees=(to_tree(Leaf(value=0.0)),),
             shrinkage=0.1,
             base_score=0.5,
             schema=model.schema,
@@ -657,7 +656,7 @@ class TestBench:
     def test_zero_tree_model_latency_nonzero(self, trained_world):
         _, _, model = trained_world
         flat = Model(
-            trees=(Tree(root=Leaf(value=0.0)),), shrinkage=0.1, base_score=0.0,
+            trees=(to_tree(Leaf(value=0.0)),), shrinkage=0.1, base_score=0.0,
             schema=model.schema, params=TrainParams(num_trees=1),
         )
         svc = ScoreService(flat)
