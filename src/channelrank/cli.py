@@ -159,6 +159,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     check_threads(args.threads)
+    params = _train_params(args)
     data = ds.read_dataset(args.data)
     max_week = int(data.weeks.max())
     valid_week = args.valid_week if args.valid_week is not None else max_week - 1
@@ -166,7 +167,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     valid_mask = data.weeks == valid_week
     if not train_mask.any():
         raise ValueError(f"no training rows before week {valid_week}")
-    params = _train_params(args)
     valid = None
     if valid_mask.any():
         valid = (

@@ -68,6 +68,8 @@ class TrainParams:
             raise ValueError("oblique_sparsity must be in (0, 1]")
         if not 1 <= self.max_bins <= MAX_BINS:
             raise ValueError(f"max_bins must be in [1, {MAX_BINS}]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 #: Rows per scoring chunk are capped so that one chunk's workspace and

@@ -6,11 +6,15 @@ Trees are grown to a depth bound with second-order split gains
 
 evaluated over per-feature histograms of binned feature values. Candidate
 thresholds are midpoints between consecutive unique values, capped at a
-quantile-based budget per feature. Missing values occupy a dedicated bin;
-each split learns which side missing rows take by trying both directions
-and keeping the higher gain. Optional sparse oblique splits project a
-random signed subset of features; each node's projections become derived
-columns over its rows, which are binned and scanned exactly like features.
+quantile-based budget per feature; every column is binned from one sort
+of its values. Missing values occupy a dedicated bin; each split learns
+which side missing rows take by trying both directions and keeping the
+higher gain. Optional sparse oblique splits project a random signed
+subset of features; each node's projections become derived columns over
+its rows, which are binned and scanned exactly like features. A level's
+nodes are searched together: each node's projections are a block of
+features in one level-wide plan, with one histogram per statistic and
+one gain scan, and each node takes the best of its own candidates.
 
 Each cell is binned once per fit, straight to its histogram key: the
 position of its bin in one node's packed histogram, where each feature
@@ -166,33 +170,34 @@ class _ScanPlan:
 
 @dataclass(slots=True)
 class Binned:
-    """Binned feature matrix: each cell's histogram key and the split candidates.
+    """Binned rows: each cell's histogram key and the split candidates.
 
-    ``keys[i, f]`` is the position of row i's bin for feature f in one
-    node's packed histogram, which ``plan`` lays out. A value's real bin
-    counts the ``thresholds[f]`` at or below it; a NaN's key is feature
-    f's missing bin, ``plan.n_bins + f``. ``counts`` is the read-only
-    count histogram of all rows, the same for every tree of a fit.
+    Rows come in blocks of C columns, and column c of block s is feature
+    ``s * C + c``; :func:`bin_features` makes one block, whose columns
+    are its features. ``keys[i, c]`` is the position of row i's bin for
+    that feature in one node's packed histogram, which ``plan`` lays
+    out, so a row's keys reach only its own block's features. A value's
+    real bin counts the ``thresholds[f]`` at or below it; a NaN's key is
+    feature f's missing bin, ``plan.n_bins + f``. ``counts`` is the
+    read-only count histogram of all rows, the same for every tree of a
+    fit.
     """
 
     thresholds: list[np.ndarray]
-    keys: np.ndarray  # (n, F) int64
+    keys: np.ndarray  # (n, C) int64
     plan: _ScanPlan
     counts: np.ndarray  # (1, plan.size) float64
-
-    @property
-    def n_features(self) -> int:
-        return self.keys.shape[1]
 
     def goes_left(self, rows: np.ndarray | slice, k: int) -> np.ndarray:
         """Whether each of ``rows`` goes left at plan candidate ``k``.
 
-        A real key goes left when it is at most the candidate's position,
-        that is when the value is below its threshold; a missing key,
+        ``rows`` must lie in the block of the candidate's feature. A real
+        key goes left when it is at most the candidate's position, that
+        is when the value is below its threshold; a missing key,
         ``>= plan.n_bins``, takes the candidate's missing side.
         """
         plan = self.plan
-        keys = self.keys[rows, plan.feature[k]]
+        keys = self.keys[rows, plan.feature[k] % self.keys.shape[1]]
         return np.where(keys >= plan.n_bins, plan.missing_left[k], keys <= plan.pos[k])
 
 
@@ -202,14 +207,13 @@ def _plan(thr_counts: np.ndarray, has_missing: np.ndarray) -> _ScanPlan:
     Features flagged in ``has_missing`` also get missing-right candidates.
     """
     n_features = len(thr_counts)
-    width = np.array([1 << int(t).bit_length() for t in thr_counts], dtype=np.int64)
+    # 1 << bit_length(T): frexp's exponent of T > 0 is its bit length, and 0 for T = 0.
+    width = np.left_shift(1, np.frexp(thr_counts)[1].astype(np.int64))
     by_width = np.argsort(width, kind="stable")
     start = np.empty(n_features, dtype=np.int64)
     start[by_width] = np.cumsum(width[by_width]) - width[by_width]
-    classes = []
-    for w in np.unique(width):
-        members = np.flatnonzero(width == w)
-        classes.append((int(start[members[0]]), len(members), int(w)))
+    widths, first, n_members = np.unique(width[by_width], return_index=True, return_counts=True)
+    classes = list(zip(start[by_width[first]].tolist(), n_members.tolist(), widths.tolist()))
     n_dirs = 1 + has_missing
     per_feature = thr_counts * n_dirs
     feature = np.repeat(np.arange(n_features, dtype=np.int64), per_feature)
@@ -228,43 +232,137 @@ def _plan(thr_counts: np.ndarray, has_missing: np.ndarray) -> _ScanPlan:
     )
 
 
+def _linear_quantiles(
+    values: np.ndarray, start: np.ndarray, count: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.quantile``'s default (linear) quantiles ``q`` of sorted runs.
+
+    Run i is ``values[start[i]:start[i] + count[i]]``, ascending, with no
+    NaN. Row i of the result is its quantiles by ``np.quantile``'s own
+    steps: virtual index ``(n - 1) * q``, floor, the clamps at both ends,
+    ``gamma = virtual - floor``, and ``a + (b - a) * gamma``, taken as
+    ``b - (b - a) * (1 - gamma)`` where ``gamma >= 0.5``. The order
+    statistics a and b have the bits ``np.partition`` gives, except that
+    neither it nor ``np.sort`` keeps the sign of a zero; the second result
+    flags each run whose quantiles read an order statistic equal to 0.
+    """
+    n = count[:, None]
+    virtual = (n - 1) * q
+    prev = np.floor(virtual)
+    next_ = prev + 1
+    above = virtual >= n - 1
+    prev[above] = next_[above] = -1
+    below = virtual < 0
+    prev[below] = next_[below] = 0
+    prev = prev.astype(np.intp)
+    next_ = next_.astype(np.intp)
+    gamma = virtual - prev
+    # Index -1 is the run's last value.
+    a = values[start[:, None] + np.where(prev < 0, prev + n, prev)]
+    b = values[start[:, None] + np.where(next_ < 0, next_ + n, next_)]
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result, ((a == 0) | (b == 0)).any(axis=1)
+
+
+def _bin_blocks(blocks: Sequence[np.ndarray], max_bins: int) -> Binned:
+    """Bin row blocks of one width C; column c of block s is feature ``s * C + c``.
+
+    Every column is sorted once, NaN last, and the sorted columns are laid
+    end to end. A feature whose finite values take at most ``max_bins + 1``
+    distinct values splits at the midpoints of consecutive ones; a denser
+    one at the distinct values of its interior linear quantiles
+    (:func:`_linear_quantiles`). Where those quantiles read a zero order
+    statistic, whose sign the sort may have changed, ``np.unique`` of
+    ``np.quantile`` over the column's finite values gives its thresholds.
+    A midpoint or quantile between infinities is NaN and is dropped.
+    """
+    width = blocks[0].shape[1]
+    n_features = len(blocks) * width
+    sizes = [len(block) for block in blocks]
+    length = np.repeat(sizes, width)
+    values = np.empty(sum(sizes) * width)
+    # Each finite value that differs from the one before it in its feature.
+    changes = np.zeros(len(values), dtype=bool)
+    n_finite, n_changes = [], []
+    offset = 0
+    for block in blocks:
+        shape = (width, len(block))
+        run = values[offset:offset + block.size].reshape(shape)
+        run[...] = block.T
+        run.sort(axis=1)
+        finite = ~np.isnan(run)
+        change = changes[offset:offset + block.size].reshape(shape)
+        np.not_equal(run[:, 1:], run[:, :-1], out=change[:, 1:])
+        change &= finite
+        n_finite.append(finite.sum(axis=1))
+        n_changes.append(change.sum(axis=1))
+        offset += block.size
+    n_finite = np.concatenate(n_finite)
+    n_changes = np.concatenate(n_changes)
+    n_distinct = n_changes + (n_finite > 0)
+
+    by_midpoint = (n_distinct >= 2) & (n_distinct <= max_bins + 1)
+    at = np.flatnonzero(changes & np.repeat(by_midpoint, length))
+    thr_feature = [np.repeat(np.arange(n_features), np.where(by_midpoint, n_changes, 0))]
+    by_quantile = np.flatnonzero(n_distinct > max_bins + 1)
+    with np.errstate(invalid="ignore"):  # midpoints or quantiles between infinities
+        thr = [(values[at - 1] + values[at]) / 2.0]
+        if len(by_quantile):
+            q = np.arange(1, max_bins + 1) / (max_bins + 1)
+            start = np.cumsum(length) - length
+            quantiles, reads_zero = _linear_quantiles(
+                values, start[by_quantile], n_finite[by_quantile], q
+            )
+            quantiles.sort(axis=1)
+            distinct = np.ones(quantiles.shape, dtype=bool)
+            distinct[:, 1:] = quantiles[:, 1:] != quantiles[:, :-1]
+            distinct[reads_zero] = False
+            thr.append(quantiles[distinct])
+            thr_feature.append(np.repeat(by_quantile, distinct.sum(axis=1)))
+            for f in by_quantile[reads_zero]:
+                col = blocks[f // width][:, f % width]
+                thr.append(np.unique(np.quantile(col[~np.isnan(col)], q)))
+                thr_feature.append(np.full(len(thr[-1]), f))
+    thr_values = np.concatenate(thr)
+    thr_feature = np.concatenate(thr_feature)
+    kept = ~np.isnan(thr_values)
+    thr_feature = thr_feature[kept]
+    thr_values = thr_values[kept][np.argsort(thr_feature, kind="stable")]
+    thr_counts = np.bincount(thr_feature, minlength=n_features)
+    thresholds = np.split(thr_values, np.cumsum(thr_counts))[:-1]
+
+    plan = _plan(thr_counts, n_finite < length)
+    first_bin = (plan.last - thr_counts).reshape(len(blocks), width)
+    missing_bin = (plan.n_bins + np.arange(n_features)).reshape(len(blocks), width)
+    keys = np.empty((sum(sizes), width), dtype=np.int64)
+    row = 0
+    for s, block in enumerate(blocks):
+        block_keys = keys[row:row + len(block)]
+        for c, feature_thr in enumerate(thresholds[s * width:(s + 1) * width]):
+            block_keys[:, c] = feature_thr.searchsorted(block[:, c], side="right")
+        block_keys += first_bin[s]
+        np.copyto(block_keys, missing_bin[s], where=np.isnan(block))
+        row += len(block)
+    counts = np.bincount(keys.ravel(), minlength=plan.size).astype(np.float64)[None]
+    counts.flags.writeable = False
+    return Binned(thresholds=thresholds, keys=keys, plan=plan, counts=counts)
+
+
 def bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
     """Bin each feature onto at most ``max_bins`` threshold candidates.
 
     Midpoints of consecutive unique values are used while they fit the
     budget; denser features fall back to interior quantiles. A midpoint or
-    quantile between infinities is NaN and is dropped. Each cell's key is
-    written straight from its feature's thresholds; NaN cells take the
-    feature's missing bin.
+    quantile between infinities is NaN and is dropped. Every column is
+    binned from one sort of its values (:func:`_bin_blocks`), and each
+    cell's key is written straight from its feature's thresholds; NaN
+    cells take the feature's missing bin.
     """
     if not 1 <= max_bins <= MAX_BINS:
         raise ValueError(f"max_bins must be in [1, {MAX_BINS}]")
-    X = np.asarray(X, dtype=np.float64)
-    n_features = X.shape[1]
-    missing = np.isnan(X)
-    thresholds: list[np.ndarray] = []
-    keys = np.empty(X.shape, dtype=np.int64)
-    with np.errstate(invalid="ignore"):  # midpoints or quantiles between infinities
-        for f in range(n_features):
-            col = X[:, f]
-            finite = col[~missing[:, f]]
-            uniq = np.unique(finite)
-            if len(uniq) <= 1:
-                thr = np.empty(0, dtype=np.float64)
-            elif len(uniq) - 1 <= max_bins:
-                thr = (uniq[:-1] + uniq[1:]) / 2.0
-            else:
-                qs = np.quantile(finite, np.arange(1, max_bins + 1) / (max_bins + 1))
-                thr = np.unique(qs)
-            thresholds.append(thr[~np.isnan(thr)])
-            keys[:, f] = np.searchsorted(thresholds[f], col, side="right")
-    thr_counts = np.array([len(t) for t in thresholds], dtype=np.int64)
-    plan = _plan(thr_counts, missing.any(axis=0))
-    keys += plan.last - thr_counts  # each feature's first real bin
-    np.copyto(keys, plan.n_bins + np.arange(n_features), where=missing)
-    counts = np.bincount(keys.ravel(), minlength=plan.size).astype(np.float64)[None]
-    counts.flags.writeable = False
-    return Binned(thresholds=thresholds, keys=keys, plan=plan, counts=counts)
+    return _bin_blocks([np.asarray(X, dtype=np.float64)], max_bins)
 
 
 def leaf_value(g_sum: float, h_sum: float, l2: float) -> float:
@@ -275,30 +373,26 @@ def leaf_value(g_sum: float, h_sum: float, l2: float) -> float:
     return -g_sum / denom
 
 
-def _best_axis_splits(
+def _split_gains(
     hist_g: np.ndarray,
     hist_h: np.ndarray,
     hist_c: np.ndarray,
     plan: _ScanPlan,
     l2: float,
     min_leaf: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best axis-aligned split per histogram slot: its gain and plan candidate.
+) -> np.ndarray:
+    """Each histogram slot's gain at each of the plan's candidates, (S, K).
 
     Histograms are (S, ``plan.size``) packed rows. Each feature's prefix
     sums run over its own real bins, padded with zeros to its class
     width, so they add in the same order as over a dense
-    ``max_bins + 1``-bin row. Only the plan's candidates are scored, in
-    (feature, bin, direction) order; ties resolve to the lowest feature
-    index, then lowest threshold, then missing-left, so results are
-    reproducible. A slot with no valid split reports gain -inf, and its
-    candidate index is then meaningless.
+    ``max_bins + 1``-bin row. A candidate that leaves fewer than
+    ``min_leaf`` rows on a side gains -inf. :func:`_first_best` picks a
+    slot's split, so ties resolve to the lowest feature index, then
+    lowest threshold, then missing-left, and results are reproducible.
     """
     n_slots = hist_g.shape[0]
     n_features = len(plan.last)
-    if len(plan.pos) == 0:
-        return np.full(n_slots, -np.inf), np.zeros(n_slots, dtype=np.int64)
-
     cum = np.empty((n_slots, plan.n_bins))
 
     def side_sums(hist):
@@ -331,51 +425,79 @@ def _best_axis_splits(
     too_small = c_left < min_leaf
     too_small |= c_right < min_leaf
     gains[too_small] = -np.inf
-
-    best = np.argmax(gains, axis=1)
-    return gains[np.arange(n_slots), best], best
+    return gains
 
 
-def _oblique_split(
+def _first_best(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first highest gain and its index; gain -inf in a row with no candidate."""
+    n_rows, n_candidates = gains.shape
+    if not n_candidates:
+        return np.zeros(n_rows, dtype=np.intp), np.full(n_rows, -np.inf)
+    best = gains.argmax(axis=1)
+    return best, gains[np.arange(n_rows), best]
+
+
+def _oblique_splits(
     X: np.ndarray,
-    rows: np.ndarray,
+    level_rows: list[np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
     params: TrainParams,
     rng: np.random.Generator,
-) -> tuple[float, tuple, np.ndarray] | None:
-    """Best random sparse-projection split for one node, or None.
+) -> list[tuple[float, tuple, np.ndarray] | None]:
+    """Best random sparse-projection split of each of a level's nodes, or None.
 
-    Each projection is a derived column over the node's rows, binned and
-    scanned like a feature. Returns the split's gain, its
-    :func:`node_record` and, for each of ``rows``, whether it goes left.
+    Projections are drawn node by node in level order, and each is a
+    derived column over its node's rows. The nodes' blocks of projections
+    are binned together, one feature per (node, projection), so one
+    histogram per statistic and one gain scan serve the level; a node
+    takes the first best of its own candidates, in (projection, bin,
+    direction) order. Returns, per node, the split's gain, its
+    :func:`node_record` and, for each of the node's rows, whether it goes
+    left.
     """
     n_features = X.shape[1]
     n_pick = max(1, int(round(params.oblique_sparsity * n_features)))
-    projections = []
-    for _ in range(params.oblique_projections):
-        feats = np.sort(rng.choice(n_features, size=n_pick, replace=False))
-        projections.append((feats, rng.choice(np.array([-1.0, 1.0]), size=n_pick)))
-    node_X = X[rows]
-    # One matrix-vector product per projection; a batched or dense
-    # product rounds some projections differently.
-    binned = bin_features(
-        np.column_stack([node_X[:, feats] @ w for feats, w in projections]),
-        max_bins=params.max_bins,
-    )
-    (gain,), (k,) = _best_axis_splits(
+    n_proj = params.oblique_projections
+    signs = np.array([-1.0, 1.0])
+    projections, blocks = [], []
+    for rows in level_rows:
+        node_projections = [
+            (np.sort(rng.choice(n_features, size=n_pick, replace=False)),
+             rng.choice(signs, size=n_pick))
+            for _ in range(n_proj)
+        ]
+        node_X = X[rows]
+        # One matrix-vector product per projection; a batched or dense
+        # product rounds some projections differently.
+        blocks.append(np.column_stack([node_X[:, feats] @ w for feats, w in node_projections]))
+        projections.append(node_projections)
+    binned = _bin_blocks(blocks, params.max_bins)
+    plan = binned.plan
+    rows = np.concatenate(level_rows)
+    gains = _split_gains(
         *_batch_histograms(binned, g[rows], h[rows]),
-        binned.plan, params.l2, params.min_examples_per_leaf,
+        plan, params.l2, params.min_examples_per_leaf,
     )
-    if not (np.isfinite(gain) and gain > 0.0):
-        return None
-    p = binned.plan.feature[k]
-    feats, w = projections[p]
-    split = node_record(
-        -1, float(binned.thresholds[p][binned.plan.bin[k]]), bool(binned.plan.missing_left[k]),
-        float(gain), features=feats.tolist(), weights=w.tolist(),
-    )
-    return float(gain), split, binned.goes_left(slice(None), k)
+    # Node s's candidates are those of its features, s * n_proj onwards.
+    bounds = np.searchsorted(plan.feature, np.arange(len(level_rows) + 1) * n_proj)
+    row_start = np.cumsum([0, *map(len, level_rows)])
+    found = []
+    for s, node_projections in enumerate(projections):
+        (k,), (gain,) = _first_best(gains[:, bounds[s]:bounds[s + 1]])
+        if not (np.isfinite(gain) and gain > 0.0):
+            found.append(None)
+            continue
+        k += bounds[s]
+        p = plan.feature[k]
+        feats, w = node_projections[p - s * n_proj]
+        gain = float(gain)
+        split = node_record(
+            -1, float(binned.thresholds[p][plan.bin[k]]), bool(plan.missing_left[k]), gain,
+            features=feats.tolist(), weights=w.tolist(),
+        )
+        found.append((gain, split, binned.goes_left(slice(row_start[s], row_start[s + 1]), k)))
+    return found
 
 
 def _batch_histograms(
@@ -391,7 +513,7 @@ def _batch_histograms(
     every row's, in row order: the keys are read in place, with no
     gather, and the counts are ``binned.counts``.
     """
-    n_features = binned.n_features
+    n_columns = binned.keys.shape[1]
     size = binned.plan.size
     if node_rows is None:
         n_slots, slot_rows = 1, slice(None)
@@ -407,10 +529,10 @@ def _batch_histograms(
     shape = (n_slots, size)
     minlength = n_slots * size
     hist_g = np.bincount(
-        keys, weights=np.repeat(g[slot_rows], n_features), minlength=minlength
+        keys, weights=np.repeat(g[slot_rows], n_columns), minlength=minlength
     ).reshape(shape)
     hist_h = np.bincount(
-        keys, weights=np.repeat(h[slot_rows], n_features), minlength=minlength
+        keys, weights=np.repeat(h[slot_rows], n_columns), minlength=minlength
     ).reshape(shape)
     if node_rows is None:
         hist_c = binned.counts
@@ -435,8 +557,9 @@ def grow_tree(
     sibling's row is the parent's row minus it, which gradient
     quantization keeps exact. A split's two children take the next two
     ids when it is made, so ids run breadth-first, as :class:`Tree`
-    numbers them. Oblique splits draw their projections from ``rng``,
-    which they require, node by node in level order.
+    numbers them. Oblique splits, which require ``rng``, are searched
+    for a whole level at once (:func:`_oblique_splits`), drawing every
+    node's projections in level order.
     """
     if params.oblique and rng is None:
         raise ValueError("oblique splits need an rng")
@@ -463,7 +586,10 @@ def grow_tree(
     depth = 0
     while level:
         depth += 1
-        gain, best = _best_axis_splits(*hists, plan, params.l2, min_leaf)
+        best, gain = _first_best(_split_gains(*hists, plan, params.l2, min_leaf))
+        oblique = [None] * len(level)
+        if params.oblique:
+            oblique = _oblique_splits(X, [rows for rows, _ in level], g, h, params, rng)
         next_level = []
         # Rows histogrammed into each next-level slot, and the slots that
         # become (parent slot's row) - (smaller sibling's slot's row).
@@ -480,10 +606,8 @@ def grow_tree(
                     split_gain,
                 )
                 go_left = binned.goes_left(rows, k)
-            if params.oblique:
-                oblique = _oblique_split(X, rows, g, h, params, rng)
-                if oblique is not None and oblique[0] > split_gain:
-                    split_gain, split, go_left = oblique
+            if oblique[s] is not None and oblique[s][0] > split_gain:
+                split_gain, split, go_left = oblique[s]
             if split is None:
                 make_leaf(node, rows)
                 continue

@@ -79,6 +79,8 @@ class WorldConfig:
             raise ValueError("trend_fraction must be in [0, 1]")
         if self.channel_utility_concentration < 0.0:
             raise ValueError("channel_utility_concentration must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(slots=True)

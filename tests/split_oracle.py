@@ -18,6 +18,14 @@ a lower threshold of the same projection gain the same, this loop keeps
 the missing-left one and the scan the lower threshold, as it does for
 axis splits.
 
+``loop_bin_features`` bins one column at a time, with ``np.unique`` and
+``np.quantile`` on each column's finite values and a scan plan laid out
+feature by feature; ``bin_features``, which bins every column from one
+sort, must return the same thresholds, keys, counts and plan, byte for
+byte. ``node_oblique_split`` searches one node's projections with a plan, a
+histogram and a scan of its own, on ``loop_bin_features``' bins; the
+level search must give every node the same gain, record and partition.
+
 ``table_grow_tree`` grows a tree the way ``grow_tree`` did before it kept
 each level's histograms in arrays: a table of node records, a histogram
 per node in a dict, lists of the histograms still owed, and a recursive
@@ -40,12 +48,116 @@ from channelrank.gbdt.tree import (
     _GAIN_DENOM_FLOOR,
     Binned,
     Tree,
-    _oblique_split,
+    _batch_histograms,
+    _first_best,
+    _ScanPlan,
+    _split_gains,
     bin_features,
     grow_tree,
     leaf_value,
+    node_record,
 )
 from tests.forest_oracle import AxisSplit, Leaf, Node, ObliqueSplit, split_of, to_nodes, to_tree
+
+
+def loop_plan(thr_counts: np.ndarray, has_missing: np.ndarray) -> _ScanPlan:
+    """The scan plan of features with ``thr_counts`` thresholds, one feature at a time."""
+    n_features = len(thr_counts)
+    width = np.array([1 << int(t).bit_length() for t in thr_counts], dtype=np.int64)
+    by_width = np.argsort(width, kind="stable")
+    start = np.empty(n_features, dtype=np.int64)
+    start[by_width] = np.cumsum(width[by_width]) - width[by_width]
+    classes = []
+    for w in np.unique(width):
+        members = np.flatnonzero(width == w)
+        classes.append((int(start[members[0]]), len(members), int(w)))
+    n_dirs = 1 + has_missing
+    per_feature = thr_counts * n_dirs
+    feature = np.repeat(np.arange(n_features, dtype=np.int64), per_feature)
+    within = np.arange(len(feature)) - np.repeat(np.cumsum(per_feature) - per_feature, per_feature)
+    bin_idx = within // n_dirs[feature]
+    missing_left = within % n_dirs[feature] == 0
+    return _ScanPlan(
+        n_bins=int(width.sum()),
+        classes=classes,
+        last=start + thr_counts,
+        pos=start[feature] + bin_idx,
+        feature=feature,
+        bin=bin_idx,
+        missing_left=missing_left,
+        miss_src=np.where(missing_left, feature, n_features),
+    )
+
+
+def loop_bin_features(X: np.ndarray, max_bins: int = 255) -> Binned:
+    """``bin_features`` one column at a time, with ``np.unique`` and ``np.quantile``."""
+    X = np.asarray(X, dtype=np.float64)
+    n_features = X.shape[1]
+    missing = np.isnan(X)
+    thresholds: list[np.ndarray] = []
+    keys = np.empty(X.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # midpoints or quantiles between infinities
+        for f in range(n_features):
+            col = X[:, f]
+            finite = col[~missing[:, f]]
+            uniq = np.unique(finite)
+            if len(uniq) <= 1:
+                thr = np.empty(0, dtype=np.float64)
+            elif len(uniq) - 1 <= max_bins:
+                thr = (uniq[:-1] + uniq[1:]) / 2.0
+            else:
+                qs = np.quantile(finite, np.arange(1, max_bins + 1) / (max_bins + 1))
+                thr = np.unique(qs)
+            thresholds.append(thr[~np.isnan(thr)])
+            keys[:, f] = np.searchsorted(thresholds[f], col, side="right")
+    thr_counts = np.array([len(t) for t in thresholds], dtype=np.int64)
+    plan = loop_plan(thr_counts, missing.any(axis=0))
+    keys += plan.last - thr_counts  # each feature's first real bin
+    np.copyto(keys, plan.n_bins + np.arange(n_features), where=missing)
+    counts = np.bincount(keys.ravel(), minlength=plan.size).astype(np.float64)[None]
+    counts.flags.writeable = False
+    return Binned(thresholds=thresholds, keys=keys, plan=plan, counts=counts)
+
+
+def node_oblique_split(
+    X: np.ndarray,
+    rows: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    params: TrainParams,
+    rng: np.random.Generator,
+) -> tuple[float, tuple, np.ndarray] | None:
+    """Best random sparse-projection split for one node, or None.
+
+    Each projection is a derived column over the node's rows, binned and
+    scanned like a feature. Returns the split's gain, its ``node_record``
+    and, for each of ``rows``, whether it goes left.
+    """
+    n_features = X.shape[1]
+    n_pick = max(1, int(round(params.oblique_sparsity * n_features)))
+    projections = []
+    for _ in range(params.oblique_projections):
+        feats = np.sort(rng.choice(n_features, size=n_pick, replace=False))
+        projections.append((feats, rng.choice(np.array([-1.0, 1.0]), size=n_pick)))
+    node_X = X[rows]
+    binned = loop_bin_features(
+        np.column_stack([node_X[:, feats] @ w for feats, w in projections]),
+        max_bins=params.max_bins,
+    )
+    (k,), (gain,) = _first_best(_split_gains(
+        *_batch_histograms(binned, g[rows], h[rows]),
+        binned.plan, params.l2, params.min_examples_per_leaf,
+    ))
+    if not (np.isfinite(gain) and gain > 0.0):
+        return None
+    gain = float(gain)
+    p = binned.plan.feature[k]
+    feats, w = projections[p]
+    split = node_record(
+        -1, float(binned.thresholds[p][binned.plan.bin[k]]), bool(binned.plan.missing_left[k]),
+        gain, features=feats.tolist(), weights=w.tolist(),
+    )
+    return gain, split, binned.goes_left(slice(None), k)
 
 
 def _split_score(gl, hl, gr, hr, l2):
@@ -412,7 +524,7 @@ def table_grow_tree(
                         gain=float(best_gain),
                     )
                 if params.oblique:
-                    oblique = _oblique_split(X, rec.rows, g, h, params, rng)
+                    oblique = node_oblique_split(X, rec.rows, g, h, params, rng)
                     if oblique is not None and oblique[0] > (
                         split.gain if split is not None else 0.0
                     ):

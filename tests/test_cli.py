@@ -302,6 +302,23 @@ class TestPipeline:
         assert err == [f"error: {data}:2: label -1.0 is negative"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "train-oblique"])
+    def test_negative_seed_exits_one_before_any_output(
+        self, command, dataset_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        if command == "generate":
+            args = ["generate", "--out", str(out), "--queries", "4", "--items", "60"]
+        else:
+            args = ["train", "--data", str(dataset_path), "--out", str(out), "--trees", "2"]
+            args += ["--oblique"] if command == "train-oblique" else []
+        capsys.readouterr()
+        assert main([*args, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == ["error: seed must be >= 0, got -1"]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_evaluate_negative_label_exits_one(self, dataset_path, model_path, tmp_path, capsys):
         data = self._negative_label_file(dataset_path, tmp_path)
         capsys.readouterr()

@@ -70,6 +70,11 @@ class TestTrainParams:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainParams(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainParams(seed=-1)
+        assert TrainParams(seed=0).seed == 0
+
     def test_defaults_valid(self):
         params = TrainParams()
         assert params.num_trees == 300
@@ -172,8 +177,8 @@ class TestTrain:
 
         X, labels, group_ids = ranking_problem(131, n_groups=10)
         binned_seen, root_counts, full_counts = [], [], []
-        bin_features, best_axis_splits, bincount = (
-            gmodel.bin_features, gtree._best_axis_splits, np.bincount
+        bin_features, split_gains, bincount = (
+            gmodel.bin_features, gtree._split_gains, np.bincount
         )
 
         def spy_bin(*args, **kwargs):
@@ -183,7 +188,7 @@ class TestTrain:
         def spy_best(hist_g, hist_h, hist_c, *rest):
             if hist_c.shape[0] == 1 and hist_c[0].sum() == X.size:
                 root_counts.append(hist_c)
-            return best_axis_splits(hist_g, hist_h, hist_c, *rest)
+            return split_gains(hist_g, hist_h, hist_c, *rest)
 
         def spy_bincount(x, weights=None, minlength=0):
             if weights is None and len(x) == X.size:
@@ -191,7 +196,7 @@ class TestTrain:
             return bincount(x, weights=weights, minlength=minlength)
 
         monkeypatch.setattr(gmodel, "bin_features", spy_bin)
-        monkeypatch.setattr(gtree, "_best_axis_splits", spy_best)
+        monkeypatch.setattr(gtree, "_split_gains", spy_best)
         monkeypatch.setattr(np, "bincount", spy_bincount)
         params = TrainParams(num_trees=5, max_depth=3, min_examples_per_leaf=2)
         train(X, labels, group_ids, generic_schema(X.shape[1]), params)

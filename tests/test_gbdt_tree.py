@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channelrank.gbdt.model import TrainParams
 from channelrank.gbdt.serialize import _flatten_tree
 from channelrank.gbdt.tree import (
     _batch_histograms,
-    _best_axis_splits,
-    _oblique_split,
+    _first_best,
+    _linear_quantiles,
+    _oblique_splits,
+    _split_gains,
     bin_features,
     grow_tree,
     leaf_value,
@@ -29,9 +33,16 @@ from tests.split_oracle import (
     dense_codes,
     dense_histograms,
     find_best_split,
+    loop_bin_features,
+    node_oblique_split,
     oblique_candidate,
     table_grow_tree,
 )
+
+
+def _one_node_search(X, rows, g, h, params, seed):
+    """The oblique search of a level whose one node holds ``rows``."""
+    return _oblique_splits(X, [rows], g, h, params, np.random.default_rng(seed))[0]
 
 
 class TestLeafValue:
@@ -112,6 +123,132 @@ class TestBinFeatures:
                     binned.goes_left(rows, k),
                     np.where(np.isnan(x), plan.missing_left[k], x < threshold),
                 )
+
+
+def _assert_same_binning(got, want, case):
+    """Thresholds, keys, counts and plan equal, dtype and bytes."""
+    assert len(got.thresholds) == len(want.thresholds), case
+    for a, b in zip(got.thresholds, want.thresholds):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), case
+    for a, b in ((got.keys, want.keys), (got.counts, want.counts)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), case
+    assert not got.counts.flags.writeable
+    assert (got.plan.n_bins, got.plan.classes) == (want.plan.n_bins, want.plan.classes), case
+    for name in ("last", "pos", "feature", "bin", "missing_left", "miss_src"):
+        a, b = getattr(got.plan, name), getattr(want.plan, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (case, name)
+
+
+def _binning_column(rng, n):
+    """One column of a kind that stresses binning: signed zeros, ties,
+    infinities and NaN, at scales that take the midpoint or quantile rule."""
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        col = np.round(rng.normal(size=n), int(rng.integers(0, 3)))  # mixes +0.0 and -0.0
+    elif kind == 1:
+        col = rng.normal(size=n)
+        col[rng.random(n) < rng.uniform(0.05, 0.6)] = -0.0  # its only zeros are -0.0
+    elif kind == 2:
+        col = rng.choice([-np.inf, np.inf, np.nan, -3.0, 1.0, 2.0], size=n)
+    elif kind == 3:
+        col = np.round(rng.normal(size=n) * 4.0) / 2.0  # ties
+    elif kind == 4:
+        col = np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n))  # only +0.0
+    else:
+        col = rng.normal(size=n) * 10.0 ** int(rng.integers(-5, 6))
+    special = rng.random(n)
+    col[special < 0.05] = np.nan
+    col[(special >= 0.05) & (special < 0.07)] = np.inf
+    col[(special >= 0.07) & (special < 0.09)] = -np.inf
+    return col
+
+
+#: Values that stress binning: signed zeros, the smallest subnormals,
+#: the largest finite values, infinities and NaN.
+_SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e308, -1e308,
+                   np.inf, -np.inf, np.nan]
+
+
+class TestBinningOracle:
+    """``bin_features`` returns the per-column loop's binning, byte for byte."""
+
+    def test_random_columns_match_per_column_loop(self):
+        rng = np.random.default_rng(4242)
+        quantile_columns = zero_read_columns = 0
+        for case in range(240):
+            n = int(rng.choice([1, 2, 3, 7, 40, 300, int(rng.integers(1, 1500))]))
+            X = np.column_stack([_binning_column(rng, n) for _ in range(int(rng.integers(1, 5)))])
+            max_bins = int(rng.choice([1, 3, 16, 255]))
+            got = bin_features(X, max_bins=max_bins)
+            _assert_same_binning(got, loop_bin_features(X, max_bins=max_bins), case)
+            for col in X.T:
+                finite = col[~np.isnan(col)]
+                if len(np.unique(finite)) > max_bins + 1:
+                    quantile_columns += 1
+                    zero_read_columns += (finite == 0).any()
+        assert quantile_columns > 150 and zero_read_columns > 50, (
+            quantile_columns, zero_read_columns)
+
+    def test_no_rows_or_no_columns(self):
+        for X in (np.empty((5, 0)), np.empty((0, 3))):
+            _assert_same_binning(bin_features(X), loop_bin_features(X), X.shape)
+
+    def test_column_whose_only_zeros_are_negative(self):
+        rng = np.random.default_rng(8)
+        for n in (20, 100, 1000):
+            col = rng.normal(size=n)
+            col[: n // 2] = -0.0
+            X = np.column_stack([rng.permutation(col), col])
+            for max_bins in (1, 3, 16, 255):
+                got = bin_features(X, max_bins=max_bins)
+                _assert_same_binning(got, loop_bin_features(X, max_bins=max_bins), (n, max_bins))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_binning_equals_per_column_loop_property(self, data):
+        n = data.draw(st.integers(1, 40))
+        n_features = data.draw(st.integers(1, 3))
+        max_bins = data.draw(st.sampled_from([1, 3, 16, 255]))
+        cells = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(_SPECIAL_VALUES),
+                st.integers(-3, 3).map(float),
+                st.floats(width=64),
+            ),
+            min_size=n * n_features, max_size=n * n_features,
+        ))
+        X = np.array(cells, dtype=np.float64).reshape(n, n_features)
+        with np.errstate(over="ignore"):  # midpoints of the largest values
+            got, want = bin_features(X, max_bins=max_bins), loop_bin_features(X, max_bins=max_bins)
+        _assert_same_binning(got, want, X)
+
+    def test_linear_quantiles_equal_numpy_bitwise(self):
+        # np.quantile's linear formula, step for step; a numpy whose
+        # quantile arithmetic changes fails here by name.
+        rng = np.random.default_rng(12)
+        runs = []
+        for case in range(200):
+            x = rng.normal(size=int(rng.integers(1, 400))) * 10.0 ** int(rng.integers(-3, 4))
+            if case % 3 == 0:
+                x = np.round(x, 1)  # ties, and zeros of both signs
+            if case % 4 == 1:
+                x[rng.random(len(x)) < 0.1] = rng.choice([-np.inf, np.inf])
+            runs.append(x)
+        q = np.concatenate([[0.0, 1.0], np.arange(1, 256) / 256, rng.random(20)])
+        count = np.array([len(x) for x in runs])
+        start = np.cumsum(count) - count
+        values = np.concatenate([np.sort(x) for x in runs])
+        with np.errstate(invalid="ignore"):
+            got, reads_zero = _linear_quantiles(values, start, count, q)
+            compared = 0
+            for x, row, zero in zip(runs, got, reads_zero):
+                if zero:
+                    assert (x == 0).any()
+                    continue
+                want = np.quantile(x, q)
+                assert (row.dtype, row.tobytes()) == (want.dtype, want.tobytes())
+                compared += 1
+        assert compared > 150 and reads_zero.any()
 
 
 class TestFindBestSplit:
@@ -249,14 +386,14 @@ class TestObliqueSplitSearch:
                 params.oblique_projections, params.oblique_sparsity,
                 np.random.default_rng(seed), params.max_bins,
             )
-            found = _oblique_split(X, rows, g, h, params, np.random.default_rng(seed))
+            found = _one_node_search(X, rows, g, h, params, seed)
             assert (split_of(found[1]) if found is not None else None) == expected, f"seed {seed}"
 
     def test_rows_go_left_below_the_projection_threshold(self):
         split_count = 0
         for seed in range(300):
             X, rows, g, h, params = _random_oblique_case(seed)
-            found = _oblique_split(X, rows, g, h, params, np.random.default_rng(seed))
+            found = _one_node_search(X, rows, g, h, params, seed)
             if found is None:
                 continue
             split, go_left = split_of(found[1]), found[2]
@@ -274,15 +411,135 @@ class TestObliqueSplitSearch:
         g = np.array([1.0, -1.0, 1.0, -1.0])
         axis = find_best_split(X, g, np.ones(4), l2=1.0, min_examples_per_leaf=1)
         params = TrainParams(min_examples_per_leaf=1, oblique=True, oblique_projections=1)
-        oblique = split_of(_oblique_split(
-            X, np.arange(4), g, np.ones(4), params, np.random.default_rng(0)
-        )[1])
+        oblique = split_of(_one_node_search(X, np.arange(4), g, np.ones(4), params, 0)[1])
         loop = oblique_candidate(
             X, np.arange(4), g, np.ones(4), 1.0, 1, 1, 1.0, np.random.default_rng(0), 255
         )
         assert (axis.threshold, axis.missing_left, axis.gain) == (0.5, False, 0.75)
         assert (oblique.threshold, oblique.missing_left, oblique.gain) == (0.5, False, 0.75)
         assert (loop.threshold, loop.missing_left, loop.gain) == (1.5, True, 0.75)
+
+
+def _level_case(seed):
+    """A level of 1 to 32 nodes over one matrix: NaN cells make NaN
+    projections, and nodes drawn from identical rows have no threshold."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 400))
+    X = rng.normal(size=(n, int(rng.integers(1, 8))))
+    if seed % 3 == 0:
+        X = np.round(X, 1)
+    X[rng.random(size=X.shape) < rng.uniform(0.0, 0.3)] = np.nan
+    X[:8] = 1.0
+    level_rows = []
+    for _ in range(1 + seed % 32):
+        if rng.random() < 0.15:
+            level_rows.append(np.arange(int(rng.integers(2, 9))))
+        else:
+            size = int(rng.integers(2, n // 2))
+            level_rows.append(np.sort(rng.choice(n, size=size, replace=False)))
+    g = rng.integers(-4, 5, size=n) / 8.0
+    h = rng.integers(1, 5, size=n) / 4.0
+    params = TrainParams(
+        min_examples_per_leaf=int(rng.integers(1, 6)),
+        l2=float(rng.choice([0.0, 1.0])),
+        oblique=True,
+        oblique_projections=int(rng.integers(1, 13)),
+        oblique_sparsity=float(rng.uniform(0.1, 1.0)),
+        max_bins=int(rng.choice([1, 3, 16, 255])),
+    )
+    return X, level_rows, g, h, params
+
+
+class TestObliqueLevelSearch:
+    """One search per level gives every node the per-node search's split."""
+
+    def test_level_equals_per_node_oracle(self):
+        seen = {"levels_over_16": 0, "no_split": 0, "no_threshold": 0, "nan_projection": 0}
+        for seed in range(64):
+            X, level_rows, g, h, params = _level_case(seed)
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            found = _oblique_splits(X, level_rows, g, h, params, rng)
+            expected = [
+                node_oblique_split(X, rows, g, h, params, oracle_rng) for rows in level_rows
+            ]
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
+            assert len(found) == len(level_rows), seed
+            for got, want in zip(found, expected):
+                if want is None:
+                    assert got is None, seed
+                    continue
+                gain, record, go_left = got
+                assert (np.float64(gain).tobytes(), repr(record)) == (
+                    np.float64(want[0]).tobytes(), repr(want[1])), seed
+                assert go_left.dtype == want[2].dtype and np.array_equal(go_left, want[2]), seed
+            seen["levels_over_16"] += len(level_rows) > 16
+            seen["no_split"] += sum(want is None for want in expected)
+            seen["no_threshold"] += sum(rows.max() < 8 for rows in level_rows)
+            seen["nan_projection"] += np.isnan(X[np.concatenate(level_rows)]).any()
+        assert min(seen.values()) >= 10, seen
+
+    def test_an_oblique_level_scans_gains_once(self, monkeypatch):
+        from channelrank.gbdt import tree as gtree
+
+        split_gains, oblique_splits = gtree._split_gains, gtree._oblique_splits
+        scans, levels, searching = [], [], []
+
+        def spy_gains(hist_g, hist_h, hist_c, plan, *rest):
+            scans.append((bool(searching), len(plan.last), hist_g.shape[0]))
+            return split_gains(hist_g, hist_h, hist_c, plan, *rest)
+
+        def spy_level(X, level_rows, *rest):
+            levels.append(len(level_rows))
+            searching.append(True)
+            try:
+                return oblique_splits(X, level_rows, *rest)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(gtree, "_split_gains", spy_gains)
+        monkeypatch.setattr(gtree, "_oblique_splits", spy_level)
+        rng = np.random.default_rng(41)
+        X = rng.uniform(-1, 1, size=(600, 4))
+        g = np.where(X[:, 0] - X[:, 2] > 0, 1.0, -1.0) + rng.integers(-2, 3, size=600) / 8.0
+        params = TrainParams(
+            max_depth=4, min_examples_per_leaf=5, oblique=True, oblique_projections=6,
+            oblique_sparsity=0.7, max_bins=16,
+        )
+        grow_tree(bin_features(X), X, g, np.ones(600), params, np.random.default_rng(7))
+        assert max(levels) >= 4
+        assert len(scans) == 2 * len(levels)
+        assert [scan[1:] for scan in scans if scan[0]] == [(6 * size, 1) for size in levels]
+
+    def test_quantile_fallback_only_for_zero_order_statistics(self, monkeypatch):
+        from channelrank.gbdt import tree as gtree
+
+        quantile, linear_quantiles = np.quantile, gtree._linear_quantiles
+        fallback_sizes, quantile_runs = [], []
+
+        def spy_quantile(a, q, **kwargs):
+            fallback_sizes.append(len(a))
+            return quantile(a, q, **kwargs)
+
+        def spy_linear(values, start, *rest):
+            quantile_runs.append(len(start))
+            return linear_quantiles(values, start, *rest)
+
+        monkeypatch.setattr(np, "quantile", spy_quantile)
+        monkeypatch.setattr(gtree, "_linear_quantiles", spy_linear)
+        rng = np.random.default_rng(43)
+        X = rng.uniform(1.0, 2.0, size=(600, 4))  # no projection is exactly 0
+        g = np.where(X[:, 0] - X[:, 2] > 0, 1.0, -1.0)
+        params = TrainParams(
+            max_depth=3, min_examples_per_leaf=5, oblique=True, oblique_projections=6,
+            max_bins=16,
+        )
+        grow_tree(bin_features(X), X, g, np.ones(600), params, np.random.default_rng(7))
+        assert sum(quantile_runs) > 20
+        assert fallback_sizes == []
+        # A column whose quantiles read an order statistic of 0 takes np.quantile, once.
+        col = np.concatenate([np.full(40, -0.0), rng.normal(size=60), [np.nan]])
+        bin_features(np.column_stack([col, rng.normal(size=101)]), max_bins=16)
+        assert fallback_sizes == [100]
 
 
 def _split_tuples(gain, split_at):
@@ -298,9 +555,8 @@ def _packed_and_dense(binned, X, g, h, parent_rows, child_rows, l2, min_leaf):
 
     node_rows = [parent_rows, child_rows]
     plan = binned.plan
-    gain, best = _best_axis_splits(
-        *stacked(_batch_histograms(binned, g, h, node_rows)), plan, l2, min_leaf
-    )
+    gains = _split_gains(*stacked(_batch_histograms(binned, g, h, node_rows)), plan, l2, min_leaf)
+    best, gain = _first_best(gains)
     packed = _split_tuples(gain, lambda s: (
         int(plan.feature[best[s]]), int(plan.bin[best[s]]), bool(plan.missing_left[best[s]])
     ))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -213,6 +214,11 @@ class TestBadValues:
     def test_non_finite_scale_rejected(self, trained, fields):
         with pytest.raises(ModelFormatError, match="must be finite"):
             loads_model(with_trees(trained, [[LEAF]], **fields))
+
+    def test_negative_seed_rejected(self, trained):
+        params = {**dataclasses.asdict(trained.params), "seed": -1}
+        with pytest.raises(ModelFormatError, match="seed must be >= 0, got -1"):
+            loads_model(with_trees(trained, [[LEAF]], params=params))
 
     def test_infinite_thresholds_load_and_score(self, trained):
         records = [

@@ -34,6 +34,10 @@ class TestWorldConfig:
         with pytest.raises(ValueError, match="click_rate"):
             WorldConfig(click_rate=1.5)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            WorldConfig(seed=-1)
+
     def test_channel_names(self):
         names = [c.name for c in channel_ids(WorldConfig(num_channels=6))]
         assert names[:4] == ["lexical", "semantic", "trending", "seasonal"]
