@@ -97,17 +97,27 @@ def _load_world_dir(events_path: str, lists_dir: str, catalog_path: str):
     return events, dict(zip(weeks, files)), catalog, channels
 
 
+def _lookback(args: argparse.Namespace) -> LookbackConfig:
+    """``--windows`` and ``--half-life``; a bad value's error names its flag."""
+    try:
+        windows = tuple(int(w) for w in args.windows.split(","))
+        LookbackConfig(windows=windows)
+    except ValueError as exc:
+        raise ValueError(f"--windows {args.windows!r}: {exc}") from None
+    try:
+        return LookbackConfig(windows=windows, decay_half_life=args.half_life)
+    except ValueError as exc:
+        raise ValueError(f"--half-life {args.half_life}: {exc}") from None
+
+
 def _cmd_build_dataset(args: argparse.Namespace) -> int:
+    lookback = _lookback(args)
     events, lists_by_week, catalog, channels = _load_world_dir(
         args.events, args.lists_dir, args.catalog
     )
     num_weeks = max(lists_by_week) + 1
     split = synthgen.filter_and_split(
         events, num_weeks, min_impressions=args.min_impressions
-    )
-    lookback = LookbackConfig(
-        windows=tuple(int(w) for w in args.windows.split(",")),
-        decay_half_life=args.half_life,
     )
     trunc = TruncationConfig.uniform(channels, args.n_per_channel)
     data = ds.build_dataset(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -209,6 +210,11 @@ def build_dataset(
     ``conversion_weights`` defaults to corpus calibration over
     ``train_weeks`` of the event log. Engagement features always use the
     conversion weights, so all model variants share identical features.
+
+    Only pools and channel cells are made group by group. The item block
+    and the funnel rows are whole-table passes, one funnel gather per lag
+    (lag 0 gives labels and purchases); a lag before week 0 or an absent
+    key reads zeros, which add nothing to the engagement sums.
     """
     frame = _recode_items(events, catalog)
     keys = sorted(set(keys))
@@ -221,99 +227,75 @@ def build_dataset(
     if conversion_weights is None:
         conversion_weights = calibrate_weights(corpus_stats(funnel, train_weeks))
 
-    # Sorted lookup from (q, i, w) to funnel rows.
-    fkey = (funnel.query * n_items + funnel.item) * num_weeks + funnel.week
-    fvcap = np.column_stack(
-        [funnel.views, funnel.clicks, funnel.atcs, funnel.purchases]
-    ).astype(np.float64)
-
-    def funnel_lookup(q: int, items: np.ndarray, week: int) -> np.ndarray:
-        """Rows (len(items), 4) of V,C,A,P session counts; zeros if absent."""
-        out = np.zeros((len(items), 4))
-        if week < 0:
-            return out
-        want = (q * n_items + items) * num_weeks + week
-        idx = np.searchsorted(fkey, want)
-        ok = idx < len(fkey)
-        ok[ok] = fkey[idx[ok]] == want[ok]
-        out[ok] = fvcap[idx[ok]]
-        return out
-
-    item_counts = item_count_table(frame, catalog, num_weeks)
-
-    schema = build_schema(channels, lookback)
-    col = {name: i for i, name in enumerate(schema.names)}
-    item_cols = np.flatnonzero(schema.group_mask("item"))
-    windows = lookback.windows
-    max_window = max(windows)
-    decay = np.exp2(-np.arange(1, max_window + 1) / lookback.decay_half_life)
-    w_conv = conversion_weights
-
-    X_parts: list[np.ndarray] = []
-    lab_conv_parts: list[np.ndarray] = []
-    lab_heur_parts: list[np.ndarray] = []
-    purchases_parts: list[np.ndarray] = []
-    icode_parts: list[np.ndarray] = []
-    group_sizes: list[int] = []
     catalog_index = catalog.index()
-
+    pools = []
     for q, week in keys:
         qstr = frame.query_vocab[q]
         try:
             lists = channel_lists[week][qstr]
         except KeyError as exc:
-            raise ValueError(
-                f"no channel lists for query {qstr!r} week {week}"
-            ) from exc
-        pool = merge_pool(lists, truncation)
-        items = np.array([catalog_index[i] for i in pool.items], dtype=np.int64)
-        m = len(items)
-        if m == 0:
+            raise ValueError(f"no channel lists for query {qstr!r} week {week}") from exc
+        pools.append(merge_pool(lists, truncation))
+        if not len(pools[-1]):
             # Group codes index group_keys only if no group is empty.
             raise ValueError(f"empty candidate pool for query {qstr!r} week {week}")
-        block = np.full((m, len(schema)), np.nan)
-
-        block[:, item_cols] = item_feature_block(
-            schema, lookback, item_counts, catalog, items, week
-        )
-
-        # Per-lag funnel rows drive engagement features and, at lag 0, labels.
-        lag_rows = [funnel_lookup(q, items, week - d) for d in range(1, max_window + 1)]
-        for window in windows:
-            eng = np.zeros(m)
-            clicks = np.zeros(m)
-            atcs = np.zeros(m)
-            purch = np.zeros(m)
-            for d in range(1, min(window, week) + 1):
-                rows = lag_rows[d - 1]
-                eng += decay[d - 1] * weighted_counts(rows, w_conv)
-                clicks += rows[:, 1] + rows[:, 2] + rows[:, 3]
-                atcs += rows[:, 2] + rows[:, 3]
-                purch += rows[:, 3]
-            for name, values in zip(engagement_columns(window), (eng, clicks, atcs, purch)):
-                block[:, col[name]] = values
-
-        fill_channel_block(block, schema, pool)
-
-        now = funnel_lookup(q, items, week)
-        X_parts.append(block)
-        lab_conv_parts.append(max_normalize(weighted_counts(now, w_conv)))
-        lab_heur_parts.append(max_normalize(weighted_counts(now, HEURISTIC_WEIGHTS)))
-        purchases_parts.append(now[:, 3])
-        icode_parts.append(items)
-        group_sizes.append(m)
-
-    groups = QueryGroups.from_ids(np.repeat(np.arange(len(keys)), group_sizes))
+    groups = QueryGroups.from_ids(np.repeat(np.arange(len(keys)), [len(p) for p in pools]))
     query_weeks = np.array(keys, dtype=np.int64)[groups.codes]
+    queries, weeks = query_weeks[:, 0].copy(), query_weeks[:, 1].copy()
+    items = np.array([catalog_index[i] for p in pools for i in p.items], dtype=np.int64)
+
+    schema = build_schema(channels, lookback)
+    X = np.full((len(items), len(schema)), np.nan)
+    for start, pool in zip(groups.starts, pools):
+        fill_channel_block(X[start:start + len(pool)], schema, pool)
+    X[:, schema.group_mask("item")] = item_feature_block(
+        schema, lookback, item_count_table(frame, catalog, num_weeks), catalog, items, weeks
+    )
+
+    # Sorted funnel keys of (q, i, w), then a sentinel whose row is all zeros.
+    fkey = np.append(
+        (funnel.query * n_items + funnel.item) * num_weeks + funnel.week,
+        np.iinfo(np.int64).max,
+    )
+    fvcap = np.zeros((len(fkey), 4))
+    fvcap[:-1] = np.column_stack([funnel.views, funnel.clicks, funnel.atcs, funnel.purchases])
+    row_key = (queries * n_items + items) * num_weeks + weeks
+
+    def funnel_rows(lag: int) -> np.ndarray:
+        """Each row's V,C,A,P session counts ``lag`` weeks back; zeros if absent."""
+        want = row_key - lag
+        at = np.searchsorted(fkey, want)
+        at[(weeks < lag) | (fkey[at] != want)] = len(fkey) - 1
+        return fvcap[at]
+
+    max_window = max(lookback.windows)
+    decay = np.exp2(-np.arange(1, max_window + 1) / lookback.decay_half_life)
+    # Running (engagement, clicks, atcs, purchases) sums over lags 1..window.
+    totals = np.zeros((4, len(items)))
+    for lag in range(1, max_window + 1):
+        rows = funnel_rows(lag)
+        totals[0] += decay[lag - 1] * weighted_counts(rows, conversion_weights)
+        totals[1] += rows[:, 1] + rows[:, 2] + rows[:, 3]
+        totals[2] += rows[:, 2] + rows[:, 3]
+        totals[3] += rows[:, 3]
+        if lag in lookback.windows:
+            X[:, [schema.index_of(name) for name in engagement_columns(lag)]] = totals.T
+
+    now = funnel_rows(0)
+
+    def labels(weights: LabelWeights) -> np.ndarray:
+        raw = weighted_counts(now, weights)
+        return np.concatenate([max_normalize(raw[a:b]) for a, b in pairwise(groups.starts)])
+
     return Dataset(
         schema=schema,
-        X=np.vstack(X_parts),
-        labels_conversion=np.concatenate(lab_conv_parts),
-        labels_heuristic=np.concatenate(lab_heur_parts),
-        purchases=np.concatenate(purchases_parts),
-        query_codes=query_weeks[:, 0].copy(),
-        item_codes=np.concatenate(icode_parts),
-        weeks=query_weeks[:, 1].copy(),
+        X=X,
+        labels_conversion=labels(conversion_weights),
+        labels_heuristic=labels(HEURISTIC_WEIGHTS),
+        purchases=now[:, 3].copy(),
+        query_codes=queries,
+        item_codes=items,
+        weeks=weeks,
         group_keys=list(keys),
         groups=groups,
         query_vocab=frame.query_vocab,

@@ -14,9 +14,10 @@ Three feature groups:
   NOT max-normalized per query, so they stay comparable across queries.
 
 Column names are spelled only here. Training and serving fill rows with
-the same blocks: :func:`item_feature_block` (the dataset builder per
-query-week group; ``build-dataset --item-features-out`` for the whole
-catalog) and :func:`fill_channel_block` (the dataset builder and
+the same blocks: :func:`item_feature_block` (the dataset builder over
+every row at once, each at its own week; ``build-dataset
+--item-features-out`` for the whole catalog at one week) and
+:func:`fill_channel_block` (the dataset builder per query-week group and
 ``ScoreService.score``). Serving takes engagement from the request.
 
 Every temporal feature for an instance at week w is computed strictly
@@ -26,6 +27,7 @@ from events of weeks < w.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
@@ -151,8 +153,10 @@ class LookbackConfig:
             raise ValueError("windows must be >= 1 week")
         if any(b <= a for a, b in zip(self.windows, self.windows[1:])):
             raise ValueError("windows must be strictly increasing")
-        if self.decay_half_life <= 0:
-            raise ValueError("decay_half_life must be positive")
+        if not (math.isfinite(self.decay_half_life) and self.decay_half_life > 0):
+            raise ValueError(
+                f"decay_half_life must be finite and > 0, got {self.decay_half_life}"
+            )
 
 
 def build_schema(
@@ -186,29 +190,26 @@ def item_feature_block(
     counts: np.ndarray,
     catalog: ItemCatalog,
     items: np.ndarray,
-    as_of: int,
+    as_of: int | np.ndarray,
 ) -> np.ndarray:
     """The schema's item-group columns, in schema order, for catalog rows
     ``items`` at week ``as_of``; an item column it does not know raises.
 
-    ``counts`` is :func:`channelrank.dataset.item_count_table` covering at
-    least weeks 0..as_of - 1. Window L counts events of weeks
-    [as_of - L, as_of - 1]. Velocity is the shortest window's rate over the
-    longest's, 0 when the short window is empty.
+    ``as_of`` is one week for every row or one week per row. ``counts`` is
+    :func:`channelrank.dataset.item_count_table` covering at least weeks
+    0..as_of - 1. Window L counts events of weeks [as_of - L, as_of - 1].
+    Velocity is the shortest window's rate over the longest's, 0 when the
+    short window is empty.
     """
+    as_of = np.asarray(as_of)
 
-    def window_counts(window: int) -> np.ndarray:
-        hi = as_of - 1
-        lo = as_of - window - 1
-        if hi < 0:
-            return np.zeros((len(items), 4))
-        upper = counts[items, hi, :]
-        if lo >= 0:
-            return upper - counts[items, lo, :]
-        return upper
+    def through(week: np.ndarray) -> np.ndarray:
+        """Each row's counts of weeks 0..week; zero before week 0."""
+        return np.where(week[..., None] >= 0, counts[items, np.maximum(week, 0)], 0.0)
 
     windows = lookback.windows
-    per_window = {window: window_counts(window) for window in windows}
+    upper = through(as_of - 1)
+    per_window = {window: upper - through(as_of - window - 1) for window in windows}
     values = {
         "item_price": catalog.price[items],
         "item_category": catalog.category[items],

@@ -105,8 +105,8 @@ class _Forest:
     threshold becomes NaN, which no value reaches. Oblique node ``k`` reads
     derived column ``2F + k``, its projection; projections are computed per
     chunk, one batched product per group of nodes that share a feature
-    count. Oblique nodes are numbered by feature count, then in the
-    model's preorder, the order of the ``.frm`` records. A leaf has
+    count. Oblique nodes are numbered by feature count, then by node id:
+    tree by tree, each tree's nodes breadth-first. A leaf has
     ``left[i] == i`` and a NaN threshold, so it never moves: every row
     takes exactly ``depth`` branch-free steps and ends on its leaf.
 
@@ -167,19 +167,7 @@ class _Forest:
         n_weights = np.concatenate([np.diff(t.oblique_start) for t in trees] or [ids[:0]])
         oblique = np.flatnonzero(n_weights)
         if len(oblique):
-            # Columns go by feature count, then by preorder position, which
-            # a split's subtree size gives its children level by level.
-            below = np.ones_like(ids)
-            for level in reversed(levels):
-                level = level[split[level]]
-                below[level] += below[left[level]] + below[left[level] + 1]
-            preorder = np.empty_like(ids)
-            preorder[roots] = roots
-            for level in levels:
-                level = level[split[level]]
-                preorder[left[level]] = preorder[level] + 1
-                preorder[left[level] + 1] = preorder[level] + 1 + below[left[level]]
-            oblique = oblique[np.lexsort((preorder[oblique], n_weights[oblique]))]
+            oblique = oblique[np.argsort(n_weights[oblique], kind="stable")]
             column[oblique] = np.arange(width, width + len(oblique))
             width += len(oblique)
             start = np.cumsum(n_weights) - n_weights

@@ -23,6 +23,7 @@ output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -61,6 +62,17 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in (
+            "num_queries", "num_items", "num_channels", "per_channel_n", "universe_size",
+            "n_categories",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.sessions_mean) and self.sessions_mean > 0.0):
+            raise ValueError(f"sessions_mean must be finite and > 0, got {self.sessions_mean}")
+        for name in ("sessions_power", "channel_quality_base"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.num_weeks < 5:
             raise ValueError("num_weeks must be >= 5 for the 3/1/1 weekly split")
         for name in ("click_rate", "atc_rate", "purchase_rate"):
@@ -77,8 +89,11 @@ class WorldConfig:
             raise ValueError("universe_size too small for per_channel_n")
         if not 0.0 <= self.trend_fraction <= 1.0:
             raise ValueError("trend_fraction must be in [0, 1]")
-        if self.channel_utility_concentration < 0.0:
-            raise ValueError("channel_utility_concentration must be >= 0")
+        concentration = self.channel_utility_concentration
+        if not (math.isfinite(concentration) and concentration >= 0.0):
+            raise ValueError(
+                f"channel_utility_concentration must be finite and >= 0, got {concentration}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -5,7 +5,9 @@ way (the item block's oracle); ``engagement_features`` and
 ``engagement_counts`` walk one (query, item)'s sessions (the dataset
 builder's engagement oracles);
 ``assemble_instance`` builds one feature row from a pool's provenance
-cell by cell (the channel block's oracle).
+cell by cell (the channel block's oracle); ``group_build_dataset``
+builds the instance table one (query, week) group at a time (the
+dataset builder's oracle).
 """
 
 from __future__ import annotations
@@ -15,9 +17,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from channelrank.core import CandidatePool, ItemId, WeekId
-from channelrank.features import VELOCITY_EPS, FeatureSchema, LookbackConfig
-from channelrank.labeling import Action, LabelWeights
+from channelrank.core import (
+    CandidatePool,
+    ChannelId,
+    ChannelList,
+    ItemId,
+    QueryId,
+    TruncationConfig,
+    WeekId,
+    merge_pool,
+)
+from channelrank.dataset import Dataset, ItemCatalog, _recode_items, item_count_table
+from channelrank.features import (
+    VELOCITY_EPS,
+    FeatureSchema,
+    LookbackConfig,
+    build_schema,
+    engagement_columns,
+    fill_channel_block,
+    item_feature_block,
+)
+from channelrank.labeling import (
+    HEURISTIC_WEIGHTS,
+    Action,
+    EventFrame,
+    LabelWeights,
+    calibrate_weights,
+    corpus_stats,
+    funnel_table,
+    max_normalize,
+    weighted_counts,
+)
+from channelrank.metrics import QueryGroups
 from tests.label_oracle import InteractionEvent
 
 NA = np.nan
@@ -179,3 +210,112 @@ def assemble_instance(
     except KeyError:
         pass
     return vec
+
+
+def group_build_dataset(
+    events: EventFrame,
+    channel_lists: Mapping[int, Mapping[QueryId, list[ChannelList]]],
+    catalog: ItemCatalog,
+    channels: Sequence[ChannelId],
+    keys: Iterable[tuple[int, int]],
+    truncation: TruncationConfig,
+    lookback: LookbackConfig = LookbackConfig(),
+    train_weeks: Sequence[int] = (0, 1, 2),
+    conversion_weights: LabelWeights | None = None,
+) -> Dataset:
+    """``build_dataset`` one (query, week) group at a time.
+
+    Each group looks up its funnel rows per lag, sums engagement over
+    lags 1..min(window, week) and stacks its own block; the whole-table
+    builder must give the same bytes.
+    """
+    frame = _recode_items(events, catalog)
+    keys = sorted(set(keys))
+    n_items = len(catalog.item_vocab)
+    num_weeks = int(max(int(frame.week.max(initial=0)), max(w for _, w in keys))) + 1
+
+    funnel = funnel_table(frame)
+    if conversion_weights is None:
+        conversion_weights = calibrate_weights(corpus_stats(funnel, train_weeks))
+
+    fkey = (funnel.query * n_items + funnel.item) * num_weeks + funnel.week
+    fvcap = np.column_stack(
+        [funnel.views, funnel.clicks, funnel.atcs, funnel.purchases]
+    ).astype(np.float64)
+
+    def funnel_lookup(q: int, items: np.ndarray, week: int) -> np.ndarray:
+        """Rows (len(items), 4) of V,C,A,P session counts; zeros if absent."""
+        out = np.zeros((len(items), 4))
+        if week < 0:
+            return out
+        want = (q * n_items + items) * num_weeks + week
+        idx = np.searchsorted(fkey, want)
+        ok = idx < len(fkey)
+        ok[ok] = fkey[idx[ok]] == want[ok]
+        out[ok] = fvcap[idx[ok]]
+        return out
+
+    item_counts = item_count_table(frame, catalog, num_weeks)
+    schema = build_schema(channels, lookback)
+    col = {name: i for i, name in enumerate(schema.names)}
+    item_cols = np.flatnonzero(schema.group_mask("item"))
+    windows = lookback.windows
+    max_window = max(windows)
+    decay = np.exp2(-np.arange(1, max_window + 1) / lookback.decay_half_life)
+    w_conv = conversion_weights
+
+    X_parts, lab_conv_parts, lab_heur_parts, purchases_parts, icode_parts = [], [], [], [], []
+    group_sizes = []
+    catalog_index = catalog.index()
+    for q, week in keys:
+        pool = merge_pool(channel_lists[week][frame.query_vocab[q]], truncation)
+        items = np.array([catalog_index[i] for i in pool.items], dtype=np.int64)
+        m = len(items)
+        block = np.full((m, len(schema)), np.nan)
+        block[:, item_cols] = item_feature_block(
+            schema, lookback, item_counts, catalog, items, week
+        )
+        lag_rows = [funnel_lookup(q, items, week - d) for d in range(1, max_window + 1)]
+        for window in windows:
+            eng = np.zeros(m)
+            clicks = np.zeros(m)
+            atcs = np.zeros(m)
+            purch = np.zeros(m)
+            for d in range(1, min(window, week) + 1):
+                rows = lag_rows[d - 1]
+                eng += decay[d - 1] * weighted_counts(rows, w_conv)
+                clicks += rows[:, 1] + rows[:, 2] + rows[:, 3]
+                atcs += rows[:, 2] + rows[:, 3]
+                purch += rows[:, 3]
+            for name, values in zip(engagement_columns(window), (eng, clicks, atcs, purch)):
+                block[:, col[name]] = values
+        fill_channel_block(block, schema, pool)
+
+        now = funnel_lookup(q, items, week)
+        X_parts.append(block)
+        lab_conv_parts.append(max_normalize(weighted_counts(now, w_conv)))
+        lab_heur_parts.append(max_normalize(weighted_counts(now, HEURISTIC_WEIGHTS)))
+        purchases_parts.append(now[:, 3])
+        icode_parts.append(items)
+        group_sizes.append(m)
+
+    groups = QueryGroups.from_ids(np.repeat(np.arange(len(keys)), group_sizes))
+    query_weeks = np.array(keys, dtype=np.int64)[groups.codes]
+    return Dataset(
+        schema=schema,
+        X=np.vstack(X_parts),
+        labels_conversion=np.concatenate(lab_conv_parts),
+        labels_heuristic=np.concatenate(lab_heur_parts),
+        purchases=np.concatenate(purchases_parts),
+        query_codes=query_weeks[:, 0].copy(),
+        item_codes=np.concatenate(icode_parts),
+        weeks=query_weeks[:, 1].copy(),
+        group_keys=list(keys),
+        groups=groups,
+        query_vocab=frame.query_vocab,
+        item_vocab=catalog.item_vocab,
+        conversion_weights=conversion_weights,
+        lookback=lookback,
+        channels=tuple(sorted(channels, key=lambda c: c.index)),
+        truncation=truncation,
+    )

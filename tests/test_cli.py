@@ -319,6 +319,56 @@ class TestPipeline:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--half-life", "nan"], "--half-life nan: decay_half_life must be finite and > 0, got nan"),
+            (["--half-life", "inf"], "--half-life inf: decay_half_life must be finite and > 0, got inf"),
+            (["--half-life", "0"], "--half-life 0.0: decay_half_life must be finite and > 0, got 0.0"),
+            (["--windows", "1,,4"], "--windows '1,,4': invalid literal for int() with base 10: ''"),
+            (["--windows", "4,1"], "--windows '4,1': windows must be strictly increasing"),
+        ],
+    )
+    def test_build_dataset_bad_lookback_flag_exits_one_naming_it(
+        self, world_dir, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "data.csv"
+        items = tmp_path / "items.tsv"
+        capsys.readouterr()
+        rc = main([
+            "build-dataset", "--events", str(world_dir / "events.tsv"),
+            "--lists-dir", str(world_dir), "--catalog", str(world_dir / "catalog.tsv"),
+            "--item-features-out", str(items), "--out", str(out), *flags,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sessions-mean", "nan"], "sessions_mean must be finite and > 0, got nan"),
+            (["--sessions-mean", "-3"], "sessions_mean must be finite and > 0, got -3.0"),
+            (["--queries", "0"], "num_queries must be >= 1, got 0"),
+            (["--channels", "0"], "num_channels must be >= 1, got 0"),
+            (["--n-per-channel", "0"], "per_channel_n must be >= 1, got 0"),
+            (["--channel-concentration", "nan"],
+             "channel_utility_concentration must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_generate_bad_world_flag_exits_one_naming_field(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["generate", "--out", str(out), "--queries", "4", "--items", "60", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_evaluate_negative_label_exits_one(self, dataset_path, model_path, tmp_path, capsys):
         data = self._negative_label_file(dataset_path, tmp_path)
         capsys.readouterr()

@@ -12,12 +12,18 @@ from channelrank.dataset import (
     write_dataset,
     write_item_catalog,
 )
-from channelrank.features import channel_columns, engagement_columns, item_feature_block
-from channelrank.labeling import HEURISTIC_WEIGHTS
+from channelrank.features import (
+    LookbackConfig,
+    channel_columns,
+    engagement_columns,
+    item_feature_block,
+)
+from channelrank.labeling import HEURISTIC_WEIGHTS, LabelWeights
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 from tests.feature_oracle import (
     engagement_counts,
     engagement_features,
+    group_build_dataset,
     lookback_aggregates,
     velocity,
 )
@@ -224,6 +230,42 @@ class TestBuildDataset:
             i_full = schema_full.index_of(name)
             i_view = schema_view.index_of(name)
             np.testing.assert_array_equal(X_full[:, i_full], X_view[:, i_view])
+
+
+class TestWholeTableBuilder:
+    """``build_dataset`` gives the per-group oracle's bytes."""
+
+    @pytest.mark.parametrize(
+        "windows, half_life, weights",
+        [
+            ((1, 4), 2.0, None),
+            ((1, 2, 3), 1.5, None),
+            ((2,), 0.75, LabelWeights(1.0, 0.5, 0.25, 0.125)),
+            ((1, 4), 3.0, LabelWeights(2.0, 1.0, 1.0, 0.0)),
+        ],
+    )
+    def test_equals_per_group_oracle(self, world, split, catalog, windows, half_life, weights):
+        trunc = TruncationConfig.uniform(world.channels, CFG.per_channel_n)
+        # Groups at weeks 0 and 1 read lags that fall before week 0.
+        keys = [*split.all_keys(), *((q, w) for q in range(0, 40, 3) for w in (0, 1))]
+        assert {0, 1} <= {w for _, w in keys}
+        args = (world.events, world.channel_lists, catalog, world.channels, keys, trunc)
+        kwargs = dict(
+            lookback=LookbackConfig(windows=windows, decay_half_life=half_life),
+            conversion_weights=weights,
+        )
+        got = build_dataset(*args, **kwargs)
+        want = group_build_dataset(*args, **kwargs)
+        for name in (
+            "X", "labels_conversion", "labels_heuristic", "purchases",
+            "query_codes", "item_codes", "weeks",
+        ):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert got.groups.starts.tobytes() == want.groups.starts.tobytes()
+        assert got.group_keys == want.group_keys
+        assert got.conversion_weights == want.conversion_weights
+        assert got.fingerprint() == want.fingerprint()
 
 
 class TestNoLeakage:

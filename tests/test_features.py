@@ -295,6 +295,38 @@ class TestItemFeatureBlock:
         np.testing.assert_array_equal(block, [[1.0, 2.5], [2.0, 1.5]])
 
 
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_per_row_weeks_equal_per_row_scalar_calls(self, data):
+        # Weeks before, at and after each window's reach, with week 0.
+        n_items = data.draw(st.integers(1, 5))
+        num_weeks = data.draw(st.integers(1, 7))
+        raw = data.draw(st.lists(
+            st.integers(0, 3), min_size=n_items * num_weeks * 4,
+            max_size=n_items * num_weeks * 4,
+        ))
+        counts = np.cumsum(np.array(raw, dtype=np.float64).reshape(n_items, num_weeks, 4), axis=1)
+        windows = tuple(sorted(data.draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))))
+        lookback = LookbackConfig(windows=windows)
+        catalog = ItemCatalog(
+            tuple(f"i{i}" for i in range(n_items)), np.linspace(1.0, 2.0, n_items),
+            np.arange(n_items), np.arange(n_items) % 3,
+        )
+        schema = build_schema([C0], lookback)
+        rows = data.draw(st.integers(0, 8))
+        items = np.array(data.draw(st.lists(
+            st.integers(0, n_items - 1), min_size=rows, max_size=rows)), dtype=np.int64)
+        weeks = np.array(data.draw(st.lists(
+            st.integers(0, num_weeks), min_size=rows, max_size=rows)), dtype=np.int64)
+        block = item_feature_block(schema, lookback, counts, catalog, items, weeks)
+        assert block.shape == (rows, int(schema.group_mask("item").sum()))
+        for r in range(rows):
+            one = item_feature_block(
+                schema, lookback, counts, catalog, items[r:r + 1], int(weeks[r])
+            )
+            assert block[r:r + 1].tobytes() == one.tobytes()
+
+
 class TestLookbackConfig:
     def test_rejects_non_increasing_windows(self):
         with pytest.raises(ValueError):
@@ -303,3 +335,9 @@ class TestLookbackConfig:
     def test_rejects_bad_half_life(self):
         with pytest.raises(ValueError):
             LookbackConfig(decay_half_life=0.0)
+
+    @pytest.mark.parametrize("half_life", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_half_life(self, half_life):
+        # A NaN half-life used to pass and turn engagement cells into NaN.
+        with pytest.raises(ValueError, match="decay_half_life must be finite and > 0"):
+            LookbackConfig(decay_half_life=half_life)

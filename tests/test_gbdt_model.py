@@ -22,7 +22,6 @@ from tests.forest_oracle import (
     ObliqueSplit,
     depth,
     has_oblique,
-    preorder,
     to_nodes,
     to_tree,
     walk_model,
@@ -619,10 +618,10 @@ class TestNodeTable:
                 assert first is node.left and second is node.right
         assert forest.depth == max(depth(t) for t in trees) == 6
 
-    def test_oblique_columns_by_feature_count_then_preorder(self, oblique_model):
-        # Oblique nodes are numbered as the .frm file lists them within each
-        # feature count; here breadth-first order would put the right child
-        # ahead of the left subtree's deeper node.
+    def test_oblique_columns_by_feature_count_then_node_id(self, oblique_model):
+        # Oblique nodes are numbered by feature count, then tree by tree in
+        # each tree's breadth-first node order; here that puts the right
+        # child ahead of the left subtree's deeper node, as preorder would not.
         leaning = oblique_split(
             (0, 3), (1.0, -1.0), 0.05, True,
             oblique_split(
@@ -633,16 +632,23 @@ class TestNodeTable:
         )
         trees = [*oblique_model.trees, to_tree(leaning)]
         nodes = [
-            node for tree in trees for node in preorder(to_nodes(tree))
-            if isinstance(node, ObliqueSplit)
+            (
+                tuple(tree.oblique_feature[a:b].tolist()),
+                tuple(tree.oblique_weight[a:b].tolist()),
+                bool(tree.missing_left[i]),
+            )
+            for tree in trees
+            for i, (a, b) in enumerate(zip(tree.oblique_start[:-1], tree.oblique_start[1:]))
+            if b > a
         ]
-        nodes.sort(key=lambda node: len(node.features))  # stable: preorder within a count
+        assert [features for features, _, _ in nodes[-4:]] == [(0, 3), (1, 2), (0, 1, 4), (2, 4)]
+        nodes.sort(key=lambda node: len(node[0]))  # stable: node id within a count
         forest = _Forest.compile(trees, 5)
         assert [tuple(f) for feats, _ in forest.projections for f in feats.tolist()] == [
-            node.features for node in nodes
+            features for features, _, _ in nodes
         ]
         assert [tuple(w) for _, weights in forest.projections for w in weights.tolist()] == [
-            tuple(w if node.missing_left else -w for w in node.weights) for node in nodes
+            tuple(w if missing_left else -w for w in weights) for _, weights, missing_left in nodes
         ]
 
     def test_empty_and_leaf_only_forests(self):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,29 @@ class TestWorldConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             WorldConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sessions_mean", math.nan, "sessions_mean must be finite and > 0, got nan"),
+            ("sessions_mean", math.inf, "sessions_mean must be finite and > 0, got inf"),
+            ("sessions_mean", -1.0, "sessions_mean must be finite and > 0, got -1.0"),
+            ("sessions_power", math.nan, "sessions_power must be finite, got nan"),
+            ("channel_quality_base", math.nan, "channel_quality_base must be finite, got nan"),
+            ("channel_utility_concentration", math.nan,
+             "channel_utility_concentration must be finite and >= 0, got nan"),
+            ("num_queries", 0, "num_queries must be >= 1, got 0"),
+            ("num_items", 0, "num_items must be >= 1, got 0"),
+            ("universe_size", 0, "universe_size must be >= 1, got 0"),
+            ("num_channels", 0, "num_channels must be >= 1, got 0"),
+            ("per_channel_n", 0, "per_channel_n must be >= 1, got 0"),
+            ("n_categories", 0, "n_categories must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_values_generate_cannot_use(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            WorldConfig(**{field: value})
+        assert str(err.value) == message
 
     def test_channel_names(self):
         names = [c.name for c in channel_ids(WorldConfig(num_channels=6))]
