@@ -324,26 +324,23 @@ def write_dataset(
     label column is omitted when ``include_labels`` is false). The schema
     sidecar (JSON) lands next to it, at ``path + ".schema.json"``.
     """
-    labels = dataset.labels(label_scheme) if include_labels else None
+    columns = [
+        [dataset.query_vocab[q] for q in dataset.query_codes.tolist()],
+        [dataset.item_vocab[i] for i in dataset.item_codes.tolist()],
+        [str(w) for w in dataset.weeks.tolist()],
+    ]
+    if include_labels:
+        columns.append([repr(v) for v in dataset.labels(label_scheme).tolist()])
     with open(path, "w", encoding="utf-8") as fh:
         head = ["query_id", "item_id", "week"]
         if include_labels:
             head.append("label")
         head.extend(dataset.schema.names)
         fh.write(",".join(head) + "\n")
-        for r in range(len(dataset)):
-            fields = [
-                dataset.query_vocab[dataset.query_codes[r]],
-                dataset.item_vocab[dataset.item_codes[r]],
-                str(int(dataset.weeks[r])),
-            ]
-            if labels is not None:
-                fields.append(repr(float(labels[r])))
-            row = dataset.X[r]
-            fields.extend(
-                "NA" if np.isnan(v) else repr(float(v)) for v in row
-            )
-            fh.write(",".join(fields) + "\n")
+        # ``tolist`` gives Python floats, whose ``repr`` is the float64's;
+        # only NaN differs from itself.
+        for keys, row in zip(zip(*columns), dataset.X.tolist()):
+            fh.write(",".join([*keys, *("NA" if v != v else repr(v) for v in row)]) + "\n")
     with open(path + ".schema.json", "w", encoding="utf-8") as fh:
         fh.write(dataset.schema.to_json())
 

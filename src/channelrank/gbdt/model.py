@@ -103,16 +103,28 @@ class _Forest:
     its children, since ``-v >= nextafter(-t, inf)`` holds exactly when
     ``v < t``. With ``t = -inf`` such a split sends every row right, so its
     threshold becomes NaN, which no value reaches. Oblique node ``k`` reads
-    derived column ``2F + k``, its projection; projections are computed per
-    chunk, one batched product per group of nodes that share a feature
-    count. Oblique nodes are numbered by feature count, then by node id:
-    tree by tree, each tree's nodes breadth-first. A leaf has
-    ``left[i] == i`` and a NaN threshold, so it never moves: every row
-    takes exactly ``depth`` branch-free steps and ends on its leaf.
+    derived column ``2F + k``, its projection. Oblique nodes are numbered
+    by feature count, then by node id; ``projections`` holds each count's
+    features and signed weights, and ``oblique_node`` each oblique
+    column's node id. A leaf has ``left[i] == i`` and a NaN threshold, so
+    it never moves: every row takes exactly ``depth`` branch-free steps
+    and ends on its leaf.
 
     Nodes are numbered breadth-first over all trees at once: the roots are
     ``0 .. trees - 1`` in model order, then come the children of each
-    level's splits, a split's two side by side.
+    level's splits, a split's two side by side. So each level is one range
+    of node ids, and the nodes of one feature count on one level are one
+    run of its columns.
+
+    Projections are computed per chunk, over all the chunk's rows. Those
+    of the top levels are computed before the walk; each deeper level's
+    are computed as the walk reaches it, for the nodes some row holds.
+    ``level_cuts`` has one row per feature count: of the ``depth`` levels
+    that hold splits, the last ``level_cuts.shape[1] - 1`` are projected
+    as reached, and on the ``j``-th of them count ``g``'s nodes are its
+    projections ``level_cuts[g, j]`` up to ``level_cuts[g, j + 1]``
+    (positions in ``projections[g]``). Its projections before
+    ``level_cuts[g, 0]`` are computed up front.
 
     The columns live feature-major in a ``(width, chunk)`` workspace, row
     ``c`` holding column ``c`` for every row of a chunk, so row ``r`` of
@@ -137,6 +149,8 @@ class _Forest:
     n_features: int
     width: int
     projections: list[tuple[np.ndarray, np.ndarray]]
+    oblique_node: np.ndarray
+    level_cuts: np.ndarray
     chunk: int
 
     @classmethod
@@ -162,22 +176,45 @@ class _Forest:
         child = np.stack([left, left + split], axis=1)
         child[flip] = child[flip, ::-1]
         order, first_child, levels = breadth_first(child, roots)
+        depth = max(len(levels) - 1, 0)
         width = 2 * n_features
         projections = []
         n_weights = np.concatenate([np.diff(t.oblique_start) for t in trees] or [ids[:0]])
         oblique = np.flatnonzero(n_weights)
+        oblique_node = oblique
+        cuts = np.zeros((0, depth + 1), dtype=np.intp)
         if len(oblique):
+            node_id = np.empty_like(order)
+            node_id[order] = ids
+            # Oblique nodes by feature count, then by node id, so the nodes
+            # of one count on one level are one run of columns.
+            oblique = oblique[np.argsort(node_id[oblique])]
             oblique = oblique[np.argsort(n_weights[oblique], kind="stable")]
+            oblique_node = node_id[oblique]
             column[oblique] = np.arange(width, width + len(oblique))
             width += len(oblique)
             start = np.cumsum(n_weights) - n_weights
             features = joined("oblique_feature", np.intp)
             sign = np.where(flip, -1.0, 1.0)[:, None]  # negation is exact
             weights = joined("oblique_weight", np.float64)
-            for size in sorted(set(n_weights[oblique].tolist())):  # np.unique imports numpy.ma
-                group = oblique[n_weights[oblique] == size]
+            level_start = np.cumsum([0, *map(len, levels[:-1])])
+            counts = n_weights[oblique]
+            level_cuts = []
+            for size in sorted(set(counts.tolist())):  # np.unique imports numpy.ma
+                group = oblique[counts == size]
                 at = start[group, None] + np.arange(size)
                 projections.append((features[at], weights[at] * sign[group]))
+                level_cuts.append(np.searchsorted(oblique_node[counts == size], level_start))
+            cuts = np.stack(level_cuts)
+        # Every row sits at a root, so the roots are projected up front.
+        # Below them, marking the nodes one level's rows hold writes a mark
+        # per tree and row and takes some ten calls, which pays only where
+        # a level holds more oblique nodes than the forest has trees: the
+        # levels from the first such one are projected as rows reach them.
+        # (A 40-tree model with 1, 7, 25, 71, 131 and 228 oblique nodes per
+        # level scored 98-row requests fastest starting at level 3.)
+        crowded = 1 + np.flatnonzero(np.diff(cuts, axis=1).sum(axis=0)[1:] > len(roots))
+        lazy_from = crowded[0] if len(crowded) else depth
         width = max(width, 1)  # leaves read column 0, unused, even with no features
         chunk = max(1, _CHUNK_ELEMENTS // max(len(roots), width))
         column = column[order]
@@ -188,10 +225,12 @@ class _Forest:
             value=joined("value", np.float64)[order],
             left=first_child,  # a leaf's child is itself
             trees=len(roots),
-            depth=max(len(levels) - 1, 0),
+            depth=depth,
             n_features=n_features,
             width=width,
             projections=projections,
+            oblique_node=oblique_node,
+            level_cuts=cuts[:, lazy_from:],
             chunk=chunk,
         )
 
@@ -203,13 +242,16 @@ class _Forest:
             total = out[lo : lo + self.chunk]
             leaf, values = self._walk(X[lo : lo + self.chunk], buffers)
             if self.projections:
-                # Oblique models have always summed tree by tree and
-                # axis-only ones pairwise along the row; each keeps its
+                # Oblique models have always summed tree by tree from +0.0
+                # and axis-only ones pairwise along the row; each keeps its
                 # order, so a saved model scores bit-identically to earlier
-                # releases.
-                total[:] = 0.0
-                for row in self.value.take(leaf, out=values):
-                    total += row
+                # releases. A lone row's reduce would add its trees
+                # pairwise, so it accumulates them in order instead.
+                values = self.value.take(leaf, out=values)
+                if len(total) > 1:
+                    np.add.reduce(values, axis=0, initial=0.0, out=total)
+                else:
+                    np.add(np.add.accumulate(values, axis=0)[-1], 0.0, out=total)
             else:
                 values = values.reshape(len(total), self.trees)
                 np.sum(self.value.take(leaf.T, out=values), axis=1, out=total)
@@ -225,65 +267,108 @@ class _Forest:
         return out
 
     def _buffers(self, rows: int) -> tuple[np.ndarray, ...]:
-        """One call's workspace and flat walk buffers, for chunks of ``rows``.
+        """One call's workspace, flat walk buffers, products and marks, for chunks of ``rows``.
 
         All are views into one allocation. glibc hands freed heap back to
         the system once the free space at its top passes twice the largest
-        block freed so far, so seven separate arrays, each small against
-        their sum plus a projection gather, had a wide oblique model's
-        memory trimmed and faulted back in on every request.
+        block freed so far, so separate arrays, each small against their
+        sum plus a projection gather, had a wide oblique model's memory
+        trimmed and faulted back in on every request.
         """
-        size = self.trees * min(rows, self.chunk)
+        rows = min(rows, self.chunk)
+        size = self.trees * rows
         cells = self.width * self.chunk
+        # One projection block's products (see ``_project``).
+        products = max(
+            (min(len(w) * rows, max(rows, _CHUNK_ELEMENTS // (2 * f.shape[1])))
+             for f, w in self.projections),
+            default=0,
+        )
+        marks = len(self.left) if self.projections else 0
         # Floats, then integers, then bits, so every view starts aligned.
-        ints = 8 * (cells + 2 * size)
+        ints = 8 * (cells + 2 * size + products)
         bits = ints + 8 * 3 * size
-        block = np.empty(bits + size, dtype=np.uint8)
+        block = np.empty(bits + size + marks, dtype=np.uint8)
         floats = block[:ints].view(np.float64)
         ids = block[ints:bits].view(np.intp)
         return (
             floats[:cells].reshape(self.width, self.chunk),  # workspace
             floats[cells : cells + size],  # cells
-            floats[cells + size :],  # thresholds
+            floats[cells + size : cells + 2 * size],  # thresholds
             ids[:size],  # row numbers
             ids[size : 2 * size],  # node ids
-            ids[2 * size : 3 * size],  # cell offsets, then next node ids
-            block[bits:].view(np.bool_),  # branch bits
+            ids[2 * size :],  # cell offsets, then next node ids
+            block[bits : bits + size].view(np.bool_),  # branch bits
+            floats[cells + 2 * size :],  # projection products
+            block[bits + size :].view(np.bool_),  # marks, one per node
         )
 
-    def _columns(self, X: np.ndarray, ZT: np.ndarray) -> None:
-        """Fill the feature-major workspace: ``X.T``, ``-X.T``, then one row per oblique node.
+    def _columns(self, X: np.ndarray, ZT: np.ndarray, products: np.ndarray) -> None:
+        """Fill the feature-major workspace: ``X.T``, ``-X.T``, then the up-front projections.
 
         ``ZT`` is ``(width, chunk)``; only its first ``len(X)`` columns are
-        written. Each projection is one matrix-vector product per node,
-        exactly as training's per-node ``X[:, feats] @ w`` computes it; a
-        dense ``X @ W.T`` or an einsum rounds some projections differently.
-        The gather ``ZT[feats, :n]`` is laid out (node, feature, row), as
-        NumPy lays out the gather ``X[:, feats]`` of a row-major ``X``, so
-        each node's (row, feature) operand reaches BLAS with the same
-        strides either way and rounds alike. Products are written straight
-        into their rows.
+        written. The projections are those of the levels before
+        ``level_cuts``' first, the roots' at least, which every row needs.
         """
         n = len(X)
         F = self.n_features
         ZT[:F, :n] = X.T
         np.negative(X.T, out=ZT[F : 2 * F, :n])
-        column = 2 * F
-        for feats, weights in self.projections:
-            # Nodes go in blocks so each gather stays within half the
-            # budget, small enough that the allocator reuses its memory.
-            block = max(1, _CHUNK_ELEMENTS // (2 * n * feats.shape[1]))
-            for k in range(0, len(weights), block):
-                hi = min(k + block, len(weights))
-                # A NaN projection (missing cell, or inf - inf) routes as
-                # missing.
-                with np.errstate(invalid="ignore"):
-                    np.matmul(
-                        ZT[feats[k:hi], :n].transpose(0, 2, 1),
-                        weights[k:hi, :, None],
-                        out=ZT[column + k : column + hi, :n, None],
-                    )
-            column += len(weights)
+        first = 0
+        for (feats, weights), cuts in zip(self.projections, self.level_cuts):
+            self._project(ZT, n, feats, weights, np.arange(cuts[0]), first, products)
+            first += len(weights)
+
+    def _project_reached(
+        self, j: int, cur: np.ndarray, ZT: np.ndarray, products: np.ndarray, marks: np.ndarray
+    ) -> None:
+        """Project the oblique nodes of ``level_cuts``' level ``j`` that some row in ``cur`` holds."""
+        marks[:] = False
+        marks[cur] = True
+        first = 0
+        for (feats, weights), cuts in zip(self.projections, self.level_cuts):
+            nodes = self.oblique_node[first + cuts[j] : first + cuts[j + 1]]
+            picked = cuts[j] + np.flatnonzero(marks[nodes])
+            if len(picked):
+                self._project(ZT, cur.shape[1], feats, weights, picked, first, products)
+            first += len(weights)
+
+    def _project(
+        self,
+        ZT: np.ndarray,
+        n: int,
+        feats: np.ndarray,
+        weights: np.ndarray,
+        picked: np.ndarray,
+        first: int,
+        products: np.ndarray,
+    ) -> None:
+        """Write the projections ``picked`` of one feature count into their workspace rows.
+
+        The count's projections start at oblique column ``first``, workspace
+        row ``2F + first``. Each is one matrix-vector product per node over
+        all the chunk's ``n`` rows. BLAS rounds the last ``n % 4`` rows of a
+        call in a separate tail, so a row's value depends on where it sits in
+        the call: projecting only the rows that reach a node would move its
+        bits, and training's per-node ``X[:, feats] @ w``, over the node's
+        training rows, may differ from it in the last bit. A dense
+        ``X @ W.T`` or an einsum rounds some projections differently again.
+        The gather ``ZT[feats, :n]`` is laid out (node, feature, row), as
+        NumPy lays out the gather ``X[:, feats]`` of a row-major ``X``, so
+        each node's (row, feature) operand reaches BLAS with the same strides
+        either way.
+        """
+        # Nodes go in blocks so each gather stays within half the budget,
+        # small enough that the allocator reuses its memory; ``_buffers``
+        # sizes ``products`` for one block.
+        block = max(1, _CHUNK_ELEMENTS // (2 * n * feats.shape[1]))
+        for k in range(0, len(picked), block):
+            part = picked[k : k + block]
+            out = products[: len(part) * n].reshape(len(part), n, 1)
+            # A NaN projection (missing cell, or inf - inf) routes as missing.
+            with np.errstate(invalid="ignore"):
+                np.matmul(ZT[feats[part], :n].transpose(0, 2, 1), weights[part, :, None], out=out)
+            ZT[2 * self.n_features + first + part, :n] = out[:, :, 0]
 
     def _walk(
         self, X: np.ndarray, buffers: tuple[np.ndarray, ...]
@@ -295,13 +380,19 @@ class _Forest:
         is in range by construction (the ``.frm`` loader checks each node's
         indices), so the gathers use ``mode="clip"``, which writes straight
         into ``out`` where the default mode buffers it.
+
+        Before each comparison on a level of ``level_cuts``, the nodes the
+        rows hold are marked and that level's marked oblique nodes are
+        projected; a workspace row that no row of this chunk reaches keeps
+        what an earlier chunk left there, and nothing reads it.
         """
         n = len(X)
-        ZT, *flat = buffers
+        ZT, *flat, products, marks = buffers
         cell, threshold, row, cur, step, right = (
             b[: self.trees * n].reshape(self.trees, n) for b in flat
         )
-        self._columns(X, ZT)
+        self._columns(X, ZT, products)
+        lazy_from = self.depth + 1 - self.level_cuts.shape[1]
         # Each tree's row numbers, written out once: adding a whole array
         # runs one flat loop, where adding a broadcast row loops per tree.
         np.copyto(row, np.arange(n, dtype=np.intp))
@@ -311,7 +402,9 @@ class _Forest:
         np.greater_equal(ZT[self.root_column, :n], self.threshold[roots, None], out=right)
         np.add(self.left[roots, None], right, out=cur)
         cells = ZT.ravel()
-        for _ in range(self.depth - 1):
+        for level in range(1, self.depth):
+            if level >= lazy_from:
+                self._project_reached(level - lazy_from, cur, ZT, products, marks)
             self.at.take(cur, out=step, mode="clip")
             step += row
             cells.take(step, out=cell, mode="clip")

@@ -6,6 +6,9 @@ the breadth-first array ``Tree`` the package uses, and ``to_nodes`` turns
 an array ``Tree`` back. ``walk_tree`` descends one tree by recursive
 index partitioning and projects each oblique node over just the rows that
 reach it; ``walk_row`` follows one row node by node in plain Python.
+``upfront_columns`` projects every oblique column of a compiled forest
+over a whole chunk, as the forest did before it projected only reached
+nodes.
 """
 
 from __future__ import annotations
@@ -198,3 +201,32 @@ def walk_model(model, X: np.ndarray) -> np.ndarray:
     else:
         raw = per_tree.sum(axis=1)
     return model.base_score + model.shrinkage * raw
+
+
+def upfront_columns(forest, X: np.ndarray) -> np.ndarray:
+    """The ``(width, len(X))`` workspace with every oblique column projected before any walk.
+
+    ``X`` is at most one chunk. This is how the compiled forest filled its
+    workspace before it projected a node only when a row reached it:
+    ``X.T``, ``-X.T``, then each feature count's nodes in blocks, one
+    matrix-vector product per node over all of ``X``'s rows, written
+    straight into a ``(width, chunk)`` workspace.
+    """
+    n = len(X)
+    F = forest.n_features
+    ZT = np.full((forest.width, forest.chunk), np.nan)
+    ZT[:F, :n] = X.T
+    np.negative(X.T, out=ZT[F : 2 * F, :n])
+    column = 2 * F
+    for feats, weights in forest.projections:
+        block = max(1, (1 << 16) // (2 * n * feats.shape[1]))
+        for k in range(0, len(weights), block):
+            hi = min(k + block, len(weights))
+            with np.errstate(invalid="ignore"):
+                np.matmul(
+                    ZT[feats[k:hi], :n].transpose(0, 2, 1),
+                    weights[k:hi, :, None],
+                    out=ZT[column + k : column + hi, :n, None],
+                )
+        column += len(weights)
+    return ZT[:, :n]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -215,10 +216,12 @@ class TestBuildDataset:
     def test_mask_for_selects_groups(self, dataset, split):
         mask = dataset.mask_for(split.test)
         assert set(dataset.weeks[mask].tolist()) == {split.test_week}
-        assert not (set(dataset.weeks[~mask].tolist()) & {split.test_week}) or (
-            # week-4 groups outside the retained keys do not exist anyway
-            True
-        )
+        member = [
+            (q, w) in split.test
+            for q, w in zip(dataset.query_codes.tolist(), dataset.weeks.tolist())
+        ]
+        assert 0 < sum(member) < len(member)
+        np.testing.assert_array_equal(mask, member)
 
     def test_feature_view_drops_engagement(self, dataset):
         X_view, schema_view = _feature_view(dataset, drop_engagement=True)
@@ -316,6 +319,34 @@ class TestFiles:
             np.where(both_nan, 0.0, loaded.X), np.where(both_nan, 0.0, dataset.X)
         )
         np.testing.assert_array_equal(loaded.group_ids, dataset.group_ids)
+
+    def test_bytes_equal_per_cell_formula(self, dataset, tmp_path):
+        # Each cell is "NA" or ``repr(float(v))`` of its float64, as the
+        # writer once formatted it cell by cell.
+        rng = np.random.default_rng(7)
+        edge = [np.nan, 0.0, -0.0, 1e308, -1.7976931348623157e308, 5e-324, -2.5e-320,
+                1e-300, 0.1, 1 / 3, 123456789.0, -7.0, 1e16, np.inf, -np.inf]
+        X = rng.choice(edge, size=dataset.X.shape)
+        X[: len(edge)] = np.resize(edge, (len(edge), X.shape[1]))
+        labels = rng.choice(edge[1:13], size=len(X))
+        table = dataclasses.replace(dataset, X=X, labels_conversion=labels)
+        lines = [",".join(["query_id", "item_id", "week", "label", *table.schema.names])]
+        for r in range(len(table)):
+            fields = [
+                table.query_vocab[table.query_codes[r]],
+                table.item_vocab[table.item_codes[r]],
+                str(int(table.weeks[r])),
+                repr(float(labels[r])),
+            ]
+            fields.extend("NA" if np.isnan(v) else repr(float(v)) for v in X[r])
+            lines.append(",".join(fields))
+        path = tmp_path / "data.csv"
+        write_dataset(table, str(path))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        write_dataset(table, str(path), include_labels=False)
+        assert path.read_bytes() == "".join(
+            ",".join(line.split(",")[:3] + line.split(",")[4:]) + "\n" for line in lines
+        ).encode("utf-8")
 
     def test_na_literal_written(self, dataset, tmp_path):
         path = tmp_path / "data.csv"

@@ -24,6 +24,7 @@ from tests.forest_oracle import (
     has_oblique,
     to_nodes,
     to_tree,
+    upfront_columns,
     walk_model,
     walk_tree,
 )
@@ -401,8 +402,11 @@ def oblique_split(features, weights, threshold, missing_left, left, right):
 
 def rounding_forest():
     """60 stumps over oblique nodes of 8 and 16 features, spanning several
-    projection blocks, and 200 rows; row ``k`` sits exactly on stump
-    ``k``'s threshold."""
+    projection blocks, and 200 rows; stump ``k``'s threshold is row ``k``'s
+    projection as a 1-D dot product. The per-node matrix-vector product over
+    all 200 rows gives that value exactly for 26 of the 60 stumps, so those
+    rows sit exactly on their thresholds; for the rest it is a few ulps
+    off."""
     rng = np.random.default_rng(12)
     n_features = 24
     X = rng.normal(size=(200, n_features)) * 10.0 ** rng.uniform(-3, 3, size=(200, n_features))
@@ -411,8 +415,9 @@ def rounding_forest():
         width = (8, 16)[k % 2]
         feats = tuple(int(f) for f in np.sort(rng.choice(n_features, width, replace=False)))
         weights = tuple(float(w) for w in rng.normal(size=width))
-        # Row k sits exactly on the threshold, so a projection rounded
-        # one step lower than the per-node product sends it left.
+        # Where the per-node product rounds row k alike, row k sits exactly
+        # on the threshold, so a projection rounded one step lower than
+        # that product sends it left.
         threshold = float(X[k, list(feats)] @ np.asarray(weights))
         trees.append(oblique_split(feats, weights, threshold, False, Leaf(-1.0 - k), Leaf(1.0 + k)))
     return forest_model(trees, n_features=n_features), X
@@ -619,8 +624,8 @@ class TestNodeTable:
         assert forest.depth == max(depth(t) for t in trees) == 6
 
     def test_oblique_columns_by_feature_count_then_node_id(self, oblique_model):
-        # Oblique nodes are numbered by feature count, then tree by tree in
-        # each tree's breadth-first node order; here that puts the right
+        # Oblique nodes are numbered by feature count, then by node id, level
+        # by level over all trees; within ``leaning`` that puts the right
         # child ahead of the left subtree's deeper node, as preorder would not.
         leaning = oblique_split(
             (0, 3), (1.0, -1.0), 0.05, True,
@@ -631,25 +636,22 @@ class TestNodeTable:
             oblique_split((0, 1, 4), (-1.0, 1.0, 1.0), 0.2, False, Leaf(4.0), Leaf(5.0)),
         )
         trees = [*oblique_model.trees, to_tree(leaning)]
-        nodes = [
-            (
-                tuple(tree.oblique_feature[a:b].tolist()),
-                tuple(tree.oblique_weight[a:b].tolist()),
-                bool(tree.missing_left[i]),
-            )
-            for tree in trees
-            for i, (a, b) in enumerate(zip(tree.oblique_start[:-1], tree.oblique_start[1:]))
-            if b > a
+        roots = [to_nodes(tree) for tree in trees]
+        order = breadth_first(roots)
+        nodes = [(i, node) for i, node in enumerate(order) if isinstance(node, ObliqueSplit)]
+        mine = {id(node) for node in breadth_first(roots[-1:])}
+        assert [node.features for _, node in nodes if id(node) in mine] == [
+            (0, 3), (1, 2), (0, 1, 4), (2, 4)
         ]
-        assert [features for features, _, _ in nodes[-4:]] == [(0, 3), (1, 2), (0, 1, 4), (2, 4)]
-        nodes.sort(key=lambda node: len(node[0]))  # stable: node id within a count
+        nodes.sort(key=lambda item: len(item[1].features))  # stable: node id within a count
         forest = _Forest.compile(trees, 5)
         assert [tuple(f) for feats, _ in forest.projections for f in feats.tolist()] == [
-            features for features, _, _ in nodes
+            node.features for _, node in nodes
         ]
         assert [tuple(w) for _, weights in forest.projections for w in weights.tolist()] == [
-            tuple(w if missing_left else -w for w in weights) for _, weights, missing_left in nodes
+            tuple(w if node.missing_left else -w for w in node.weights) for _, node in nodes
         ]
+        np.testing.assert_array_equal(forest.oblique_node, [i for i, _ in nodes])
 
     def test_empty_and_leaf_only_forests(self):
         assert _Forest.compile((), 3).depth == 0
@@ -682,3 +684,123 @@ class TestNodeTable:
             X = base[np.arange(n) % len(base)]
             expected = np.stack([walk_tree(t, X) for t in model.trees])
             np.testing.assert_array_equal(forest.leaf_values(X), expected)
+
+
+@pytest.fixture(scope="module")
+def deep_oblique_model():
+    """Four depth-6 trees over 8 features whose levels 2 to 5 are projected as reached."""
+    X, labels, group_ids = ranking_problem(157, n_groups=40, n_features=8)
+    params = TrainParams(
+        num_trees=4, max_depth=6, min_examples_per_leaf=2,
+        oblique=True, oblique_projections=10, oblique_sparsity=0.6, seed=5,
+    )
+    model = train(X, labels, group_ids, generic_schema(8), params).model
+    forest = model.forest()
+    assert forest.depth == 6 and forest.level_cuts.shape == (1, 5)
+    assert 0 < forest.level_cuts[0, 0] < forest.level_cuts[0, 1]
+    return model
+
+
+@pytest.fixture
+def projected(monkeypatch):
+    """Each ``_Forest._project`` call as (oblique columns, their workspace rows, chunk rows)."""
+    calls = []
+    project = _Forest._project
+
+    def spy(self, ZT, n, feats, weights, picked, first, products):
+        project(self, ZT, n, feats, weights, picked, first, products)
+        rows = 2 * self.n_features + first + picked
+        calls.append((first + picked, ZT[rows, :n].copy(), ZT[: self.n_features, :n].T.copy()))
+
+    monkeypatch.setattr(_Forest, "_project", spy)
+    return calls
+
+
+class TestLazyProjections:
+    """Oblique columns are projected only for nodes that rows of the chunk reach."""
+
+    def test_projected_rows_equal_upfront_products(self, deep_oblique_model, projected):
+        # Every row a chunk projects has the bits the up-front product over
+        # the whole chunk gives, through BLAS's row tails (n % 4) and at
+        # chunk edges.
+        model = deep_oblique_model
+        forest = model.forest()
+        F = forest.n_features
+        for n in (1, 2, 3, 4, 5, forest.chunk - 1, forest.chunk, forest.chunk + 1,
+                  2 * forest.chunk + 7):
+            projected.clear()
+            X = queries(n, 8, seed=20 + n)
+            np.testing.assert_array_equal(model.predict_matrix(X), walk_model(model, X))
+            assert len(projected) > len(range(0, n, forest.chunk))  # some lazy level ran
+            for columns, rows, chunk_X in projected:
+                expected = upfront_columns(forest, chunk_X)[2 * F + columns]
+                np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+    def test_few_rows_project_few_nodes_and_axis_models_none(
+        self, deep_oblique_model, axis_model, projected, monkeypatch
+    ):
+        forest = deep_oblique_model.forest()
+        forest.raw(queries(1, 8, seed=30))
+        columns = np.concatenate([c for c, _, _ in projected])
+        assert len(columns) == len(set(columns.tolist())) < len(forest.oblique_node)
+        projected.clear()
+        marked = []
+        monkeypatch.setattr(_Forest, "_project_reached", lambda *args: marked.append(args))
+        axis = axis_model.forest()
+        assert axis.level_cuts.shape == (0, 1)
+        axis.raw(queries(300, 5, seed=31))
+        axis.leaf_values(queries(300, 5, seed=32))
+        assert projected == [] and marked == []
+
+    def test_chunks_reaching_different_nodes_read_no_stale_rows(
+        self, deep_oblique_model, projected
+    ):
+        # Three chunks that hold different nodes: a workspace row projected
+        # for one chunk and left over from it must not be read by the next.
+        model = deep_oblique_model
+        forest = model.forest()
+        assert forest.level_cuts[0, 0] > 0
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(2 * forest.chunk + 7, 8))
+        X[: forest.chunk] += 2.0
+        X[forest.chunk : 2 * forest.chunk] -= 2.0
+        X[2 * forest.chunk :] = np.nan
+        np.testing.assert_array_equal(model.predict_matrix(X), walk_model(model, X))
+        # A chunk starts with its up-front call, the only one that writes column 0.
+        per_chunk = []
+        for columns, _, _ in projected:
+            if columns[:1].tolist() == [0]:
+                per_chunk.append(set())
+            per_chunk[-1].update(columns.tolist())
+        assert len(per_chunk) == 3
+        assert per_chunk[0] - per_chunk[1] and per_chunk[1] - per_chunk[0]
+        np.testing.assert_array_equal(
+            forest.leaf_values(X), np.stack([walk_tree(t, X) for t in model.trees])
+        )
+
+
+class TestObliqueSum:
+    """An oblique model adds its trees one at a time, in model order, from +0.0."""
+
+    def gated(self, values):
+        # One oblique stump whose leaves agree makes the model oblique.
+        gate = oblique_split((0, 1), (1.0, 1.0), 0.0, True, Leaf(values[0]), Leaf(values[0]))
+        return forest_model([gate, *map(Leaf, values[1:])], n_features=2).forest()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 300])
+    def test_negative_zero_leaves_sum_to_positive_zero(self, n):
+        forest = self.gated([-0.0] * 12)
+        raw = forest.raw(queries(n, 2, seed=40))
+        np.testing.assert_array_equal(raw.view(np.uint64), np.zeros(n, np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 300])
+    def test_mixed_signs_sum_in_tree_order(self, n):
+        values = [1e16, *[1.0] * 9, -1e16, -0.0, 0.5, -3.0, 2.5e-17]
+        expected = 0.0
+        for v in values:
+            expected += v
+        # Pairwise or reordered sums of these values give other bits.
+        assert np.add.reduce(np.array(values)) != expected
+        assert sum(sorted(values)) != expected
+        raw = self.gated(values).raw(queries(n, 2, seed=41))
+        np.testing.assert_array_equal(raw.view(np.uint64), np.full(n, expected).view(np.uint64))
