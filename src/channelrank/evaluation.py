@@ -343,7 +343,7 @@ def ablation_run(
     def fit(label_scheme: str, column_idx: np.ndarray, schema) -> tuple[Model, list[float]]:
         labels = dataset.labels(label_scheme)
         result = train(
-            dataset.X[train_mask][:, column_idx],
+            dataset.X[np.ix_(train_mask, column_idx)],
             labels[train_mask],
             dataset.group_ids[train_mask],
             schema,

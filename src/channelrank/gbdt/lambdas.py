@@ -33,6 +33,8 @@ import numpy as np
 from ..metrics import QueryGroups, gain, ideal_dcg_at_k
 
 _QUANTUM = 2.0**40
+#: The sigmoid's exponent is clipped to this magnitude, so exp stays finite.
+_EXP_LIMIT = 709.0
 
 
 def check_threads(n_threads: int) -> int:
@@ -48,15 +50,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.round(values * _QUANTUM) / _QUANTUM
-
-
-def _stable_sigmoid_neg(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(z)); the clip keeps exp finite for any float input."""
-    return 1.0 / (1.0 + np.exp(np.clip(z, -709.0, 709.0)))
 
 
 class PairIndex:
@@ -125,10 +118,32 @@ class PairIndex:
         live = plo + np.flatnonzero(top[self.win[plo:phi]] | top[self.lose[plo:phi]])
         win = self.win[live]
         lose = self.lose[live]
-        delta = np.abs(self.dgain[live] * (disc[win] - disc[lose])) * self.pair_inv_idcg[live]
-        rho = _stable_sigmoid_neg(self.sigma * (scores[win] - scores[lose]))
-        lam = _quantize(self.sigma * delta * rho)
-        hess = _quantize(self.sigma * self.sigma * delta * rho * (1.0 - rho))
+        # In place, each factor keeps the operation order of
+        # |dgain * (d_w - d_l)| * inv_idcg, 1 / (1 + exp(clip(sigma * (s_w - s_l)))),
+        # sigma * delta * rho and sigma * sigma * delta * rho * (1 - rho),
+        # with only a product's two operands swapped; trained models depend on these bits.
+        delta = disc[win]
+        delta -= disc[lose]
+        delta *= self.dgain[live]
+        np.abs(delta, out=delta)
+        delta *= self.pair_inv_idcg[live]
+        rho = scores[win]
+        rho -= scores[lose]
+        rho *= self.sigma
+        np.clip(rho, -_EXP_LIMIT, _EXP_LIMIT, out=rho)
+        np.exp(rho, out=rho)
+        rho += 1.0
+        np.divide(1.0, rho, out=rho)
+        lam = np.multiply(delta, self.sigma)
+        lam *= rho
+        hess = np.multiply(delta, self.sigma * self.sigma)
+        hess *= rho
+        np.subtract(1.0, rho, out=rho)
+        hess *= rho
+        for values in (lam, hess):
+            values *= _QUANTUM
+            np.round(values, out=values)
+            values /= _QUANTUM
         width = rhi - rlo
         win -= rlo
         lose -= rlo

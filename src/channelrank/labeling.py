@@ -127,9 +127,12 @@ def max_normalize(raw: np.ndarray) -> np.ndarray:
 class EventFrame:
     """Columnar event log: parallel arrays plus id vocabularies.
 
-    ``query`` and ``item`` hold int32 codes into the vocab tuples;
-    ``session`` holds int64 codes unique within the frame. The textual
-    session ids are reconstructed as ``s{code}`` when no vocab is kept.
+    ``query`` and ``item`` hold int64 codes into the vocab tuples;
+    ``session`` holds int64 codes unique within the frame, ``week`` and
+    ``action`` int64 and ``timestamp`` float64, as both ``generate`` and
+    :func:`read_event_log` build them. The pinned event digest hashes each
+    column's dtype as well as its bytes. The textual session ids are
+    reconstructed as ``s{code}`` when no vocab is kept.
     """
 
     week: np.ndarray
@@ -180,9 +183,10 @@ def funnel_table(frame: EventFrame) -> FunnelTable:
         return FunnelTable(*(empty_i.copy() for _ in range(7)))
     n_items = len(frame.item_vocab)
     n_weeks = int(frame.week.max()) + 1
-    group_key = (
-        frame.query.astype(np.int64) * n_items + frame.item
-    ) * n_weeks + frame.week
+    group_key = frame.query.astype(np.int64, copy=False) * n_items
+    group_key += frame.item
+    group_key *= n_weeks
+    group_key += frame.week
     order = np.lexsort((frame.session, group_key))
     group_key = group_key[order]
     session = frame.session[order]
@@ -194,7 +198,9 @@ def funnel_table(frame: EventFrame) -> FunnelTable:
     new_session = new_group.copy()
     new_session[1:] |= session[1:] != session[:-1]
     session_starts = np.flatnonzero(new_session)
-    deepest = np.maximum.reduceat(frame.action.astype(np.int64)[order], session_starts)
+    deepest = np.maximum.reduceat(
+        frame.action.astype(np.int64, copy=False)[order], session_starts
+    )
     group_ids = group_key[new_group]
     group_of_session = np.cumsum(new_group[session_starts]) - 1
     counts = np.bincount(
@@ -205,9 +211,9 @@ def funnel_table(frame: EventFrame) -> FunnelTable:
     item = rest % n_items
     query = rest // n_items
     return FunnelTable(
-        query=query.astype(np.int64),
-        item=item.astype(np.int64),
-        week=week.astype(np.int64),
+        query=query,
+        item=item,
+        week=week,
         views=counts[:, 0],
         clicks=counts[:, 1],
         atcs=counts[:, 2],

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,6 +199,90 @@ def channel_ids(cfg: WorldConfig) -> tuple[ChannelId, ...]:
     return tuple(ChannelId(i, name) for i, name in enumerate(names))
 
 
+class _EventPart(NamedTuple):
+    """One (query, week)'s events in compact form.
+
+    Event ``e`` is stage ``action[e]`` of session ``s_idx[e]`` at
+    presented position ``pos[e]``; ``shown`` holds the presented item
+    codes and ``offsets`` each session's start within the week.
+    """
+
+    query: int
+    week: int
+    action: np.ndarray  # int8
+    s_idx: np.ndarray   # int32
+    pos: np.ndarray     # int32
+    shown: np.ndarray   # int64 item codes
+    offsets: np.ndarray  # float64 seconds
+
+
+def _assemble_events(
+    parts: list[_EventPart],
+    num_weeks: int,
+    query_vocab: tuple[str, ...],
+    item_vocab: tuple[str, ...],
+) -> EventFrame:
+    """The event log of ``parts``, in their order; empties ``parts``.
+
+    Each column is built once over every event, in its final dtype, with
+    the per-event arithmetic in place. A timestamp adds its week start,
+    its session's offset, its position and 800 s per stage, left to
+    right; the first sum is taken per session, which gives the same bits.
+    ``parts`` is cleared once its values are gathered, so the compact
+    parts are freed before the full columns fill.
+    """
+
+    counts = np.array([len(part.action) for part in parts], dtype=np.int64)
+
+    def flat(values: list[np.ndarray], dtype: type) -> np.ndarray:
+        return np.concatenate(values or [np.empty(0, dtype)], dtype=dtype)
+
+    def first_of_part(sizes: list[int]) -> np.ndarray:
+        """Per event, where its part starts in a flat per-part array of ``sizes``."""
+        sizes = np.array(sizes, dtype=np.int64)
+        return np.repeat(np.cumsum(sizes) - sizes, counts)
+
+    part_week = np.array([part.week for part in parts], dtype=np.int64)
+    part_query = np.array([part.query for part in parts], dtype=np.int64)
+    n_sessions = [len(part.offsets) for part in parts]
+    n_shown = [len(part.shown) for part in parts]
+    action = flat([part.action for part in parts], np.int64)
+    s_idx = flat([part.s_idx for part in parts], np.int32)
+    pos = flat([part.pos for part in parts], np.int32)
+    shown = flat([part.shown for part in parts], np.int64)
+    session_start = flat(
+        [float(part.week) * WEEK_SECONDS + part.offsets for part in parts], np.float64
+    )
+    parts.clear()
+
+    at = first_of_part(n_sessions)
+    at += s_idx
+    timestamp = session_start[at]
+    timestamp += pos
+    timestamp += 800.0 * action
+    at = first_of_part(n_shown)
+    at += pos
+    del pos
+    item = shown[at]
+    del at
+    week = np.repeat(part_week, counts)
+    query = np.repeat(part_query, counts)
+    session = query * num_weeks
+    session += week
+    session *= _SESSION_STRIDE
+    session += s_idx
+    return EventFrame(
+        week=week,
+        session=session,
+        query=query,
+        item=item,
+        action=action,
+        timestamp=timestamp,
+        query_vocab=query_vocab,
+        item_vocab=item_vocab,
+    )
+
+
 def generate(cfg: WorldConfig) -> SynthWorld:
     """Build the full synthetic world for one config + seed."""
     global_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
@@ -265,7 +350,7 @@ def generate(cfg: WorldConfig) -> SynthWorld:
 
     lists_by_week: dict[int, dict[QueryId, list[ChannelList]]] = {}
     uniform = InterleaveWeights.uniform(channels)
-    events_by_query: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(cfg.num_queries)]
+    parts_by_query: list[list[_EventPart]] = [[] for _ in range(cfg.num_queries)]
     for w in range(cfg.num_weeks):
         week_lists: dict[QueryId, list[ChannelList]] = {}
         z_by_query = []
@@ -327,34 +412,15 @@ def generate(cfg: WorldConfig) -> SynthWorld:
             # Stages stacked in Action order, so a stage's index is its Action
             # value; nonzero walks them stage by stage, then by session.
             action, s_idx, pos = np.nonzero(np.stack([exam, click, atc, purchase]))
-            base_session = (np.int64(q) * cfg.num_weeks + w) * _SESSION_STRIDE
-            events_by_query[q].append((
-                np.full(len(action), w, dtype=np.int64),
-                base_session + s_idx,
-                np.full(len(action), q, dtype=np.int64),
-                items[pres_u[pos]],
-                action.copy(),  # not a view, which would keep s_idx and pos alive
-                float(w) * WEEK_SECONDS + offsets[s_idx] + pos + 800.0 * action,
+            parts_by_query[q].append(_EventPart(
+                q, w, action.astype(np.int8), s_idx.astype(np.int32), pos.astype(np.int32),
+                items[pres_u], offsets,
             ))
 
-    # Event parts in (query, week) order.
-    parts = [part for query_parts in events_by_query for part in query_parts]
-
-    def cat(column: int, dtype) -> np.ndarray:
-        if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate([part[column] for part in parts]).astype(dtype)
-
-    events = EventFrame(
-        week=cat(0, np.int64),
-        session=cat(1, np.int64),
-        query=cat(2, np.int64),
-        item=cat(3, np.int64),
-        action=cat(4, np.int64),
-        timestamp=cat(5, np.float64),
-        query_vocab=query_vocab,
-        item_vocab=catalog.item_vocab,
-    )
+    # Only this list holds the parts, so clearing it frees them.
+    parts = [part for query_parts in parts_by_query for part in query_parts]
+    del parts_by_query
+    events = _assemble_events(parts, cfg.num_weeks, query_vocab, catalog.item_vocab)
     ground_truth = GroundTruth(
         config=cfg,
         catalog=catalog,
@@ -410,9 +476,12 @@ def filter_and_split(
     if num_weeks < 5:
         raise ValueError("num_weeks must be >= 5")
     n_items = len(frame.item_vocab)
-    qw = frame.query.astype(np.int64) * num_weeks + frame.week
+    qw = frame.query.astype(np.int64, copy=False) * num_weeks
+    qw += frame.week
     imp_mask = frame.action == int(Action.IMPRESSION)
-    key = qw[imp_mask] * n_items + frame.item[imp_mask]
+    key = qw[imp_mask]
+    key *= n_items
+    key += frame.item[imp_mask]
     uniq, counts = np.unique(key, return_counts=True)
     qw_of_key = uniq // n_items
     hit = np.unique(qw_of_key[counts >= min_impressions])

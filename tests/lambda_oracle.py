@@ -5,6 +5,10 @@ bincounts over all of a ``PairIndex``'s pairs, including those whose two
 documents both rank below k and so carry exactly zero lambda.
 ``PairIndex.gradients`` skips those pairs and must match this bit for bit.
 
+``expression_chunk`` is ``PairIndex._chunk`` written as whole-array
+expressions, each intermediate a fresh array; the in-place ``_chunk``
+must match it bit for bit.
+
 ``delta_ndcg`` is the swap-one-pair NDCG change of one ranked list, and
 ``lambda_gradients`` is ``PairIndex`` over a single query group.
 """
@@ -13,8 +17,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from channelrank.gbdt.lambdas import PairIndex, _quantize, _stable_sigmoid_neg
+from channelrank.gbdt.lambdas import _QUANTUM, PairIndex
 from channelrank.metrics import QueryGroups, gain, ideal_dcg_at_k
+
+
+def _quantize(values: np.ndarray) -> np.ndarray:
+    return np.round(values * _QUANTUM) / _QUANTUM
+
+
+def _stable_sigmoid_neg(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)); the clip keeps exp finite for any float input."""
+    return 1.0 / (1.0 + np.exp(np.clip(z, -709.0, 709.0)))
 
 
 def delta_ndcg(
@@ -78,3 +91,36 @@ def full_pair_gradients(index: PairIndex, scores: np.ndarray) -> tuple[np.ndarra
         index.lose, weights=hess, minlength=index.n
     )
     return g, h
+
+
+def expression_chunk(
+    index: PairIndex,
+    scores: np.ndarray,
+    disc: np.ndarray,
+    top: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    group_lo: int,
+    group_hi: int,
+) -> None:
+    """``PairIndex._chunk`` for groups ``[group_lo, group_hi)``, one expression per factor."""
+    plo = index.pair_starts[group_lo]
+    phi = index.pair_starts[group_hi]
+    rlo = index.group_starts[group_lo]
+    rhi = index.group_starts[group_hi]
+    live = plo + np.flatnonzero(top[index.win[plo:phi]] | top[index.lose[plo:phi]])
+    win = index.win[live]
+    lose = index.lose[live]
+    delta = np.abs(index.dgain[live] * (disc[win] - disc[lose])) * index.pair_inv_idcg[live]
+    rho = _stable_sigmoid_neg(index.sigma * (scores[win] - scores[lose]))
+    lam = _quantize(index.sigma * delta * rho)
+    hess = _quantize(index.sigma * index.sigma * delta * rho * (1.0 - rho))
+    width = rhi - rlo
+    win -= rlo
+    lose -= rlo
+    g[rlo:rhi] = np.bincount(lose, weights=lam, minlength=width) - np.bincount(
+        win, weights=lam, minlength=width
+    )
+    h[rlo:rhi] = np.bincount(win, weights=hess, minlength=width) + np.bincount(
+        lose, weights=hess, minlength=width
+    )

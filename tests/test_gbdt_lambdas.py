@@ -7,7 +7,12 @@ import pytest
 from channelrank.gbdt import lambdas
 from channelrank.gbdt.lambdas import PairIndex
 from channelrank.metrics import QueryGroups, ndcg_at_k
-from tests.lambda_oracle import delta_ndcg, full_pair_gradients, lambda_gradients
+from tests.lambda_oracle import (
+    delta_ndcg,
+    expression_chunk,
+    full_pair_gradients,
+    lambda_gradients,
+)
 
 
 def brute_force_delta_ndcg(labels, order, i, j, k):
@@ -262,3 +267,27 @@ class TestTruncatedPairs:
         index = PairIndex(labels, QueryGroups.from_ids(np.zeros(30)), k=k)
         g_ref, h_ref = full_pair_gradients(index, scores)
         assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
+
+
+class TestInPlaceChunk:
+    """The in-place ``_chunk`` gives the whole-expression oracle's bits."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_bits_match_expression_oracle(self, sigma, n_threads, monkeypatch):
+        rng = np.random.default_rng(101 + int(10 * sigma) + n_threads)
+        sizes = rng.integers(1, 30, size=50)
+        labels = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0], size=int(sizes.sum()))
+        scores = np.round(rng.normal(scale=3.0, size=len(labels)), 1)  # many ties
+        scores[rng.random(len(labels)) < 0.1] = 0.0
+        group_ids = np.repeat(np.arange(len(sizes)), sizes)
+        checked = 0
+        for k in (3, 8, int(sizes.max()) + 5):
+            index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=k, sigma=sigma)
+            g, h = index.gradients(scores, n_threads=n_threads)
+            with monkeypatch.context() as patch:
+                patch.setattr(PairIndex, "_chunk", expression_chunk)
+                g_ref, h_ref = index.gradients(scores, n_threads=n_threads)
+            assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
+            checked += int(np.count_nonzero(h))
+        assert checked > 1000

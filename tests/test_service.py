@@ -14,6 +14,7 @@ import pytest
 from channelrank.core import TruncationConfig, truncate
 from channelrank.dataset import build_dataset, item_count_table
 from channelrank.features import item_feature_block
+from channelrank.gbdt import model as gbdt_model
 from channelrank.gbdt.model import Model, TrainParams, train
 from channelrank.gbdt.serialize import MODEL_FORMAT_VERSION, load_model, save_model
 from channelrank.service import (
@@ -419,57 +420,127 @@ class TestItemFeatureFile:
             ItemFeatureTable.from_file(str(path))
 
 
+def replay_test_split(world, data, model, tmp_path) -> None:
+    """Serve every test-split group as a request and check each score against ``data``'s row."""
+    split = filter_and_split(world.events, CFG.num_weeks)
+    week = split.test_week
+    catalog = world.ground_truth.catalog
+    sidecar_rows = item_feature_block(
+        data.schema, data.lookback,
+        item_count_table(world.events, catalog, CFG.num_weeks),
+        catalog, np.arange(len(catalog.item_vocab)), week,
+    )
+    item_mask = data.schema.group_mask("item")
+    item_cols = [c.name for c in data.schema.columns if c.group == "item"]
+    path = tmp_path / "items.tsv"
+    write_item_features(str(path), item_cols, dict(zip(catalog.item_vocab, sidecar_rows)))
+    svc = ScoreService(model, item_features=ItemFeatureTable.from_file(str(path)))
+
+    engagement_cols = np.flatnonzero(data.schema.group_mask("engagement"))
+    expected = model.predict_matrix(data.X)
+    trunc = TruncationConfig.uniform(world.channels, CFG.per_channel_n)
+    groups = rows_checked = 0
+    for q, w in split.test:
+        assert w == week
+        rows = np.flatnonzero(data.mask_for([(q, w)]))
+        items = [data.item_vocab[i] for i in data.item_codes[rows]]
+        np.testing.assert_array_equal(
+            sidecar_rows[data.item_codes[rows]], data.X[rows][:, item_mask]
+        )
+        query = data.query_vocab[q]
+        request = {
+            "query": query,
+            "channels": [
+                {"name": cl.channel.name,
+                 "entries": [list(e) for e in truncate(cl, trunc.n_for(cl.channel)).entries]}
+                for cl in world.channel_lists[w][query]
+            ],
+            "engagement": {
+                item: {data.schema.columns[c].name: float(data.X[r, c])
+                       for c in engagement_cols}
+                for item, r in zip(items, rows)
+            },
+        }
+        response = svc.score(json.loads(json.dumps(request)))
+        served = {r["item"]: r["score"] for r in response["results"]}
+        assert list(served) != [] and sorted(served) == items
+        assert [served[item] for item in items] == expected[rows].tolist()
+        groups += 1
+        rows_checked += len(rows)
+    assert groups >= 20 and rows_checked >= 300
+
+
+@pytest.fixture(scope="module")
+def oblique_fit(trained_world):
+    """An oblique model on ``trained_world``'s training rows, 8 features a projection.
+
+    Returns the training rows, the model and each tree's per-row values
+    as ``grow_tree`` returned them, shape ``(trees, rows)``.
+    """
+    world, data, _ = trained_world
+    split = filter_and_split(world.events, CFG.num_weeks)
+    train_mask = data.mask_for(split.train)
+    X = data.X[train_mask]
+    params = TrainParams(num_trees=12, shrinkage=0.2, max_depth=5, min_examples_per_leaf=5,
+                         oblique=True, oblique_projections=6,
+                         oblique_sparsity=8 / X.shape[1], seed=3)
+    grown = []
+    grow_tree = gbdt_model.grow_tree
+
+    def recording_grow_tree(*args, **kwargs):
+        tree, row_values = grow_tree(*args, **kwargs)
+        grown.append(row_values)
+        return tree, row_values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbdt_model, "grow_tree", recording_grow_tree)
+        model = train(X, data.labels_conversion[train_mask], data.group_ids[train_mask],
+                      data.schema, params).model
+    return X, model, np.array(grown)
+
+
+def oblique_levels(tree) -> set[int]:
+    """The depths at which ``tree`` has an oblique split."""
+    depth = np.zeros(tree.n_nodes(), dtype=np.int64)
+    levels = set()
+    for i, child in enumerate(tree.left):
+        if child != i:
+            depth[child : child + 2] = depth[i] + 1
+            if tree.feature[i] == -1:
+                levels.add(int(depth[i]))
+    return levels
+
+
 class TestTrainServeParity:
     """Serving rebuilds the training row: same features, same score, bit for bit."""
 
     def test_test_split_scores_equal_training_rows(self, trained_world, tmp_path):
         world, data, model = trained_world
-        split = filter_and_split(world.events, CFG.num_weeks)
-        week = split.test_week
-        catalog = world.ground_truth.catalog
-        sidecar_rows = item_feature_block(
-            data.schema, data.lookback,
-            item_count_table(world.events, catalog, CFG.num_weeks),
-            catalog, np.arange(len(catalog.item_vocab)), week,
-        )
-        item_mask = data.schema.group_mask("item")
-        item_cols = [c.name for c in data.schema.columns if c.group == "item"]
-        path = tmp_path / "items.tsv"
-        write_item_features(str(path), item_cols, dict(zip(catalog.item_vocab, sidecar_rows)))
-        svc = ScoreService(model, item_features=ItemFeatureTable.from_file(str(path)))
+        replay_test_split(world, data, model, tmp_path)
 
-        engagement_cols = np.flatnonzero(data.schema.group_mask("engagement"))
-        expected = model.predict_matrix(data.X)
-        trunc = TruncationConfig.uniform(world.channels, CFG.per_channel_n)
-        groups = rows_checked = 0
-        for q, w in split.test:
-            assert w == week
-            rows = np.flatnonzero(data.mask_for([(q, w)]))
-            items = [data.item_vocab[i] for i in data.item_codes[rows]]
-            np.testing.assert_array_equal(
-                sidecar_rows[data.item_codes[rows]], data.X[rows][:, item_mask]
-            )
-            query = data.query_vocab[q]
-            request = {
-                "query": query,
-                "channels": [
-                    {"name": cl.channel.name,
-                     "entries": [list(e) for e in truncate(cl, trunc.n_for(cl.channel)).entries]}
-                    for cl in world.channel_lists[w][query]
-                ],
-                "engagement": {
-                    item: {data.schema.columns[c].name: float(data.X[r, c])
-                           for c in engagement_cols}
-                    for item, r in zip(items, rows)
-                },
-            }
-            response = svc.score(json.loads(json.dumps(request)))
-            served = {r["item"]: r["score"] for r in response["results"]}
-            assert list(served) != [] and sorted(served) == items
-            assert [served[item] for item in items] == expected[rows].tolist()
-            groups += 1
-            rows_checked += len(rows)
-        assert groups >= 20 and rows_checked >= 300
+    def test_oblique_test_split_scores_equal_training_rows(
+        self, trained_world, oblique_fit, tmp_path
+    ):
+        world, data, _ = trained_world
+        replay_test_split(world, data, oblique_fit[1], tmp_path)
+
+    def test_oblique_training_rows_reach_their_grown_leaves(self, oblique_fit):
+        X, model, grown = oblique_fit
+        levels = set().union(*map(oblique_levels, model.trees))
+        assert len(levels) >= 3
+        assert all(len(feats) == 8 for tree in model.trees
+                   for feats in np.split(tree.oblique_feature, tree.oblique_start[1:-1])
+                   if len(feats))
+        forest = model.forest()
+        assert forest.leaf_values(X).tobytes() == grown.tobytes()
+        # Request-sized batches of shuffled rows, every rows % 4 tail.
+        order = np.random.default_rng(7).permutation(len(X))
+        sizes = np.resize([97, 98, 99, 100, 1, 2, 3], len(X))
+        bounds = np.cumsum(sizes)
+        batches = np.split(order, bounds[bounds < len(X)])
+        assert {len(b) % 4 for b in batches} == {0, 1, 2, 3}
+        for rows in batches:
+            assert forest.leaf_values(X[rows]).tobytes() == grown[:, rows].tobytes()
 
 
 @pytest.fixture(scope="module")

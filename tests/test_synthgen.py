@@ -1,10 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from channelrank.dataset import ItemCatalog
+from channelrank import synthgen
 from channelrank.labeling import Action, write_event_log
 from channelrank.synthgen import (
     GroundTruth,
@@ -14,6 +16,7 @@ from channelrank.synthgen import (
     generate,
     write_world,
 )
+from tests.event_oracle import part_assembly
 
 SMALL = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -210,6 +213,66 @@ class TestPinnedWorld:
         assert event_table_sha256(events) == (
             "5aa83af1552453770d2ce83db7767f49e1c26aca177a77fca9adb3af1f8ea67a"
         )
+
+
+class TestEventAssembly:
+    """The event columns, built once over all parts, equal the part-by-part build."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            WorldConfig(num_queries=60, seed=11),
+            WorldConfig(num_queries=20, num_items=300, universe_size=20, per_channel_n=10,
+                        num_channels=1, seed=2),
+            WorldConfig(num_queries=40, num_items=300, universe_size=20, per_channel_n=10,
+                        sessions_mean=0.4, seed=4),
+            WorldConfig(num_queries=3, num_items=30, universe_size=20, per_channel_n=10,
+                        sessions_mean=2.0, seed=1),
+            WorldConfig(num_queries=3, num_items=30, universe_size=20, per_channel_n=10,
+                        sessions_mean=1e-9, seed=1),
+        ],
+        ids=["pinned", "one-channel", "sparse-weeks", "tiny", "no-sessions"],
+    )
+    def test_columns_equal_part_by_part_oracle(self, cfg, monkeypatch):
+        captured = []
+        assemble = synthgen._assemble_events
+
+        def spy(parts, *args):
+            captured.append((list(parts), args))
+            return assemble(parts, *args)
+
+        monkeypatch.setattr(synthgen, "_assemble_events", spy)
+        events = generate(cfg).events
+        (parts, args), = captured
+        expected = part_assembly(parts, *args)
+        for name in ("week", "session", "query", "item", "action", "timestamp"):
+            got, want = getattr(events, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert (events.query_vocab, events.item_vocab) == (
+            expected.query_vocab, expected.item_vocab,
+        )
+        sessions = {(part.query, part.week) for part in parts}
+        if cfg.sessions_mean == 0.4:
+            assert 0 < len(sessions) < cfg.num_queries * cfg.num_weeks // 2
+        if cfg.sessions_mean == 1e-9:
+            assert len(events) == 0
+
+    def test_peak_memory_near_what_generate_returns(self):
+        # tracemalloc counts numpy's buffers exactly, so the ratio repeats.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            world = generate(WorldConfig(num_queries=60, seed=11))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(world.events) == 177_251
+        assert peak - base <= 1.4 * (kept - base)
 
 
 class TestFilterAndSplit:
