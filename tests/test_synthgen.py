@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from channelrank.dataset import ItemCatalog
 from channelrank import synthgen
+from channelrank.dataset import ItemCatalog
 from channelrank.labeling import Action, write_event_log
 from channelrank.synthgen import (
     GroundTruth,
@@ -219,21 +219,21 @@ class TestEventAssembly:
     """The event columns, built once over all parts, equal the part-by-part build."""
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, empty_share",
         [
-            WorldConfig(num_queries=60, seed=11),
-            WorldConfig(num_queries=20, num_items=300, universe_size=20, per_channel_n=10,
-                        num_channels=1, seed=2),
-            WorldConfig(num_queries=40, num_items=300, universe_size=20, per_channel_n=10,
-                        sessions_mean=0.4, seed=4),
-            WorldConfig(num_queries=3, num_items=30, universe_size=20, per_channel_n=10,
-                        sessions_mean=2.0, seed=1),
-            WorldConfig(num_queries=3, num_items=30, universe_size=20, per_channel_n=10,
-                        sessions_mean=1e-9, seed=1),
+            (WorldConfig(num_queries=60, seed=11), 0.0),
+            (WorldConfig(num_queries=20, num_items=300, universe_size=20, per_channel_n=10,
+                         num_channels=1, seed=2), 0.0),
+            (WorldConfig(num_queries=40, num_items=300, universe_size=20, per_channel_n=10,
+                         sessions_mean=0.4, seed=4), 0.65),
+            (WorldConfig(num_queries=3, num_items=30, universe_size=20, per_channel_n=10,
+                         sessions_mean=2.0, seed=1), 0.0),
+            (WorldConfig(num_queries=3, num_items=30, universe_size=20, per_channel_n=10,
+                         sessions_mean=1e-9, seed=1), 1.0),
         ],
         ids=["pinned", "one-channel", "sparse-weeks", "tiny", "no-sessions"],
     )
-    def test_columns_equal_part_by_part_oracle(self, cfg, monkeypatch):
+    def test_columns_equal_part_by_part_oracle(self, cfg, empty_share, monkeypatch):
         captured = []
         assemble = synthgen._assemble_events
 
@@ -244,6 +244,8 @@ class TestEventAssembly:
         monkeypatch.setattr(synthgen, "_assemble_events", spy)
         events = generate(cfg).events
         (parts, args), = captured
+        # A query-week that draws no session has no part.
+        assert 1 - len(parts) / (cfg.num_queries * cfg.num_weeks) == pytest.approx(empty_share)
         expected = part_assembly(parts, *args)
         for name in ("week", "session", "query", "item", "action", "timestamp"):
             got, want = getattr(events, name), getattr(expected, name)
@@ -252,11 +254,6 @@ class TestEventAssembly:
         assert (events.query_vocab, events.item_vocab) == (
             expected.query_vocab, expected.item_vocab,
         )
-        sessions = {(part.query, part.week) for part in parts}
-        if cfg.sessions_mean == 0.4:
-            assert 0 < len(sessions) < cfg.num_queries * cfg.num_weeks // 2
-        if cfg.sessions_mean == 1e-9:
-            assert len(events) == 0
 
     def test_peak_memory_near_what_generate_returns(self):
         # tracemalloc counts numpy's buffers exactly, so the ratio repeats.
