@@ -1,13 +1,12 @@
 """Reference pairwise gradients that evaluate every discordant pair.
 
-``full_pair_gradients`` runs the sigmoid, the exp, both quantizes and the
-bincounts over all of a ``PairIndex``'s pairs, including those whose two
-documents both rank below k and so carry exactly zero lambda.
-``PairIndex.gradients`` skips those pairs and must match this bit for bit.
-
-``expression_chunk`` is ``PairIndex._chunk`` written as whole-array
-expressions, each intermediate a fresh array; the in-place ``_chunk``
-must match it bit for bit.
+``discordant_pairs`` lists each group's (winner, loser) rows, label
+against label. ``full_pair_gradients`` builds those pairs and each
+group's IDCG itself, then runs the sigmoid, the exp, both quantizes and
+the bincounts over every pair as whole-array expressions, including
+pairs whose two documents both rank below k and so carry exactly zero
+lambda. ``PairIndex.gradients``, which walks only rank-space cells with
+a member in the top k, must match it bit for bit.
 
 ``delta_ndcg`` is the swap-one-pair NDCG change of one ranked list, and
 ``lambda_gradients`` is ``PairIndex`` over a single query group.
@@ -74,53 +73,47 @@ def lambda_gradients(
     return PairIndex(labels, one_group, k, sigma).gradients(scores)
 
 
-def full_pair_gradients(index: PairIndex, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-document (g, h) with every pair's contribution accumulated."""
-    scores = np.asarray(scores, dtype=np.float64)
-    order, disc_sorted = index.groups.rank_discounts(scores, index.k)
-    disc = np.empty(index.n)
-    disc[order] = disc_sorted
-    delta = np.abs(index.dgain * (disc[index.win] - disc[index.lose])) * index.pair_inv_idcg
-    rho = _stable_sigmoid_neg(index.sigma * (scores[index.win] - scores[index.lose]))
-    lam = _quantize(index.sigma * delta * rho)
-    hess = _quantize(index.sigma * index.sigma * delta * rho * (1.0 - rho))
-    g = np.bincount(index.lose, weights=lam, minlength=index.n) - np.bincount(
-        index.win, weights=lam, minlength=index.n
-    )
-    h = np.bincount(index.win, weights=hess, minlength=index.n) + np.bincount(
-        index.lose, weights=hess, minlength=index.n
-    )
-    return g, h
+def discordant_pairs(labels: np.ndarray, groups: QueryGroups) -> tuple[np.ndarray, np.ndarray]:
+    """Every within-group (winner, loser) row pair with label_winner > label_loser."""
+    labels = np.asarray(labels, dtype=np.float64)
+    win_parts = [np.empty(0, np.int64)]
+    lose_parts = [np.empty(0, np.int64)]
+    for gidx in range(groups.count):
+        lo, hi = groups.starts[gidx], groups.starts[gidx + 1]
+        lab = labels[lo:hi]
+        wi, lo_j = np.nonzero(lab[:, None] > lab[None, :])
+        win_parts.append(wi.astype(np.int64) + lo)
+        lose_parts.append(lo_j.astype(np.int64) + lo)
+    return np.concatenate(win_parts), np.concatenate(lose_parts)
 
 
-def expression_chunk(
-    index: PairIndex,
+def full_pair_gradients(
+    labels: np.ndarray,
+    groups: QueryGroups,
+    k: int,
+    sigma: float,
     scores: np.ndarray,
-    disc: np.ndarray,
-    top: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    group_lo: int,
-    group_hi: int,
-) -> None:
-    """``PairIndex._chunk`` for groups ``[group_lo, group_hi)``, one expression per factor."""
-    plo = index.pair_starts[group_lo]
-    phi = index.pair_starts[group_hi]
-    rlo = index.group_starts[group_lo]
-    rhi = index.group_starts[group_hi]
-    live = plo + np.flatnonzero(top[index.win[plo:phi]] | top[index.lose[plo:phi]])
-    win = index.win[live]
-    lose = index.lose[live]
-    delta = np.abs(index.dgain[live] * (disc[win] - disc[lose])) * index.pair_inv_idcg[live]
-    rho = _stable_sigmoid_neg(index.sigma * (scores[win] - scores[lose]))
-    lam = _quantize(index.sigma * delta * rho)
-    hess = _quantize(index.sigma * index.sigma * delta * rho * (1.0 - rho))
-    width = rhi - rlo
-    win -= rlo
-    lose -= rlo
-    g[rlo:rhi] = np.bincount(lose, weights=lam, minlength=width) - np.bincount(
-        win, weights=lam, minlength=width
-    )
-    h[rlo:rhi] = np.bincount(win, weights=hess, minlength=width) + np.bincount(
-        lose, weights=hess, minlength=width
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-document (g, h) with every discordant pair's contribution accumulated."""
+    labels = np.asarray(labels, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(labels)
+    win, lose = discordant_pairs(labels, groups)
+    gains = gain(labels)
+    idcg = np.array([
+        ideal_dcg_at_k(labels[groups.starts[g] : groups.starts[g + 1]], k)
+        for g in range(groups.count)
+    ])
+    with np.errstate(divide="ignore"):
+        inv = np.where(idcg > 0.0, 1.0 / idcg, 0.0)
+    order, disc_sorted = groups.rank_discounts(scores, k)
+    disc = np.empty(n)
+    disc[order] = disc_sorted
+    dgain = gains[win] - gains[lose]
+    delta = np.abs(dgain * (disc[win] - disc[lose])) * inv[groups.codes[win]]
+    rho = _stable_sigmoid_neg(sigma * (scores[win] - scores[lose]))
+    lam = _quantize(sigma * delta * rho)
+    hess = _quantize(sigma * sigma * delta * rho * (1.0 - rho))
+    g = np.bincount(lose, weights=lam, minlength=n) - np.bincount(win, weights=lam, minlength=n)
+    h = np.bincount(win, weights=hess, minlength=n) + np.bincount(lose, weights=hess, minlength=n)
+    return g, h

@@ -4,12 +4,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from channelrank.features import FeatureColumn, FeatureSchema
 from channelrank.gbdt import lambdas
+from channelrank.gbdt import model as model_module
 from channelrank.gbdt.lambdas import PairIndex
 from channelrank.metrics import QueryGroups, ndcg_at_k
 from tests.lambda_oracle import (
     delta_ndcg,
-    expression_chunk,
+    discordant_pairs,
     full_pair_gradients,
     lambda_gradients,
 )
@@ -210,6 +212,24 @@ class TestPairIndex:
         assert pools == ([] if cpus == 1 else [cpus])
         assert (gn.tobytes(), hn.tobytes()) == (g1.tobytes(), h1.tobytes())
 
+    def test_scores_length_mismatch_rejected(self):
+        labels, scores, group_ids, _ = self._random_groups(73, n_groups=8)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
+        with pytest.raises(ValueError, match="scores must have shape"):
+            index.gradients(np.append(scores, 0.0))
+
+    def test_ranked_length_mismatch_rejected(self):
+        labels, scores, group_ids, _ = self._random_groups(73, n_groups=8)
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
+        other = QueryGroups.from_ids(group_ids[:-1])
+        with pytest.raises(ValueError, match="ranked must order"):
+            index.gradients(scores, ranked=other.rank_discounts(scores[:-1], 8))
+
+    def test_k_below_one_rejected(self):
+        labels, _, group_ids, _ = self._random_groups(73, n_groups=8)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            PairIndex(labels, QueryGroups.from_ids(group_ids), k=0)
+
     def test_per_group_sum_exactly_zero(self):
         labels, scores, group_ids, sizes = self._random_groups(71)
         index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
@@ -239,23 +259,26 @@ class TestTruncatedPairs:
             k = int(rng.choice([1, 2, 5, 8]))
             labels, scores, group_ids = self._groups(rng, int(rng.integers(1, 30)), 25)
             sigma = float(rng.choice([0.5, 1.0, 2.0]))
-            index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=k, sigma=sigma)
-            g_ref, h_ref = full_pair_gradients(index, scores)
+            groups = QueryGroups.from_ids(group_ids)
+            index = PairIndex(labels, groups, k=k, sigma=sigma)
+            g_ref, h_ref = full_pair_gradients(labels, groups, k, sigma, scores)
             for n_threads in (1, 3):
                 g, h = index.gradients(scores, n_threads=n_threads)
                 assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
-            order, disc = index.groups.rank_discounts(scores, k)
+            order, disc = groups.rank_discounts(scores, k)
             below = np.empty(len(labels), dtype=bool)
             below[order] = disc == 0.0
-            skipped += int(np.count_nonzero(below[index.win] & below[index.lose]))
+            win, lose = discordant_pairs(labels, groups)
+            skipped += int(np.count_nonzero(below[win] & below[lose]))
         assert skipped > 1000
 
     def test_shared_ranking_gives_the_same_gradients(self):
         labels, scores, group_ids = self._groups(np.random.default_rng(89), 20, 15)
-        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=3)
-        ranked = index.groups.rank_discounts(scores, 3)
+        groups = QueryGroups.from_ids(group_ids)
+        index = PairIndex(labels, groups, k=3)
+        ranked = groups.rank_discounts(scores, 3)
         g, h = index.gradients(scores, ranked=ranked)
-        g_ref, h_ref = full_pair_gradients(index, scores)
+        g_ref, h_ref = full_pair_gradients(labels, groups, 3, 1.0, scores)
         assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
 
     @pytest.mark.parametrize("k", [1, 3, 8, 40])
@@ -264,30 +287,113 @@ class TestTruncatedPairs:
         labels = rng.choice([0.0, 1.0, 2.0, 4.0], size=30)
         scores = np.round(rng.normal(size=30), 1)
         g, h = lambda_gradients(labels, scores, k=k)
-        index = PairIndex(labels, QueryGroups.from_ids(np.zeros(30)), k=k)
-        g_ref, h_ref = full_pair_gradients(index, scores)
+        g_ref, h_ref = full_pair_gradients(
+            labels, QueryGroups.from_ids(np.zeros(30)), k, 1.0, scores
+        )
         assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
 
 
 class TestInPlaceChunk:
-    """The in-place ``_chunk`` gives the whole-expression oracle's bits."""
+    """The in-place rank-space cells give the every-pair oracle's bits."""
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
     @pytest.mark.parametrize("n_threads", [1, 2])
-    def test_bits_match_expression_oracle(self, sigma, n_threads, monkeypatch):
+    def test_bits_match_expression_oracle(self, sigma, n_threads):
         rng = np.random.default_rng(101 + int(10 * sigma) + n_threads)
         sizes = rng.integers(1, 30, size=50)
         labels = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0], size=int(sizes.sum()))
         scores = np.round(rng.normal(scale=3.0, size=len(labels)), 1)  # many ties
         scores[rng.random(len(labels)) < 0.1] = 0.0
-        group_ids = np.repeat(np.arange(len(sizes)), sizes)
+        groups = QueryGroups.from_ids(np.repeat(np.arange(len(sizes)), sizes))
         checked = 0
         for k in (3, 8, int(sizes.max()) + 5):
-            index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=k, sigma=sigma)
+            index = PairIndex(labels, groups, k=k, sigma=sigma)
             g, h = index.gradients(scores, n_threads=n_threads)
-            with monkeypatch.context() as patch:
-                patch.setattr(PairIndex, "_chunk", expression_chunk)
-                g_ref, h_ref = index.gradients(scores, n_threads=n_threads)
+            g_ref, h_ref = full_pair_gradients(labels, groups, k, sigma, scores)
             assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
             checked += int(np.count_nonzero(h))
         assert checked > 1000
+
+
+def edge_case_groups():
+    """Labels, scores and ids for groups at every edge of the rank-space layout.
+
+    Sizes 1, 2, 7, 8 and 9 sit at k - 1, k and k + 1 for k = 8, and 2, 3
+    and 4 for k = 3; 32/33 and 64/65 straddle two size-bucket boundaries;
+    one group has 300 rows. One group has all labels equal, one all
+    labels 0 (zero IDCG), scores are rounded so many tie, and one group's
+    scores are spread so far that |sigma * ds| passes the exp clip. In one
+    group the last-ranked row's label is one ulp above the others', so
+    each of its pairs quantizes to a lambda of 0 signed negative, and its
+    g must still read +0.0. The 250 groups of 40-64 rows fill one bucket
+    with several cell-budget blocks for k = 8 and 40.
+    """
+    rng = np.random.default_rng(107)
+    sizes = [1, 2, 3, 4, 7, 8, 9, 32, 33, 64, 65, 300, 12, 12, 20, 12]
+    sizes += list(rng.integers(40, 65, size=250))
+    labels = [rng.choice([0.0, 1.0, 2.0, 3.0, 4.0], size=s) for s in sizes]
+    scores = [np.round(rng.normal(scale=2.0, size=s), 1) for s in sizes]
+    labels[12][:] = 3.0  # all labels equal
+    labels[13][:] = 0.0  # zero IDCG
+    scores[14] = rng.choice([-500.0, 0.0, 500.0], size=20)
+    labels[15][:] = 1.0
+    labels[15][-1] = np.nextafter(1.0, 2.0)
+    scores[15] = -np.arange(12.0)
+    return (
+        np.concatenate(labels),
+        np.concatenate(scores),
+        np.repeat(np.arange(len(sizes)), sizes),
+    )
+
+
+class TestRankSpaceEdges:
+    @pytest.mark.parametrize("k", [1, 3, 8, 40])
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_bits_match_oracle(self, k, n_threads):
+        labels, scores, group_ids = edge_case_groups()
+        groups = QueryGroups.from_ids(group_ids)
+        sigma = 2.0
+        index = PairIndex(labels, groups, k=k, sigma=sigma)
+        if k >= 8:
+            assert len(index._blocks) > len(groups._padded_layout()[0])
+        g, h = index.gradients(scores, n_threads=n_threads)
+        g_ref, h_ref = full_pair_gradients(labels, groups, k, sigma, scores)
+        assert (g.tobytes(), h.tobytes()) == (g_ref.tobytes(), h_ref.tobytes())
+        assert np.count_nonzero(h) > 1000
+
+
+class TestPairLists:
+    """``win`` and ``lose`` are built only when read, for the tracer's counts."""
+
+    def test_gradients_never_build_pair_lists(self):
+        labels, scores, group_ids = edge_case_groups()
+        index = PairIndex(labels, QueryGroups.from_ids(group_ids), k=8)
+        index.gradients(scores, n_threads=2)
+        assert "_pair_lists" not in vars(index)
+
+    def test_train_never_builds_pair_lists(self, monkeypatch):
+        built = []
+
+        class RecordingIndex(PairIndex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(model_module, "PairIndex", RecordingIndex)
+        rng = np.random.default_rng(109)
+        X = rng.normal(size=(240, 3))
+        labels = np.clip(np.round(X[:, 0] + 2.0), 0.0, 4.0)
+        schema = FeatureSchema(
+            columns=tuple(FeatureColumn(f"f{i}", "numeric", "item") for i in range(3))
+        )
+        params = model_module.TrainParams(num_trees=3, max_depth=3)
+        model_module.train(X, labels, np.repeat(np.arange(20), 12), schema, params)
+        assert len(built) == 1 and "_pair_lists" not in vars(built[0])
+
+    def test_read_pair_lists_equal_oracle(self):
+        labels, _, group_ids = edge_case_groups()
+        groups = QueryGroups.from_ids(group_ids)
+        index = PairIndex(labels, groups, k=8)
+        win, lose = discordant_pairs(labels, groups)
+        assert np.array_equal(index.win, win) and np.array_equal(index.lose, lose)
+        assert "_pair_lists" in vars(index)
