@@ -42,7 +42,7 @@ from .fusion import (  # noqa: F401
 from .gbdt.lambdas import check_threads
 from .gbdt.model import Model, TrainParams, train
 from .gbdt.serialize import model_fingerprint
-from .metrics import MetricConfig, discounts, gain, ideal_dcg_at_k, order_from_scores
+from .metrics import MetricConfig, ndcg_at_k, order_from_scores, purchase_ndcg_at_k
 from .synthgen import SplitPlan
 
 
@@ -99,8 +99,9 @@ class Ranker:
 
     name = "ranker"
 
-    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
-        """For each group, its orderings: permutations of the group's item positions."""
+    def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
+        """For each group, its orderings: permutations of the group's item positions,
+        as a list of arrays or a 2-d array with one ordering per row."""
         raise NotImplementedError
 
 
@@ -112,7 +113,7 @@ class ModelRanker(Ranker):
         self.model = model
         self.column_indices = column_indices
 
-    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
+    def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
         return [
             [order_from_scores(self.model.predict_matrix(group.X[:, self.column_indices]))]
             for group in groups
@@ -131,7 +132,7 @@ class WIRanker(Ranker):
         self.name = "WI"
         self.seeds = tuple(seeds)
 
-    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
+    def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
         weights = [
             InterleaveWeights.uniform([cl.channel for cl in group.lists]) for group in groups
         ]
@@ -142,7 +143,7 @@ class WIRanker(Ranker):
         for group, (items, orders) in zip(groups, fused):
             pos = {item: i for i, item in enumerate(group.items)}
             at = np.array([pos[item] for item in items], dtype=np.intp)
-            out.append(list(at[orders]))
+            out.append(at[orders])
         return out
 
 
@@ -151,45 +152,13 @@ class RRFRanker(Ranker):
         self.name = "RRF"
         self.k_rrf = k_rrf
 
-    def orders(self, groups: Sequence[EvalGroup]) -> list[list[np.ndarray]]:
+    def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
         out = []
         for group in groups:
             fused = rrf_fuse(group.lists, k_rrf=self.k_rrf)
             pos = {item: i for i, item in enumerate(group.items)}
             out.append([np.array([pos[item] for item in fused.items], dtype=np.intp)])
         return out
-
-
-def _group_ndcgs(group: EvalGroup, orders: list[np.ndarray], k: int) -> tuple[float, float]:
-    """Mean NDCG@k and mean purchase NDCG@k of one group's orderings.
-
-    The ideal DCGs are computed once per group; each ordering's DCG is the
-    same ``gain(...) @ discounts(...)`` that :func:`ndcg_at_k` takes, so the
-    values match it bit for bit. Purchases use linear gain, and a group
-    whose ideal DCG is 0 scores 0.
-    """
-    labels = np.asarray(group.labels, dtype=np.float64)
-    purchases = np.asarray(group.purchases, dtype=np.float64)
-    n = len(labels)
-    if np.any(labels < 0):
-        raise ValueError("labels must be non-negative")
-    shaped = bool(orders) and all(np.shape(order) == (n,) for order in orders)
-    stacked = np.array(orders, dtype=np.intp) if shaped else None
-    if stacked is None or not (np.sort(stacked, axis=1) == np.arange(n)).all():
-        raise ValueError(
-            f"group {group.query!r} week {group.week}: orders must be one or more "
-            f"permutations of range({n})"
-        )
-    disc = discounts(n, k)
-    gains = gain(labels)
-    idcg = ideal_dcg_at_k(labels, k)
-    purchase_idcg = float(np.sort(purchases)[::-1] @ disc)
-    vals = [float(gains[order] @ disc) / idcg if idcg != 0.0 else 0.0 for order in stacked]
-    pvals = [
-        float(purchases[order] @ disc) / purchase_idcg if purchase_idcg != 0.0 else 0.0
-        for order in stacked
-    ]
-    return float(np.mean(vals)), float(np.mean(pvals))
 
 
 @dataclass(slots=True)
@@ -211,7 +180,9 @@ def evaluate_variant(
 ) -> VariantResult:
     """Mean NDCG@k (and purchase-only NDCG@k) over evaluation groups.
 
-    The ranker orders every group in one call. Stochastic rankers
+    The ranker orders every group in one call, and each group's orderings
+    are scored by :func:`ndcg_at_k` on its labels and
+    :func:`purchase_ndcg_at_k` on its purchases. Stochastic rankers
     contribute the per-group mean over their orderings; groups whose
     labels are all zero score 0 and stay in the mean, with the count
     reported for transparency.
@@ -228,8 +199,14 @@ def evaluate_variant(
     zero_idcg = 0
     n_orders = 0
     for gi, (group, orders) in enumerate(zip(groups, all_orders)):
-        n_orders = max(n_orders, len(orders))
-        per_group[gi], per_group_purchase[gi] = _group_ndcgs(group, orders, cfg.k)
+        try:
+            ndcgs = np.atleast_1d(ndcg_at_k(group.labels, orders, cfg.k))
+            purchase_ndcgs = purchase_ndcg_at_k(group.purchases, orders, cfg.k)
+        except ValueError as exc:
+            raise ValueError(f"group {group.query!r} week {group.week}: {exc}") from exc
+        n_orders = max(n_orders, len(ndcgs))
+        per_group[gi] = np.mean(ndcgs)
+        per_group_purchase[gi] = np.mean(purchase_ndcgs)
         if not group.labels.any():
             zero_idcg += 1
     quantiles = {

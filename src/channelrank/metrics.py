@@ -48,33 +48,53 @@ def ideal_dcg_at_k(labels: np.ndarray, k: int) -> float:
     return dcg_at_k(ordered, k)
 
 
-def ndcg_at_k(labels: np.ndarray, predicted_order: np.ndarray, k: int) -> float:
-    """NDCG@k of a predicted ordering.
+def _checked(values: np.ndarray, predicted_order: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Float64 ``values``, integer orders and the discounts at k. ValueError unless
+    the values are 1-d, finite and non-negative and the orders are one integer
+    permutation of ``range(len(values))`` or a 2-d stack of one or more."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or not np.isfinite(values).all() or np.any(values < 0):
+        raise ValueError("labels must be 1-d, finite and non-negative")
+    n = len(values)
+    try:
+        order = np.asarray(predicted_order)
+    except ValueError:  # a ragged stack
+        order = np.empty(0)
+    if (
+        order.dtype.kind not in "iu" or order.shape[-1:] != (n,) or order.ndim > 2
+        or (order.ndim == 2 and len(order) == 0)
+        or not (np.sort(order, axis=-1) == np.arange(n)).all()
+    ):
+        raise ValueError(f"orders must be one or more integer permutations of range({n})")
+    return values, order, discounts(n, k)
 
-    Parameters
-    ----------
-    labels
-        Non-negative relevance per item, indexed by item position.
-    predicted_order
-        Permutation of ``range(len(labels))``: item indices from best to
-        worst under the ranker.
-    k
-        Truncation depth.
+
+def _ratios(gains: np.ndarray, ideal: float, order: np.ndarray, disc: np.ndarray):
+    """Each order's DCG over ``ideal`` (0 if it is 0), a float for one order. Each
+    DCG is one ``gains[order] @ disc``; a stacked product would round differently."""
+    stack = np.atleast_2d(order)
+    out = np.array([gains[row] @ disc for row in stack]) / ideal if ideal else np.zeros(len(stack))
+    return float(out[0]) if order.ndim == 1 else out
+
+
+def ndcg_at_k(labels: np.ndarray, predicted_order: np.ndarray, k: int) -> float | np.ndarray:
+    """NDCG@k of one ordering (a float), or of each row of a 2-d stack (an array).
+
+    ``labels`` are non-negative relevances by item position; an ordering is
+    an integer permutation of ``range(len(labels))``, best item first.
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    order = np.asarray(predicted_order, dtype=np.intp)
-    if labels.ndim != 1 or order.shape != labels.shape:
-        raise ValueError("labels and predicted_order must be 1-d and same length")
-    if np.any(labels < 0):
-        raise ValueError("labels must be non-negative")
-    check = np.zeros(len(labels), dtype=bool)
-    check[order] = True
-    if not check.all():
-        raise ValueError("predicted_order is not a permutation")
-    idcg = ideal_dcg_at_k(labels, k)
-    if idcg == 0.0:
-        return 0.0
-    return dcg_at_k(labels[order], k) / idcg
+    labels, order, disc = _checked(labels, predicted_order, k)
+    return _ratios(gain(labels), ideal_dcg_at_k(labels, k), order, disc)
+
+
+def purchase_ndcg_at_k(
+    purchases: np.ndarray, predicted_order: np.ndarray, k: int
+) -> float | np.ndarray:
+    """:func:`ndcg_at_k` with linear gain, so raw purchase counts cannot overflow."""
+    purchases, order, disc = _checked(purchases, predicted_order, k)
+    # The ideal is a product over the reversed view: a contiguous copy rounds
+    # differently, and the reported values depend on it.
+    return _ratios(purchases, float(np.sort(purchases)[::-1] @ disc), order, disc)
 
 
 def order_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -83,8 +103,7 @@ def order_from_scores(scores: np.ndarray) -> np.ndarray:
     The index tie-break keeps evaluation deterministic when the ranker
     emits equal scores.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.lexsort((np.arange(len(scores)), -scores))
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,6 +51,7 @@ from .core import ChannelId, ChannelList, TruncationConfig, merge_pool, parse_fi
 from .features import fill_channel_block
 from .gbdt.model import Model
 from .gbdt.serialize import MODEL_FORMAT_VERSION, model_fingerprint
+from .metrics import order_from_scores
 
 DEFAULT_POOL_CAP = 500
 #: Largest request body read; a longer Content-Length gets 413 before any read.
@@ -229,8 +230,8 @@ class ScoreService:
         fill_channel_block(X, self.model.schema, pool)
 
         scores = self.model.predict_matrix(X)
-        # ``items`` is sorted, so a stable sort breaks score ties by item id.
-        order = np.argsort(-scores, kind="stable").tolist()
+        # ``items`` is sorted, so the index tie-break orders equal scores by item id.
+        order = order_from_scores(scores).tolist()
         scores = scores.tolist()
         # Hits run in channel-index order, so each row's names do too.
         names = [c.name for c in pool.channels]

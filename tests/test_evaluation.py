@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from channelrank.evaluation import (
     evaluate_variant,
 )
 from channelrank.gbdt.model import TrainParams
-from channelrank.metrics import MetricConfig, order_from_scores
+from channelrank.metrics import MetricConfig, ndcg_at_k, order_from_scores, purchase_ndcg_at_k
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 
 CFG = WorldConfig(
@@ -119,8 +120,6 @@ class TestEvaluateVariant:
         result = evaluate_variant(OracleRanker(), groups, MetricConfig(k=8))
         assert result.group_count == len(groups)
         labeled = [g for g in groups if g.labels.any()]
-        from channelrank.metrics import ndcg_at_k
-
         for g in labeled:
             order = order_from_scores(g.labels)
             assert ndcg_at_k(g.labels, order, 8) == pytest.approx(1.0)
@@ -142,6 +141,21 @@ class TestEvaluateVariant:
     def test_empty_eval_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             evaluate_variant(OracleRanker(), [], MetricConfig())
+
+    def test_scores_are_means_of_metrics_ndcgs(self, groups):
+        # The report's numbers are ndcg_at_k and purchase_ndcg_at_k, bit for bit.
+        ranker = WIRanker(seeds=tuple(range(4)))
+        stacks = ranker.orders(groups)
+        result = evaluate_variant(ranker, groups, MetricConfig(k=8))
+        ndcg = [np.mean(ndcg_at_k(g.labels, s, 8)) for g, s in zip(groups, stacks)]
+        purchase = [np.mean(purchase_ndcg_at_k(g.purchases, s, 8)) for g, s in zip(groups, stacks)]
+        assert result.mean_ndcg == float(np.mean(ndcg))
+        assert result.mean_purchase_ndcg == float(np.mean(purchase))
+
+    def test_wi_orders_are_one_stack_per_group(self, groups):
+        for group, stack in zip(groups, WIRanker(seeds=(0, 1, 2)).orders(groups)):
+            assert stack.shape == (3, len(group.items))
+            assert stack.dtype == np.intp
 
     def test_rrf_ranker_runs(self, groups):
         result = evaluate_variant(RRFRanker(), groups, MetricConfig(k=8))
@@ -252,6 +266,15 @@ class TestRankerOrdersChecked:
     def test_non_permutations_rejected(self, groups, given):
         with pytest.raises(ValueError, match="permutations of range"):
             evaluate_variant(_Orders(given), groups, MetricConfig(k=8))
+
+    def test_float_orders_rejected(self, groups):
+        first = groups[0]
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"group {first.query!r} week {first.week}: ")
+            + ".*integer permutations of range",
+        ):
+            evaluate_variant(_Orders(lambda n: [np.arange(n, dtype=np.float64)]), groups)
 
     def test_one_orders_list_per_group(self, groups):
         class _Short(Ranker):

@@ -12,6 +12,7 @@ from channelrank.metrics import (
     ndcg_at_k,
     QueryGroups,
     order_from_scores,
+    purchase_ndcg_at_k,
 )
 
 
@@ -87,12 +88,99 @@ class TestNdcg:
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError, match="non-negative"):
             ndcg_at_k(np.array([-1.0, 2.0]), np.array([0, 1]), k=2)
+        # A NaN or infinite label used to give a NaN score.
+        for bad in (np.nan, np.inf):
+            for metric in (ndcg_at_k, purchase_ndcg_at_k):
+                with pytest.raises(ValueError, match="finite"):
+                    metric(np.array([bad, 2.0]), np.array([0, 1]), k=2)
+
+    @pytest.mark.parametrize(
+        "order", [np.array([1.0, 0.0, 2.0]), np.array([True, False, True])], ids=["float", "bool"]
+    )
+    def test_rejects_non_integer_orders(self, order):
+        # A float order used to be cut down to integers and scored.
+        for metric in (ndcg_at_k, purchase_ndcg_at_k):
+            for given in (order, order[None]):
+                with pytest.raises(ValueError, match="integer permutations"):
+                    metric(np.array([0.9, 1.2, 2.7]), given, k=3)
+
+    @pytest.mark.parametrize(
+        "order",
+        [np.array([0, -1]), np.array([0, 2]), np.empty((0, 2), dtype=np.intp),
+         [np.arange(2), np.arange(3)], np.zeros((2, 2, 2), dtype=np.intp)],
+        ids=["negative-index", "out-of-range", "empty-stack", "ragged", "3-d"],
+    )
+    def test_rejects_orders_that_are_not_permutations(self, order):
+        with pytest.raises(ValueError, match="permutations of range"):
+            ndcg_at_k(np.array([1.0, 2.0]), order, k=2)
+
+    def test_stack_scores_each_order_bitwise(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            labels = rng.uniform(0, 4, size=n).round(int(rng.integers(0, 3)))
+            if rng.random() < 0.2:
+                labels[:] = 0.0
+            stack = np.array([rng.permutation(n) for _ in range(int(rng.integers(1, 6)))])
+            k = int(rng.integers(1, 12))
+            values = ndcg_at_k(labels, stack, k)
+            assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+            for value, order in zip(values, stack):
+                single = ndcg_at_k(labels, order, k)
+                assert isinstance(single, float)
+                assert value == single
+                assert value == pytest.approx(brute_force_ndcg(labels, list(order), k), abs=1e-12)
+
+
+def brute_force_purchase_ndcg(purchases, order, k):
+    """Linear-gain NDCG@k by a position-by-position loop."""
+    dcg = sum(purchases[idx] / math.log2(pos + 1) for pos, idx in enumerate(order[:k], 1))
+    ideal = sorted(purchases, reverse=True)[:k]
+    idcg = sum(p / math.log2(pos + 1) for pos, p in enumerate(ideal, 1))
+    return 0.0 if idcg == 0.0 else dcg / idcg
+
+
+class TestPurchaseNdcg:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            purchases = rng.integers(0, 12, size=n).astype(np.float64)
+            stack = np.array([rng.permutation(n) for _ in range(int(rng.integers(1, 4)))])
+            k = int(rng.integers(1, 12))
+            values = purchase_ndcg_at_k(purchases, stack, k)
+            for value, order in zip(values, stack):
+                assert value == purchase_ndcg_at_k(purchases, order, k)
+                assert value == pytest.approx(
+                    brute_force_purchase_ndcg(purchases, list(order), k), abs=1e-12
+                )
+
+    def test_gain_is_linear(self):
+        # Counts [5, 1, 0] ranked worst-first: DCG = 1/log2(3) + 5/2,
+        # IDCG = 5 + 1/log2(3); exponential gain would use 31 and 1.
+        value = purchase_ndcg_at_k(np.array([5.0, 1.0, 0.0]), np.array([2, 1, 0]), k=3)
+        assert value == pytest.approx((1 / math.log2(3) + 2.5) / (5 + 1 / math.log2(3)))
+
+    def test_no_purchases_score_zero(self):
+        assert purchase_ndcg_at_k(np.zeros(3), np.array([[0, 1, 2], [2, 1, 0]]), k=3).tolist() == [
+            0.0, 0.0,
+        ]
 
 
 class TestOrderFromScores:
     def test_ties_break_by_index_ascending(self):
         scores = np.array([1.0, 2.0, 1.0, 2.0])
         assert list(order_from_scores(scores)) == [1, 3, 0, 2]
+
+    def test_equals_two_key_lexsort(self):
+        # Ties, signed zeros, infinities and NaN rank as the score-then-index lexsort does.
+        rng = np.random.default_rng(29)
+        cells = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 0.5])
+        for _ in range(500):
+            n = int(rng.integers(0, 60))
+            scores = rng.choice(cells, size=n) if rng.random() < 0.5 else rng.normal(size=n)
+            want = np.lexsort((np.arange(n), -scores))
+            np.testing.assert_array_equal(order_from_scores(scores), want)
 
 
 class TestQueryGroups:

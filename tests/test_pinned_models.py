@@ -6,8 +6,8 @@ checks an axis and an oblique model that no benchmark run trains, both
 fitted with a validation set. The training log's last NDCG values are pinned
 too, as are the models' scores on validation rows with NaN and infinite
 cells, and so is a small ablation on the same world: its dataset, its three
-models and its four variant scores. A change to any value below means a
-change to what labeling, training or evaluation computes.
+models and its four variants' NDCG and purchase NDCG. A change to any value
+below means a change to what labeling, training or evaluation computes.
 """
 
 from __future__ import annotations
@@ -50,24 +50,28 @@ OBLIQUE = (
 #: ``Dataset.fingerprint()`` of the world's dataset.
 DATASET = "b5a5de27add04e5b80f3c3ee6ea6b4c8c51310121c32a9713f736b4b45d8c6ab"
 
-#: Per ablation variant: mean NDCG@8, ``model_fingerprint`` and the last
-#: logged training NDCG@8 (None for WI, which trains nothing).
+#: Per ablation variant: mean NDCG@8, ``model_fingerprint``, the last
+#: logged training NDCG@8 (None for WI, which trains nothing) and the mean
+#: purchase NDCG@8.
 ABLATION = {
-    "WI": (0.7003487294883615, None, None),
+    "WI": (0.7003487294883615, None, None, 0.6216359157013726),
     "UR": (
         0.6789734009438353,
         "4fb09164799a9053dd7ee3b4b49f2bf828b08c8b5f8f2f8bdf4c868a5c7ef073",
         0.7516113561750499,
+        0.6113528878868679,
     ),
     "UR+EF": (
         0.693280935680508,
         "bfb956626ed2af9a83c92c63896c0d611a5b84a43f550d8c12a73cb58dad0825",
         0.7609443952934306,
+        0.6219081818185446,
     ),
     "UR+EF+CL": (
         0.6989542295220221,
         "343f7bab0ef55f7ae108abd190ce3ad1eb24024e300c091324fcfe65ca3d0ec5",
         0.7380052439265342,
+        0.6504653346505206,
     ),
 }
 
@@ -169,6 +173,7 @@ def test_second_world_ablation(world_data):
             v.mean_ndcg,
             v.model_fingerprint,
             history[v.name][-1] if v.name in history else None,
+            v.mean_purchase_ndcg,
         )
         for v in report.variants
     } == ABLATION
