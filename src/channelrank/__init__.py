@@ -63,7 +63,6 @@ from .evaluation import (
     AblationConfig,
     EvalReport,
     ModelRanker,
-    RRFRanker,
     WIRanker,
     ablation_run,
     evaluate_variant,

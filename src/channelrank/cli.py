@@ -301,14 +301,21 @@ def _parse_weights(flags: list[str] | None, channels: tuple[ChannelId, ...]) -> 
         name, value = flag.split("=", 1)
         if name not in by_name:
             raise ValueError(f"unknown channel {name!r} in --weight")
-        weights[by_name[name]] = float(value)
+        try:
+            weights[by_name[name]] = float(value)
+        except ValueError:
+            raise ValueError(f"--weight {flag!r}: {value!r} is not a number") from None
     return InterleaveWeights(weights)
 
 
 def _make_service(args: argparse.Namespace) -> ScoreService:
     model = load_model(args.model)
     table = ItemFeatureTable.from_file(args.items) if args.items else None
-    pool_cap = int(os.environ.get("CHANNELRANK_POOL_CAP", args.pool_cap))
+    raw = os.environ.get("CHANNELRANK_POOL_CAP", args.pool_cap)
+    try:
+        pool_cap = int(raw)
+    except ValueError:
+        raise ValueError(f"CHANNELRANK_POOL_CAP {raw!r} is not an integer") from None
     return ScoreService(model, item_features=table, pool_cap=pool_cap)
 
 

@@ -2,7 +2,7 @@
 
 Variants:
 
-* ``WI`` -- weighted interleaving of the raw channel lists (stochastic;
+* ``WI`` -- weighted interleaving of each pool's channel lists (stochastic;
   scored as the mean over a set of evaluation seeds);
 * ``UR`` -- learned ranker on heuristic labels, engagement features
   masked out of the schema;
@@ -27,18 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChannelList, QueryId, truncate
+from .core import CandidatePool, ChannelList, QueryId, merge_pool
 from .dataset import Dataset
-# Nothing here calls weighted_interleave; the WI ranker interleaves through
-# weighted_interleave_batch. The name stays imported because perfbench's
-# tracer patches evaluation.weighted_interleave, and raises AttributeError
-# if it is missing.
-from .fusion import (  # noqa: F401
-    InterleaveWeights,
-    rrf_fuse,
-    weighted_interleave,
-    weighted_interleave_batch,
-)
+# Nothing here calls weighted_interleave. The name stays imported because
+# perfbench's tracer patches evaluation.weighted_interleave, and raises
+# AttributeError if it is missing.
+from .fusion import interleave_encoded, weighted_interleave  # noqa: F401
 from .gbdt.lambdas import check_threads
 from .gbdt.model import Model, TrainParams, train
 from .gbdt.serialize import model_fingerprint
@@ -52,11 +46,10 @@ class EvalGroup:
 
     query: QueryId
     week: int
-    items: tuple[str, ...]          # ascending; positions index labels/X
+    pool: CandidatePool             # pool.items ascending; positions index labels/X
     labels: np.ndarray              # conversion-weighted normalized labels
     purchases: np.ndarray           # same-week purchase session counts
     X: np.ndarray                   # full-schema feature rows
-    lists: list[ChannelList]
 
 
 def build_eval_groups(
@@ -64,7 +57,7 @@ def build_eval_groups(
     channel_lists: Mapping[int, Mapping[QueryId, list[ChannelList]]],
     keys: Iterable[tuple[int, int]],
 ) -> list[EvalGroup]:
-    """Slice the dataset into per-group views for the given keys."""
+    """Per-group views of the dataset, each with the pool ``build_dataset`` merged for it."""
     wanted = sorted(set(keys))
     key_to_gid = {key: gid for gid, key in enumerate(dataset.group_keys)}
     groups: list[EvalGroup] = []
@@ -76,19 +69,20 @@ def build_eval_groups(
         lo, hi = int(starts[gid]), int(starts[gid + 1])
         q, week = key
         qstr = dataset.query_vocab[q]
-        lists = [
-            truncate(cl, dataset.truncation.n_for(cl.channel))
-            for cl in channel_lists[week][qstr]
-        ]
+        lists = channel_lists.get(week, {}).get(qstr)
+        if not lists:
+            raise ValueError(f"no channel lists for query {qstr!r} week {week}")
+        pool = merge_pool(lists, dataset.truncation)
+        if pool.items != tuple(dataset.item_vocab[i] for i in dataset.item_codes[lo:hi]):
+            raise ValueError(f"query {qstr!r} week {week}: pool differs from dataset rows")
         groups.append(
             EvalGroup(
                 query=qstr,
                 week=week,
-                items=tuple(dataset.item_vocab[i] for i in dataset.item_codes[lo:hi]),
+                pool=pool,
                 labels=dataset.labels_conversion[lo:hi],
                 purchases=dataset.purchases[lo:hi],
                 X=dataset.X[lo:hi],
-                lists=lists,
             )
         )
     return groups
@@ -100,7 +94,7 @@ class Ranker:
     name = "ranker"
 
     def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
-        """For each group, its orderings: permutations of the group's item positions,
+        """For each group, its orderings: permutations of the group's pool rows,
         as a list of arrays or a 2-d array with one ordering per row."""
         raise NotImplementedError
 
@@ -124,8 +118,8 @@ class WIRanker(Ranker):
     """Weighted interleaving averaged over a fixed set of seeds.
 
     Every group under every seed is interleaved in one
-    :func:`weighted_interleave_batch` call; each group weighs its own
-    channels uniformly.
+    :func:`interleave_encoded` call on its pool's rows; each group weighs
+    its own channels uniformly.
     """
 
     def __init__(self, seeds: Sequence[int] = tuple(range(20))):
@@ -133,32 +127,15 @@ class WIRanker(Ranker):
         self.seeds = tuple(seeds)
 
     def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
-        weights = [
-            InterleaveWeights.uniform([cl.channel for cl in group.lists]) for group in groups
-        ]
-        fused = weighted_interleave_batch(
-            [group.lists for group in groups], weights, [self.seeds] * len(groups)
-        )
-        out = []
-        for group, (items, orders) in zip(groups, fused):
-            pos = {item: i for i, item in enumerate(group.items)}
-            at = np.array([pos[item] for item in items], dtype=np.intp)
-            out.append(at[orders])
-        return out
-
-
-class RRFRanker(Ranker):
-    def __init__(self, k_rrf: float = 60.0):
-        self.name = "RRF"
-        self.k_rrf = k_rrf
-
-    def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
-        out = []
+        # A pool's hits run by channel index, then rank: one run per channel.
+        rows = []
         for group in groups:
-            fused = rrf_fuse(group.lists, k_rrf=self.k_rrf)
-            pos = {item: i for i, item in enumerate(group.items)}
-            out.append([np.array([pos[item] for item in fused.items], dtype=np.intp)])
-        return out
+            pool = group.pool
+            counts = np.bincount(pool.hit_channel, minlength=len(pool.channels))
+            rows.append(np.split(pool.hit_row, np.cumsum(counts)[:-1]))
+        n_items = [len(group.pool) for group in groups]
+        weights = [[1.0] * len(set_rows) for set_rows in rows]
+        return interleave_encoded(n_items, rows, weights, [self.seeds] * len(groups))
 
 
 @dataclass(slots=True)

@@ -4,10 +4,10 @@ Both operate on the same per-query channel lists the learned ranker sees,
 and serve as experimental controls. RRF is deterministic; weighted
 interleaving is a seeded stochastic policy, so experiment configs carry
 the seed. :func:`weighted_interleave_batch` is the one interleaver: it
-fuses many list sets, each under its own seeds, in one vectorized pass.
-:func:`weighted_interleave` is its one-set call, which costs about
-2.5 ms for four 25-item lists, so callers with many sets (the synthetic
-logging policy, the ablation's WI baseline, ``channelrank fuse``) batch them.
+encodes many list sets and fuses them, each under its own seeds, in one
+vectorized :func:`interleave_encoded` pass. :func:`weighted_interleave` is
+its one-set call, costing about 2.5 ms for four 25-item lists, so callers
+with many sets (the synthetic logging policy, ``channelrank fuse``) batch them.
 """
 
 from __future__ import annotations
@@ -150,6 +150,28 @@ def weighted_interleave_batch(
     pair per set: ``items`` is the union of its lists (channel-index order,
     then rank), and row ``s`` of the ``(len(seeds[k]), len(items))`` array
     ``orders`` indexes ``items`` in the order seed ``seeds[k][s]`` emits.
+    """
+    if len(weights) != len(list_sets):
+        raise ValueError(f"{len(list_sets)} list sets but {len(weights)} weight maps")
+    if len(seeds) != len(list_sets):
+        raise ValueError(f"{len(list_sets)} list sets but {len(seeds)} seed lists")
+    encoded = [_encode(lists, wmap) for lists, wmap in zip(list_sets, weights)]
+    items, rows, w = zip(*encoded) if encoded else ((), (), ())
+    return list(zip(items, interleave_encoded(list(map(len, items)), rows, w, seeds)))
+
+
+def interleave_encoded(
+    n_items: Sequence[int],
+    rows: Sequence[Sequence[Sequence[int]]],
+    weights: Sequence[Sequence[float]],
+    seeds: Sequence[Sequence[int]],
+) -> list[np.ndarray]:
+    """:func:`weighted_interleave_batch` on list sets encoded as item numbers.
+
+    Set ``k``'s items are ``0 .. n_items[k] - 1``; ``rows[k]`` holds each
+    channel's ranked item numbers and ``weights[k]`` its weight, in
+    channel-index order. Returns per set its ``(len(seeds[k]), n_items[k])``
+    orders. Renumbering a set's items renumbers its orders and moves no draw.
 
     Every step makes one draw for every instance still drawing, as numpy
     operations over all of them. A draw pops at least one entry, so each
@@ -162,26 +184,21 @@ def weighted_interleave_batch(
     ``sum`` over just the live weights (pairwise for 8 or more values):
     another summation order could move a draw across a channel boundary.
     """
-    if len(weights) != len(list_sets):
-        raise ValueError(f"{len(list_sets)} list sets but {len(weights)} weight maps")
-    if len(seeds) != len(list_sets):
-        raise ValueError(f"{len(list_sets)} list sets but {len(seeds)} seed lists")
-    encoded = [_encode(lists, wmap) for lists, wmap in zip(list_sets, weights)]
-    n_sets = len(encoded)
-    n_channels = max((len(set_rows) for _, set_rows, _ in encoded), default=0)
-    longest = max((len(row) for _, set_rows, _ in encoded for row in set_rows), default=0)
-    # rows[k, c, r] is the item at rank r of set k's c-th list; one pad
+    n_sets = len(rows)
+    n_channels = max(map(len, rows), default=0)
+    longest = max((len(row) for set_rows in rows for row in set_rows), default=0)
+    # padded[k, c, r] is the item at rank r of set k's c-th list; one pad
     # column past the longest list keeps a read at a queue's end in bounds.
     width = longest + 1
-    rows = np.zeros((n_sets, n_channels, width), dtype=np.intp)
+    padded = np.zeros((n_sets, n_channels, width), dtype=np.intp)
     end = np.zeros((n_sets, n_channels), dtype=np.intp)
     w = np.zeros((n_sets, n_channels))
-    for k, (_, set_rows, set_w) in enumerate(encoded):
+    for k, (set_rows, set_w) in enumerate(zip(rows, weights)):
         for c, row in enumerate(set_rows):
-            rows[k, c, : len(row)] = row
+            padded[k, c, : len(row)] = row
             end[k, c] = len(row)
         w[k, : len(set_w)] = set_w
-    flat_rows = rows.ravel()
+    flat_rows = padded.ravel()
     # Set k's instances are rows first[k]:first[k + 1], one per seed in
     # seeds[k]; instance i reads row seed_of[i] of the uniforms.
     n_per_set = [len(set_seeds) for set_seeds in seeds]
@@ -200,7 +217,7 @@ def weighted_interleave_batch(
     head = np.zeros((n_inst, n_channels), dtype=np.intp)
     end = np.repeat(end, n_per_set, axis=0)
     w = np.repeat(w, n_per_set, axis=0)
-    most_items = max((len(items) for items, _, _ in encoded), default=0)
+    most_items = max(n_items, default=0)
     # Instance i's emitted-item mask is emitted[i * most_items:][:most_items].
     emitted = np.zeros(n_inst * most_items, dtype=bool)
     out = np.zeros((n_inst, most_items), dtype=np.intp)
@@ -216,7 +233,7 @@ def weighted_interleave_batch(
     def flush(i: int) -> None:
         # Only zero-weight channels are live: emit what they hold, in channel order.
         for c in range(n_channels):
-            for item in rows[set_of[i], c, head[i, c]:end[i, c]]:
+            for item in padded[set_of[i], c, head[i, c]:end[i, c]]:
                 if not emitted[i * most_items + item]:
                     emit(i, item)
             head[i, c] = end[i, c]
@@ -264,7 +281,4 @@ def weighted_interleave_batch(
         rebuild = active[at == stop_at]
         step += 1
 
-    return [
-        (items, out[first[k]:first[k + 1], : len(items)])
-        for k, (items, _, _) in enumerate(encoded)
-    ]
+    return [out[first[k]:first[k + 1], :n] for k, n in enumerate(n_items)]

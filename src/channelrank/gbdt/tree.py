@@ -578,7 +578,7 @@ def grow_tree(
 
     root = np.arange(len(g))
     level = []
-    if params.max_depth > 0 and len(root) >= 2 * min_leaf:
+    if len(root) >= 2 * min_leaf:
         level = [(root, 0)]
         hists = _batch_histograms(binned, g, h)
     else:

@@ -226,6 +226,19 @@ class TestPipeline:
         assert rc == 1
         assert "name=value" in capsys.readouterr().err
 
+    def test_fuse_unparsable_weight_exits_one_naming_the_flag(self, world_dir, capsys):
+        capsys.readouterr()
+        rc = main([
+            "fuse", "--lists", str(world_dir / "channel_lists_w0.tsv"),
+            "--method", "wi", "--weight", "lexical=abc",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "error: --weight 'lexical=abc': 'abc' is not a number"
+        ]
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "flags, reason",
         [
@@ -488,6 +501,16 @@ class TestPipeline:
         assert main([cmd, "--model", str(model_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: pool_cap must be >= 1, got 0"]
+
+    def test_unparsable_pool_cap_exits_one_naming_the_variable(
+        self, model_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("CHANNELRANK_POOL_CAP", "abc")
+        monkeypatch.setattr(cli, "bench", None)  # must fail before benchmarking
+        capsys.readouterr()
+        assert main(["bench", "--model", str(model_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: CHANNELRANK_POOL_CAP 'abc' is not an integer"]
 
 
 def _probe_world(root, weeks):

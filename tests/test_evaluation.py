@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from channelrank.core import TruncationConfig
+from channelrank.core import ChannelList, TruncationConfig, truncate
 from channelrank.dataset import build_dataset
 from channelrank.evaluation import (
     AblationConfig,
     Ranker,
-    RRFRanker,
     WIRanker,
     ablation_run,
     build_eval_groups,
@@ -18,6 +17,7 @@ from channelrank.evaluation import (
 from channelrank.gbdt.model import TrainParams
 from channelrank.metrics import MetricConfig, ndcg_at_k, order_from_scores, purchase_ndcg_at_k
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
+from tests.eval_oracle import RRFRanker, pool_lists, string_wi_orders
 
 CFG = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -67,7 +67,7 @@ class _FixedOrder(Ranker):
     def orders(self, groups):
         out = []
         for group in groups:
-            order = np.arange(len(group.items))
+            order = np.arange(len(group.pool))
             out.append([order[::-1] if self.reverse else order])
         return out
 
@@ -90,7 +90,7 @@ class _RelevanceOracle(Ranker):
             rel = np.array(
                 [
                     self.gt.relevance[q, uni[self.i_index[item]], group.week]
-                    for item in group.items
+                    for item in group.pool.items
                 ]
             )
             out.append([np.lexsort((np.arange(len(rel)), -rel))])
@@ -107,10 +107,9 @@ class _ChannelOrder(Ranker):
     def orders(self, groups):
         out = []
         for group in groups:
-            lst = group.lists[self.channel_index]
-            pos = {item: i for i, item in enumerate(group.items)}
-            ranked = [pos[item] for item, _ in lst.entries if item in pos]
-            rest = sorted(set(range(len(group.items))) - set(ranked))
+            pool = group.pool
+            ranked = pool.hit_row[pool.hit_channel == self.channel_index].tolist()
+            rest = sorted(set(range(len(pool))) - set(ranked))
             out.append([np.array(ranked + rest, dtype=np.intp)])
         return out
 
@@ -154,8 +153,32 @@ class TestEvaluateVariant:
 
     def test_wi_orders_are_one_stack_per_group(self, groups):
         for group, stack in zip(groups, WIRanker(seeds=(0, 1, 2)).orders(groups)):
-            assert stack.shape == (3, len(group.items))
+            assert stack.shape == (3, len(group.pool))
             assert stack.dtype == np.intp
+
+    @pytest.mark.parametrize("keys", ["test", "all"])
+    def test_wi_orders_equal_string_interleaving_bit_for_bit(
+        self, dataset, world, split, groups, keys
+    ):
+        # The parent's path: truncated raw lists, item strings, a dict back to rows.
+        if keys == "all":
+            groups = build_eval_groups(dataset, world.channel_lists, split.all_keys())
+        seeds = tuple(range(20))
+        got = WIRanker(seeds=seeds).orders(groups)
+        want = string_wi_orders(groups, world.channel_lists, dataset.truncation, seeds)
+        assert len(got) == len(want) == len(groups)
+        for stack, expected in zip(got, want):
+            assert stack.dtype == expected.dtype and stack.shape == expected.shape
+            assert stack.tobytes() == expected.tobytes()
+
+    def test_pool_lists_are_the_truncated_channel_lists(self, dataset, world, groups):
+        for group in groups:
+            lists = sorted(
+                world.channel_lists[group.week][group.query], key=lambda c: c.channel.index
+            )
+            assert pool_lists(group.pool) == [
+                truncate(cl, dataset.truncation.n_for(cl.channel)) for cl in lists
+            ]
 
     def test_rrf_ranker_runs(self, groups):
         result = evaluate_variant(RRFRanker(), groups, MetricConfig(k=8))
@@ -236,12 +259,44 @@ class TestBuildEvalGroups:
         key_set = {(dataset.query_vocab.index(g.query), g.week) for g in groups}
         assert key_set == split.test
         for g in groups:
-            assert len(g.items) == len(g.labels) == len(g.X)
-            assert list(g.items) == sorted(g.items)
+            assert len(g.pool) == len(g.labels) == len(g.X)
+            assert list(g.pool.items) == sorted(g.pool.items)
 
     def test_unknown_key_rejected(self, dataset, world):
         with pytest.raises(ValueError, match="not materialized"):
             build_eval_groups(dataset, world.channel_lists, [(999, 4)])
+
+    @pytest.mark.parametrize("missing", ["query", "week"])
+    def test_missing_lists_rejected_naming_the_group(self, dataset, world, groups, missing):
+        group = groups[0]
+        lists = {week: dict(by_query) for week, by_query in world.channel_lists.items()}
+        if missing == "query":
+            del lists[group.week][group.query]
+        else:
+            del lists[group.week]
+        key = (dataset.query_vocab.index(group.query), group.week)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"no channel lists for query {group.query!r} week {group.week}"),
+        ):
+            build_eval_groups(dataset, lists, [key])
+
+    def test_lists_that_miss_a_row_rejected_naming_the_group(self, dataset, world, groups):
+        group = groups[0]
+        dropped = group.pool.items[0]
+        lists = {week: dict(by_query) for week, by_query in world.channel_lists.items()}
+        lists[group.week][group.query] = [
+            ChannelList(cl.channel, cl.query, tuple(e for e in cl.entries if e[0] != dropped))
+            for cl in lists[group.week][group.query]
+        ]
+        key = (dataset.query_vocab.index(group.query), group.week)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"query {group.query!r} week {group.week}: pool differs from dataset rows"
+            ),
+        ):
+            build_eval_groups(dataset, lists, [key])
 
 
 class _Orders(Ranker):
@@ -253,7 +308,7 @@ class _Orders(Ranker):
         self.given = orders
 
     def orders(self, groups):
-        return [self.given(len(group.items)) for group in groups]
+        return [self.given(len(group.pool)) for group in groups]
 
 
 class TestRankerOrdersChecked:
@@ -281,7 +336,7 @@ class TestRankerOrdersChecked:
             name = "short"
 
             def orders(self, groups):
-                return [[np.arange(len(g.items))] for g in groups[1:]]
+                return [[np.arange(len(g.pool))] for g in groups[1:]]
 
         with pytest.raises(ValueError, match=f"orders for {len(groups) - 1} of {len(groups)}"):
             evaluate_variant(_Short(), groups, MetricConfig(k=8))
