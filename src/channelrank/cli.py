@@ -31,6 +31,7 @@ from .service import (
     ItemFeatureTable,
     ScoreService,
     bench,
+    check_pool_cap,
     make_server,
     synth_requests,
     write_item_features,
@@ -309,13 +310,14 @@ def _parse_weights(flags: list[str] | None, channels: tuple[ChannelId, ...]) -> 
 
 
 def _make_service(args: argparse.Namespace) -> ScoreService:
-    model = load_model(args.model)
-    table = ItemFeatureTable.from_file(args.items) if args.items else None
     raw = os.environ.get("CHANNELRANK_POOL_CAP", args.pool_cap)
     try:
         pool_cap = int(raw)
     except ValueError:
         raise ValueError(f"CHANNELRANK_POOL_CAP {raw!r} is not an integer") from None
+    check_pool_cap(pool_cap)
+    model = load_model(args.model)
+    table = ItemFeatureTable.from_file(args.items) if args.items else None
     return ScoreService(model, item_features=table, pool_cap=pool_cap)
 
 

@@ -161,6 +161,11 @@ class TruncationConfig:
     def uniform(cls, channels: Iterable[ChannelId], n: int) -> TruncationConfig:
         return cls(per_channel_n={c: n for c in channels})
 
+    @classmethod
+    def whole(cls, lists: Iterable[ChannelList]) -> TruncationConfig:
+        """The budget that keeps every list whole; an empty list gets 1."""
+        return cls(per_channel_n={cl.channel: max(len(cl), 1) for cl in lists})
+
     def n_for(self, channel: ChannelId) -> int:
         return self.per_channel_n[channel]
 
@@ -191,16 +196,14 @@ def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> Candidate
     """Union the truncated channel lists into a candidate pool with provenance.
 
     Items retrieved by several channels appear once, with one hit per
-    retrieving channel.
+    retrieving channel. No lists give an empty pool with query ``""``.
 
     Raises
     ------
     ValueError
         If the lists mix query ids, repeat a channel or have a budget below 1.
     """
-    if not lists:
-        raise ValueError("merge_pool requires at least one channel list")
-    query = _check_one_query(lists)
+    query = _check_one_query(lists) if lists else ""
     seen_channels: set[int] = set()
     for cl in lists:
         if cl.channel.index in seen_channels:
@@ -209,7 +212,7 @@ def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> Candidate
 
     ordered = sorted(lists, key=lambda c: c.channel.index)
     cuts = [cfg.n_for(cl.channel) for cl in ordered]
-    if min(cuts) < 1:
+    if min(cuts, default=1) < 1:
         raise ValueError(f"n must be >= 1, got {min(cuts)}")
     kept = [cl.entries[:n] for cl, n in zip(ordered, cuts)]
     hits = list(chain.from_iterable(kept))

@@ -32,7 +32,7 @@ from .dataset import Dataset
 # Nothing here calls weighted_interleave. The name stays imported because
 # perfbench's tracer patches evaluation.weighted_interleave, and raises
 # AttributeError if it is missing.
-from .fusion import interleave_encoded, weighted_interleave  # noqa: F401
+from .fusion import interleave_pools, weighted_interleave  # noqa: F401
 from .gbdt.lambdas import check_threads
 from .gbdt.model import Model, TrainParams, train
 from .gbdt.serialize import model_fingerprint
@@ -118,7 +118,7 @@ class WIRanker(Ranker):
     """Weighted interleaving averaged over a fixed set of seeds.
 
     Every group under every seed is interleaved in one
-    :func:`interleave_encoded` call on its pool's rows; each group weighs
+    :func:`interleave_pools` call on the groups' pools; each group weighs
     its own channels uniformly.
     """
 
@@ -127,15 +127,9 @@ class WIRanker(Ranker):
         self.seeds = tuple(seeds)
 
     def orders(self, groups: Sequence[EvalGroup]) -> list[Sequence[np.ndarray]]:
-        # A pool's hits run by channel index, then rank: one run per channel.
-        rows = []
-        for group in groups:
-            pool = group.pool
-            counts = np.bincount(pool.hit_channel, minlength=len(pool.channels))
-            rows.append(np.split(pool.hit_row, np.cumsum(counts)[:-1]))
-        n_items = [len(group.pool) for group in groups]
-        weights = [[1.0] * len(set_rows) for set_rows in rows]
-        return interleave_encoded(n_items, rows, weights, [self.seeds] * len(groups))
+        pools = [group.pool for group in groups]
+        weights = [[1.0] * len(pool.channels) for pool in pools]
+        return interleave_pools(pools, weights, [self.seeds] * len(groups))
 
 
 @dataclass(slots=True)

@@ -3,11 +3,13 @@
 Both operate on the same per-query channel lists the learned ranker sees,
 and serve as experimental controls. RRF is deterministic; weighted
 interleaving is a seeded stochastic policy, so experiment configs carry
-the seed. :func:`weighted_interleave_batch` is the one interleaver: it
-encodes many list sets and fuses them, each under its own seeds, in one
-vectorized :func:`interleave_encoded` pass. :func:`weighted_interleave` is
-its one-set call, costing about 2.5 ms for four 25-item lists, so callers
-with many sets (the synthetic logging policy, ``channelrank fuse``) batch them.
+the seed. Both read a list set as the :class:`CandidatePool` that
+:func:`merge_pool` makes of it with every list whole. :func:`interleave_pools`
+is the one interleaver: it fuses many pools, each under its own seeds, in
+one vectorized pass. :func:`weighted_interleave_batch` merges list sets and
+calls it, and :func:`weighted_interleave` is its one-set call, costing
+about 1.8 ms for four 25-item lists, so callers with many sets (the
+synthetic logging policy, ``channelrank fuse``) batch them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelId, ChannelList, ItemId, QueryId, _check_one_query
+from .core import (
+    CandidatePool,
+    ChannelId,
+    ChannelList,
+    ItemId,
+    QueryId,
+    TruncationConfig,
+    merge_pool,
+)
+from .metrics import order_from_scores
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,47 +85,23 @@ def rrf_fuse(lists: Sequence[ChannelList], k_rrf: float = 60.0) -> FusedList:
     """Fuse ranked lists by summed reciprocal rank 1 / (k_rrf + rank).
 
     Every item appearing in any list accumulates one reciprocal-rank term
-    per list that contains it (ranks are 1-based). Output is sorted by
-    fused score descending, ties broken by item id ascending. Only ranks
-    enter the formula, so channel score scales are irrelevant.
+    per list that contains it (ranks are 1-based), summed over the lists'
+    pool in channel-index order, so the scores do not depend on the order
+    of ``lists``. Output is sorted by fused score descending, ties broken
+    by item id ascending. Only ranks enter the formula, so channel score
+    scales are irrelevant.
     """
     if not (math.isfinite(k_rrf) and k_rrf > 0):
         raise ValueError(f"k_rrf must be positive and finite, got {k_rrf}")
-    if not lists:
-        return FusedList(query="", items=(), scores=())
-    query = _check_one_query(lists)
-    scores: dict[ItemId, float] = {}
-    for cl in lists:
-        for rank, (item, _) in enumerate(cl.entries, start=1):
-            scores[item] = scores.get(item, 0.0) + 1.0 / (k_rrf + rank)
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    pool = merge_pool(lists, TruncationConfig.whole(lists))
+    scores = np.bincount(pool.hit_row, 1.0 / (k_rrf + pool.hit_rank), minlength=len(pool))
+    # ``pool.items`` is sorted, so the index tie-break orders equal scores by item id.
+    order = order_from_scores(scores)
     return FusedList(
-        query=query,
-        items=tuple(item for item, _ in ordered),
-        scores=tuple(score for _, score in ordered),
+        query=pool.query,
+        items=tuple(pool.items[r] for r in order.tolist()),
+        scores=tuple(scores[order].tolist()),
     )
-
-
-def _encode(
-    lists: Sequence[ChannelList], weights: InterleaveWeights
-) -> tuple[tuple[ItemId, ...], list[list[int]], list[float]]:
-    """Check one list set and encode it for interleaving.
-
-    Returns the deduplicated union of the lists' items (channel-index
-    order, then rank), and per list, in channel-index order, its row of
-    indices into that union and its weight.
-    """
-    if lists:
-        _check_one_query(lists)
-    codes: dict[ItemId, int] = {}
-    rows: list[list[int]] = []
-    w: list[float] = []
-    for cl in sorted(lists, key=lambda c: c.channel.index):
-        if cl.channel not in weights.weights:
-            raise ValueError(f"no weight for channel {cl.channel.name!r}")
-        rows.append([codes.setdefault(item, len(codes)) for item, _ in cl.entries])
-        w.append(weights.weights[cl.channel])
-    return tuple(codes), rows, w
 
 
 def weighted_interleave(
@@ -124,7 +111,7 @@ def weighted_interleave(
 ) -> FusedList:
     """One list set under one seed: a one-set call of :func:`weighted_interleave_batch`.
 
-    It costs about 2.5 ms for four 25-item lists; callers with many sets batch them.
+    It costs about 1.8 ms for four 25-item lists; callers with many sets batch them.
     """
     items, orders = weighted_interleave_batch([lists], [weights], [[seed]])[0]
     query = lists[0].query if lists else ""
@@ -146,32 +133,37 @@ def weighted_interleave_batch(
     Channels of weight zero are flushed at the end in channel-index order.
     Deterministic per seed (PCG64 stream).
 
-    ``seeds[k]`` lists set ``k``'s seeds. Returns one ``(items, orders)``
-    pair per set: ``items`` is the union of its lists (channel-index order,
-    then rank), and row ``s`` of the ``(len(seeds[k]), len(items))`` array
-    ``orders`` indexes ``items`` in the order seed ``seeds[k][s]`` emits.
+    ``seeds[k]`` lists set ``k``'s seeds. Each set is merged whole into a
+    :class:`CandidatePool`. Returns one ``(items, orders)`` pair per set:
+    ``items`` is its pool's items (the sorted union of its lists), and row
+    ``s`` of the ``(len(seeds[k]), len(items))`` array ``orders`` indexes
+    ``items`` in the order seed ``seeds[k][s]`` emits.
     """
     if len(weights) != len(list_sets):
         raise ValueError(f"{len(list_sets)} list sets but {len(weights)} weight maps")
     if len(seeds) != len(list_sets):
         raise ValueError(f"{len(list_sets)} list sets but {len(seeds)} seed lists")
-    encoded = [_encode(lists, wmap) for lists, wmap in zip(list_sets, weights)]
-    items, rows, w = zip(*encoded) if encoded else ((), (), ())
-    return list(zip(items, interleave_encoded(list(map(len, items)), rows, w, seeds)))
+    pools = [merge_pool(lists, TruncationConfig.whole(lists)) for lists in list_sets]
+    w = []
+    for pool, wmap in zip(pools, weights):
+        for channel in pool.channels:
+            if channel not in wmap.weights:
+                raise ValueError(f"no weight for channel {channel.name!r}")
+        w.append([wmap.weights[channel] for channel in pool.channels])
+    return [(pool.items, o) for pool, o in zip(pools, interleave_pools(pools, w, seeds))]
 
 
-def interleave_encoded(
-    n_items: Sequence[int],
-    rows: Sequence[Sequence[Sequence[int]]],
+def interleave_pools(
+    pools: Sequence[CandidatePool],
     weights: Sequence[Sequence[float]],
     seeds: Sequence[Sequence[int]],
 ) -> list[np.ndarray]:
-    """:func:`weighted_interleave_batch` on list sets encoded as item numbers.
+    """:func:`weighted_interleave_batch` on candidate pools.
 
-    Set ``k``'s items are ``0 .. n_items[k] - 1``; ``rows[k]`` holds each
-    channel's ranked item numbers and ``weights[k]`` its weight, in
-    channel-index order. Returns per set its ``(len(seeds[k]), n_items[k])``
-    orders. Renumbering a set's items renumbers its orders and moves no draw.
+    Pool ``k``'s channels are its queues, ranked by its hits, and
+    ``weights[k]`` holds one weight per entry of ``pools[k].channels``.
+    Returns per pool its ``(len(seeds[k]), len(pools[k]))`` orders of pool
+    rows. Renumbering a pool's items renumbers its orders and moves no draw.
 
     Every step makes one draw for every instance still drawing, as numpy
     operations over all of them. A draw pops at least one entry, so each
@@ -184,19 +176,23 @@ def interleave_encoded(
     ``sum`` over just the live weights (pairwise for 8 or more values):
     another summation order could move a draw across a channel boundary.
     """
-    n_sets = len(rows)
-    n_channels = max(map(len, rows), default=0)
-    longest = max((len(row) for set_rows in rows for row in set_rows), default=0)
-    # padded[k, c, r] is the item at rank r of set k's c-th list; one pad
-    # column past the longest list keeps a read at a queue's end in bounds.
-    width = longest + 1
+    if not pools:
+        return []
+    n_sets = len(pools)
+    n_channels = max(len(pool.channels) for pool in pools)
+    hit_set = np.repeat(np.arange(n_sets), [len(pool.hit_row) for pool in pools])
+    hit_channel = np.concatenate([pool.hit_channel for pool in pools])
+    hit_rank = np.concatenate([pool.hit_rank for pool in pools])
+    hit_row = np.concatenate([pool.hit_row for pool in pools])
+    queue = hit_set * n_channels + hit_channel
+    end = np.bincount(queue, minlength=n_sets * n_channels).reshape(n_sets, n_channels)
+    # padded[k, c, r] is the row at rank r + 1 of pool k's c-th channel; one
+    # pad column past the longest queue keeps a read at a queue's end in bounds.
+    width = int(end.max(initial=0)) + 1
     padded = np.zeros((n_sets, n_channels, width), dtype=np.intp)
-    end = np.zeros((n_sets, n_channels), dtype=np.intp)
+    padded[hit_set, hit_channel, hit_rank - 1] = hit_row
     w = np.zeros((n_sets, n_channels))
-    for k, (set_rows, set_w) in enumerate(zip(rows, weights)):
-        for c, row in enumerate(set_rows):
-            padded[k, c, : len(row)] = row
-            end[k, c] = len(row)
+    for k, set_w in enumerate(weights):
         w[k, : len(set_w)] = set_w
     flat_rows = padded.ravel()
     # Set k's instances are rows first[k]:first[k + 1], one per seed in
@@ -217,7 +213,7 @@ def interleave_encoded(
     head = np.zeros((n_inst, n_channels), dtype=np.intp)
     end = np.repeat(end, n_per_set, axis=0)
     w = np.repeat(w, n_per_set, axis=0)
-    most_items = max(n_items, default=0)
+    most_items = max(map(len, pools))
     # Instance i's emitted-item mask is emitted[i * most_items:][:most_items].
     emitted = np.zeros(n_inst * most_items, dtype=bool)
     out = np.zeros((n_inst, most_items), dtype=np.intp)
@@ -281,4 +277,4 @@ def interleave_encoded(
         rebuild = active[at == stop_at]
         step += 1
 
-    return [out[first[k]:first[k + 1], :n] for k, n in enumerate(n_items)]
+    return [out[first[k]:first[k + 1], :len(pool)] for k, pool in enumerate(pools)]

@@ -123,6 +123,13 @@ def write_item_features(path: str, columns: Sequence[str], items: Mapping[str, S
             fh.write(item + "\t" + "\t".join(repr(float(v)) for v in values) + "\n")
 
 
+def check_pool_cap(pool_cap: int) -> int:
+    """``pool_cap`` if it is at least 1, else ValueError."""
+    if pool_cap < 1:
+        raise ValueError(f"pool_cap must be >= 1, got {pool_cap}")
+    return pool_cap
+
+
 class ScoreService:
     """In-process scorer; the HTTP layer is a thin wrapper around it."""
 
@@ -132,11 +139,9 @@ class ScoreService:
         item_features: ItemFeatureTable | None = None,
         pool_cap: int = DEFAULT_POOL_CAP,
     ):
-        if pool_cap < 1:
-            raise ValueError(f"pool_cap must be >= 1, got {pool_cap}")
+        self.pool_cap = check_pool_cap(pool_cap)
         self.model = model
         model.forest()  # compiled now, so the first request does not pay for it
-        self.pool_cap = pool_cap
         self.fingerprint = model_fingerprint(model)
         schema = model.schema
         self.channel_names = list(schema.channel_names)
@@ -211,10 +216,7 @@ class ScoreService:
         """Merge, featurize, predict, sort; returns the response body."""
         started = time.perf_counter()
         query, lists, engagement = self.parse_request(payload)
-        cfg = TruncationConfig(
-            per_channel_n={cl.channel: max(len(cl), 1) for cl in lists}
-        )
-        pool = merge_pool(lists, cfg)
+        pool = merge_pool(lists, TruncationConfig.whole(lists))
         if len(pool) > self.pool_cap:
             raise ServiceError(
                 f"candidate pool of {len(pool)} exceeds cap {self.pool_cap}"

@@ -14,8 +14,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from channelrank.core import ChannelList, ItemId
-from channelrank.fusion import FusedList, InterleaveWeights, _check_one_query
+from channelrank.core import ChannelList, ItemId, _check_one_query
+from channelrank.fusion import FusedList, InterleaveWeights
 
 
 def weighted_interleave(

@@ -512,6 +512,27 @@ class TestPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: CHANNELRANK_POOL_CAP 'abc' is not an integer"]
 
+    @pytest.mark.parametrize(
+        "cmd, env, flags, error",
+        [
+            ("bench", "abc", [], "CHANNELRANK_POOL_CAP 'abc' is not an integer"),
+            ("serve", None, ["--pool-cap", "0"], "pool_cap must be >= 1, got 0"),
+        ],
+        ids=["bench-env-abc", "serve-flag-0"],
+    )
+    def test_bad_pool_cap_reported_before_the_model_loads(
+        self, tmp_path, capsys, monkeypatch, cmd, env, flags, error
+    ):
+        if env is None:
+            monkeypatch.delenv("CHANNELRANK_POOL_CAP", raising=False)
+        else:
+            monkeypatch.setenv("CHANNELRANK_POOL_CAP", env)
+        monkeypatch.setattr(cli, "make_server", None)  # serve must fail before binding
+        capsys.readouterr()
+        assert main([cmd, "--model", str(tmp_path / "missing.frm"), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {error}"]
+
 
 def _probe_world(root, weeks):
     """``q1`` served only by ``lexical``, ``q2`` by ``lexical`` and ``semantic``."""

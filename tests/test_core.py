@@ -154,6 +154,21 @@ class TestMergePool:
         with pytest.raises(ValueError, match="duplicate channel"):
             merge_pool([l0, l1], TruncationConfig.uniform([C0], 5))
 
+    def test_no_lists_give_an_empty_pool(self):
+        pool = merge_pool([], TruncationConfig({}))
+        assert pool.query == "" and pool.items == () and pool.channels == ()
+        assert len(pool) == 0 and pool.hit_row.size == 0 and pool.provenance == {}
+
+    def test_whole_budget_keeps_every_list_whole(self):
+        long = cl(C0, [(f"i{j}", 1.0 - 0.01 * j) for j in range(7)])
+        short = cl(C1, [("i3", 0.5)])
+        empty = cl(C2, [])
+        cfg = TruncationConfig.whole([long, short, empty])
+        assert cfg.per_channel_n == {C0: 7, C1: 1, C2: 1}
+        pool = merge_pool([long, short, empty], cfg)
+        assert pool.items == long.items and pool.channels == (C0, C1, C2)
+        assert pool.hit_rank.tolist() == [*range(1, 8), 1]
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_budget_below_one_rejected(self, n):
         per_channel_n = {C0: 2, C1: 2}

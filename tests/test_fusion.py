@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -80,6 +81,20 @@ class TestRrf:
         l1 = cl(C1, ["C", "D"])
         assert rrf_fuse([l0, l1]).items == rrf_fuse([l1, l0]).items
         assert rrf_fuse([l0, l1]).scores == rrf_fuse([l1, l0]).scores
+
+    def test_scores_do_not_depend_on_list_order(self):
+        # X's three terms sum to different last bits in different orders;
+        # the fused score is the channel-order sum for every list order.
+        lists = [cl(C0, ["X"]), cl(C1, ["X"]), cl(C2, ["Y", "X"])]
+        in_order = rrf_fuse(lists)
+        assert in_order.scores[0] == 0.04891591750396616
+        for perm in itertools.permutations(lists):
+            fused = rrf_fuse(list(perm))
+            assert fused.items == in_order.items and fused.scores == in_order.scores
+
+    def test_two_lists_of_one_channel_rejected(self):
+        with pytest.raises(ValueError, match="duplicate channel 'lexical'"):
+            rrf_fuse([cl(C0, ["A"]), cl(C0, ["B"])])
 
     def test_single_channel_returns_input_order(self):
         lst = cl(C0, ["B", "A", "C"])
@@ -378,6 +393,8 @@ class TestWeightedInterleaveBatch:
             weighted_interleave_batch(
                 [[cl(C0, ["A"]), cl(C0, ["B"], query="q2")]], [w], [[0]]
             )
+        with pytest.raises(ValueError, match="duplicate channel 'lexical'"):
+            weighted_interleave_batch([[cl(C0, ["A"]), cl(C0, ["B"])]], [w], [[0]])
         with pytest.raises(ValueError, match="1 list sets but 2 weight maps"):
             weighted_interleave_batch([[cl(C0, ["A"])]], [w, w], [[0]])
         with pytest.raises(ValueError, match="1 list sets but 2 seed lists"):
