@@ -51,11 +51,11 @@ LOG = [
 ]
 sessions = sorted({s for s, _, _, _ in LOG})
 frame = EventFrame(
-    week=np.array([w for _, _, w, _ in LOG]),
-    session=np.array([sessions.index(s) for s, _, _, _ in LOG]),
-    query=np.zeros(len(LOG), dtype=np.int64),
-    item=np.array([ITEMS.index(i) for _, i, _, _ in LOG]),
-    action=np.array([int(a) for _, _, _, a in LOG]),
+    week=np.array([w for _, _, w, _ in LOG], dtype=np.int32),
+    session=np.array([sessions.index(s) for s, _, _, _ in LOG], dtype=np.int64),
+    query=np.zeros(len(LOG), dtype=np.int32),
+    item=np.array([ITEMS.index(i) for _, i, _, _ in LOG], dtype=np.int32),
+    action=np.array([int(a) for _, _, _, a in LOG], dtype=np.int8),
     timestamp=np.array([w * WEEK_SECONDS + 60.0 for _, _, w, _ in LOG]),
     query_vocab=(QUERY,),
     item_vocab=ITEMS,

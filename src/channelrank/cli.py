@@ -156,6 +156,12 @@ def _train_params(args: argparse.Namespace) -> TrainParams:
     )
 
 
+_THREADS_HELP = (
+    "gradient threads, at least 1, capped at the usable CPUs (default 1); "
+    "any count trains a bit-identical model"
+)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trees", type=int, default=300)
     p.add_argument("--depth", type=int, default=6)
@@ -165,7 +171,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ndcg-k", type=int, default=8)
     p.add_argument("--oblique", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="ablation")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--wi-seeds", type=int, default=20)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("fuse", help="fuse channel lists with RRF or weighted interleaving")

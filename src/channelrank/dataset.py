@@ -163,7 +163,7 @@ def _recode_items(frame: EventFrame, catalog: ItemCatalog) -> EventFrame:
         return frame
     index = catalog.index()
     try:
-        mapping = np.array([index[item] for item in frame.item_vocab], dtype=np.int64)
+        mapping = np.array([index[item] for item in frame.item_vocab], dtype=np.int32)
     except KeyError as exc:
         raise ValueError(f"event log references unknown item {exc.args[0]!r}") from exc
     return EventFrame(

@@ -24,6 +24,7 @@ import numpy as np
 from .core import parse_finite, read_fields
 
 WEEK_SECONDS = 7 * 24 * 3600
+_MAX_WEEK = int(np.iinfo(np.int32).max)  # the largest week an EventFrame holds
 
 
 class Action(enum.IntEnum):
@@ -127,12 +128,14 @@ def max_normalize(raw: np.ndarray) -> np.ndarray:
 class EventFrame:
     """Columnar event log: parallel arrays plus id vocabularies.
 
-    ``query`` and ``item`` hold int64 codes into the vocab tuples;
-    ``session`` holds int64 codes unique within the frame, ``week`` and
-    ``action`` int64 and ``timestamp`` float64, as both ``generate`` and
-    :func:`read_event_log` build them. The pinned event digest hashes each
-    column's dtype as well as its bytes. The textual session ids are
-    reconstructed as ``s{code}`` when no vocab is kept.
+    Both ``generate`` and :func:`read_event_log` build compact columns,
+    29 bytes per event: ``week`` int32, ``query`` and ``item`` int32 codes
+    into the vocab tuples, ``action`` int8, ``session`` int64 codes unique
+    within the frame and ``timestamp`` float64. A consumer that combines
+    columns into one key (query, item, week) widens to int64 first. The
+    pinned event digest hashes each column cast to int64 (``timestamp``
+    to float64), so it pins values, not dtypes. The textual session ids
+    are reconstructed as ``s{code}`` when no vocab is kept.
     """
 
     week: np.ndarray
@@ -198,9 +201,7 @@ def funnel_table(frame: EventFrame) -> FunnelTable:
     new_session = new_group.copy()
     new_session[1:] |= session[1:] != session[:-1]
     session_starts = np.flatnonzero(new_session)
-    deepest = np.maximum.reduceat(
-        frame.action.astype(np.int64, copy=False)[order], session_starts
-    )
+    deepest = np.maximum.reduceat(frame.action[order], session_starts)
     group_ids = group_key[new_group]
     group_of_session = np.cumsum(new_group[session_starts]) - 1
     counts = np.bincount(
@@ -270,21 +271,24 @@ def read_event_log(path: str) -> EventFrame:
         timestamps.append(parse_finite(t, "timestamp", path, lineno))
         if not (w.isascii() and w.isdigit()):
             raise ValueError(f"{path}:{lineno}: week {w!r} is not a non-negative integer")
-        weeks.append(int(w))
+        week = int(w)
+        if week > _MAX_WEEK:
+            raise ValueError(f"{path}:{lineno}: week {w} is above {_MAX_WEEK}")
+        weeks.append(week)
         sessions.append(s)
         queries.append(q)
         items.append(i)
         actions.append(_ACTION_CODES[a])
 
-    query_vocab, query_codes = _encode(queries)
-    item_vocab, item_codes = _encode(items)
-    session_vocab, session_codes = _encode(sessions)
+    query_vocab, query_codes = _encode(queries, np.int32)
+    item_vocab, item_codes = _encode(items, np.int32)
+    session_vocab, session_codes = _encode(sessions, np.int64)
     return EventFrame(
-        week=np.array(weeks, dtype=np.int64),
+        week=np.array(weeks, dtype=np.int32),
         session=session_codes,
         query=query_codes,
         item=item_codes,
-        action=np.array(actions, dtype=np.int64),
+        action=np.array(actions, dtype=np.int8),
         timestamp=np.array(timestamps, dtype=np.float64),
         query_vocab=query_vocab,
         item_vocab=item_vocab,
@@ -292,9 +296,9 @@ def read_event_log(path: str) -> EventFrame:
     )
 
 
-def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct values, and each value's index among them."""
+def _encode(values: list[str], dtype: type) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's index among them as ``dtype``."""
     vocab = sorted(set(values))
     index = {value: k for k, value in enumerate(vocab)}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    codes = np.fromiter(map(index.__getitem__, values), dtype=dtype, count=len(values))
     return tuple(vocab), codes

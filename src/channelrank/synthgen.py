@@ -212,7 +212,7 @@ class _EventPart(NamedTuple):
     action: np.ndarray  # int8
     s_idx: np.ndarray   # int32
     pos: np.ndarray     # int32
-    shown: np.ndarray   # int64 item codes
+    shown: np.ndarray   # int32 item codes
     offsets: np.ndarray  # float64 seconds
 
 
@@ -224,12 +224,14 @@ def _assemble_events(
 ) -> EventFrame:
     """The event log of ``parts``, in their order; empties ``parts``.
 
-    Each column is built once over every event, in its final dtype, with
-    the per-event arithmetic in place. A timestamp adds its week start,
-    its session's offset, its position and 800 s per stage, left to
-    right; the first sum is taken per session, which gives the same bits.
-    ``parts`` is cleared once its values are gathered, so the compact
-    parts are freed before the full columns fill.
+    Each column is built once over every event, in its final dtype (see
+    :class:`EventFrame`), with the per-event arithmetic in place. A
+    session code is its part's ``(query * num_weeks + week) *
+    _SESSION_STRIDE``, taken per part in int64, plus its session index. A
+    timestamp adds its week start, its session's offset, its position and
+    800 s per stage, left to right; the first sum is taken per session,
+    which gives the same bits. ``parts`` is cleared once its values are
+    gathered, so the compact parts are freed before the full columns fill.
     """
 
     counts = np.array([len(part.action) for part in parts], dtype=np.int64)
@@ -242,14 +244,17 @@ def _assemble_events(
         sizes = np.array(sizes, dtype=np.int64)
         return np.repeat(np.cumsum(sizes) - sizes, counts)
 
-    part_week = np.array([part.week for part in parts], dtype=np.int64)
-    part_query = np.array([part.query for part in parts], dtype=np.int64)
+    part_week = np.array([part.week for part in parts], dtype=np.int32)
+    part_query = np.array([part.query for part in parts], dtype=np.int32)
+    part_session = part_query.astype(np.int64) * num_weeks
+    part_session += part_week
+    part_session *= _SESSION_STRIDE
     n_sessions = [len(part.offsets) for part in parts]
     n_shown = [len(part.shown) for part in parts]
-    action = flat([part.action for part in parts], np.int64)
+    action = flat([part.action for part in parts], np.int8)
     s_idx = flat([part.s_idx for part in parts], np.int32)
     pos = flat([part.pos for part in parts], np.int32)
-    shown = flat([part.shown for part in parts], np.int64)
+    shown = flat([part.shown for part in parts], np.int32)
     session_start = flat(
         [float(part.week) * WEEK_SECONDS + part.offsets for part in parts], np.float64
     )
@@ -265,16 +270,12 @@ def _assemble_events(
     del pos
     item = shown[at]
     del at
-    week = np.repeat(part_week, counts)
-    query = np.repeat(part_query, counts)
-    session = query * num_weeks
-    session += week
-    session *= _SESSION_STRIDE
+    session = np.repeat(part_session, counts)
     session += s_idx
     return EventFrame(
-        week=week,
+        week=np.repeat(part_week, counts),
         session=session,
-        query=query,
+        query=np.repeat(part_query, counts),
         item=item,
         action=action,
         timestamp=timestamp,
@@ -414,7 +415,7 @@ def generate(cfg: WorldConfig) -> SynthWorld:
             action, s_idx, pos = np.nonzero(np.stack([exam, click, atc, purchase]))
             parts_by_query[q].append(_EventPart(
                 q, w, action.astype(np.int8), s_idx.astype(np.int32), pos.astype(np.int32),
-                items[pres_u], offsets,
+                items[pres_u].astype(np.int32), offsets,
             ))
 
     # Only this list holds the parts, so clearing it frees them.

@@ -4,7 +4,8 @@
 ``synthgen.generate`` collects and widens each to the values
 ``np.nonzero`` gave it (intp stage, session and position). It builds
 every part's week, session, query, item, action and timestamp columns
-with one expression each, concatenates each column and casts it.
+with one expression each in intp, int64 and float64, concatenates each
+column and casts it to the compact dtype that :class:`EventFrame` names.
 ``synthgen._assemble_events``, which builds each column once over all
 parts, must match it column by column, dtype included.
 """
@@ -43,11 +44,11 @@ def part_assembly(
         return np.concatenate([part[column] for part in columns]).astype(dtype)
 
     return EventFrame(
-        week=cat(0, np.int64),
+        week=cat(0, np.int32),
         session=cat(1, np.int64),
-        query=cat(2, np.int64),
-        item=cat(3, np.int64),
-        action=cat(4, np.int64),
+        query=cat(2, np.int32),
+        item=cat(3, np.int32),
+        action=cat(4, np.int8),
         timestamp=cat(5, np.float64),
         query_vocab=query_vocab,
         item_vocab=item_vocab,

@@ -359,6 +359,27 @@ class TestPipeline:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_build_dataset_week_past_int32_exits_one_naming_the_line(
+        self, world_dir, tmp_path, capsys
+    ):
+        events = tmp_path / "events.tsv"
+        lines = (world_dir / "events.tsv").read_text().splitlines(keepends=True)[:3]
+        lines.append("10.0\t99999999999999999999\ts1\tq00000\ti00000\tclick\n")
+        events.write_text("".join(lines))
+        out = tmp_path / "data.csv"
+        capsys.readouterr()
+        rc = main([
+            "build-dataset", "--events", str(events), "--lists-dir", str(world_dir),
+            "--catalog", str(world_dir / "catalog.tsv"), "--out", str(out),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            f"error: {events}:4: week 99999999999999999999 is above 2147483647"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -6,6 +6,7 @@ import pytest
 
 from channelrank.core import TruncationConfig, merge_pool
 from channelrank.dataset import (
+    ItemCatalog,
     build_dataset,
     item_count_table,
     read_dataset,
@@ -19,7 +20,13 @@ from channelrank.features import (
     engagement_columns,
     item_feature_block,
 )
-from channelrank.labeling import HEURISTIC_WEIGHTS, LabelWeights
+from channelrank.labeling import (
+    HEURISTIC_WEIGHTS,
+    WEEK_SECONDS,
+    EventFrame,
+    LabelWeights,
+    funnel_table,
+)
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 from tests.feature_oracle import (
     engagement_counts,
@@ -233,6 +240,65 @@ class TestBuildDataset:
             i_full = schema_full.index_of(name)
             i_view = schema_view.index_of(name)
             np.testing.assert_array_equal(X_full[:, i_full], X_view[:, i_view])
+
+
+class TestWideKeysOverCompactColumns:
+    """Keys over int32 query, item and week codes are built in int64.
+
+    With 30,000 queries, 20,000 items and 5 weeks the (query, item, week)
+    key reaches about 3.0e9 and the (query, week, item) key of
+    ``filter_and_split`` as far, past the 2**31 that int32 holds.
+    """
+
+    N_QUERIES, N_ITEMS, N_WEEKS = 30_000, 20_000, 5
+
+    @classmethod
+    def _frames(cls):
+        rng = np.random.default_rng(17)
+        n = 4000
+        week = np.tile(np.arange(cls.N_WEEKS), n // cls.N_WEEKS)
+        compact = EventFrame(
+            week=week.astype(np.int32),
+            session=rng.integers(300, size=n),
+            query=rng.integers(cls.N_QUERIES - 20, cls.N_QUERIES, size=n).astype(np.int32),
+            item=rng.integers(cls.N_ITEMS - 30, cls.N_ITEMS, size=n).astype(np.int32),
+            action=rng.integers(4, size=n).astype(np.int8),
+            timestamp=week * WEEK_SECONDS + rng.uniform(0, 1000, size=n),
+            query_vocab=tuple(f"q{i}" for i in range(cls.N_QUERIES)),
+            item_vocab=tuple(f"i{i}" for i in range(cls.N_ITEMS)),
+        )
+        wide = dataclasses.replace(compact, **{
+            name: getattr(compact, name).astype(np.int64)
+            for name in ("week", "query", "item", "action")
+        })
+        key = (wide.query * cls.N_ITEMS + wide.item) * cls.N_WEEKS + wide.week
+        assert key.min() > np.iinfo(np.int32).max
+        return compact, wide
+
+    def test_funnel_table_matches_int64_columns(self):
+        compact, wide = self._frames()
+        got, want = funnel_table(compact), funnel_table(wide)
+        for name in ("query", "item", "week", "views", "clicks", "atcs", "purchases"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+    def test_filter_and_split_matches_int64_columns(self):
+        compact, wide = self._frames()
+        got = filter_and_split(compact, self.N_WEEKS, min_impressions=2)
+        want = filter_and_split(wide, self.N_WEEKS, min_impressions=2)
+        assert (got.train, got.valid, got.test) == (want.train, want.valid, want.test)
+        assert got.stats == want.stats
+
+    def test_item_count_table_matches_int64_columns(self):
+        compact, wide = self._frames()
+        catalog = ItemCatalog(
+            compact.item_vocab, np.ones(self.N_ITEMS), np.ones(self.N_ITEMS, dtype=np.int64),
+            np.zeros(self.N_ITEMS, dtype=np.int64),
+        )
+        got = item_count_table(compact, catalog, self.N_WEEKS)
+        assert np.array_equal(got, item_count_table(wide, catalog, self.N_WEEKS))
+        assert got[:, -1].sum() == len(compact)
 
 
 class TestWholeTableBuilder:

@@ -278,16 +278,19 @@ class TestBulkFunnelTable:
 
 
 def _random_frame(seed, n_events, n_weeks):
-    """Codes drawn from small ranges, so (group, session) pairs repeat."""
+    """Codes drawn from small ranges, so (group, session) pairs repeat.
+
+    The columns have the compact dtypes that ``generate`` builds.
+    """
     rng = np.random.default_rng(seed)
     n_queries, n_items, n_sessions = 4, 6, 30
-    week = rng.integers(n_weeks, size=n_events)
+    week = rng.integers(n_weeks, size=n_events, dtype=np.int32)
     return EventFrame(
         week=week,
         session=rng.integers(n_sessions, size=n_events),
-        query=rng.integers(n_queries, size=n_events),
-        item=rng.integers(n_items, size=n_events),
-        action=rng.integers(4, size=n_events),
+        query=rng.integers(n_queries, size=n_events, dtype=np.int32),
+        item=rng.integers(n_items, size=n_events, dtype=np.int32),
+        action=rng.integers(4, size=n_events, dtype=np.int8),
         timestamp=week * WEEK_SECONDS + rng.uniform(0, 1000, size=n_events),
         query_vocab=tuple(f"q{i}" for i in range(n_queries)),
         item_vocab=tuple(f"i{i}" for i in range(n_items)),
@@ -389,15 +392,22 @@ class TestEventLogFile:
         path = tmp_path / "events.tsv"
         write_event_log(str(path), frame)
         loaded = read_event_log(str(path))
-        for vocab, codes, names in (
-            (loaded.query_vocab, loaded.query, [frame.query_vocab[c] for c in frame.query]),
-            (loaded.item_vocab, loaded.item, [frame.item_vocab[c] for c in frame.item]),
-            (loaded.session_vocab, loaded.session, [frame.session_name(c) for c in frame.session]),
+        for vocab, codes, names, dtype in (
+            (loaded.query_vocab, loaded.query, [frame.query_vocab[c] for c in frame.query],
+             np.int32),
+            (loaded.item_vocab, loaded.item, [frame.item_vocab[c] for c in frame.item], np.int32),
+            (loaded.session_vocab, loaded.session, [frame.session_name(c) for c in frame.session],
+             np.int64),
         ):
             expected, inverse = np.unique(np.array(names, dtype=object), return_inverse=True)
             assert vocab == tuple(expected)
-            assert codes.dtype == np.int64
+            assert codes.dtype == dtype
             np.testing.assert_array_equal(codes, inverse)
+
+    def test_largest_week_is_read(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        path.write_text("0.0\t2147483647\ts1\tq\ti\tclick\n")
+        assert read_event_log(str(path)).week.tolist() == [2147483647]
 
     def test_unknown_action_rejected(self, tmp_path):
         path = tmp_path / "events.tsv"
@@ -421,12 +431,16 @@ class TestEventLogFile:
         "line, field",
         [("0.0\t1.5\ts1\tq\ti\tclick", "week '1.5'"),
          ("0.0\t\ts1\tq\ti\tclick", "week ''"),
+         ("0.0\t2147483648\ts1\tq\ti\tclick", "week 2147483648 is above 2147483647"),
+         ("0.0\t99999999999999999999\ts1\tq\ti\tclick",
+          "week 99999999999999999999 is above 2147483647"),
          ("later\t0\ts1\tq\ti\tclick", "timestamp 'later' is not a finite number"),
          ("nan\t0\ts1\tq\ti\tclick", "timestamp 'nan' is not a finite number"),
          ("0.0\t0\t\tq\ti\tclick", "empty session id"),
          ("0.0\t0\ts1\t\ti\tclick", "empty query id"),
          ("0.0\t0\ts1\tq\t\tclick", "empty item id")],
-        ids=["fractional-week", "empty-week", "word-timestamp", "nan-timestamp",
+        ids=["fractional-week", "empty-week", "week-past-int32", "week-past-int64",
+             "word-timestamp", "nan-timestamp",
              "empty-session", "empty-query", "empty-item"],
     )
     def test_bad_number_field_names_line(self, tmp_path, line, field):

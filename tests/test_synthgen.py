@@ -7,7 +7,7 @@ import pytest
 
 from channelrank import synthgen
 from channelrank.dataset import ItemCatalog
-from channelrank.labeling import Action, write_event_log
+from channelrank.labeling import Action, read_event_log, write_event_log
 from channelrank.synthgen import (
     GroundTruth,
     WorldConfig,
@@ -187,10 +187,17 @@ class TestGenerate:
             assert f"channel_lists_w{week}" in paths
 
 
+EVENT_DTYPES = {
+    "week": np.int32, "session": np.int64, "query": np.int32, "item": np.int32,
+    "action": np.int8, "timestamp": np.float64,
+}
+
+
 def event_table_sha256(events) -> str:
+    """Hash of every column's values, each cast to int64 (timestamps float64)."""
     h = hashlib.sha256()
     for name in ("week", "session", "query", "item", "action", "timestamp"):
-        col = getattr(events, name)
+        col = getattr(events, name).astype(np.float64 if name == "timestamp" else np.int64)
         h.update(f"{name}:{col.dtype.str}:{col.shape}".encode())
         h.update(col.tobytes())
     for vocab in (events.query_vocab, events.item_vocab):
@@ -210,9 +217,31 @@ class TestPinnedWorld:
     def test_event_table_digest(self):
         events = generate(WorldConfig(num_queries=60, seed=11)).events
         assert len(events) == 177_251
+        assert {name: getattr(events, name).dtype for name in EVENT_DTYPES} == EVENT_DTYPES
         assert event_table_sha256(events) == (
             "5aa83af1552453770d2ce83db7767f49e1c26aca177a77fca9adb3af1f8ea67a"
         )
+
+    def test_event_log_round_trip_keeps_dtypes_and_values(self, world, tmp_path):
+        path = str(tmp_path / "events.tsv")
+        write_event_log(path, world.events)
+        back = read_event_log(path)
+        assert len(back) == len(world.events)
+        for name, dtype in EVENT_DTYPES.items():
+            assert getattr(back, name).dtype == dtype, name
+        events = world.events
+        assert np.array_equal(back.week, events.week)
+        assert np.array_equal(back.action, events.action)
+        assert np.array_equal(back.timestamp, events.timestamp)
+        for name in ("query", "item"):
+            vocab = f"{name}_vocab"
+            assert np.array_equal(
+                np.array(getattr(back, vocab))[getattr(back, name)],
+                np.array(getattr(events, vocab))[getattr(events, name)],
+            ), name
+        assert [back.session_name(s) for s in back.session.tolist()] == [
+            events.session_name(s) for s in events.session.tolist()
+        ]
 
 
 class TestEventAssembly:
