@@ -49,7 +49,7 @@ from .features import (
     fill_channel_block,
     item_feature_block,
 )
-from .metrics import MetricConfig, ndcg_at_k
+from .metrics import ndcg_at_k
 from .gbdt import Model, TrainParams, TrainingError, load_model, save_model, train
 from .dataset import (
     Dataset,

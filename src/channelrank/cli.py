@@ -20,7 +20,7 @@ from . import synthgen
 from .core import ChannelId, TruncationConfig, read_channel_lists
 from .evaluation import AblationConfig, ablation_run
 from .features import LookbackConfig, item_feature_block
-from .fusion import InterleaveWeights, rrf_fuse, weighted_interleave_batch
+from .fusion import InterleaveWeights, check_k_rrf, rrf_fuse, weighted_interleave_batch
 from .gbdt.lambdas import check_threads
 from .gbdt.model import TrainParams, train, write_training_log
 from .gbdt.serialize import load_model, save_model
@@ -39,15 +39,17 @@ from .service import (
 
 
 def _add_world_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--queries", type=int, default=2000)
-    p.add_argument("--items", type=int, default=20000)
-    p.add_argument("--channels", type=int, default=4)
-    p.add_argument("--weeks", type=int, default=5)
-    p.add_argument("--n-per-channel", type=int, default=25)
-    p.add_argument("--sessions-mean", type=float, default=40.0)
-    p.add_argument("--trend-fraction", type=float, default=0.15)
-    p.add_argument("--channel-concentration", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
+    world = synthgen.WorldConfig()
+    p.add_argument("--queries", type=int, default=world.num_queries)
+    p.add_argument("--items", type=int, default=world.num_items)
+    p.add_argument("--channels", type=int, default=world.num_channels)
+    p.add_argument("--weeks", type=int, default=world.num_weeks)
+    p.add_argument("--n-per-channel", type=int, default=world.per_channel_n)
+    p.add_argument("--sessions-mean", type=float, default=world.sessions_mean)
+    p.add_argument("--trend-fraction", type=float, default=world.trend_fraction)
+    p.add_argument("--channel-concentration", type=float,
+                   default=world.channel_utility_concentration)
+    p.add_argument("--seed", type=int, default=world.seed)
 
 
 def _world_config(args: argparse.Namespace) -> synthgen.WorldConfig:
@@ -273,11 +275,12 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     queries = sorted(by_query)
     out_lines = []
     if args.method == "rrf":
+        check_k_rrf(args.k_rrf)
         for query in queries:
             fused = rrf_fuse(by_query[query], k_rrf=args.k_rrf)
             for rank, item in enumerate(fused.items, start=1):
                 out_lines.append(f"{query}\t{item}\t{fused.scores[rank - 1]!r}")
-    elif queries:
+    else:
         weights = _parse_weights(args.weight, channels)
         interleaved = weighted_interleave_batch(
             [by_query[query] for query in queries],
@@ -297,12 +300,13 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_weights(flags: list[str] | None, channels: tuple[ChannelId, ...]) -> InterleaveWeights:
-    if not flags:
-        return InterleaveWeights.uniform(channels)
+def _parse_weights(
+    flags: list[str] | None, channels: tuple[ChannelId, ...]
+) -> InterleaveWeights | None:
+    """The ``--weight`` flags over ``channels``, uniform without flags; None without channels."""
     by_name = {c.name: c for c in channels}
     weights = dict.fromkeys(channels, 0.0)
-    for flag in flags:
+    for flag in flags or ():
         if "=" not in flag:
             raise ValueError(f"--weight expects name=value, got {flag!r}")
         name, value = flag.split("=", 1)
@@ -312,7 +316,9 @@ def _parse_weights(flags: list[str] | None, channels: tuple[ChannelId, ...]) -> 
             weights[by_name[name]] = float(value)
         except ValueError:
             raise ValueError(f"--weight {flag!r}: {value!r} is not a number") from None
-    return InterleaveWeights(weights)
+    if not channels:
+        return None
+    return InterleaveWeights(weights) if flags else InterleaveWeights.uniform(channels)
 
 
 def _make_service(args: argparse.Namespace) -> ScoreService:

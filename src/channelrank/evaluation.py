@@ -36,8 +36,10 @@ from .fusion import interleave_pools, weighted_interleave  # noqa: F401
 from .gbdt.lambdas import check_threads
 from .gbdt.model import Model, TrainParams, train
 from .gbdt.serialize import model_fingerprint
-from .metrics import MetricConfig, ndcg_at_k, order_from_scores, purchase_ndcg_at_k
+from .metrics import ndcg_at_k, order_from_scores, purchase_ndcg_at_k
 from .synthgen import SplitPlan
+
+_METRIC_K = 8  # the NDCG cut-off every variant is scored at
 
 
 @dataclass(slots=True)
@@ -144,12 +146,8 @@ class VariantResult:
     model_fingerprint: str | None = None
 
 
-def evaluate_variant(
-    ranker: Ranker,
-    groups: Sequence[EvalGroup],
-    cfg: MetricConfig = MetricConfig(),
-) -> VariantResult:
-    """Mean NDCG@k (and purchase-only NDCG@k) over evaluation groups.
+def evaluate_variant(ranker: Ranker, groups: Sequence[EvalGroup]) -> VariantResult:
+    """Mean NDCG@8 (and purchase-only NDCG@8) over evaluation groups.
 
     The ranker orders every group in one call, and each group's orderings
     are scored by :func:`ndcg_at_k` on its labels and
@@ -171,8 +169,8 @@ def evaluate_variant(
     n_orders = 0
     for gi, (group, orders) in enumerate(zip(groups, all_orders)):
         try:
-            ndcgs = np.atleast_1d(ndcg_at_k(group.labels, orders, cfg.k))
-            purchase_ndcgs = purchase_ndcg_at_k(group.purchases, orders, cfg.k)
+            ndcgs = np.atleast_1d(ndcg_at_k(group.labels, orders, _METRIC_K))
+            purchase_ndcgs = purchase_ndcg_at_k(group.purchases, orders, _METRIC_K)
         except ValueError as exc:
             raise ValueError(f"group {group.query!r} week {group.week}: {exc}") from exc
         n_orders = max(n_orders, len(ndcgs))
@@ -208,7 +206,6 @@ class AblationConfig:
             min_examples_per_leaf=10, l2=1.0, seed=7,
         )
     )
-    metric: MetricConfig = field(default_factory=MetricConfig)
     wi_seeds: int = 20
     n_threads: int = 1
 
@@ -311,7 +308,7 @@ def ablation_run(
         ModelRanker("UR+EF", model_ef, full_idx),
         ModelRanker("UR+EF+CL", model_cl, full_idx),
     ]
-    variants = [evaluate_variant(r, groups, cfg.metric) for r in rankers]
+    variants = [evaluate_variant(r, groups) for r in rankers]
     by_name = {v.name: v for v in variants}
     deltas = {
         "UR-WI": by_name["UR"].mean_ndcg - by_name["WI"].mean_ndcg,
@@ -326,7 +323,7 @@ def ablation_run(
         json.dumps(
             {
                 "train_params": dataclasses.asdict(cfg.train_params),
-                "metric_k": cfg.metric.k,
+                "metric_k": _METRIC_K,
                 "wi_seeds": cfg.wi_seeds,
             },
             sort_keys=True,
@@ -335,7 +332,7 @@ def ablation_run(
     return EvalReport(
         variants=variants,
         deltas=deltas,
-        metric_k=cfg.metric.k,
+        metric_k=_METRIC_K,
         wi_seeds=cfg.wi_seeds,
         dataset_fingerprint=dataset.fingerprint(),
         config_hash=config_hash,

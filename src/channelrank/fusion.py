@@ -81,6 +81,12 @@ class FusedList:
         return len(self.items)
 
 
+def check_k_rrf(k_rrf: float) -> None:
+    """ValueError unless ``k_rrf`` is positive and finite."""
+    if not (math.isfinite(k_rrf) and k_rrf > 0):
+        raise ValueError(f"k_rrf must be positive and finite, got {k_rrf}")
+
+
 def rrf_fuse(lists: Sequence[ChannelList], k_rrf: float = 60.0) -> FusedList:
     """Fuse ranked lists by summed reciprocal rank 1 / (k_rrf + rank).
 
@@ -91,8 +97,7 @@ def rrf_fuse(lists: Sequence[ChannelList], k_rrf: float = 60.0) -> FusedList:
     by item id ascending. Only ranks enter the formula, so channel score
     scales are irrelevant.
     """
-    if not (math.isfinite(k_rrf) and k_rrf > 0):
-        raise ValueError(f"k_rrf must be positive and finite, got {k_rrf}")
+    check_k_rrf(k_rrf)
     pool = merge_pool(lists, TruncationConfig.whole(lists))
     scores = np.bincount(pool.hit_row, 1.0 / (k_rrf + pool.hit_rank), minlength=len(pool))
     # ``pool.items`` is sorted, so the index tie-break orders equal scores by item id.

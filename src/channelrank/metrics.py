@@ -12,17 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class MetricConfig:
-    """Evaluation metric settings; k is the truncation depth."""
-
-    k: int = 8
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
 def gain(labels: np.ndarray) -> np.ndarray:
     """Exponential gain 2**label - 1."""
     return np.exp2(np.asarray(labels, dtype=np.float64)) - 1.0

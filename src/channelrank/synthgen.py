@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,16 @@ DEFAULT_CHANNEL_NAMES = ("lexical", "semantic", "trending", "seasonal")
 
 _SESSION_STRIDE = 1 << 20  # max sessions per (query, week)
 
+# The behaviour model's fixed rates; every world shares them.
+_CHANNEL_COVERAGE = 0.8  # chance that a channel sees each universe item
+_SESSIONS_POWER = 0.35  # power-law exponent of query traffic over query rank
+_POSITION_DECAY = 0.88  # examination probability shrinks by this factor per position
+_CLICK_RATE = 0.22  # base funnel rates, at zero relevance and conversion quality
+_ATC_RATE = 0.35
+_PURCHASE_RATE = 0.30
+_CHANNEL_QUALITY_BASE = 0.40  # mean channel quality before the utility spread
+_N_CATEGORIES = 24
+
 
 @dataclass(frozen=True, slots=True)
 class WorldConfig:
@@ -49,41 +59,19 @@ class WorldConfig:
     num_weeks: int = 5
     per_channel_n: int = 25
     universe_size: int = 36
-    channel_coverage: float = 0.8
     sessions_mean: float = 40.0
-    sessions_power: float = 0.35
-    position_decay: float = 0.88
-    click_rate: float = 0.22
-    atc_rate: float = 0.35
-    purchase_rate: float = 0.30
-    channel_quality_base: float = 0.40
     channel_utility_concentration: float = 0.7
     trend_fraction: float = 0.15
-    n_categories: int = 24
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "num_queries", "num_items", "num_channels", "per_channel_n", "universe_size",
-            "n_categories",
-        ):
+        for name in ("num_queries", "num_items", "num_channels", "per_channel_n", "universe_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.sessions_mean) and self.sessions_mean > 0.0):
             raise ValueError(f"sessions_mean must be finite and > 0, got {self.sessions_mean}")
-        for name in ("sessions_power", "channel_quality_base"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.num_weeks < 5:
             raise ValueError("num_weeks must be >= 5 for the 3/1/1 weekly split")
-        for name in ("click_rate", "atc_rate", "purchase_rate"):
-            rate = getattr(self, name)
-            if not 0.0 < rate < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {rate}")
-        if not 0.0 < self.position_decay <= 1.0:
-            raise ValueError("position_decay must be in (0, 1]")
-        if not 0.0 < self.channel_coverage <= 1.0:
-            raise ValueError("channel_coverage must be in (0, 1]")
         if self.universe_size > self.num_items:
             raise ValueError("universe_size cannot exceed num_items")
         if self.universe_size < self.per_channel_n // 2:
@@ -132,8 +120,18 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path: str) -> GroundTruth:
-        """Read a :meth:`save` file; an object (pickled) array raises ValueError."""
+        """Read a :meth:`save` file. ValueError for an object (pickled) array, or
+        for a stored config whose keys are not exactly :class:`WorldConfig`'s."""
         with np.load(path, allow_pickle=False) as data:
+            stored = json.loads(str(data["config"]))
+            if not isinstance(stored, dict):
+                raise ValueError(f"{path}: stored world config is not a JSON object")
+            expected = {f.name for f in fields(WorldConfig)}
+            if stored.keys() != expected:
+                raise ValueError(
+                    f"{path}: stored world config has extra keys {sorted(stored.keys() - expected)}"
+                    f" and misses keys {sorted(expected - stored.keys())}; generate it again"
+                )
             catalog = ItemCatalog(
                 item_vocab=tuple(data["item_vocab"].tolist()),
                 price=data["price"],
@@ -141,7 +139,7 @@ class GroundTruth:
                 intro_week=data["intro_week"],
             )
             return cls(
-                config=WorldConfig(**json.loads(str(data["config"]))),
+                config=WorldConfig(**stored),
                 catalog=catalog,
                 popularity=data["popularity"],
                 conv_quality=data["conv_quality"],
@@ -184,7 +182,7 @@ def _make_catalog(
     """The catalog, with each item's popularity and conversion-quality latents."""
     n = cfg.num_items
     price = np.round(np.exp(rng.normal(3.0, 0.6, size=n)) + 0.99, 2)
-    category = rng.integers(1, cfg.n_categories + 1, size=n)
+    category = rng.integers(1, _N_CATEGORIES + 1, size=n)
     intro_week = rng.integers(-26, 1, size=n)
     popularity = _standardize(rng.normal(0.0, 1.0, size=n))
     conv_quality = _standardize(rng.normal(0.0, 1.0, size=n))
@@ -293,7 +291,7 @@ def generate(cfg: WorldConfig) -> SynthWorld:
 
     # Power-law query traffic, scaled so the mean matches sessions_mean.
     ranks = np.arange(1, cfg.num_queries + 1, dtype=np.float64)
-    weight = ranks ** (-cfg.sessions_power)
+    weight = ranks ** (-_SESSIONS_POWER)
     session_lambda = cfg.sessions_mean * weight / weight.mean()
 
     trend_mask = global_rng.random(cfg.num_items) < cfg.trend_fraction
@@ -313,9 +311,9 @@ def generate(cfg: WorldConfig) -> SynthWorld:
 
     pop_weights = np.exp(popularity)
     pop_weights /= pop_weights.sum()
-    p_click0 = _logit(cfg.click_rate)
-    p_atc0 = _logit(cfg.atc_rate)
-    p_purchase0 = _logit(cfg.purchase_rate)
+    p_click0 = _logit(_CLICK_RATE)
+    p_atc0 = _logit(_ATC_RATE)
+    p_purchase0 = _logit(_PURCHASE_RATE)
 
     # Each query draws from its own stream: its set-up draws here, then per
     # week its channel noise, then its session draws. The pinned worlds
@@ -339,13 +337,13 @@ def generate(cfg: WorldConfig) -> SynthWorld:
             rel0[:, None] + trend_amp[items][:, None] * ramp[None, :] + weekly_noise
         )
         channel_quality[q] = np.clip(
-            cfg.channel_quality_base
+            _CHANNEL_QUALITY_BASE
             + cfg.channel_utility_concentration
             * rng.uniform(-0.5, 0.5, size=cfg.num_channels),
             0.05,
             0.98,
         )
-        seen[q] = rng.random((cfg.num_channels, cfg.universe_size)) < cfg.channel_coverage
+        seen[q] = rng.random((cfg.num_channels, cfg.universe_size)) < _CHANNEL_COVERAGE
         seen[q, :, 0] = True  # each channel retrieves at least one item
         sessions[q] = rng.poisson(session_lambda[q], size=cfg.num_weeks)
 
@@ -398,7 +396,7 @@ def generate(cfg: WorldConfig) -> SynthWorld:
             z = z_by_query[q]
             v = conv_quality[items]
             n_pres = len(pres_u)
-            exam_p = cfg.position_decay ** np.arange(n_pres, dtype=np.float64)
+            exam_p = _POSITION_DECAY ** np.arange(n_pres, dtype=np.float64)
             p_click = _sigmoid(p_click0 + 1.3 * z[pres_u])
             p_atc = _sigmoid(p_atc0 + 0.9 * z[pres_u] + 0.7 * v[pres_u])
             p_purchase = _sigmoid(p_purchase0 + 1.6 * v[pres_u])
@@ -472,10 +470,14 @@ def filter_and_split(
     A (query, week) group is kept when at least one item logged
     ``min_impressions`` impressions and the group saw a purchase that
     week. Weeks [0, num_weeks-2) train, week num_weeks-2 validates, the
-    final week is the held-out test.
+    final week is the held-out test. ValueError if an event's week is
+    ``num_weeks`` or later, which would alias onto the next query's weeks.
     """
     if num_weeks < 5:
         raise ValueError("num_weeks must be >= 5")
+    last_week = int(frame.week.max()) if len(frame) else 0
+    if last_week >= num_weeks:
+        raise ValueError(f"largest event week {last_week} is not below num_weeks={num_weeks}")
     n_items = len(frame.item_vocab)
     qw = frame.query.astype(np.int64, copy=False) * num_weeks
     qw += frame.week

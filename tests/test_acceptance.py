@@ -31,7 +31,7 @@ from channelrank.fusion import (
 from channelrank.gbdt.model import TrainParams, train
 from channelrank.gbdt.serialize import ModelFormatError, loads_model, serialize_model
 from channelrank.labeling import CorpusStats, calibrate_weights, max_normalize, weighted_counts
-from channelrank.metrics import MetricConfig, ndcg_at_k
+from channelrank.metrics import ndcg_at_k
 from channelrank.service import ScoreService, bench, synth_requests
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 from tests.label_oracle import restrict_weeks
@@ -355,6 +355,16 @@ def test_criterion_6_ablation_ladder(full_benchmark):
         )
 
 
+def test_default_ablation_config_hash_pinned(full_benchmark):
+    # Recorded before the NDCG cut-off became a constant; the default
+    # ablation's report hash and cut-off must not move.
+    report, _ = full_benchmark
+    assert report.metric_k == 8
+    assert report.config_hash == (
+        "7bdbf903b6329f96c8b000c5b4a3577728c0c99c0ba1be1561e0e63f0bf99489"
+    )
+
+
 # ---------------------------------------------------------------------------
 # 7. No-leakage audit
 # ---------------------------------------------------------------------------
@@ -483,8 +493,8 @@ def test_criterion_10_parallel_determinism(small_dataset, small_world):
 
         groups = build_eval_groups(dataset, world.channel_lists, split.test)
         full_idx = np.arange(len(dataset.schema))
-        r1 = evaluate_variant(ModelRanker("m", model_1, full_idx), groups, MetricConfig())
-        r4 = evaluate_variant(ModelRanker("m", model_4, full_idx), groups, MetricConfig())
+        r1 = evaluate_variant(ModelRanker("m", model_1, full_idx), groups)
+        r4 = evaluate_variant(ModelRanker("m", model_4, full_idx), groups)
         assert r1 == r4
         info["detail"] = (
             f"1/4/8-thread models byte-identical; eval metrics equal "

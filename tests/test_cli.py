@@ -209,6 +209,25 @@ class TestPipeline:
         assert main(["fuse", "--lists", str(lists), "--method", "wi"]) == 0
         assert capsys.readouterr().out == "\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "rrf", "--k-rrf", "nan"], "k_rrf must be positive and finite, got nan"),
+            (["--method", "wi", "--weight", "bogus=abc"], "unknown channel 'bogus' in --weight"),
+            (["--method", "wi", "--weight", "bogus"], "--weight expects name=value, got 'bogus'"),
+        ],
+        ids=["rrf-nan", "wi-unknown-channel", "wi-no-value"],
+    )
+    def test_fuse_empty_lists_file_still_checks_flags(self, tmp_path, capsys, flags, message):
+        # With no query to fuse, these flags used to go unread and fuse exited 0.
+        lists = tmp_path / "lists.tsv"
+        lists.write_text("")
+        capsys.readouterr()
+        assert main(["fuse", "--lists", str(lists), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+
     def test_fuse_weight_for_a_channel_some_queries_lack(self, tmp_path, capsys):
         # q1 has no semantic list; its weight still applies to q2.
         lists = tmp_path / "lists.tsv"
@@ -376,6 +395,26 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.err.strip().splitlines() == [
             f"error: {events}:4: week 99999999999999999999 is above 2147483647"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_build_dataset_event_week_without_lists_exits_one(self, tmp_path, capsys):
+        # Without week 5's lists the split covers weeks 0-4; week 5's events
+        # used to alias onto the next query and end in an IndexError.
+        world = tmp_path / "world"
+        assert main(["generate", *WORLD_FLAGS, "--weeks", "6", "--out", str(world)]) == 0
+        (world / "channel_lists_w5.tsv").unlink()
+        out = tmp_path / "data.csv"
+        capsys.readouterr()
+        rc = main([
+            "build-dataset", "--events", str(world / "events.tsv"), "--lists-dir", str(world),
+            "--catalog", str(world / "catalog.tsv"), "--out", str(out),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "error: largest event week 5 is not below num_weeks=5"
         ]
         assert captured.out == ""
         assert not out.exists()

@@ -15,7 +15,7 @@ from channelrank.evaluation import (
     evaluate_variant,
 )
 from channelrank.gbdt.model import TrainParams
-from channelrank.metrics import MetricConfig, ndcg_at_k, order_from_scores, purchase_ndcg_at_k
+from channelrank.metrics import ndcg_at_k, order_from_scores, purchase_ndcg_at_k
 from channelrank.synthgen import WorldConfig, filter_and_split, generate
 from tests.eval_oracle import RRFRanker, pool_lists, string_wi_orders
 
@@ -116,7 +116,7 @@ class _ChannelOrder(Ranker):
 
 class TestEvaluateVariant:
     def test_oracle_scores_one_on_label_bearing_groups(self, groups):
-        result = evaluate_variant(OracleRanker(), groups, MetricConfig(k=8))
+        result = evaluate_variant(OracleRanker(), groups)
         assert result.group_count == len(groups)
         labeled = [g for g in groups if g.labels.any()]
         for g in labeled:
@@ -126,26 +126,26 @@ class TestEvaluateVariant:
         assert result.mean_ndcg == pytest.approx(expected_mean, abs=1e-9)
 
     def test_order_sensitivity(self, groups):
-        fwd = evaluate_variant(_FixedOrder(), groups, MetricConfig(k=8))
-        rev = evaluate_variant(_FixedOrder(reverse=True), groups, MetricConfig(k=8))
+        fwd = evaluate_variant(_FixedOrder(), groups)
+        rev = evaluate_variant(_FixedOrder(reverse=True), groups)
         assert fwd.mean_ndcg != rev.mean_ndcg
 
     def test_deterministic(self, groups):
         ranker = WIRanker(seeds=tuple(range(5)))
-        r1 = evaluate_variant(ranker, groups, MetricConfig(k=8))
-        r2 = evaluate_variant(ranker, groups, MetricConfig(k=8))
+        r1 = evaluate_variant(ranker, groups)
+        r2 = evaluate_variant(ranker, groups)
         assert r1 == r2
         assert r1.n_orders == 5
 
     def test_empty_eval_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            evaluate_variant(OracleRanker(), [], MetricConfig())
+            evaluate_variant(OracleRanker(), [])
 
     def test_scores_are_means_of_metrics_ndcgs(self, groups):
         # The report's numbers are ndcg_at_k and purchase_ndcg_at_k, bit for bit.
         ranker = WIRanker(seeds=tuple(range(4)))
         stacks = ranker.orders(groups)
-        result = evaluate_variant(ranker, groups, MetricConfig(k=8))
+        result = evaluate_variant(ranker, groups)
         ndcg = [np.mean(ndcg_at_k(g.labels, s, 8)) for g, s in zip(groups, stacks)]
         purchase = [np.mean(purchase_ndcg_at_k(g.purchases, s, 8)) for g, s in zip(groups, stacks)]
         assert result.mean_ndcg == float(np.mean(ndcg))
@@ -181,14 +181,13 @@ class TestEvaluateVariant:
             ]
 
     def test_rrf_ranker_runs(self, groups):
-        result = evaluate_variant(RRFRanker(), groups, MetricConfig(k=8))
+        result = evaluate_variant(RRFRanker(), groups)
         assert 0.0 < result.mean_ndcg <= 1.0
 
     def test_relevance_order_beats_every_single_channel(self, world, groups):
-        cfg = MetricConfig(k=8)
-        rel = evaluate_variant(_RelevanceOracle(world.ground_truth), groups, cfg)
+        rel = evaluate_variant(_RelevanceOracle(world.ground_truth), groups)
         for c in range(CFG.num_channels):
-            single = evaluate_variant(_ChannelOrder(c), groups, cfg)
+            single = evaluate_variant(_ChannelOrder(c), groups)
             assert rel.mean_ndcg > single.mean_ndcg
 
 
@@ -244,6 +243,14 @@ class TestAblationRun:
     def test_config_rejects_threads_below_one(self, n_threads):
         with pytest.raises(ValueError, match=f"n_threads must be >= 1, got {n_threads}"):
             AblationConfig(n_threads=n_threads)
+
+    def test_config_hash_and_cut_off_pinned(self, report):
+        # Recorded before the NDCG cut-off became a constant: the hash covers
+        # the train params, the cut-off 8 and the WI seed count as before.
+        assert report.metric_k == 8
+        assert report.config_hash == (
+            "32c95e77211644cef9331d4cf02b536acff5b111b8db680a078efa902698c57c"
+        )
 
     def test_wi_seed_count_recorded(self, report):
         assert report.wi_seeds == 5
@@ -320,7 +327,7 @@ class TestRankerOrdersChecked:
     )
     def test_non_permutations_rejected(self, groups, given):
         with pytest.raises(ValueError, match="permutations of range"):
-            evaluate_variant(_Orders(given), groups, MetricConfig(k=8))
+            evaluate_variant(_Orders(given), groups)
 
     def test_float_orders_rejected(self, groups):
         first = groups[0]
@@ -339,4 +346,4 @@ class TestRankerOrdersChecked:
                 return [[np.arange(len(g.pool))] for g in groups[1:]]
 
         with pytest.raises(ValueError, match=f"orders for {len(groups) - 1} of {len(groups)}"):
-            evaluate_variant(_Short(), groups, MetricConfig(k=8))
+            evaluate_variant(_Short(), groups)

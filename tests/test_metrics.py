@@ -6,7 +6,6 @@ import pytest
 
 from channelrank.metrics import (
     GroupedNdcg,
-    MetricConfig,
     dcg_at_k,
     ideal_dcg_at_k,
     ndcg_at_k,
@@ -53,6 +52,10 @@ class TestNdcg:
     def test_all_zero_labels_score_zero(self):
         labels = np.zeros(4)
         assert ndcg_at_k(labels, np.arange(4), k=4) == 0.0
+
+    def test_helpers_consistent(self):
+        labels = np.array([4.0, 2.0, 0.0])
+        assert ideal_dcg_at_k(labels, 3) == pytest.approx(dcg_at_k(labels, 3))
 
     def test_matches_brute_force_on_random_lists(self):
         rng = np.random.default_rng(11)
@@ -359,13 +362,3 @@ class TestGroupedNdcg:
         per_group = grouped.per_group(np.array([1.0, 0.5, 1.0, 2.0]))
         assert per_group[0] == 0.0
         assert per_group[1] > 0.0
-
-
-class TestMetricConfig:
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            MetricConfig(k=0)
-
-    def test_helpers_consistent(self):
-        labels = np.array([4.0, 2.0, 0.0])
-        assert ideal_dcg_at_k(labels, 3) == pytest.approx(dcg_at_k(labels, 3))

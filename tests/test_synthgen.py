@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -34,10 +35,6 @@ class TestWorldConfig:
         with pytest.raises(ValueError, match="num_weeks"):
             WorldConfig(num_weeks=4)
 
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError, match="click_rate"):
-            WorldConfig(click_rate=1.5)
-
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             WorldConfig(seed=-1)
@@ -48,8 +45,6 @@ class TestWorldConfig:
             ("sessions_mean", math.nan, "sessions_mean must be finite and > 0, got nan"),
             ("sessions_mean", math.inf, "sessions_mean must be finite and > 0, got inf"),
             ("sessions_mean", -1.0, "sessions_mean must be finite and > 0, got -1.0"),
-            ("sessions_power", math.nan, "sessions_power must be finite, got nan"),
-            ("channel_quality_base", math.nan, "channel_quality_base must be finite, got nan"),
             ("channel_utility_concentration", math.nan,
              "channel_utility_concentration must be finite and >= 0, got nan"),
             ("num_queries", 0, "num_queries must be >= 1, got 0"),
@@ -57,7 +52,6 @@ class TestWorldConfig:
             ("universe_size", 0, "universe_size must be >= 1, got 0"),
             ("num_channels", 0, "num_channels must be >= 1, got 0"),
             ("per_channel_n", 0, "per_channel_n must be >= 1, got 0"),
-            ("n_categories", 0, "n_categories must be >= 1, got 0"),
         ],
     )
     def test_rejects_values_generate_cannot_use(self, field, value, message):
@@ -179,6 +173,31 @@ class TestGenerate:
         np.savez(str(crafted), **arrays)
         with pytest.raises(ValueError, match="allow_pickle"):
             GroundTruth.load(str(crafted))
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda config: {**config, "click_rate": 0.22},
+             "has extra keys ['click_rate'] and misses keys []; generate it again"),
+            (lambda config: {k: v for k, v in config.items() if k != "seed"},
+             "has extra keys [] and misses keys ['seed']; generate it again"),
+            (lambda config: list(config), "is not a JSON object"),
+        ],
+        ids=["removed-setting", "missing-seed", "not-an-object"],
+    )
+    def test_ground_truth_config_keys_must_match(self, world, tmp_path, edit, problem):
+        # A file from a build whose WorldConfig had other fields used to raise
+        # TypeError for an extra key and to take the default for a missing one.
+        path = tmp_path / "gt.npz"
+        world.ground_truth.save(str(path))
+        with np.load(str(path)) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["config"] = np.array(json.dumps(edit(json.loads(str(arrays["config"])))))
+        crafted = tmp_path / "crafted.npz"
+        np.savez(str(crafted), **arrays)
+        with pytest.raises(ValueError) as err:
+            GroundTruth.load(str(crafted))
+        assert str(err.value) == f"{crafted}: stored world config {problem}"
 
     def test_write_world_emits_all_files(self, world, tmp_path):
         paths = write_world(world, str(tmp_path / "world"))
@@ -346,6 +365,19 @@ class TestFilterAndSplit:
             split.stats["tertile_retention"]["head"]
             >= split.stats["tertile_retention"]["tail"]
         )
+
+    def test_event_week_past_num_weeks_rejected(self):
+        # Week 5 of a 6-week log split as 5 weeks used to alias onto week 0 of
+        # the next query and land in the training partition.
+        six_weeks = generate(WorldConfig(
+            num_queries=10, num_items=100, universe_size=15, per_channel_n=8,
+            sessions_mean=10.0, num_weeks=6, seed=9,
+        ))
+        with pytest.raises(ValueError) as err:
+            filter_and_split(six_weeks.events, 5)
+        assert str(err.value) == "largest event week 5 is not below num_weeks=5"
+        split = filter_and_split(six_weeks.events, 6, min_impressions=1)
+        assert split.stats["total_groups"] == 60
 
     def test_impossible_filter_raises_with_diagnostics(self, world):
         with pytest.raises(ValueError, match="partition is empty"):
