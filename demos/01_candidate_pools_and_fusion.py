@@ -2,8 +2,9 @@
 
 Four retrieval channels each rank items for the query "standing desk";
 we truncate each channel to its budget, merge the union into a candidate
-pool with provenance, and compare the two non-learned fusion strategies:
-reciprocal rank fusion and seeded weighted interleaving.
+pool that records each channel's hits, and compare the two non-learned
+fusion strategies: reciprocal rank fusion and seeded weighted
+interleaving.
 
 Run: python demos/01_candidate_pools_and_fusion.py
 """
@@ -53,11 +54,18 @@ for cl in lists:
 cfg = TruncationConfig.uniform([lexical, semantic, trending, seasonal], 3)
 pool = merge_pool(lists, cfg)
 print(f"\n=== merged candidate pool: {len(pool)} items ===")
-for item in pool.items:
-    hits = ", ".join(
-        f"{hit.channel.name}#{hit.rank}" for hit in pool.provenance[item]
-    )
-    print(f"{item:>17}: {hits}")
+# Hit h: channel pool.channels[hit_channel[h]] ranked item pool.items[hit_row[h]]
+# at hit_rank[h]; hits run in channel order, then by rank.
+hits = [[] for _ in pool.items]
+leaders = {}  # item -> the channels that rank it first
+for row, c, rank in zip(pool.hit_row.tolist(), pool.hit_channel.tolist(),
+                        pool.hit_rank.tolist()):
+    name = pool.channels[c].name
+    hits[row].append(f"{name}#{rank}")
+    if rank == 1:
+        leaders.setdefault(pool.items[row], []).append(name)
+for item, item_hits in zip(pool.items, hits):
+    print(f"{item:>17}: {', '.join(item_hits)}")
 
 print("\n=== reciprocal rank fusion (k_rrf = 60) ===")
 fused = rrf_fuse([truncate(cl, 3) for cl in lists])
@@ -81,8 +89,7 @@ items, orders = weighted_interleave_batch(
 )[0]
 counts = {}
 for first in (items[j] for j in orders[:, 0]):
-    owners = [h.channel.name for h in pool.provenance[first] if h.rank == 1]
-    for owner in owners:
+    for owner in leaders.get(first, []):
         counts[owner] = counts.get(owner, 0) + 1
 total = sum(counts.values())
 for name, n in sorted(counts.items(), key=lambda kv: -kv[1]):

@@ -9,7 +9,6 @@ weighted interleaving) under a production-style latency budget.
 
 from .core import (
     CandidatePool,
-    ChannelHit,
     ChannelId,
     ChannelList,
     ItemId,

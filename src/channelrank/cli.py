@@ -70,9 +70,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = _world_config(args)
     world = synthgen.generate(cfg)
     paths = synthgen.write_world(world, args.out)
-    catalog_path = os.path.join(args.out, "catalog.tsv")
-    ds.write_item_catalog(catalog_path, world.ground_truth.catalog)
-    paths["catalog"] = catalog_path
     split = synthgen.filter_and_split(world.events, cfg.num_weeks)
     print(f"events: {len(world.events)} -> {paths['events']}")
     print(f"retention: {split.stats['retention']:.3f} "
@@ -321,7 +318,8 @@ def _parse_weights(
     return InterleaveWeights(weights) if flags else InterleaveWeights.uniform(channels)
 
 
-def _make_service(args: argparse.Namespace) -> ScoreService:
+def _make_service(args: argparse.Namespace) -> tuple[ScoreService, ItemFeatureTable | None]:
+    """The service for ``--model``, ``--items`` and the pool cap, and its sidecar."""
     raw = os.environ.get("CHANNELRANK_POOL_CAP", args.pool_cap)
     try:
         pool_cap = int(raw)
@@ -330,7 +328,7 @@ def _make_service(args: argparse.Namespace) -> ScoreService:
     check_pool_cap(pool_cap)
     model = load_model(args.model)
     table = ItemFeatureTable.from_file(args.items) if args.items else None
-    return ScoreService(model, item_features=table, pool_cap=pool_cap)
+    return ScoreService(model, item_features=table, pool_cap=pool_cap), table
 
 
 def _parse_bind(bind: str) -> tuple[str, int]:
@@ -344,7 +342,7 @@ def _parse_bind(bind: str) -> tuple[str, int]:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = _parse_bind(os.environ.get("CHANNELRANK_BIND", args.bind))
-    service = _make_service(args)
+    service, _ = _make_service(args)
     server = make_server(service, host=host, port=port)
     print(f"serving model {service.fingerprint[:12]} on http://{host}:{port}")
     try:
@@ -359,13 +357,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.pool < 1:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
-    service = _make_service(args)
-    item_ids = list(service._item_index) or None
+    service, table = _make_service(args)
+    item_ids = list(table.index) if table is not None else None
     requests = synth_requests(
         service, args.requests, pool_items=args.pool, seed=args.seed,
         item_ids=item_ids,
     )
-    report = bench(service, requests, url=args.url)
+    report = bench(service, requests)
     print(report.render_text())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -446,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=int, default=10000)
     p.add_argument("--pool", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--url", default=None, help="also bench a running server")
     p.add_argument("--json", default=None)
     p.add_argument("--pool-cap", type=int, default=DEFAULT_POOL_CAP)
     p.set_defaults(func=_cmd_bench)

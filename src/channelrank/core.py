@@ -3,9 +3,8 @@
 A query is served by K independent retrieval channels, each producing a
 scored, ranked item list. Downstream stages see only the union of the
 per-channel top-n truncations; this module owns that merge and the
-provenance bookkeeping (which channel retrieved an item, at what rank,
-with what score) that both the fusion baselines and the learned ranker
-consume.
+per-hit arrays (which channel retrieved an item, at what rank, with what
+score) that both the fusion baselines and the learned ranker consume.
 """
 
 from __future__ import annotations
@@ -98,15 +97,6 @@ class ChannelList:
         return tuple(item for item, _ in self.entries)
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelHit:
-    """Provenance record: where one channel placed an item (rank is 1-based)."""
-
-    channel: ChannelId
-    rank: int
-    score: float
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class CandidatePool:
     """Deduplicated union of truncated channel lists for one query.
@@ -130,21 +120,6 @@ class CandidatePool:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def candidates(self) -> frozenset[ItemId]:
-        return frozenset(self.items)
-
-    @property
-    def provenance(self) -> dict[ItemId, tuple[ChannelHit, ...]]:
-        """Each item's hits, in channel-index order, built from the arrays."""
-        hits: dict[ItemId, list[ChannelHit]] = {item: [] for item in self.items}
-        for row, c, rank, score in zip(
-            self.hit_row.tolist(), self.hit_channel.tolist(),
-            self.hit_rank.tolist(), self.hit_score.tolist(),
-        ):
-            hits[self.items[row]].append(ChannelHit(self.channels[c], rank, score))
-        return {item: tuple(entry) for item, entry in hits.items()}
-
 
 @dataclass(frozen=True, slots=True)
 class TruncationConfig:
@@ -167,7 +142,10 @@ class TruncationConfig:
         return cls(per_channel_n={cl.channel: max(len(cl), 1) for cl in lists})
 
     def n_for(self, channel: ChannelId) -> int:
-        return self.per_channel_n[channel]
+        try:
+            return self.per_channel_n[channel]
+        except KeyError:
+            raise ValueError(f"no budget for channel {channel.name!r}") from None
 
 
 def truncate(channel_list: ChannelList, n: int) -> ChannelList:
@@ -193,7 +171,7 @@ def _check_one_query(lists: Sequence[ChannelList]) -> QueryId:
 
 
 def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> CandidatePool:
-    """Union the truncated channel lists into a candidate pool with provenance.
+    """Union the truncated channel lists into a candidate pool.
 
     Items retrieved by several channels appear once, with one hit per
     retrieving channel. No lists give an empty pool with query ``""``.
@@ -201,7 +179,8 @@ def merge_pool(lists: Sequence[ChannelList], cfg: TruncationConfig) -> Candidate
     Raises
     ------
     ValueError
-        If the lists mix query ids, repeat a channel or have a budget below 1.
+        If the lists mix query ids, repeat a channel, or have a channel with
+        no budget or a budget below 1.
     """
     query = _check_one_query(lists) if lists else ""
     seen_channels: set[int] = set()

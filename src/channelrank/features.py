@@ -7,7 +7,7 @@ Three feature groups:
   aggregates over trailing lookback windows, shared across queries. Never
   missing.
 * ``channel`` -- per-channel retrieval score and 1-based rank from the
-  candidate pool's provenance; missing (NA) for channels that did not
+  candidate pool's hits; missing (NA) for channels that did not
   retrieve the item.
 * ``engagement`` -- per (query, item) weighted, exponentially decayed
   session engagement over the lookback windows. Unlike labels these are

@@ -102,6 +102,12 @@ class PairIndex:
         self.n = len(labels)
         self.k = int(k)
         self.sigma = float(sigma)
+        size = int(groups.sizes.max(initial=0))
+        if max(self.sigma, self.sigma**2 / 4) * (size - 1) >= 2**13:
+            raise ValueError(
+                f"a group of {size} rows at sigma {self.sigma:g} breaks the exact-sum "
+                f"bound max(sigma, sigma**2 / 4) * (size - 1) < 2**13"
+            )
         self.groups = groups
         self.group_starts = groups.starts
         self.group_count = groups.count

@@ -357,18 +357,13 @@ class LatencyReport:
     mean_pool_size: float
     max_pool_size: int
     hardware: str
-    end_to_end: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.p50_ms <= self.p95_ms <= self.p99_ms:
             raise ValueError("latency percentiles must be non-decreasing")
 
     def as_dict(self) -> dict:
-        """The fields in order; ``end_to_end`` only when an HTTP run filled it."""
-        out = asdict(self)
-        if self.end_to_end is None:
-            del out["end_to_end"]
-        return out
+        return asdict(self)
 
     def render_text(self) -> str:
         lines = [
@@ -378,13 +373,6 @@ class LatencyReport:
             f"pool size     mean={self.mean_pool_size:.1f}  max={self.max_pool_size}",
             f"hardware      {self.hardware}",
         ]
-        if self.end_to_end is not None:
-            lines.insert(
-                2,
-                f"end-to-end    p50={self.end_to_end['p50_ms']:.3f} ms  "
-                f"p95={self.end_to_end['p95_ms']:.3f} ms  "
-                f"p99={self.end_to_end['p99_ms']:.3f} ms",
-            )
         return "\n".join(lines)
 
 
@@ -432,12 +420,8 @@ def synth_requests(
     return requests
 
 
-def bench(
-    service: ScoreService,
-    requests: Sequence[dict],
-    url: str | None = None,
-) -> LatencyReport:
-    """Replay a workload in-process (and optionally over HTTP at ``url``)."""
+def bench(service: ScoreService, requests: Sequence[dict]) -> LatencyReport:
+    """Replay a workload in-process; HTTP latency is ``perfbench/http_load.py``'s."""
     if not requests:
         raise ValueError("bench needs at least one request")
     laps = np.empty(len(requests))
@@ -447,27 +431,6 @@ def bench(
         response = service.score(req)
         laps[i] = time.perf_counter() - t0
         pools[i] = len(response["results"])
-    end_to_end = None
-    if url is not None:
-        import urllib.request
-
-        e2e = np.empty(len(requests))
-        for i, req in enumerate(requests):
-            body = json.dumps(req).encode("utf-8")
-            t0 = time.perf_counter()
-            http_req = urllib.request.Request(
-                url.rstrip("/") + "/v1/score",
-                data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(http_req) as resp:
-                resp.read()
-            e2e[i] = time.perf_counter() - t0
-        end_to_end = {
-            "p50_ms": float(np.percentile(e2e, 50) * 1000),
-            "p95_ms": float(np.percentile(e2e, 95) * 1000),
-            "p99_ms": float(np.percentile(e2e, 99) * 1000),
-        }
     return LatencyReport(
         request_count=len(requests),
         p50_ms=float(np.percentile(laps, 50) * 1000),
@@ -476,5 +439,4 @@ def bench(
         mean_pool_size=float(pools.mean()),
         max_pool_size=int(pools.max()),
         hardware=hardware_note(),
-        end_to_end=end_to_end,
     )

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ChannelId, ChannelList, QueryId
-from .dataset import ItemCatalog
+from .dataset import ItemCatalog, write_item_catalog
 from .fusion import InterleaveWeights, weighted_interleave_batch
 from .labeling import WEEK_SECONDS, Action, EventFrame
 
@@ -554,7 +554,7 @@ def _tertile_retention(
 
 
 def write_world(world: SynthWorld, out_dir: str) -> dict[str, str]:
-    """Write the event log, per-week channel lists, and ground truth."""
+    """Write the event log, per-week channel lists, item catalog and ground truth."""
     import os
 
     from .core import write_channel_lists
@@ -570,6 +570,9 @@ def write_world(world: SynthWorld, out_dir: str) -> dict[str, str]:
         lists = [cl for query in sorted(by_query) for cl in by_query[query]]
         write_channel_lists(path, lists)
         paths[f"channel_lists_w{week}"] = path
+    catalog_path = os.path.join(out_dir, "catalog.tsv")
+    write_item_catalog(catalog_path, world.ground_truth.catalog)
+    paths["catalog"] = catalog_path
     gt_path = os.path.join(out_dir, "ground_truth.npz")
     world.ground_truth.save(gt_path)
     paths["ground_truth"] = gt_path

@@ -4,7 +4,8 @@
 way (the item block's oracle); ``engagement_features`` and
 ``engagement_counts`` walk one (query, item)'s sessions (the dataset
 builder's engagement oracles);
-``assemble_instance`` builds one feature row from a pool's provenance
+``assemble_instance`` builds one feature row from the hits that
+``tests.pool_oracle.reference_provenance`` reads from the channel lists,
 cell by cell (the channel block's oracle); ``group_build_dataset``
 builds the instance table one (query, week) group at a time (the
 dataset builder's oracle).
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from channelrank.core import (
-    CandidatePool,
     ChannelId,
     ChannelList,
     ItemId,
@@ -50,6 +50,7 @@ from channelrank.labeling import (
 )
 from channelrank.metrics import QueryGroups
 from tests.label_oracle import InteractionEvent
+from tests.pool_oracle import Provenance
 
 NA = np.nan
 
@@ -175,20 +176,20 @@ def engagement_features(
 
 def assemble_instance(
     schema: FeatureSchema,
-    pool: CandidatePool,
+    provenance: Provenance,
     item: ItemId,
     item_values: Mapping[str, float],
     engagement_values: Mapping[str, float] | None = None,
 ) -> np.ndarray:
     """Build one feature vector aligned to ``schema``.
 
-    Channel score/rank cells come from the pool's provenance; channels
-    that did not retrieve the item stay NA. ``item_values`` must cover
+    Channel score/rank cells come from the item's hits in ``provenance``;
+    channels that did not retrieve the item stay NA. ``item_values`` must cover
     every item-group column (item features are never missing).
     ``engagement_values`` may be None, leaving engagement cells NA (the
     serve-time contract when no engagement map is supplied).
     """
-    if item not in pool.candidates:
+    if item not in provenance:
         raise ValueError(f"item {item!r} not in candidate pool")
     vec = np.full(len(schema), NA, dtype=np.float64)
     for i, col in enumerate(schema.columns):
@@ -199,7 +200,7 @@ def assemble_instance(
         elif col.group == "engagement":
             if engagement_values is not None and col.name in engagement_values:
                 vec[i] = float(engagement_values[col.name])
-    hits = pool.provenance[item]
+    hits = provenance[item]
     for hit in hits:
         score_col = f"ch_{hit.channel.name}_score"
         rank_col = f"ch_{hit.channel.name}_rank"

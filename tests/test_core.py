@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from channelrank.core import (
-    ChannelHit,
     ChannelId,
     ChannelList,
     TruncationConfig,
@@ -14,6 +13,7 @@ from channelrank.core import (
     truncate,
     write_channel_lists,
 )
+from tests.pool_oracle import pool_provenance, reference_provenance
 
 C0 = ChannelId(0, "lexical")
 C1 = ChannelId(1, "semantic")
@@ -22,16 +22,6 @@ C2 = ChannelId(2, "trending")
 
 def cl(channel, pairs, query="q1"):
     return ChannelList.from_pairs(channel, query, pairs)
-
-
-def reference_provenance(lists, cfg):
-    """The pool's provenance one hit at a time: each list in channel-index
-    order, each kept entry with its 1-based rank."""
-    hits = {}
-    for lst in sorted(lists, key=lambda c: c.channel.index):
-        for rank, (item, score) in enumerate(lst.entries[: cfg.n_for(lst.channel)], start=1):
-            hits.setdefault(item, []).append(ChannelHit(lst.channel, rank, score))
-    return {item: tuple(h) for item, h in sorted(hits.items())}
 
 
 def random_lists(rng, channels, universe=12, max_len=8):
@@ -121,18 +111,19 @@ class TestMergePool:
     def test_single_channel_identity(self):
         lst = cl(C0, [("A", 0.9), ("B", 0.5)])
         pool = merge_pool([lst], TruncationConfig.uniform([C0], 2))
-        assert pool.candidates == {"A", "B"}
-        (hit_a,) = pool.provenance["A"]
+        assert pool.items == ("A", "B")
+        hits = pool_provenance(pool)
+        (hit_a,) = hits["A"]
         assert (hit_a.channel, hit_a.rank, hit_a.score) == (C0, 1, 0.9)
-        (hit_b,) = pool.provenance["B"]
+        (hit_b,) = hits["B"]
         assert (hit_b.channel, hit_b.rank, hit_b.score) == (C0, 2, 0.5)
 
     def test_overlap_union(self):
         l0 = cl(C0, [("A", 0.9), ("B", 0.5)])
         l1 = cl(C1, [("B", 0.8), ("C", 0.2)])
         pool = merge_pool([l0, l1], TruncationConfig.uniform([C0, C1], 2))
-        assert pool.candidates == {"A", "B", "C"}
-        hits = pool.provenance["B"]
+        assert pool.items == ("A", "B", "C")
+        hits = pool_provenance(pool)["B"]
         assert {(h.channel, h.rank) for h in hits} == {(C0, 2), (C1, 1)}
 
     def test_truncation_then_union(self):
@@ -140,7 +131,7 @@ class TestMergePool:
         l1 = cl(C1, [("C", 0.7)])
         cfg = TruncationConfig(per_channel_n={C0: 1, C1: 1})
         pool = merge_pool([l0, l1], cfg)
-        assert pool.candidates == {"A", "C"}
+        assert pool.items == ("A", "C")
 
     def test_mixed_queries_rejected(self):
         l0 = cl(C0, [("A", 0.9)], query="q1")
@@ -157,7 +148,7 @@ class TestMergePool:
     def test_no_lists_give_an_empty_pool(self):
         pool = merge_pool([], TruncationConfig({}))
         assert pool.query == "" and pool.items == () and pool.channels == ()
-        assert len(pool) == 0 and pool.hit_row.size == 0 and pool.provenance == {}
+        assert len(pool) == 0 and pool.hit_row.size == 0 and pool_provenance(pool) == {}
 
     def test_whole_budget_keeps_every_list_whole(self):
         long = cl(C0, [(f"i{j}", 1.0 - 0.01 * j) for j in range(7)])
@@ -177,6 +168,11 @@ class TestMergePool:
         lists = [cl(C0, [("A", 0.9)]), cl(C1, [("B", 0.9), ("C", 0.5)])]
         with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
             merge_pool(lists, cfg)
+
+    def test_list_without_a_budget_rejected(self):
+        lists = [cl(C1, [("A", 0.9)])]
+        with pytest.raises(ValueError, match="^no budget for channel 'semantic'$"):
+            merge_pool(lists, TruncationConfig.uniform([C0], 3))
 
     def test_pool_size_bound_and_disjoint_equality(self):
         l0 = cl(C0, [("A", 0.9), ("B", 0.5)])
@@ -200,19 +196,20 @@ class TestMergePool:
         ]
         first = pools[0]
         for pool in pools[1:]:
-            assert pool.candidates == first.candidates
-            assert pool.provenance == first.provenance
+            assert pool.items == first.items
+            assert pool_provenance(pool) == pool_provenance(first)
 
     def test_provenance_matches_truncated_positions_exactly(self):
         l0 = cl(C0, [("A", 0.9), ("B", 0.5), ("C", 0.4), ("D", 0.3)])
         cfg = TruncationConfig.uniform([C0], 3)
         pool = merge_pool([l0], cfg)
         truncated = truncate(l0, 3)
+        hits = pool_provenance(pool)
         for rank, (item, score) in enumerate(truncated.entries, start=1):
-            (hit,) = pool.provenance[item]
+            (hit,) = hits[item]
             assert hit.rank == rank
             assert hit.score == score
-        assert "D" not in pool.candidates
+        assert "D" not in pool.items
 
 
 class TestPoolLayout:
@@ -240,8 +237,7 @@ class TestPoolLayout:
                 ]
                 scores = [score for entries in kept for _, score in entries]
                 assert pool.hit_score.tobytes() == np.array(scores).tobytes()
-                assert pool.provenance == expected
-                assert pool.candidates == frozenset(expected)
+                assert pool_provenance(pool) == expected
 
     def test_arrays_are_read_only(self):
         pool = merge_pool([cl(C0, [("A", 0.9)])], TruncationConfig.uniform([C0], 1))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from channelrank.core import TruncationConfig, merge_pool
+from channelrank.core import TruncationConfig
 from channelrank.dataset import (
     ItemCatalog,
     build_dataset,
@@ -42,6 +42,7 @@ from tests.label_oracle import (
     restrict_weeks,
     to_events,
 )
+from tests.pool_oracle import reference_provenance
 
 CFG = WorldConfig(
     num_queries=40, num_items=400, universe_size=20, per_channel_n=10,
@@ -133,8 +134,7 @@ class TestBuildDataset:
             w = int(dataset.weeks[ridx])
             item = dataset.item_vocab[dataset.item_codes[ridx]]
             lists = world.channel_lists[w][dataset.query_vocab[q]]
-            pool = merge_pool(lists, trunc)
-            hits = {h.channel.name: h for h in pool.provenance[item]}
+            hits = {h.channel.name: h for h in reference_provenance(lists, trunc)[item]}
             for channel in world.channels:
                 score_col, rank_col = channel_columns(channel.name)
                 score = dataset.X[ridx, col[score_col]]

@@ -24,6 +24,7 @@ from tests.feature_oracle import (
 )
 from channelrank.labeling import WEEK_SECONDS, Action, LabelWeights
 from tests.label_oracle import InteractionEvent
+from tests.pool_oracle import reference_provenance
 
 C0 = ChannelId(0, "lexical")
 C1 = ChannelId(1, "semantic")
@@ -163,7 +164,9 @@ class TestAssembleInstance:
             ChannelList.from_pairs(C1, "q", [("B", 0.8)]),
             ChannelList.from_pairs(C2, "q", [("B", 0.7), ("C", 0.2)]),
         ]
-        self.pool = merge_pool(lists, TruncationConfig.uniform([C0, C1, C2], 5))
+        cfg = TruncationConfig.uniform([C0, C1, C2], 5)
+        self.pool = merge_pool(lists, cfg)
+        self.hits = reference_provenance(lists, cfg)
         self.item_values = {
             "item_price": 19.99,
             "item_category": 3,
@@ -178,7 +181,7 @@ class TestAssembleInstance:
         }
 
     def test_partial_channel_coverage_leaves_na(self):
-        vec = assemble_instance(self.schema, self.pool, "A", self.item_values)
+        vec = assemble_instance(self.schema, self.hits, "A", self.item_values)
         assert vec[self.schema.index_of("ch_lexical_score")] == 0.9
         assert vec[self.schema.index_of("ch_lexical_rank")] == 1.0
         assert math.isnan(vec[self.schema.index_of("ch_semantic_score")])
@@ -186,25 +189,25 @@ class TestAssembleInstance:
         assert vec[self.schema.index_of("ch_hit_count")] == 1.0
 
     def test_full_channel_coverage_has_no_missing_channels(self):
-        vec = assemble_instance(self.schema, self.pool, "B", self.item_values)
+        vec = assemble_instance(self.schema, self.hits, "B", self.item_values)
         channel_mask = self.schema.group_mask("channel")
         assert not np.isnan(vec[channel_mask]).any()
         assert vec[self.schema.index_of("ch_hit_count")] == 3.0
 
     def test_static_values_identical_across_weeks(self):
-        v3 = assemble_instance(self.schema, self.pool, "A", self.item_values)
-        v4 = assemble_instance(self.schema, self.pool, "A", self.item_values)
+        v3 = assemble_instance(self.schema, self.hits, "A", self.item_values)
+        v4 = assemble_instance(self.schema, self.hits, "A", self.item_values)
         i = self.schema.index_of("item_price")
         assert v3[i] == v4[i] == 19.99
 
     def test_item_group_never_missing(self):
-        vec = assemble_instance(self.schema, self.pool, "C", self.item_values)
+        vec = assemble_instance(self.schema, self.hits, "C", self.item_values)
         item_mask = self.schema.group_mask("item")
         assert not np.isnan(vec[item_mask]).any()
 
     def test_engagement_values_fill_when_present(self):
         vec = assemble_instance(
-            self.schema, self.pool, "A", self.item_values,
+            self.schema, self.hits, "A", self.item_values,
             engagement_values={"qi_engagement_w1": 0.75},
         )
         assert vec[self.schema.index_of("qi_engagement_w1")] == 0.75
@@ -212,11 +215,11 @@ class TestAssembleInstance:
 
     def test_item_not_in_pool_rejected(self):
         with pytest.raises(ValueError, match="not in candidate pool"):
-            assemble_instance(self.schema, self.pool, "Z", self.item_values)
+            assemble_instance(self.schema, self.hits, "Z", self.item_values)
 
     def test_channel_scores_match_provenance_exactly(self):
-        vec = assemble_instance(self.schema, self.pool, "B", self.item_values)
-        for hit in self.pool.provenance["B"]:
+        vec = assemble_instance(self.schema, self.hits, "B", self.item_values)
+        for hit in self.hits["B"]:
             score_col, rank_col = channel_columns(hit.channel.name)
             assert vec[self.schema.index_of(score_col)] == hit.score
             assert vec[self.schema.index_of(rank_col)] == hit.rank
@@ -227,12 +230,12 @@ class TestChannelBlock:
 
     def test_rows_equal_scalar_assembly(self):
         items = self.pool.items
-        assert list(items) == sorted(self.pool.candidates)
+        assert list(items) == list(self.hits)
         X = np.full((len(items), len(self.schema)), np.nan)
         fill_channel_block(X, self.schema, self.pool)
         channel_mask = self.schema.group_mask("channel")
         for r, item in enumerate(items):
-            expected = assemble_instance(self.schema, self.pool, item, self.item_values)
+            expected = assemble_instance(self.schema, self.hits, item, self.item_values)
             np.testing.assert_array_equal(X[r, channel_mask], expected[channel_mask])
         assert np.isnan(X[:, ~channel_mask]).all()
 
@@ -254,11 +257,13 @@ class TestChannelBlock:
             lists.append(ChannelList.from_pairs(channel, "q", zip(items, scores)))
         cfg = TruncationConfig(per_channel_n={c: data.draw(st.integers(1, 5)) for c in channels})
         pool = merge_pool(lists, cfg)
+        hits = reference_provenance(lists, cfg)
+        assert list(pool.items) == list(hits)
         X = np.full((len(pool), len(self.schema)), np.nan)
         fill_channel_block(X, self.schema, pool)
         channel_mask = self.schema.group_mask("channel")
         for r, item in enumerate(pool.items):
-            expected = assemble_instance(self.schema, pool, item, self.item_values)
+            expected = assemble_instance(self.schema, hits, item, self.item_values)
             assert X[r, channel_mask].tobytes() == expected[channel_mask].tobytes()
         assert np.isnan(X[:, ~channel_mask]).all()
 

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -238,6 +239,38 @@ class TestPairIndex:
         for size in sizes:
             assert g[start:start + size].sum() == 0.0
             start += size
+
+
+class TestExactSumBound:
+    """g and h sum exactly only while max(sigma, sigma**2 / 4) * (size - 1) < 2**13.
+
+    At sigma = 100 that is 2,500 * (size - 1): a largest group of 4 rows
+    (7,500) is inside the bound and one of 5 rows (10,000) is not.
+    """
+
+    @staticmethod
+    def _fit(size):
+        group_ids = np.repeat(np.arange(3), [2, size, 3])
+        labels = np.arange(len(group_ids), dtype=np.float64) % 5
+        schema = FeatureSchema(columns=(FeatureColumn("f0", "numeric", "item"),))
+        params = model_module.TrainParams(num_trees=1, max_depth=1, sigma=100.0)
+        return labels, group_ids, (labels[:, None], labels, group_ids, schema, params)
+
+    def test_largest_group_inside_the_bound_accepted(self):
+        labels, group_ids, train_args = self._fit(4)
+        PairIndex(labels, QueryGroups.from_ids(group_ids), k=8, sigma=100.0)
+        model_module.train(*train_args)
+
+    def test_largest_group_past_the_bound_rejected(self):
+        labels, group_ids, train_args = self._fit(5)
+        message = "^" + re.escape(
+            "a group of 5 rows at sigma 100 breaks the exact-sum bound "
+            "max(sigma, sigma**2 / 4) * (size - 1) < 2**13"
+        )
+        with pytest.raises(ValueError, match=message):
+            PairIndex(labels, QueryGroups.from_ids(group_ids), k=8, sigma=100.0)
+        with pytest.raises(ValueError, match=message):
+            model_module.train(*train_args)
 
 
 class TestTruncatedPairs:

@@ -11,7 +11,6 @@ import urllib.request
 import numpy as np
 import pytest
 
-from channelrank.cli import main
 from channelrank.core import TruncationConfig, truncate
 from channelrank.dataset import build_dataset, item_count_table
 from channelrank.features import item_feature_block
@@ -721,30 +720,6 @@ class TestBench:
             "max_pool_size", "hardware",
         ]
         assert list(report.as_dict()) == fields
-        report.end_to_end = {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0}
-        assert report.as_dict()["end_to_end"] == report.end_to_end
-        assert list(report.as_dict()) == [*fields, "end_to_end"]
-
-    def test_bench_url_times_http_round_trips(self, service, server_url):
-        requests = synth_requests(service, n_requests=20, pool_items=40, seed=3)
-        report = bench(service, requests, url=server_url)
-        e2e = report.end_to_end
-        assert list(e2e) == ["p50_ms", "p95_ms", "p99_ms"]
-        assert 0 < e2e["p50_ms"] <= e2e["p95_ms"] <= e2e["p99_ms"]
-        assert report.as_dict()["end_to_end"] == e2e
-
-    def test_cli_bench_url_writes_end_to_end(self, trained_world, server_url, tmp_path, capsys):
-        _, _, model = trained_world
-        model_path = tmp_path / "model.frm"
-        save_model(model, str(model_path))
-        out = tmp_path / "bench.json"
-        rc = main([
-            "bench", "--model", str(model_path), "--requests", "20", "--pool", "40",
-            "--url", server_url, "--json", str(out),
-        ])
-        assert rc == 0
-        e2e = json.loads(out.read_text())["end_to_end"]
-        assert 0 < e2e["p50_ms"] <= e2e["p95_ms"] <= e2e["p99_ms"]
 
     def test_zero_tree_model_latency_nonzero(self, trained_world):
         _, _, model = trained_world

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from channelrank import synthgen
-from channelrank.dataset import ItemCatalog
+from channelrank.dataset import ItemCatalog, read_item_catalog
 from channelrank.labeling import Action, read_event_log, write_event_log
 from channelrank.synthgen import (
     GroundTruth,
@@ -204,6 +204,10 @@ class TestGenerate:
         assert "events" in paths and "ground_truth" in paths
         for week in range(SMALL.num_weeks):
             assert f"channel_lists_w{week}" in paths
+        catalog, expected = read_item_catalog(paths["catalog"]), world.ground_truth.catalog
+        assert catalog.item_vocab == expected.item_vocab
+        for name in ("price", "category", "intro_week"):
+            assert getattr(catalog, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 EVENT_DTYPES = {
