@@ -25,7 +25,7 @@ from .gbdt.lambdas import check_threads
 from .gbdt.model import TrainParams, train, write_training_log
 from .gbdt.serialize import load_model, save_model
 from .labeling import read_event_log
-from .metrics import GroupedNdcg, QueryGroups
+from .metrics import QueryGroups, check_k, ndcg_at_k, order_from_scores
 from .service import (
     DEFAULT_POOL_CAP,
     ItemFeatureTable,
@@ -162,14 +162,15 @@ _THREADS_HELP = (
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trees", type=int, default=300)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--shrinkage", type=float, default=0.1)
-    p.add_argument("--min-leaf", type=int, default=5)
-    p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--ndcg-k", type=int, default=8)
+    params = TrainParams()
+    p.add_argument("--trees", type=int, default=params.num_trees)
+    p.add_argument("--depth", type=int, default=params.max_depth)
+    p.add_argument("--shrinkage", type=float, default=params.shrinkage)
+    p.add_argument("--min-leaf", type=int, default=params.min_examples_per_leaf)
+    p.add_argument("--l2", type=float, default=params.l2)
+    p.add_argument("--ndcg-k", type=int, default=params.ndcg_truncation)
     p.add_argument("--oblique", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=params.seed)
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
 
@@ -207,6 +208,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    check_k(args.k)
     data = ds.read_dataset(args.data)
     week = args.week if args.week is not None else int(data.weeks.max())
     mask = data.weeks == week
@@ -216,16 +218,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if model.schema != data.schema:
         raise ValueError("model schema does not match dataset schema")
     scores = model.predict_matrix(data.X[mask])
-    groups = QueryGroups.from_ids(data.group_ids[mask])
-    grouped = GroupedNdcg(data.labels[mask], groups, k=args.k)
-    mean = grouped.mean(scores)
-    print(f"week {week}: mean ndcg@{args.k} = {mean:.4f} over "
-          f"{grouped.group_count} groups")
+    labels, starts = data.labels[mask], QueryGroups.from_ids(data.group_ids[mask]).starts
+    # One ndcg_at_k per group, as evaluate_variant scores the ablation's groups.
+    mean = float(np.array([
+        ndcg_at_k(labels[a:b], order_from_scores(scores[a:b]), args.k)
+        for a, b in zip(starts[:-1], starts[1:])
+    ]).mean())
+    print(f"week {week}: mean ndcg@{args.k} = {mean:.4f} over {len(starts) - 1} groups")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(
                 {"week": week, "k": args.k, "mean_ndcg": mean,
-                 "groups": int(grouped.group_count)},
+                 "groups": len(starts) - 1},
                 fh, indent=2,
             )
         print(f"report -> {args.json}")
@@ -357,6 +361,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.pool < 1:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
+    if args.requests < 1:
+        raise ValueError(f"--requests must be >= 1, got {args.requests}")
     service, table = _make_service(args)
     item_ids = list(table.index) if table is not None else None
     requests = synth_requests(
@@ -390,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--labels", choices=["conversion", "heuristic"], default="conversion")
-    p.add_argument("--windows", default="1,4")
-    p.add_argument("--half-life", type=float, default=2.0)
-    p.add_argument("--n-per-channel", type=int, default=25)
+    p.add_argument("--windows", default=",".join(map(str, LookbackConfig().windows)))
+    p.add_argument("--half-life", type=float, default=LookbackConfig().decay_half_life)
+    p.add_argument("--n-per-channel", type=int, default=synthgen.WorldConfig().per_channel_n)
     p.add_argument("--min-impressions", type=int, default=20)
     p.add_argument("--item-features-out", default=None)
     p.set_defaults(func=_cmd_build_dataset)
@@ -417,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", choices=["default", "small"], default="default")
     p.add_argument("--out-dir", default="ablation")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--wi-seeds", type=int, default=20)
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    ablation = AblationConfig()
+    p.add_argument("--wi-seeds", type=int, default=ablation.wi_seeds)
+    p.add_argument("--threads", type=int, default=ablation.n_threads, help=_THREADS_HELP)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("fuse", help="fuse channel lists with RRF or weighted interleaving")

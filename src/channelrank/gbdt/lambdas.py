@@ -49,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..metrics import QueryGroups, discounts, gain, ideal_dcg_at_k
+from ..metrics import QueryGroups, check_k, discounts, gain, ideal_dcg_at_k
 
 _QUANTUM = 2.0**40
 #: The sigmoid's exponent is clipped to this magnitude, so exp stays finite.
@@ -97,10 +97,8 @@ class PairIndex:
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != groups.codes.shape:
             raise ValueError("labels must have one entry per grouped row")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         self.n = len(labels)
-        self.k = int(k)
+        self.k = int(check_k(k))
         self.sigma = float(sigma)
         size = int(groups.sizes.max(initial=0))
         if max(self.sigma, self.sigma**2 / 4) * (size - 1) >= 2**13:

@@ -37,10 +37,18 @@ def ideal_dcg_at_k(labels: np.ndarray, k: int) -> float:
     return dcg_at_k(ordered, k)
 
 
+def check_k(k: int) -> int:
+    """``k`` if it is at least 1, else ValueError."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
 def _checked(values: np.ndarray, predicted_order: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """Float64 ``values``, integer orders and the discounts at k. ValueError unless
-    the values are 1-d, finite and non-negative and the orders are one integer
-    permutation of ``range(len(values))`` or a 2-d stack of one or more."""
+    k >= 1, the values are 1-d, finite and non-negative and the orders are one
+    integer permutation of ``range(len(values))`` or a 2-d stack of one or more."""
+    check_k(k)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or not np.isfinite(values).all() or np.any(values < 0):
         raise ValueError("labels must be 1-d, finite and non-negative")
@@ -204,11 +212,9 @@ class GroupedNdcg:
             raise ValueError(
                 f"label {labels[bad[0]]} at row {bad[0]}: labels must be finite and >= 0"
             )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         self.groups = groups
         self.group_count = groups.count
-        self.k = int(k)
+        self.k = int(check_k(k))
         self.gains = gain(labels)
         # Ranking by label with index tie-breaks gives the ideal DCG.
         self.idcg = self._dcg(*groups.rank_discounts(labels, self.k))

@@ -22,9 +22,8 @@ output.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -89,9 +88,8 @@ class WorldConfig:
 
 @dataclass(slots=True)
 class GroundTruth:
-    """Latents persisted for oracle-style tests; never fed to features."""
+    """The world's latents, in memory, for oracle-style tests; never fed to features."""
 
-    config: WorldConfig
     catalog: ItemCatalog
     popularity: np.ndarray       # standardized log-popularity, per catalog item
     conv_quality: np.ndarray     # standardized purchase propensity, per catalog item
@@ -100,55 +98,6 @@ class GroundTruth:
     universe: np.ndarray         # (Q, U) item codes
     relevance: np.ndarray        # (Q, U, W) latent relevance
     channel_quality: np.ndarray  # (Q, K)
-
-    def save(self, path: str) -> None:
-        np.savez_compressed(
-            path,
-            config=json.dumps(asdict(self.config)),
-            item_vocab=np.array(self.catalog.item_vocab, dtype=str),
-            price=self.catalog.price,
-            category=self.catalog.category,
-            intro_week=self.catalog.intro_week,
-            popularity=self.popularity,
-            conv_quality=self.conv_quality,
-            query_vocab=np.array(self.query_vocab, dtype=str),
-            channel_names=np.array(self.channel_names, dtype=str),
-            universe=self.universe,
-            relevance=self.relevance,
-            channel_quality=self.channel_quality,
-        )
-
-    @classmethod
-    def load(cls, path: str) -> GroundTruth:
-        """Read a :meth:`save` file. ValueError for an object (pickled) array, or
-        for a stored config whose keys are not exactly :class:`WorldConfig`'s."""
-        with np.load(path, allow_pickle=False) as data:
-            stored = json.loads(str(data["config"]))
-            if not isinstance(stored, dict):
-                raise ValueError(f"{path}: stored world config is not a JSON object")
-            expected = {f.name for f in fields(WorldConfig)}
-            if stored.keys() != expected:
-                raise ValueError(
-                    f"{path}: stored world config has extra keys {sorted(stored.keys() - expected)}"
-                    f" and misses keys {sorted(expected - stored.keys())}; generate it again"
-                )
-            catalog = ItemCatalog(
-                item_vocab=tuple(data["item_vocab"].tolist()),
-                price=data["price"],
-                category=data["category"],
-                intro_week=data["intro_week"],
-            )
-            return cls(
-                config=WorldConfig(**stored),
-                catalog=catalog,
-                popularity=data["popularity"],
-                conv_quality=data["conv_quality"],
-                query_vocab=tuple(data["query_vocab"].tolist()),
-                channel_names=tuple(data["channel_names"].tolist()),
-                universe=data["universe"],
-                relevance=data["relevance"],
-                channel_quality=data["channel_quality"],
-            )
 
 
 @dataclass(slots=True)
@@ -421,7 +370,6 @@ def generate(cfg: WorldConfig) -> SynthWorld:
     del parts_by_query
     events = _assemble_events(parts, cfg.num_weeks, query_vocab, catalog.item_vocab)
     ground_truth = GroundTruth(
-        config=cfg,
         catalog=catalog,
         popularity=popularity,
         conv_quality=conv_quality,
@@ -554,7 +502,7 @@ def _tertile_retention(
 
 
 def write_world(world: SynthWorld, out_dir: str) -> dict[str, str]:
-    """Write the event log, per-week channel lists, item catalog and ground truth."""
+    """Write the event log, per-week channel lists and item catalog."""
     import os
 
     from .core import write_channel_lists
@@ -573,7 +521,4 @@ def write_world(world: SynthWorld, out_dir: str) -> dict[str, str]:
     catalog_path = os.path.join(out_dir, "catalog.tsv")
     write_item_catalog(catalog_path, world.ground_truth.catalog)
     paths["catalog"] = catalog_path
-    gt_path = os.path.join(out_dir, "ground_truth.npz")
-    world.ground_truth.save(gt_path)
-    paths["ground_truth"] = gt_path
     return paths

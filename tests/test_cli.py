@@ -7,9 +7,18 @@ import pytest
 
 from channelrank import cli
 from channelrank.cli import _load_world_dir, _parse_bind, main
-from channelrank.core import ChannelId
-from channelrank.dataset import read_dataset
+from channelrank.core import ChannelId, TruncationConfig
+from channelrank.dataset import build_dataset, read_dataset
+from channelrank.evaluation import (
+    AblationConfig,
+    ModelRanker,
+    build_eval_groups,
+    evaluate_variant,
+)
+from channelrank.features import LookbackConfig
+from channelrank.gbdt.model import TrainParams
 from channelrank.gbdt.serialize import load_model
+from channelrank.synthgen import WorldConfig, filter_and_split
 from tests.test_serialize import with_trees
 
 DATA = Path(__file__).parent / "data"
@@ -88,13 +97,30 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDefaults:
+    """Each subcommand's defaults are the library's, not a copy of them."""
+
+    def test_train_defaults_are_train_params(self):
+        args = cli.build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.frm"])
+        assert cli._train_params(args) == TrainParams()
+
+    def test_build_dataset_defaults_are_lookback_and_world(self):
+        args = cli.build_parser().parse_args([
+            "build-dataset", "--events", "e", "--lists-dir", "l", "--catalog", "c", "--out", "o",
+        ])
+        assert cli._lookback(args) == LookbackConfig()
+        assert args.n_per_channel == WorldConfig().per_channel_n
+
+    def test_ablate_defaults_are_ablation_config(self):
+        args = cli.build_parser().parse_args(["ablate"])
+        ablation = AblationConfig()
+        assert (args.wi_seeds, args.threads) == (ablation.wi_seeds, ablation.n_threads)
+
+
 class TestPipeline:
     def test_generate_emits_expected_files(self, world_dir):
-        names = os.listdir(world_dir)
-        assert "events.tsv" in names
-        assert "catalog.tsv" in names
-        assert "ground_truth.npz" in names
-        assert sum(n.startswith("channel_lists_w") for n in names) == 5
+        weeks = [f"channel_lists_w{week}.tsv" for week in range(5)]
+        assert sorted(os.listdir(world_dir)) == sorted(["events.tsv", "catalog.tsv", *weeks])
 
     def test_build_dataset_output_loads(self, dataset_path):
         data = read_dataset(str(dataset_path))
@@ -111,6 +137,45 @@ class TestPipeline:
         payload = json.loads(report.read_text())
         assert payload["week"] == 4
         assert 0.0 <= payload["mean_ndcg"] <= 1.0
+
+    def test_evaluate_prints_the_ablation_ndcg(self, tmp_path):
+        # On this world GroupedNdcg's bincount sums, which evaluate used to print,
+        # read 0.800838210883369 and the ablation's ndcg_at_k 0.8008382108833692.
+        world, data_path, model_path, report = (
+            tmp_path / "world", tmp_path / "data.csv", tmp_path / "model.frm", tmp_path / "r.json"
+        )
+        assert main(["generate", *WORLD_FLAGS, "--seed", "1", "--out", str(world)]) == 0
+        events, lists, catalog, channels = _load_world_dir(
+            str(world / "events.tsv"), str(world), str(world / "catalog.tsv")
+        )
+        assert main([
+            "build-dataset", "--events", str(world / "events.tsv"), "--lists-dir", str(world),
+            "--catalog", str(world / "catalog.tsv"), "--n-per-channel", "8", "--out", str(data_path),
+        ]) == 0
+        assert main([
+            "train", "--data", str(data_path), "--out", str(model_path),
+            "--trees", "20", "--depth", "4", "--shrinkage", "0.2", "--seed", "3",
+        ]) == 0
+        assert main([
+            "evaluate", "--data", str(data_path), "--model", str(model_path), "--json", str(report),
+        ]) == 0
+        split = filter_and_split(events, max(lists) + 1)
+        data = build_dataset(
+            events, lists, catalog, channels, split.all_keys(),
+            TruncationConfig.uniform(channels, 8), train_weeks=split.train_weeks,
+        )
+        groups = build_eval_groups(data, lists, split.test)
+        model = ModelRanker("m", load_model(str(model_path)), np.arange(len(data.schema)))
+        payload = json.loads(report.read_text())
+        assert payload["groups"] == len(groups)
+        assert payload["mean_ndcg"] == evaluate_variant(model, groups).mean_ndcg
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_evaluate_k_below_one_exits_one_before_reading(self, capsys, k):
+        capsys.readouterr()
+        rc = main(["evaluate", "--data", "/nonexistent.csv", "--model", "/m.frm", "--k", k])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: k must be >= 1, got {k}"]
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_evaluate_k_below_one_exits_one(self, dataset_path, model_path, capsys, k):
@@ -552,6 +617,14 @@ class TestPipeline:
         assert main(["bench", "--model", str(model_path), "--pool", pool]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: --pool must be >= 1, got {pool}"]
+
+    @pytest.mark.parametrize("requests", ["0", "-3"])
+    def test_bench_requests_below_one_exits_one_before_reading(self, tmp_path, capsys, requests):
+        capsys.readouterr()
+        rc = main(["bench", "--model", str(tmp_path / "missing.frm"), "--requests", requests])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --requests must be >= 1, got {requests}"]
 
     @pytest.mark.parametrize("cmd", ["serve", "bench"])
     def test_zero_pool_cap_exits_one(self, model_path, capsys, monkeypatch, cmd):

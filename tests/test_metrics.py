@@ -117,6 +117,14 @@ class TestNdcg:
         with pytest.raises(ValueError, match="permutations of range"):
             ndcg_at_k(np.array([1.0, 2.0]), order, k=2)
 
+    @pytest.mark.parametrize("metric", [ndcg_at_k, purchase_ndcg_at_k])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, metric, k):
+        # Such a cut-off used to score: ndcg_at_k read 0.1738 at k = -1 (0.5869
+        # at k = 3) and 0.0 at k = 0.
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            metric(np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2]), k)
+
     def test_stack_scores_each_order_bitwise(self):
         rng = np.random.default_rng(17)
         for _ in range(300):

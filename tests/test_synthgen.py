@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import tracemalloc
 
@@ -10,7 +9,6 @@ from channelrank import synthgen
 from channelrank.dataset import ItemCatalog, read_item_catalog
 from channelrank.labeling import Action, read_event_log, write_event_log
 from channelrank.synthgen import (
-    GroundTruth,
     WorldConfig,
     channel_ids,
     filter_and_split,
@@ -143,68 +141,18 @@ class TestGenerate:
         spread = gt.relevance.mean(axis=(0, 1))
         assert np.ptp(spread) < 0.05
 
-    def test_ground_truth_round_trip(self, world, tmp_path):
-        path = tmp_path / "gt.npz"
-        world.ground_truth.save(str(path))
-        loaded = GroundTruth.load(str(path))
-        assert loaded.config == SMALL
-        np.testing.assert_array_equal(loaded.universe, world.ground_truth.universe)
-        np.testing.assert_array_equal(loaded.relevance, world.ground_truth.relevance)
-        for gt in (world.ground_truth, loaded):
-            assert isinstance(gt.catalog, ItemCatalog)
-            assert gt.catalog.item_vocab == world.events.item_vocab
-        np.testing.assert_array_equal(loaded.catalog.price, world.ground_truth.catalog.price)
-        np.testing.assert_array_equal(loaded.popularity, world.ground_truth.popularity)
-        np.testing.assert_array_equal(loaded.conv_quality, world.ground_truth.conv_quality)
-        for name in ("query_vocab", "channel_names"):
-            assert getattr(loaded, name) == getattr(world.ground_truth, name)
-        for words in (loaded.catalog.item_vocab, loaded.query_vocab, loaded.channel_names):
-            assert all(type(word) is str for word in words)
-        with np.load(str(path), allow_pickle=False) as data:
-            assert all(data[name].dtype.kind != "O" for name in data.files)
-
-    def test_ground_truth_object_array_rejected(self, world, tmp_path):
-        path = tmp_path / "gt.npz"
-        world.ground_truth.save(str(path))
-        with np.load(str(path)) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["query_vocab"] = arrays["query_vocab"].astype(object)
-        crafted = tmp_path / "crafted.npz"
-        np.savez(str(crafted), **arrays)
-        with pytest.raises(ValueError, match="allow_pickle"):
-            GroundTruth.load(str(crafted))
-
-    @pytest.mark.parametrize(
-        "edit, problem",
-        [
-            (lambda config: {**config, "click_rate": 0.22},
-             "has extra keys ['click_rate'] and misses keys []; generate it again"),
-            (lambda config: {k: v for k, v in config.items() if k != "seed"},
-             "has extra keys [] and misses keys ['seed']; generate it again"),
-            (lambda config: list(config), "is not a JSON object"),
-        ],
-        ids=["removed-setting", "missing-seed", "not-an-object"],
-    )
-    def test_ground_truth_config_keys_must_match(self, world, tmp_path, edit, problem):
-        # A file from a build whose WorldConfig had other fields used to raise
-        # TypeError for an extra key and to take the default for a missing one.
-        path = tmp_path / "gt.npz"
-        world.ground_truth.save(str(path))
-        with np.load(str(path)) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["config"] = np.array(json.dumps(edit(json.loads(str(arrays["config"])))))
-        crafted = tmp_path / "crafted.npz"
-        np.savez(str(crafted), **arrays)
-        with pytest.raises(ValueError) as err:
-            GroundTruth.load(str(crafted))
-        assert str(err.value) == f"{crafted}: stored world config {problem}"
-
     def test_write_world_emits_all_files(self, world, tmp_path):
-        paths = write_world(world, str(tmp_path / "world"))
-        assert "events" in paths and "ground_truth" in paths
-        for week in range(SMALL.num_weeks):
-            assert f"channel_lists_w{week}" in paths
-        catalog, expected = read_item_catalog(paths["catalog"]), world.ground_truth.catalog
+        out = tmp_path / "world"
+        paths = write_world(world, str(out))
+        weeks = [f"channel_lists_w{week}" for week in range(SMALL.num_weeks)]
+        assert sorted(paths) == sorted(["events", "catalog", *weeks])
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["events.tsv", "catalog.tsv", *(f"{name}.tsv" for name in weeks)]
+        )
+        expected = world.ground_truth.catalog
+        assert isinstance(expected, ItemCatalog)
+        assert expected.item_vocab == world.events.item_vocab
+        catalog = read_item_catalog(paths["catalog"])
         assert catalog.item_vocab == expected.item_vocab
         for name in ("price", "category", "intro_week"):
             assert getattr(catalog, name).tobytes() == getattr(expected, name).tobytes(), name
